@@ -17,6 +17,12 @@ import numpy as np
 
 # power series is used below this argument; Miller recurrence above
 _SERIES_X_MAX = 9.0
+MAX_ORDER = 4.0
+# bessel_zeros scans (0, ZERO_SEARCH_MAX] in steps of _SCAN_STEP, and its
+# Newton polish evaluates J_{nu+1}, which lowers the order cap by one
+ZERO_SEARCH_MAX = 60.0
+MAX_ZERO_ORDER = MAX_ORDER - 1.0
+_SCAN_STEP = 0.05
 
 
 def _bessel_series(nu: float, x: float) -> float:
@@ -70,8 +76,8 @@ def _bessel_miller(nu: float, x: float) -> float:
 
 def bessel_j(nu: float, x: float) -> float:
     """Evaluate J_nu(x) for real order nu in [0, 4] and 0 < x <= 60."""
-    if not 0.0 <= nu <= 4.0:
-        raise ValueError(f"order out of supported range [0, 4]: {nu}")
+    if not 0.0 <= nu <= MAX_ORDER:
+        raise ValueError(f"order out of supported range [0, {MAX_ORDER:g}]: {nu}")
     if not 0.0 < x <= 60.0:
         raise ValueError(f"argument out of supported range (0, 60]: {x}")
     if x <= _SERIES_X_MAX:
@@ -87,7 +93,20 @@ def bessel_j_derivative(nu: float, x: float) -> float:
     return jnum1 - (nu / x) * jnu
 
 
-def bessel_zeros(nu: float, count: int, x_max: float = 60.0) -> np.ndarray:
+def zero_count_bound(nu: float, x_max: float = ZERO_SEARCH_MAX) -> int:
+    """How many zeros of J_nu the scan of bessel_zeros surely finds below x_max.
+
+    Closed form, no Bessel evaluation.  For nu >= 1/2, Sturm comparison puts
+    consecutive zeros of sqrt(x) J_nu(x) more than pi apart while McMahon's
+    expansion approaches (k + nu/2 - 1/4) pi from below, so j_{nu,k} lies
+    below that value; zeros increase with nu, so j_{nu,k} <= j_{1/2,k} = k pi
+    for nu < 1/2.  The last scan point can fall one step short of x_max.
+    """
+    reach = x_max - _SCAN_STEP
+    return int(math.floor(reach / math.pi + 0.25 - 0.5 * max(nu, 0.5)))
+
+
+def bessel_zeros(nu: float, count: int, x_max: float = ZERO_SEARCH_MAX) -> np.ndarray:
     """First `count` positive zeros of J_nu, ascending.
 
     Sign-change bracketing on a uniform scan, bisection to near machine
@@ -97,8 +116,8 @@ def bessel_zeros(nu: float, count: int, x_max: float = 60.0) -> np.ndarray:
     if count < 1:
         raise ValueError("count must be >= 1")
     zeros = []
-    step = 0.05
-    x_prev = 0.05
+    step = _SCAN_STEP
+    x_prev = _SCAN_STEP
     f_prev = bessel_j(nu, x_prev)
     x = x_prev
     while len(zeros) < count:

@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import angular as ang
+from . import bessel as bes
 from . import control as ctl
 from . import elliptic as ell
 from . import evolution as evo
@@ -85,6 +86,19 @@ def validate_config(cfg: LabConfig) -> None:
     lam_star = spc.critical_constant(cfg.dimension_n)
     if cfg.lam >= lam_star:
         raise SupercriticalCouplingError(cfg.lam, lam_star, cfg.dimension_n)
+    # the spectrum stage checks against Bessel zeros; their range is closed-form
+    nu = spc.bessel_order(cfg.lam, cfg.dimension_n)
+    if nu > bes.MAX_ZERO_ORDER:
+        raise ConfigError(
+            f"Bessel oracle order nu = {nu:.6g} exceeds {bes.MAX_ZERO_ORDER:g}; "
+            "lower dimension_n or raise lam"
+        )
+    max_modes = bes.zero_count_bound(nu)
+    if not 1 <= cfg.spectrum_modes <= max_modes:
+        raise ConfigError(
+            f"spectrum_modes must lie in [1, {max_modes}]: the oracle finds "
+            f"{max_modes} zeros of J_{nu:.6g} below {bes.ZERO_SEARCH_MAX:g}"
+        )
     if cfg.n_interior < 8:
         raise ConfigError("n_interior must be at least 8")
     if cfg.n_ang < 64:

@@ -5,8 +5,9 @@ problems are integrated by Duhamel's formula with trapezoid quadrature,
 
     c_k(t) = -i integral_0^t exp(i mu_k (t-s)) g_k(s) ds,
 
-accumulated panel by panel so the cost is linear in the number of steps and
-the result coincides with the global composite trapezoid rule.
+evaluated in closed form: the phase exp(i mu_k t) is pulled out of the
+integral and the rest is one cumulative trapezoid sum, so the cost is linear
+in the number of steps and every row is the composite trapezoid value.
 """
 
 from dataclasses import dataclass, field
@@ -88,20 +89,26 @@ def propagate(state: ModeState, basis: SpectralBasis, t: float) -> ModeState:
 def duhamel_modal_source(g: np.ndarray, mus: np.ndarray, grid: TimeGrid) -> ModeTrajectory:
     """Zero-initial-state response to a per-mode source g_k(t_j).
 
-    g has shape (steps+1, k); the recursion keeps every partial integral
-    equal to the composite trapezoid value at that time.
+    g has shape (steps+1, k).  With the step phase P = exp(i mu dt), row j is
+    the composite trapezoid value -i P^j sum_{i<j} h/2 (e_i + e_{i+1}),
+    e_i = P^-i g_i, taken as one cumulative sum; the phases have unit
+    modulus, so no factor overflows however long the grid.
     """
-    steps, k = grid.steps, g.shape[1]
-    if g.shape[0] != steps + 1:
+    if g.shape[0] != grid.steps + 1:
         raise ValueError("source samples do not match the time grid")
-    phase = np.exp(1j * np.asarray(mus) * grid.dt)
-    acc = np.zeros(k, dtype=complex)
-    coeffs = np.zeros((steps + 1, k), dtype=complex)
-    half = 0.5 * grid.dt
-    for j in range(steps):
-        acc = phase * acc + half * (phase * g[j] + g[j + 1])
-        coeffs[j + 1] = -1j * acc
-    return ModeTrajectory(grid.times.copy(), coeffs)
+    # P^j = exp(i j x), x = mu dt, with x split so that j * x_hi is exact:
+    # every phase then carries the same rounded frequency, whereas rounding
+    # each mu t_j on its own costs ~1e-11 relative accuracy for smooth
+    # sources at mu ~ 2500
+    x = np.asarray(mus, dtype=float) * grid.dt
+    big = 134217729.0 * x             # 2^27 + 1: x_hi keeps 26 bits
+    x_hi = big - (big - x)
+    j = np.arange(grid.steps + 1, dtype=float)[:, None]
+    phase = np.exp(1j * (j * x_hi)) * np.exp(1j * (j * (x - x_hi)))
+    pulled = phase.conj() * g
+    acc = np.zeros_like(phase)
+    np.cumsum(pulled[:-1] + pulled[1:], axis=0, out=acc[1:])
+    return ModeTrajectory(grid.times.copy(), -0.5j * grid.dt * phase * acc)
 
 
 def duhamel_solve(src: SourceModel, basis: SpectralBasis, grid: TimeGrid) -> ModeTrajectory:

@@ -5,7 +5,10 @@ derivative of each mode factors through the causal operator
 
     (K z)(t) = rho(0) z(t) + integral_0^t rho'(t - s) z(s) ds,
 
-which forward substitution inverts on the grid whenever rho(0) != 0.  The
+which is lower triangular and Toeplitz (after its first column) on the grid,
+so blocked substitution inverts it whenever rho(0) != 0: solve the left half
+of the unknowns, subtract their effect on the right half with one FFT
+convolution, and recurse down to fixed-size triangles solved densely.  The
 recovered z is a free evolution with z(0) = -i f, so f = i z(0).  When
 rho(0) = 0 the direct route is rejected; the antiderivative reduction and
 the causal convolution y = rho * v provide the alternate route, and the
@@ -15,12 +18,15 @@ Titchmarsh support check confirms that convolution starts add.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_triangular, toeplitz
 from scipy.signal import fftconvolve
 
 from .evolution import ModeTrajectory, TimeGrid
 
 RHO_ZERO_TOL = 1e-14
 SUPPORT_REL_THRESHOLD = 1e-12
+# blocked substitution solves triangles of this many unknowns densely
+VOLTERRA_LEAF = 256
 
 
 @dataclass
@@ -62,24 +68,44 @@ def volterra_apply(sys: VolterraSystem, z: np.ndarray) -> np.ndarray:
 
 
 def volterra_invert(sys: VolterraSystem, g: np.ndarray) -> np.ndarray:
-    """Forward substitution on the lower-triangular discretization of K z = g."""
+    """Solve the lower-triangular discretization of K z = g.
+
+    g has shape (n,) or (n, k); each column is an independent right-hand
+    side.  Row 0 gives z_0 = g_0 / rho(0); the remaining unknowns satisfy a
+    lower-triangular Toeplitz system with diagonal rho(0) + dt rho'(0)/2 and
+    subdiagonals dt rho'(d), solved by blocked substitution.
+    """
     if abs(sys.rho_at_zero) <= RHO_ZERO_TOL:
         raise ValueError("rho(0) = 0: second-kind inversion unavailable on this route")
     g = np.asarray(g, dtype=complex)
     n = len(g)
     if n != len(sys.times):
         raise ValueError("data does not match the system grid")
-    dt = sys.dt
-    drho = sys.drho
-    z = np.zeros(n, dtype=complex)
-    z[0] = g[0] / sys.rho_at_zero
-    denom = sys.rho_at_zero + 0.5 * dt * drho[0]
-    for j in range(1, n):
-        conv = 0.5 * drho[j] * z[0]
-        if j > 1:
-            conv += np.dot(drho[j - 1 : 0 : -1], z[1:j])
-        z[j] = (g[j] - dt * conv) / denom
-    return z
+    col = sys.dt * sys.drho[: n - 1]
+    col[0] = sys.rho_at_zero + 0.5 * col[0]
+    rhs = g.reshape(n, -1)
+    z = np.empty_like(rhs)
+    z[0] = rhs[0] / sys.rho_at_zero
+    z[1:] = rhs[1:] - 0.5 * sys.dt * np.outer(sys.drho[1:], z[0])
+    leaf = toeplitz(col[:VOLTERRA_LEAF], np.zeros(min(n - 1, VOLTERRA_LEAF)))
+    _toeplitz_substitution(col, leaf, z[1:])
+    return z.reshape(g.shape)
+
+
+def _toeplitz_substitution(col: np.ndarray, leaf: np.ndarray, b: np.ndarray) -> None:
+    """Overwrite b, shape (m, k), with T^{-1} b for the lower-triangular
+    Toeplitz T with first column col; leaf is T's leading dense triangle."""
+    m = len(b)
+    if m <= VOLTERRA_LEAF:
+        b[:] = solve_triangular(leaf[:m, :m], b, lower=True, check_finite=False)
+        return
+    # the left part takes whole leaves, so every leaf starts on a leaf boundary
+    leaves = -(-m // VOLTERRA_LEAF)
+    h = VOLTERRA_LEAF * ((leaves + 1) // 2)
+    _toeplitz_substitution(col, leaf, b[:h])
+    # rows h..m-1 receive sum_{l<h} col[row - l] z_l
+    b[h:] -= fftconvolve(col[1:m, None], b[:h], axes=0)[h - 1 : m - 1]
+    _toeplitz_substitution(col, leaf, b[h:])
 
 
 @dataclass
@@ -131,7 +157,7 @@ def reconstruct_f(trajectory: ModeTrajectory, sys: VolterraSystem, mus: np.ndarr
         raise ValueError("trajectory and Volterra system grids differ")
     mus = np.asarray(mus, dtype=float)
     dt_u = modal_time_derivative(trajectory, mus, sys, f_true, derivative)
-    z = np.column_stack([volterra_invert(sys, dt_u[:, k]) for k in range(trajectory.k_modes)])
+    z = volterra_invert(sys, dt_u)
     f_rec = 1j * z[0, :]
     rel = None
     diagnostics: dict = {}
@@ -139,7 +165,7 @@ def reconstruct_f(trajectory: ModeTrajectory, sys: VolterraSystem, mus: np.ndarr
         f_true = np.asarray(f_true, dtype=complex)
         scale = np.linalg.norm(f_true)
         rel = float(np.linalg.norm(f_rec - f_true) / scale) if scale else None
-        # identity K z = du/dt is structural after forward substitution
+        # identity K z = du/dt is structural after the triangular solve
         kz = np.column_stack([volterra_apply(sys, z[:, k]) for k in range(z.shape[1])])
         diagnostics["factorization_residual"] = float(np.abs(kz - dt_u).max())
     return ReconstructionResult(f_rec, z, dt_u, rel, diagnostics)
@@ -159,7 +185,9 @@ def free_evolution_check(z: np.ndarray, mus: np.ndarray, dt: float) -> np.ndarra
     mus = np.asarray(mus, dtype=float)
     zdot = (z[2:] - z[:-2]) / (2.0 * dt)
     resid = np.abs(zdot - 1j * mus[None, :] * z[1:-1])
-    return np.trapezoid(resid, dx=dt, axis=0)
+    w = np.full(len(resid), dt)
+    w[0] = w[-1] = 0.5 * dt
+    return w @ resid
 
 
 def antiderivative_reduce(trajectory: ModeTrajectory) -> ModeTrajectory:

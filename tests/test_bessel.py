@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import jv
 
-from hardylab.bessel import bessel_j, bessel_j_derivative, bessel_zeros
+from hardylab.bessel import bessel_j, bessel_j_derivative, bessel_zeros, zero_count_bound
 
 
 def test_half_order_closed_form():
@@ -57,3 +57,13 @@ def test_domain_validation():
         bessel_j(0.5, 0.0)
     with pytest.raises(ValueError):
         bessel_j(0.5, 61.0)
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.3, 0.5, 0.675, 1.7, 2.7, 3.0])
+def test_zero_count_bound_is_found_and_tight(nu):
+    k = zero_count_bound(nu)
+    assert len(bessel_zeros(nu, k)) == k
+    # sign changes of scipy's J_nu below 60: the bound misses at most one
+    x = np.arange(0.01, 60.0, 0.005)
+    true_count = int(np.count_nonzero(np.diff(np.sign(jv(nu, x)))))
+    assert true_count - 1 <= k <= true_count

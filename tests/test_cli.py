@@ -63,6 +63,28 @@ def test_invalid_config_exit_code(tmp_path, capsys):
     assert payload["error"] == "invalid_config"
 
 
+@pytest.mark.parametrize("text", [
+    "dimension_n = 11\n",       # nu = 4.5
+    "lam = -12\n",              # nu = 3.5: the Newton polish would need J_4.5
+    "spectrum_modes = 25\n",    # J_0.5 has 19 zeros below 60
+])
+def test_oracle_range_rejected_before_output(tmp_path, capsys, text):
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text(text)
+    out_root = tmp_path / "out"
+    code = main(["spectrum", "--config", str(cfg_file), "--out", str(out_root)])
+    assert code == 2
+    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert payload["error"] == "invalid_config"
+    assert not out_root.exists()
+
+
+def test_oracle_range_limits_run(tmp_path):
+    # the largest accepted order and mode count both run to completion
+    cfg = light_config(lam=-8.75, spectrum_modes=17)   # nu = 3
+    assert run("spectrum", cfg, tmp_path) == 0
+
+
 def test_validate_config_rules():
     with pytest.raises(SupercriticalCouplingError):
         validate_config(light_config(lam=0.25))

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import solve_triangular, toeplitz
 
 from hardylab.evolution import SourceModel, TimeGrid, duhamel_solve, free_trajectory
 from hardylab.evolution import ModeTrajectory
@@ -7,7 +10,7 @@ from hardylab.inverse import (VolterraSystem, antiderivative_reduce,
                               convolve_source, duhamel_identity_residual,
                               free_evolution_check, reconstruct_f,
                               titchmarsh_support, trapezoid_convolution,
-                              volterra_apply, volterra_invert)
+                              volterra_apply, volterra_invert, VOLTERRA_LEAF)
 from hardylab.spectral import RadialGrid, assemble_hardy_operator, solve_spectrum
 
 
@@ -71,6 +74,82 @@ def test_invert_rejects_vanishing_rho0():
     sys = make_system(lambda t: t, lambda t: 1.0, steps=100)
     with pytest.raises(ValueError, match="rho"):
         volterra_invert(sys, np.ones(101, dtype=complex))
+
+
+# grid sizes at and around the leaf size and around powers of two, plus any
+# size up to 600
+EDGE_SIZES = sorted({VOLTERRA_LEAF + d for d in (-1, 0, 1, 2)}
+                    | {2**p + d for p in range(2, 10) for d in (-1, 0, 1)})
+grid_sizes = st.one_of(st.sampled_from(EDGE_SIZES), st.integers(2, 600))
+
+
+@st.composite
+def volterra_systems(draw):
+    """Random rho(0) in +-[0.5, 3] and rho' samples with |rho'| <= 1 on (0, 1)."""
+    n = draw(grid_sizes)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rho0 = draw(st.floats(0.5, 3.0)) * draw(st.sampled_from([-1.0, 1.0]))
+    drho = draw(st.floats(0.0, 1.0)) * rng.uniform(-1.0, 1.0, n)
+    times = np.linspace(0.0, 1.0, n)
+    rho = rho0 + np.concatenate(([0.0], np.cumsum(drho[1:] + drho[:-1]))) * 0.5 * times[1]
+    return VolterraSystem(times, rho, drho, rho0), rng
+
+
+def dense_volterra_matrix(sys):
+    """The discretized K as a dense lower-triangular matrix, row by row:
+    rho(0) z_j + dt [rho'_j z_0 / 2 + sum_{0<m<j} rho'_{j-m} z_m + rho'_0 z_j / 2]."""
+    n = len(sys.times)
+    mat = sys.dt * np.tril(toeplitz(sys.drho))
+    mat[:, 0] *= 0.5
+    mat[np.diag_indices(n)] = sys.rho_at_zero + 0.5 * sys.dt * sys.drho[0]
+    mat[0, 0] = sys.rho_at_zero
+    return mat
+
+
+def random_rhs(rng, n, k=None):
+    shape = (n,) if k is None else (n, k)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@settings(max_examples=60, deadline=None)
+@given(volterra_systems())
+def test_invert_matches_dense_triangular_solve(case):
+    sys, rng = case
+    n = len(sys.times)
+    mat = dense_volterra_matrix(sys)
+    z_probe = random_rhs(rng, n)
+    assert np.abs(mat @ z_probe - volterra_apply(sys, z_probe)).max() <= 1e-12 * n
+    g = random_rhs(rng, n)
+    expected = solve_triangular(mat, g, lower=True)
+    assert np.abs(volterra_invert(sys, g) - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+@settings(max_examples=30, deadline=None)
+@given(volterra_systems(), st.integers(1, 6))
+def test_invert_columns_match_single_solves(case, k):
+    sys, rng = case
+    g = random_rhs(rng, len(sys.times), k)
+    z = volterra_invert(sys, g)
+    assert z.shape == g.shape
+    columns = np.column_stack([volterra_invert(sys, g[:, j]) for j in range(k)])
+    assert np.abs(z - columns).max() <= 1e-13 * np.abs(columns).max()
+
+
+@settings(max_examples=40, deadline=None)
+@given(volterra_systems())
+def test_invert_apply_roundtrip(case):
+    sys, rng = case
+    z = random_rhs(rng, len(sys.times))
+    assert np.abs(volterra_invert(sys, volterra_apply(sys, z)) - z).max() <= 1e-12 * np.abs(z).max()
+
+
+@settings(max_examples=20, deadline=None)
+@given(volterra_systems(), st.sampled_from([0.0, 1e-15, -1e-15]))
+def test_invert_still_rejects_vanishing_rho0(case, rho0):
+    sys, _ = case
+    sys.rho_at_zero = rho0
+    with pytest.raises(ValueError, match="rho"):
+        volterra_invert(sys, np.ones(len(sys.times), dtype=complex))
 
 
 def test_reconstruct_zero_source():
@@ -208,7 +287,7 @@ def test_trapezoid_convolution_against_quadrature():
     for j in (100, 400, 799):
         s = t[: j + 1]
         integrand = np.interp(t[j] - s, t, a) * np.interp(s, t, b)
-        oracle = np.trapezoid(integrand, dx=dt)
+        oracle = dt * (integrand.sum() - 0.5 * (integrand[0] + integrand[-1]))
         assert conv[j] == pytest.approx(oracle, abs=1e-12)
 
 
