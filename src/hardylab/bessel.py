@@ -93,16 +93,16 @@ def bessel_j_derivative(nu: float, x: float) -> float:
     return jnum1 - (nu / x) * jnu
 
 
-def zero_count_bound(nu: float, x_max: float = ZERO_SEARCH_MAX) -> int:
-    """How many zeros of J_nu the scan of bessel_zeros surely finds below x_max.
+def zero_count_bound(nu: float) -> int:
+    """How many zeros of J_nu the scan of bessel_zeros surely finds below ZERO_SEARCH_MAX.
 
     Closed form, no Bessel evaluation.  For nu >= 1/2, Sturm comparison puts
     consecutive zeros of sqrt(x) J_nu(x) more than pi apart while McMahon's
     expansion approaches (k + nu/2 - 1/4) pi from below, so j_{nu,k} lies
     below that value; zeros increase with nu, so j_{nu,k} <= j_{1/2,k} = k pi
-    for nu < 1/2.  The last scan point can fall one step short of x_max.
+    for nu < 1/2.  The last scan point can fall one step short of ZERO_SEARCH_MAX.
     """
-    reach = x_max - _SCAN_STEP
+    reach = ZERO_SEARCH_MAX - _SCAN_STEP
     return int(math.floor(reach / math.pi + 0.25 - 0.5 * max(nu, 0.5)))
 
 

@@ -123,6 +123,9 @@ def validate_config(cfg: LabConfig) -> None:
                  "recon_steps", "hum_verify_steps"):
         if getattr(cfg, name) < 1:
             raise ConfigError(f"{name} must be positive")
+    if cfg.inverse_steps < 2:
+        # the rho(0) = 0 route certifies itself with centered differences
+        raise ConfigError("inverse_steps must be at least 2")
 
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(LabConfig)}

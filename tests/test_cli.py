@@ -85,6 +85,10 @@ def test_oracle_range_limits_run(tmp_path):
     assert run("spectrum", cfg, tmp_path) == 0
 
 
+def test_shortest_inverse_grid_runs(tmp_path):
+    assert run("inverse-source", light_config(inverse_steps=2), tmp_path) == 0
+
+
 def test_validate_config_rules():
     with pytest.raises(SupercriticalCouplingError):
         validate_config(light_config(lam=0.25))
@@ -94,6 +98,7 @@ def test_validate_config_rules():
         {"eps_list": (1e-3, 1e-2)},
         {"k_trunc": 50},
         {"n_interior": 4},
+        {"inverse_steps": 1},
     ):
         with pytest.raises((ValueError,)):
             validate_config(light_config(**bad))

@@ -71,9 +71,10 @@ def test_invert_recovers_sine():
 
 
 def test_invert_rejects_vanishing_rho0():
-    sys = make_system(lambda t: t, lambda t: 1.0, steps=100)
-    with pytest.raises(ValueError, match="rho"):
-        volterra_invert(sys, np.ones(101, dtype=complex))
+    for rho0 in (0.0, 1e-15, -1e-15):
+        sys = make_system(lambda t: t + rho0, lambda t: 1.0, steps=100)
+        with pytest.raises(ValueError, match="rho"):
+            volterra_invert(sys, np.ones(101, dtype=complex))
 
 
 # grid sizes at and around the leaf size and around powers of two, plus any
@@ -143,15 +144,6 @@ def test_invert_apply_roundtrip(case):
     assert np.abs(volterra_invert(sys, volterra_apply(sys, z)) - z).max() <= 1e-12 * np.abs(z).max()
 
 
-@settings(max_examples=20, deadline=None)
-@given(volterra_systems(), st.sampled_from([0.0, 1e-15, -1e-15]))
-def test_invert_still_rejects_vanishing_rho0(case, rho0):
-    sys, _ = case
-    sys.rho_at_zero = rho0
-    with pytest.raises(ValueError, match="rho"):
-        volterra_invert(sys, np.ones(len(sys.times), dtype=complex))
-
-
 def test_reconstruct_zero_source():
     basis = make_basis(k=3)
     grid = TimeGrid(1.0, 500)
@@ -205,6 +197,22 @@ def test_free_evolution_check_orders():
         z = np.exp(1j * mus[0] * t)[:, None]
         res.append(free_evolution_check(z, mus, t[1] - t[0])[0])
     assert res[0] / res[1] == pytest.approx(4.0, rel=0.1)
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3])
+def test_free_evolution_check_short_grids(steps):
+    # one step leaves no interior residual, two leave one: both integrate to 0
+    t = TimeGrid(1.0, steps).times
+    dt = t[1] - t[0]
+    mus = np.array([2.0, 5.0])
+    z = np.exp(1j * np.outer(t**2, mus))
+    res = free_evolution_check(z, mus, dt)
+    assert res.shape == (2,)
+    if steps < 3:
+        assert np.all(res == 0.0)
+    else:
+        r = np.abs((z[2:] - z[:-2]) / (2 * dt) - 1j * mus * z[1:-1])
+        assert np.allclose(res, 0.5 * dt * (r[0] + r[1]), rtol=1e-15, atol=0.0)
 
 
 def test_antiderivative_reduce():
