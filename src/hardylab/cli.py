@@ -2,8 +2,10 @@
 
 Every subcommand writes its tables plus a manifest (config snapshot, check
 booleans, sha256 digests) into a stamped directory under --out (overridden
-by the LAB_OUT environment variable).  Bodies of the CSV/JSON artifacts are
-functions of config and seed only, so repeated runs digest identically.
+by the LAB_OUT environment variable); the directory appears under its
+stamped name only once the manifest is written.  Bodies of the CSV/JSON
+artifacts are functions of config and seed only, so repeated runs digest
+identically.
 
 Exit codes: 0 success, 1 tolerance breach under --check, 2 invalid
 configuration, 3 supercritical coupling.
@@ -15,6 +17,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import shutil
 import sys
 import time
 from dataclasses import dataclass
@@ -574,12 +577,8 @@ _RUNNERS = {
 }
 
 
-def run(subcommand: str, cfg: LabConfig, out_root: Path, check: bool = False) -> int:
-    """Execute one subcommand (or 'all'), write artifacts + manifest."""
-    validate_config(cfg)
-    stamp = datetime.now(timezone.utc).strftime("%Y%m%d-%H%M%S%f")
-    outdir = out_root / f"{subcommand}-{stamp}"
-    outdir.mkdir(parents=True, exist_ok=False)
+def _run_stages(subcommand: str, cfg: LabConfig, outdir: Path) -> dict[str, bool]:
+    """Run the stages into outdir and write the manifest last."""
     started = time.monotonic()
     names = list(_RUNNERS) if subcommand == "all" else [subcommand]
     checks: dict[str, bool] = {}
@@ -603,6 +602,26 @@ def run(subcommand: str, cfg: LabConfig, out_root: Path, check: bool = False) ->
         "digests": digests,
     }
     write_json(outdir / "manifest.json", manifest)
+    return checks
+
+
+def run(subcommand: str, cfg: LabConfig, out_root: Path, check: bool = False) -> int:
+    """Execute one subcommand (or 'all'), write artifacts + manifest.
+
+    The stages write into a hidden sibling directory, which takes the stamped
+    name only once the manifest is written; if a stage raises, it is removed.
+    """
+    validate_config(cfg)
+    stamp = datetime.now(timezone.utc).strftime("%Y%m%d-%H%M%S%f")
+    outdir = out_root / f"{subcommand}-{stamp}"
+    workdir = out_root / f".{outdir.name}.partial"
+    workdir.mkdir(parents=True, exist_ok=False)
+    try:
+        checks = _run_stages(subcommand, cfg, workdir)
+        workdir.rename(outdir)
+    except BaseException:
+        shutil.rmtree(workdir, ignore_errors=True)
+        raise
     print(json.dumps({"outdir": str(outdir), "checks": checks}, sort_keys=True))
     if check and not all(checks.values()):
         return 1

@@ -8,7 +8,9 @@ turns each Schrodinger mode into a profile W_k(t) obeying W_k'' = mu_k W_k
 on (-1, 1) up to the kernel's truncation defect.  All checks live in mode
 space, where the radial basis diagonalizes the operator exactly; trapezoid
 quadrature is spectrally accurate because the integrands vanish to all
-orders at tau = 0, T.
+orders at tau = 0, T.  The transform sums the kernel a block of t rows at a
+time and contracts each block at once, so its memory does not grow with the
+number of t nodes.
 """
 
 from dataclasses import dataclass
@@ -17,7 +19,8 @@ import numpy as np
 
 from .errors import IllPosedTruncationError
 from .evolution import (ModeTrajectory, ObservationMask, TimeGrid,
-                        free_trajectory, observability_matrix, observe)
+                        free_trajectory, numerical_rank, observability_matrix,
+                        observe)
 from .flatness import FlatnessKernel, GevreyBump, build_kernel, kernel_residual
 from .spectral import SpectralBasis
 
@@ -39,13 +42,19 @@ class EllipticProfile:
 
 def transform(trajectory: ModeTrajectory, kernel: FlatnessKernel,
               mode_eigenvalues: np.ndarray) -> EllipticProfile:
-    """W_k(t_i) = sum_j w_j K(t_i, tau_j) c_k(tau_j), trapezoid in tau."""
+    """W_k(t_i) = sum_j w_j K(t_i, tau_j) c_k(tau_j), trapezoid in tau.
+
+    The kernel is streamed in row blocks, so the dense (t, tau) array is
+    never held at once.
+    """
     if len(trajectory.times) != len(kernel.tau_nodes) or not np.allclose(
         trajectory.times, kernel.tau_nodes, rtol=0.0, atol=1e-12
     ):
         raise ValueError("trajectory and kernel do not share the tau grid")
     w = kernel.tau_weights()
-    values = (kernel.values * w) @ trajectory.coeffs     # (nt, k)
+    values = np.empty((len(kernel.t_nodes), trajectory.coeffs.shape[1]), dtype=complex)
+    for start, stop in kernel.row_blocks():
+        values[start:stop] = (kernel.rows(start, stop) * w) @ trajectory.coeffs
     return EllipticProfile(kernel.t_nodes.copy(), values.T, np.asarray(mode_eigenvalues))
 
 
@@ -123,7 +132,7 @@ def ucp_probe(basis: SpectralBasis, window: CylinderWindow) -> UcpReport:
         cols.append(np.outer(decay[:, k], phi[:, k]).ravel())
     m = np.column_stack(cols)
     sv = np.linalg.svd(m, compute_uv=False)
-    rank = int(np.linalg.matrix_rank(m))
+    rank = numerical_rank(sv, m.shape)
     scales = np.repeat(np.exp(-s), 2)
     return UcpReport(sv, rank, float(sv[0] / sv[-1]), scales)
 

@@ -210,6 +210,13 @@ def observe(trajectory: ModeTrajectory, mask: ObservationMask, basis: SpectralBa
     return trajectory.coeffs @ phi.T
 
 
+def numerical_rank(singular_values: np.ndarray, shape: tuple[int, ...]) -> int:
+    """Rank of a matrix of this shape from its descending singular values:
+    the count above s_max * max(shape) * eps, numpy's matrix_rank rule."""
+    tol = singular_values[0] * max(shape) * np.finfo(singular_values.dtype).eps
+    return int(np.count_nonzero(singular_values > tol))
+
+
 @dataclass
 class ObservabilityReport:
     matrix: np.ndarray
@@ -236,5 +243,4 @@ def observability_matrix(basis: SpectralBasis, mask: ObservationMask, grid: Time
     if not np.all(np.abs(m).max(axis=0) > 0):
         raise ValueError("degenerate all-zero column: basis/mask inconsistency")
     s = np.linalg.svd(m, compute_uv=False)
-    rank = int(np.linalg.matrix_rank(m))
-    return ObservabilityReport(m, s, rank)
+    return ObservabilityReport(m, s, numerical_rank(s, m.shape))

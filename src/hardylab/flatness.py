@@ -14,8 +14,14 @@ residual oracle.  psi is the normalized bump
 whose derivatives are produced by trapezoid Cauchy integrals on circles of
 radius min(tau, T-tau)/2; the product tau(T-tau) keeps a positive real part
 there, so the principal branch is safe for non-integer sigma.
+
+The kernel is kept in this rank-(K+1) separable form: the t nodes, the tau
+nodes and the derivative table psi^(k)(tau_j).  Dense values are summed on
+demand, a block of t rows at a time, by one accumulator, so every consumer
+sees the same bits without holding the whole (t, tau) array.
 """
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,6 +29,9 @@ import numpy as np
 
 MAX_TRUNCATION = 40
 MIN_CONTOUR_RADIUS = 1e-3
+# dense kernel values are produced this many t nodes at a time (about 1 MB
+# of complex values at 1025 tau nodes)
+ROW_BLOCK = 64
 
 
 @dataclass
@@ -163,6 +172,33 @@ def _even_power_factors(t, k_trunc: int) -> np.ndarray:
     return fac
 
 
+def _series(coef: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """sum_k outer(coef[k], table[:, k]), accumulated in k order.
+
+    Every kernel-shaped series is summed here, so dense values from any
+    caller and any row block are bit-identical.  With a real table each
+    complex term adds its real and imaginary products to the matching part
+    of the sum, so a part whose coefficients are all zero (every other
+    order, as the coefficients carry the powers of i) is skipped: adding
+    exact zeros leaves the sum unchanged.
+    """
+    out = np.zeros((coef.shape[1], table.shape[0]), dtype=complex)
+    for k in range(coef.shape[0]):
+        for part, c in ((out.real, coef[k].real), (out.imag, coef[k].imag)):
+            if np.any(c):
+                part += np.outer(c, table[:, k])
+    return out
+
+
+def _evaluate(t, table: np.ndarray, k_trunc: int) -> np.ndarray:
+    """K(t_i, tau_j) for the t values and the derivative rows of `table`."""
+    powers = 1j ** np.arange(k_trunc + 1)
+    values = _series(powers[:, None] * _even_power_factors(t, k_trunc), table)
+    if not np.all(np.isfinite(values.view(float))):
+        raise FloatingPointError("non-finite kernel term: truncation misuse")
+    return values
+
+
 def kernel_eval(bump: GevreyBump, t: float, tau: float, k_trunc: int,
                 deriv_row: np.ndarray | None = None) -> complex:
     """Point value of the truncated kernel series."""
@@ -170,23 +206,40 @@ def kernel_eval(bump: GevreyBump, t: float, tau: float, k_trunc: int,
         raise ValueError(f"k_trunc {k_trunc} exceeds cap {MAX_TRUNCATION}")
     if deriv_row is None:
         deriv_row = derivative_table(bump, np.array([tau]), k_trunc)[0]
-    fac = _even_power_factors(t, k_trunc)[:, 0]
-    val = complex(np.sum((1j ** np.arange(k_trunc + 1)) * deriv_row[: k_trunc + 1] * fac))
-    if not np.isfinite(val.real) or not np.isfinite(val.imag):
-        raise FloatingPointError("non-finite kernel term: truncation misuse")
-    return val
+    return complex(_evaluate(t, deriv_row[None, : k_trunc + 1], k_trunc)[0, 0])
 
 
 @dataclass
 class FlatnessKernel:
-    """Kernel samples on a (t, tau) grid plus the derivative table behind them."""
+    """The kernel in separable form: t nodes, tau nodes and the derivative
+    table.  Dense values are produced on demand, in row blocks."""
 
     bump: GevreyBump
     k_trunc: int
     t_nodes: np.ndarray
     tau_nodes: np.ndarray
-    values: np.ndarray          # (len(t_nodes), len(tau_nodes)) complex
     deriv_table: np.ndarray     # (len(tau_nodes), k_trunc + 2)
+
+    def rows(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Kernel values on t_nodes[start:stop] x tau_nodes."""
+        return _evaluate(self.t_nodes[start:stop], self.deriv_table, self.k_trunc)
+
+    def row_blocks(self) -> list[tuple[int, int]]:
+        """(start, stop) of consecutive ROW_BLOCK-row slices of the t grid.
+
+        A one-row remainder joins the slice before it: a product with a
+        single row goes through a matrix-vector kernel that sums in another
+        order than the matrix-matrix one.
+        """
+        starts = list(range(0, len(self.t_nodes), ROW_BLOCK))
+        if len(starts) > 1 and len(self.t_nodes) - starts[-1] == 1:
+            starts.pop()
+        return list(zip(starts, starts[1:] + [len(self.t_nodes)]))
+
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        """The dense (len(t_nodes), len(tau_nodes)) kernel; for small grids."""
+        return self.rows()
 
     def tau_weights(self) -> np.ndarray:
         dt = self.tau_nodes[1] - self.tau_nodes[0]
@@ -197,7 +250,7 @@ class FlatnessKernel:
 
 def build_kernel(bump: GevreyBump, t_nodes: np.ndarray, tau_nodes: np.ndarray,
                  k_trunc: int) -> FlatnessKernel:
-    """Assemble kernel values column-by-column from the derivative table.
+    """Separable kernel on a (t, tau) grid; only the derivative table is computed.
 
     The table is computed one order past the truncation so the residual and
     the tau-derivative of the series are available exactly.
@@ -207,14 +260,7 @@ def build_kernel(bump: GevreyBump, t_nodes: np.ndarray, tau_nodes: np.ndarray,
     t_nodes = np.asarray(t_nodes, dtype=float)
     tau_nodes = np.asarray(tau_nodes, dtype=float)
     table = derivative_table(bump, tau_nodes, k_trunc + 1)
-    fac = _even_power_factors(t_nodes, k_trunc)       # (k+1, nt)
-    powers = (1j ** np.arange(k_trunc + 1))
-    values = np.zeros((len(t_nodes), len(tau_nodes)), dtype=complex)
-    for k in range(k_trunc + 1):
-        values += np.outer(powers[k] * fac[k], table[:, k])
-    if not np.all(np.isfinite(values.view(float))):
-        raise FloatingPointError("non-finite kernel term: truncation misuse")
-    return FlatnessKernel(bump, k_trunc, t_nodes, tau_nodes, values, table)
+    return FlatnessKernel(bump, k_trunc, t_nodes, tau_nodes, table)
 
 
 @dataclass
@@ -223,8 +269,6 @@ class KernelResidualReport:
     max_kernel: float
     max_tail: float
     tail_match_error: float
-    residual: np.ndarray   # (nt, ntau)
-    tail: np.ndarray       # (nt, ntau)
 
 
 def kernel_residual(kernel: FlatnessKernel) -> KernelResidualReport:
@@ -233,37 +277,30 @@ def kernel_residual(kernel: FlatnessKernel) -> KernelResidualReport:
     The tau derivative reuses the Cauchy table shifted by one order; the t
     derivative differentiates the even series exactly.  Their mismatch
     against the one-term telescoping tail is floating-point noise, reported
-    as tail_match_error.
+    as tail_match_error.  The series are summed one row block at a time and
+    only their maxima are kept.
     """
     kt = kernel.k_trunc
     table = kernel.deriv_table
-    fac = _even_power_factors(kernel.t_nodes, kt)
     powers = 1j ** np.arange(kt + 2)
-    nt, ntau = kernel.values.shape
-    dtau_series = np.zeros((nt, ntau), dtype=complex)
-    for k in range(kt + 1):
-        dtau_series += np.outer(powers[k] * fac[k], table[:, k + 1])
-    dtt_series = np.zeros((nt, ntau), dtype=complex)
-    for k in range(1, kt + 1):
-        dtt_series += np.outer(powers[k] * fac[k - 1], table[:, k])
-    residual = 1j * dtau_series - dtt_series
-    tail = np.outer(powers[kt + 1] * fac[kt], table[:, kt + 1])
-    max_kernel = float(np.abs(kernel.values).max())
+    peaks = []
+    for start, stop in kernel.row_blocks():
+        fac = _even_power_factors(kernel.t_nodes[start:stop], kt)
+        dtau_series = _series(powers[: kt + 1, None] * fac, table[:, 1:])
+        dtt_series = _series(powers[1 : kt + 1, None] * fac[:kt], table[:, 1:])
+        tail = _series(powers[kt + 1] * fac[kt:], table[:, kt + 1 :])
+        residual = 1j * dtau_series - dtt_series
+        peaks.append([np.abs(residual).max(), np.abs(kernel.rows(start, stop)).max(),
+                      np.abs(tail).max(), np.abs(residual - tail).max()])
+    max_residual, max_kernel, max_tail, tail_match = np.max(peaks, axis=0)
     return KernelResidualReport(
-        max_residual=float(np.abs(residual).max()),
-        max_kernel=max_kernel,
-        max_tail=float(np.abs(tail).max()),
-        tail_match_error=float(np.abs(residual - tail).max()),
-        residual=residual,
-        tail=tail,
+        max_residual=float(max_residual),
+        max_kernel=float(max_kernel),
+        max_tail=float(max_tail),
+        tail_match_error=float(tail_match),
     )
 
 
 def control_trace(kernel: FlatnessKernel) -> np.ndarray:
     """Boundary control v(tau) = K(1, tau) implied by the construction."""
-    idx = int(np.argmin(np.abs(kernel.t_nodes - 1.0)))
-    if abs(kernel.t_nodes[idx] - 1.0) > 1e-12:
-        fac = _even_power_factors(np.array([1.0]), kernel.k_trunc)[:, 0]
-        powers = 1j ** np.arange(kernel.k_trunc + 1)
-        return (kernel.deriv_table[:, : kernel.k_trunc + 1] * (powers * fac)).sum(axis=1)
-    return kernel.values[idx].copy()
+    return _evaluate(1.0, kernel.deriv_table, kernel.k_trunc)[0]

@@ -18,8 +18,8 @@ Titchmarsh support check confirms that convolution starts add.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import fft as sp_fft
 from scipy.linalg import solve_triangular, toeplitz
-from scipy.signal import fftconvolve
 
 from .evolution import ModeTrajectory, TimeGrid
 
@@ -50,12 +50,31 @@ class VolterraSystem:
         return float(self.times[1] - self.times[0])
 
 
+def _fftconvolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full linear convolution of a and b along axis 0, other axes broadcast.
+
+    The same transforms as scipy.signal.fftconvolve (real FFTs for real
+    inputs, padded to the next fast length), without importing scipy.signal.
+    """
+    if len(a) == 1 or len(b) == 1:
+        return a * b
+    n = len(a) + len(b) - 1
+    if np.iscomplexobj(a) or np.iscomplexobj(b):
+        size = sp_fft.next_fast_len(n, False)
+        full = sp_fft.ifft(sp_fft.fft(a, size, axis=0) * sp_fft.fft(b, size, axis=0), axis=0)
+    else:
+        size = sp_fft.next_fast_len(n, True)
+        full = sp_fft.irfft(sp_fft.rfft(a, size, axis=0) * sp_fft.rfft(b, size, axis=0),
+                            size, axis=0)
+    return full[:n]
+
+
 def trapezoid_convolution(a: np.ndarray, b: np.ndarray, dt: float) -> np.ndarray:
     """(a * b)(t_j) = dt [ a_j b_0/2 + sum_{0<m<j} a_{j-m} b_m + a_0 b_j/2 ]."""
     n = len(a)
     if len(b) != n:
         raise ValueError("convolution inputs must share the grid")
-    full = fftconvolve(a, b)[:n]
+    full = _fftconvolve(a, b)[:n]
     out = dt * (full - 0.5 * a * b[0] - 0.5 * a[0] * b)
     out[0] = 0.0
     return out
@@ -104,7 +123,7 @@ def _toeplitz_substitution(col: np.ndarray, leaf: np.ndarray, b: np.ndarray) -> 
     h = VOLTERRA_LEAF * ((leaves + 1) // 2)
     _toeplitz_substitution(col, leaf, b[:h])
     # rows h..m-1 receive sum_{l<h} col[row - l] z_l
-    b[h:] -= fftconvolve(col[1:m, None], b[:h], axes=0)[h - 1 : m - 1]
+    b[h:] -= _fftconvolve(col[1:m, None], b[:h])[h - 1 : m - 1]
     _toeplitz_substitution(col, leaf, b[h:])
 
 
@@ -255,7 +274,7 @@ def titchmarsh_support(a: np.ndarray, b: np.ndarray, dt: float,
         return int(idx[0]) if len(idx) else None
 
     ia, ib = first_alive(a), first_alive(b)
-    conv = fftconvolve(a, b) * dt
+    conv = _fftconvolve(a, b) * dt
     ic = first_alive(conv)
     if ia is None or ib is None:
         return SupportReport(

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from hardylab import cli
 from hardylab.cli import LabConfig, load_config, main, run, validate_config
 from hardylab.errors import SupercriticalCouplingError
 
@@ -151,3 +152,22 @@ def test_check_flag_fails_on_breach(tmp_path):
     manifest = json.loads((outdir / "manifest.json").read_text())
     assert manifest["checks"]["kernel_residual_ratio"] is False
     assert manifest["checks"]["kernel_boundary_exact"] is True
+
+
+def test_failing_stage_leaves_no_output_directory(tmp_path, monkeypatch):
+    def broken(cfg, outdir):
+        (outdir / "partial.csv").write_text("t\n")
+        raise RuntimeError("stage failed")
+
+    monkeypatch.setitem(cli._RUNNERS, "hardy", broken)
+    out_root = tmp_path / "out"
+    with pytest.raises(RuntimeError, match="stage failed"):
+        run("all", light_config(), out_root)
+    assert list(out_root.iterdir()) == []
+
+
+def test_completed_run_leaves_only_the_stamped_directory(tmp_path):
+    assert run("spectrum", light_config(), tmp_path) == 0
+    (outdir,) = tmp_path.iterdir()
+    assert outdir.name.startswith("spectrum-")
+    assert (outdir / "manifest.json").exists()

@@ -40,6 +40,15 @@ def test_transform_linearity_and_zero(setup):
     assert np.abs(pab.values - pa.values - pb.values).max() <= 1e-12 * max(scale, 1.0)
 
 
+def test_streamed_transform_matches_dense_contraction(setup):
+    basis, bump, tau_grid, kernel = setup
+    traj = free_trajectory(np.array([1.0, -0.5 + 0.25j, 0.1, 0.7j]), basis, tau_grid)
+    profile = transform(traj, kernel, basis.eigenvalues)
+    dense = ((kernel.values * kernel.tau_weights()) @ traj.coeffs).T
+    scale = np.abs(profile.values).max()
+    assert np.abs(profile.values - dense).max() <= 1e-13 * scale
+
+
 def test_transform_grid_mismatch_rejected(setup):
     basis, bump, tau_grid, kernel = setup
     other = TimeGrid(1.0, 256)

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from hardylab.evolution import (ModeState, SourceModel, TimeGrid,
                                 duhamel_modal_source, duhamel_solve,
                                 fat_cantor_mask, free_trajectory, interval_mask,
-                                observability_matrix, observe, propagate)
+                                numerical_rank, observability_matrix, observe,
+                                propagate)
 from hardylab.spectral import RadialGrid, SpectralBasis, assemble_hardy_operator, solve_spectrum
 
 
@@ -190,6 +191,25 @@ def test_observability_fat_cantor_full_rank():
     mask = fat_cantor_mask(basis.grid, (0.0, 1.0))
     report = observability_matrix(basis, mask, TimeGrid(1.0, 16))
     assert report.rank == 6
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 8), st.integers(0, 8), st.integers(0, 2**31))
+def test_numerical_rank_matches_matrix_rank(rows, cols, rank, seed):
+    rng = np.random.default_rng(seed)
+    rank = min(rank, rows, cols)
+    left = rng.standard_normal((rows, rank)) + 1j * rng.standard_normal((rows, rank))
+    m = left @ rng.standard_normal((rank, cols))
+    s = np.linalg.svd(m, compute_uv=False)
+    assert numerical_rank(s, m.shape) == np.linalg.matrix_rank(m)
+
+
+def test_observability_rank_matches_matrix_rank():
+    basis = make_basis(n=200, k=4)
+    for mask in (interval_mask(basis.grid, 0.5, 0.5 + 2.5 * basis.grid.spacing),
+                 fat_cantor_mask(basis.grid, (0.0, 1.0))):
+        report = observability_matrix(basis, mask, TimeGrid(1.0, 8))
+        assert report.rank == np.linalg.matrix_rank(report.matrix)
 
 
 def test_observability_single_node_reported():

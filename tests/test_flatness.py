@@ -3,9 +3,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hardylab.flatness import (build_kernel, bump_derivatives_exact,
-                               cauchy_derivatives, control_trace, gevrey_bump,
+from hardylab.flatness import (ROW_BLOCK, _even_power_factors, build_kernel,
+                               bump_derivatives_exact, cauchy_derivatives,
+                               control_trace, derivative_table, gevrey_bump,
                                kernel_eval, kernel_residual)
 
 
@@ -171,3 +174,75 @@ def test_control_trace_endpoints_zero_and_finite():
     assert trace[0] == 0.0 and trace[-1] == 0.0
     assert np.isfinite(np.abs(trace)).all()
     assert np.abs(trace).max() > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(100, 900), st.integers(0, 25))
+def test_derivative_table_matches_exact_recurrence(milli_tau, k_max):
+    # random tau on the span of the fixed-tau test, with its tolerance; within
+    # about 0.065 of the support ends the contour sum misses even that floor
+    # (its values there are below 1e-17 and never reach the kernel's scale)
+    bump = gevrey_bump(1.0, 2.0)
+    tau = Fraction(milli_tau, 1000)
+    table = derivative_table(bump, np.array([float(tau)]), k_max)[0]
+    exact = bump_derivatives_exact(bump, tau, k_max)
+    floor = cauchy_noise_floor(bump, float(tau), k_max)
+    assert np.all(np.abs(table - exact) <= 1e-8 * np.abs(exact) + floor)
+
+
+# Oracles: dense assembly and residual loops over the whole (t, tau) grid.
+
+def dense_kernel_oracle(kernel):
+    fac = _even_power_factors(kernel.t_nodes, kernel.k_trunc)
+    powers = 1j ** np.arange(kernel.k_trunc + 1)
+    values = np.zeros((len(kernel.t_nodes), len(kernel.tau_nodes)), dtype=complex)
+    for k in range(kernel.k_trunc + 1):
+        values += np.outer(powers[k] * fac[k], kernel.deriv_table[:, k])
+    return values
+
+
+def residual_oracle(kernel):
+    kt = kernel.k_trunc
+    table = kernel.deriv_table
+    fac = _even_power_factors(kernel.t_nodes, kt)
+    powers = 1j ** np.arange(kt + 2)
+    values = dense_kernel_oracle(kernel)
+    nt, ntau = values.shape
+    dtau_series = np.zeros((nt, ntau), dtype=complex)
+    for k in range(kt + 1):
+        dtau_series += np.outer(powers[k] * fac[k], table[:, k + 1])
+    dtt_series = np.zeros((nt, ntau), dtype=complex)
+    for k in range(1, kt + 1):
+        dtt_series += np.outer(powers[k] * fac[k - 1], table[:, k])
+    residual = 1j * dtau_series - dtt_series
+    tail = np.outer(powers[kt + 1] * fac[kt], table[:, kt + 1])
+    return (float(np.abs(residual).max()), float(np.abs(values).max()),
+            float(np.abs(tail).max()), float(np.abs(residual - tail).max()))
+
+
+@pytest.mark.parametrize("nt", [1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 201, 2 * ROW_BLOCK + 1])
+def test_kernel_rows_bit_identical_to_dense_assembly(nt):
+    bump = gevrey_bump(1.0, 2.0)
+    taus = np.linspace(0.0, 1.0, 257)
+    kernel = build_kernel(bump, np.linspace(-1, 1, nt), taus, 24)
+    oracle = dense_kernel_oracle(kernel)
+    assert np.array_equal(kernel.values, oracle)
+    bounds = kernel.row_blocks()
+    assert [start for start, _ in bounds[1:]] == [stop for _, stop in bounds[:-1]]
+    assert bounds[0][0] == 0 and bounds[-1][1] == nt
+    assert all(stop - start > 1 for start, stop in bounds) or nt == 1
+    blocks = [kernel.rows(start, stop) for start, stop in bounds]
+    assert np.array_equal(np.concatenate(blocks), oracle)
+    report = kernel_residual(kernel)
+    assert (report.max_residual, report.max_kernel, report.max_tail,
+            report.tail_match_error) == residual_oracle(kernel)
+
+
+def test_control_trace_off_grid_matches_on_grid():
+    bump = gevrey_bump(1.0, 2.0)
+    taus = np.linspace(0.0, 1.0, 129)
+    on_grid = build_kernel(bump, np.linspace(-1, 1, 17), taus, 24)
+    off_grid = build_kernel(bump, np.linspace(-1, 0.9, 17), taus, 24)
+    assert on_grid.t_nodes[-1] == 1.0 and 1.0 not in off_grid.t_nodes
+    assert np.array_equal(control_trace(on_grid), on_grid.values[-1])
+    assert np.array_equal(control_trace(off_grid), control_trace(on_grid))

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_triangular, toeplitz
+from scipy.signal import fftconvolve
 
 from hardylab.evolution import SourceModel, TimeGrid, duhamel_solve, free_trajectory
 from hardylab.evolution import ModeTrajectory
-from hardylab.inverse import (VolterraSystem, antiderivative_reduce,
+from hardylab.inverse import (VolterraSystem, _fftconvolve, antiderivative_reduce,
                               convolve_source, duhamel_identity_residual,
                               free_evolution_check, reconstruct_f,
                               titchmarsh_support, trapezoid_convolution,
@@ -283,6 +284,27 @@ def test_reduction_route_matches_duhamel():
     v = free_trajectory(-1j * f, basis, grid)
     y = convolve_source(rho, v, basis.eigenvalues)
     assert np.abs(y.y.coeffs - u.coeffs).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 255, 256, 257, 1000, 4097, 10_001, 40_001])
+@pytest.mark.parametrize("kinds", ["rr", "rc", "cc"])
+def test_fftconvolve_bit_identical_to_scipy(n, kinds):
+    rng = np.random.default_rng(n)
+    a, b = rng.standard_normal(n), rng.standard_normal(n)
+    if kinds[0] == "c":
+        a = a + 1j * rng.standard_normal(n)
+    if kinds[1] == "c":
+        b = b + 1j * rng.standard_normal(n)
+    assert np.array_equal(_fftconvolve(a, b), fftconvolve(a, b))
+
+
+@pytest.mark.parametrize("m, h, k", [(2, 1, 1), (300, 256, 3), (511, 512, 6), (1023, 768, 1)])
+def test_fftconvolve_axis0_broadcast_bit_identical_to_scipy(m, h, k):
+    rng = np.random.default_rng(m + h + k)
+    col = rng.standard_normal((m, 1))
+    b = rng.standard_normal((h, k)) + 1j * rng.standard_normal((h, k))
+    assert np.array_equal(_fftconvolve(col, b), fftconvolve(col, b, axes=0))
+    assert np.array_equal(_fftconvolve(col, b.real), fftconvolve(col, b.real, axes=0))
 
 
 def test_trapezoid_convolution_against_quadrature():
