@@ -12,21 +12,24 @@ gamma (gamma + N - 2) = mu.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+
+from .spectral import dirichlet_eigenpairs, tridiagonal_apply
 
 ANGULAR_CRITICAL = 0.25  # critical coupling of the arc problem
 
 
 @dataclass
 class AngularProblem:
-    """Arc grid on (0, pi) with the singular potential sampled at the nodes."""
+    """Arc grid on (0, pi) and the symmetric tridiagonal matrix of the arc
+    operator, with the singular potential sampled at the nodes."""
 
     lam: float
     n_ang: int
     dimension_N: int = 2
     spacing: float = field(init=False)
     angles: np.ndarray = field(init=False)
-    potential: np.ndarray = field(init=False)
+    diagonal: np.ndarray = field(init=False)
+    offdiagonal: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if self.lam >= ANGULAR_CRITICAL:
@@ -38,18 +41,16 @@ class AngularProblem:
             raise ValueError("need at least 64 interior arc nodes")
         self.spacing = np.pi / (self.n_ang + 1)
         self.angles = self.spacing * np.arange(1, self.n_ang + 1)
-        self.potential = self.lam / np.sin(self.angles) ** 2
+        h2 = self.spacing**2
+        self.diagonal = 2.0 / h2 - self.lam / np.sin(self.angles) ** 2
+        self.offdiagonal = np.full(self.n_ang - 1, -1.0 / h2)
 
     def circle_angles(self) -> np.ndarray:
         """Union grid of both arcs (the poles are implicit Dirichlet zeros)."""
         return np.concatenate([self.angles, np.pi + self.angles])
 
     def apply_arc_operator(self, psi_arc: np.ndarray) -> np.ndarray:
-        h2 = self.spacing**2
-        out = (2.0 / h2 - self.potential) * psi_arc
-        out[:-1] -= psi_arc[1:] / h2
-        out[1:] -= psi_arc[:-1] / h2
-        return out
+        return tridiagonal_apply(self.diagonal, self.offdiagonal, psi_arc)
 
 
 @dataclass
@@ -60,10 +61,8 @@ class AngularBasis:
     orthonormal under the arc-length quadrature (weight = spacing).
     """
 
-    problem: AngularProblem
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray      # (2 * n_ang, count)
-    arc_labels: np.ndarray        # 0 for (0, pi), 1 for (pi, 2 pi)
     multiplicity_pairs: list[tuple[int, int]]
 
     @property
@@ -72,30 +71,20 @@ class AngularBasis:
 
 
 def angular_spectrum(prob: AngularProblem, k_count: int) -> AngularBasis:
-    """Lowest k_count circle eigenpairs (arc spectrum, doubled)."""
+    """Lowest k_count circle eigenpairs (arc spectrum, doubled).
+
+    Column j lives on arc j % 2: 0 for (0, pi), 1 for (pi, 2 pi).
+    """
     n_arc = int(np.ceil(k_count / 2))
-    h2 = prob.spacing**2
-    diag = 2.0 / h2 - prob.potential
-    off = np.full(prob.n_ang - 1, -1.0 / h2)
-    vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, n_arc - 1))
-    vecs = vecs / np.sqrt(prob.spacing)
-    for k in range(n_arc):
-        col = vecs[:, k]
-        idx = np.flatnonzero(np.abs(col) > 1e-12 * np.abs(col).max())
-        if len(idx) and col[idx[0]] < 0:
-            vecs[:, k] = -col
+    vals, vecs = dirichlet_eigenpairs(prob.diagonal, prob.offdiagonal, prob.spacing, n_arc)
     n = prob.n_ang
     eigenvalues = np.repeat(vals, 2)[:k_count]
     eigenvectors = np.zeros((2 * n, k_count))
-    labels = np.zeros(k_count, dtype=int)
-    pairs = []
     for j in range(k_count):
         arc = j % 2
         eigenvectors[arc * n : (arc + 1) * n, j] = vecs[:, j // 2]
-        labels[j] = arc
-        if arc == 1:
-            pairs.append((j - 1, j))
-    return AngularBasis(prob, eigenvalues, eigenvectors, labels, pairs)
+    pairs = [(j - 1, j) for j in range(1, k_count, 2)]
+    return AngularBasis(eigenvalues, eigenvectors, pairs)
 
 
 def gamma_exponent(mu: float, dimension_N: int) -> float:

@@ -106,12 +106,12 @@ def zero_count_bound(nu: float) -> int:
     return int(math.floor(reach / math.pi + 0.25 - 0.5 * max(nu, 0.5)))
 
 
-def bessel_zeros(nu: float, count: int, x_max: float = ZERO_SEARCH_MAX) -> np.ndarray:
+def bessel_zeros(nu: float, count: int) -> np.ndarray:
     """First `count` positive zeros of J_nu, ascending.
 
     Sign-change bracketing on a uniform scan, bisection to near machine
     width, then a Newton polish.  Raises if the requested zeros do not all
-    lie below `x_max`.
+    lie below ZERO_SEARCH_MAX.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -122,9 +122,9 @@ def bessel_zeros(nu: float, count: int, x_max: float = ZERO_SEARCH_MAX) -> np.nd
     x = x_prev
     while len(zeros) < count:
         x = x_prev + step
-        if x > x_max:
+        if x > ZERO_SEARCH_MAX:
             raise ValueError(
-                f"only {len(zeros)} zeros of J_{nu} below {x_max}, "
+                f"only {len(zeros)} zeros of J_{nu} below {ZERO_SEARCH_MAX}, "
                 f"{count} requested"
             )
         f = bessel_j(nu, x)

@@ -8,7 +8,8 @@ artifacts are functions of config and seed only, so repeated runs digest
 identically.
 
 Exit codes: 0 success, 1 tolerance breach under --check, 2 invalid
-configuration, 3 supercritical coupling.
+configuration, 3 supercritical coupling, 4 a stage failed on a configuration
+that passed validation.
 """
 
 import argparse
@@ -38,14 +39,17 @@ from .errors import SupercriticalCouplingError
 
 ARTIFACT_VERSION = "0.1.0"
 
-SUBCOMMANDS = (
-    "spectrum", "hardy", "evolve", "kernel", "transform", "uniqueness",
-    "angular", "hum", "inverse-source", "titchmarsh", "all",
-)
-
 
 class ConfigError(ValueError):
     pass
+
+
+class StageFailure(Exception):
+    """A stage raised ValueError on a configuration that passed validation."""
+
+    def __init__(self, stage: str, message: str):
+        self.stage = stage
+        super().__init__(message)
 
 
 @dataclass
@@ -129,6 +133,10 @@ def validate_config(cfg: LabConfig) -> None:
     if cfg.inverse_steps < 2:
         # the rho(0) = 0 route certifies itself with centered differences
         raise ConfigError("inverse_steps must be at least 2")
+    try:
+        _mask(cfg, spc.RadialGrid(cfg.n_interior))
+    except ValueError as exc:
+        raise ConfigError(f"observation mask: {exc}") from exc
 
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(LabConfig)}
@@ -139,7 +147,10 @@ def load_config(path: str | None) -> LabConfig:
     cfg = LabConfig()
     if path is None:
         return cfg
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -153,8 +164,6 @@ def load_config(path: str | None) -> LabConfig:
         try:
             if key == "eps_list":
                 parsed = tuple(float(v) for v in value.split(","))
-            elif isinstance(current, bool):
-                parsed = value.lower() in ("1", "true", "yes")
             elif isinstance(current, int):
                 parsed = int(value)
             elif isinstance(current, float):
@@ -209,6 +218,17 @@ def _mask(cfg: LabConfig, grid: spc.RadialGrid) -> evo.ObservationMask:
     return evo.fat_cantor_mask(grid, (cfg.mask_a, cfg.mask_b))
 
 
+def _complex_normal(rng: np.random.Generator, k: int) -> np.ndarray:
+    """k standard complex normals: k real parts drawn first, then k imaginary."""
+    return rng.standard_normal(k) + 1j * rng.standard_normal(k)
+
+
+def _sampled(xs, ys, values: np.ndarray, x_stride: int, y_stride: int) -> list[tuple]:
+    """Rows (x_i, y_j, Re v_ij, Im v_ij) on every x_stride-th x and y_stride-th y."""
+    return [(xs[i], ys[j], values[i, j].real, values[i, j].imag)
+            for i in range(0, len(xs), x_stride) for j in range(0, len(ys), y_stride)]
+
+
 # ---------------------------------------------------------------------------
 # subcommand runners: each returns (checks, report) and writes artifacts
 
@@ -245,7 +265,7 @@ def run_hardy(cfg: LabConfig, outdir: Path):
 def run_evolve(cfg: LabConfig, outdir: Path):
     basis = _basis(cfg)
     rng = np.random.default_rng(cfg.seed)
-    c0 = rng.standard_normal(cfg.k_modes) + 1j * rng.standard_normal(cfg.k_modes)
+    c0 = _complex_normal(rng, cfg.k_modes)
     state = evo.ModeState(c0)
     drift = 0.0
     reversal = 0.0
@@ -257,13 +277,8 @@ def run_evolve(cfg: LabConfig, outdir: Path):
     tg = evo.TimeGrid(cfg.horizon, cfg.time_steps)
     mask = _mask(cfg, basis.grid)
     samples = evo.observe(evo.free_trajectory(c0, basis, tg), mask, basis)
-    rows = []
-    tstride = max(1, tg.steps // 100)
-    nstride = max(1, mask.n_nodes // 40)
-    for j in range(0, tg.steps + 1, tstride):
-        for m in range(0, mask.n_nodes, nstride):
-            node = basis.grid.nodes[mask.node_indices[m]]
-            rows.append((tg.times[j], node, samples[j, m].real, samples[j, m].imag))
+    rows = _sampled(tg.times, basis.grid.nodes[mask.node_indices], samples,
+                    max(1, tg.steps // 100), max(1, mask.n_nodes // 40))
     write_csv(outdir / "trajectory.csv", ["t", "node", "re_u", "im_u"], rows)
     checks = {
         "evolution_norm_drift": drift <= 1e-12,
@@ -285,13 +300,8 @@ def run_kernel(cfg: LabConfig, outdir: Path):
         float(np.abs(kernel.values[0] - psi).max()),
     )
     trace = fla.control_trace(kernel)
-    rows = []
-    tstride = max(1, (len(t_nodes) - 1) // 50)
-    taustride = max(1, (len(tau_nodes) - 1) // 128)
-    for i in range(0, len(t_nodes), tstride):
-        for j in range(0, len(tau_nodes), taustride):
-            v = kernel.values[i, j]
-            rows.append((t_nodes[i], tau_nodes[j], v.real, v.imag))
+    rows = _sampled(t_nodes, tau_nodes, kernel.values,
+                    max(1, (len(t_nodes) - 1) // 50), max(1, (len(tau_nodes) - 1) // 128))
     write_csv(outdir / "kernel.csv", ["t", "tau", "re_k", "im_k"], rows)
     ratio = report.max_residual / report.max_kernel
     write_json(outdir / "kernel_residual.json", {
@@ -323,12 +333,8 @@ def run_transform(cfg: LabConfig, outdir: Path):
     residual, per_mode = ell.elliptic_residual(profile)
     moments = ell.moment_trace(bump, trajectory)
     consistency = float(np.abs(profile.values[:, 0] - moments).max())
-    rows = []
-    stride = max(1, (len(t_nodes) - 1) // 200)
-    for k in range(profile.k_modes):
-        for i in range(0, len(t_nodes), stride):
-            v = profile.values[k, i]
-            rows.append((k + 1, t_nodes[i], v.real, v.imag))
+    rows = _sampled(range(1, profile.k_modes + 1), t_nodes, profile.values,
+                    1, max(1, (len(t_nodes) - 1) // 200))
     write_csv(outdir / "elliptic_profile.csv", ["k", "t", "re_w", "im_w"], rows)
     write_json(outdir / "transform_report.json", {
         "config": cfg.to_dict(),
@@ -353,7 +359,7 @@ def run_uniqueness(cfg: LabConfig, outdir: Path):
     window = ell.CylinderWindow(mask, np.linspace(-1.0, 1.0, 33))
     ucp = ell.ucp_probe(basis, window)
     rng = np.random.default_rng(cfg.seed)
-    c0 = rng.standard_normal(cfg.k_modes) + 1j * rng.standard_normal(cfg.k_modes)
+    c0 = _complex_normal(rng, cfg.k_modes)
     bump = fla.gevrey_bump(cfg.horizon, 2.0)
     cert = ell.uniqueness_pipeline(
         c0, basis, mask, bump, evo.TimeGrid(cfg.horizon, cfg.tau_steps),
@@ -434,8 +440,8 @@ def run_hum(cfg: LabConfig, outdir: Path):
     herm = float(np.abs(gram.matrix - gram.matrix.conj().T).max())
     eigs = np.linalg.eigvalsh(gram.matrix)
     rng = np.random.default_rng(cfg.seed)
-    u0 = evo.ModeState(rng.standard_normal(cfg.k_modes) + 1j * rng.standard_normal(cfg.k_modes))
-    ud = evo.ModeState(rng.standard_normal(cfg.k_modes) + 1j * rng.standard_normal(cfg.k_modes))
+    u0 = evo.ModeState(_complex_normal(rng, cfg.k_modes))
+    ud = evo.ModeState(_complex_normal(rng, cfg.k_modes))
     curve = ctl.defect_curve(gram, u0, ud, cfg.eps_list)
     write_csv(outdir / "defect_curve.csv", ["eps", "defect", "cost", "sigma_min"],
               [(r["eps"], r["defect"], r["cost"], r["sigma_min"]) for r in curve])
@@ -443,19 +449,14 @@ def run_hum(cfg: LabConfig, outdir: Path):
     result = ctl.hum_solve(gram, u0, ud, 1e-3, sample_times=times, basis=basis)
     forward = ctl.verify_control(result, gram, u0, n_steps=cfg.hum_verify_steps)
     identity_gap = abs(forward - result.defect_predicted)
-    rows = []
-    nstride = max(1, mask.n_nodes // 40)
-    for j in range(0, len(times), 4):
-        for m in range(0, mask.n_nodes, nstride):
-            v = result.control_samples[j, m]
-            node = basis.grid.nodes[mask.node_indices[m]]
-            rows.append((times[j], node, v.real, v.imag))
+    rows = _sampled(times, basis.grid.nodes[mask.node_indices], result.control_samples,
+                    4, max(1, mask.n_nodes // 40))
     write_csv(outdir / "control.csv", ["t", "node", "re_h", "im_h"], rows)
     defects = [r["defect"] for r in curve]
     costs = [r["cost"] for r in curve]
     checks = {
         "hum_hermitian": herm <= 1e-14,
-        "hum_psd": bool(eigs[0] >= -1e-12 * max(eigs[-1], 1.0)),
+        "hum_psd": bool(eigs[0] >= -1e-14 * max(eigs[-1], 1.0)),
         "hum_defect_identity": identity_gap <= 1e-6,
         "hum_defect_decreasing": all(a > b for a, b in zip(defects, defects[1:])),
         "hum_cost_nondecreasing": all(b >= a - 1e-12 for a, b in zip(costs, costs[1:])),
@@ -467,15 +468,14 @@ def run_inverse(cfg: LabConfig, outdir: Path):
     lam = 3.0 / 16.0
     basis6 = _basis(cfg, lam=lam, k=6)
     rng = np.random.default_rng(cfg.seed)
-    f6 = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    f6 = _complex_normal(rng, 6)
     recon_grid = evo.TimeGrid(cfg.horizon, cfg.recon_steps)
     sys6 = inv.VolterraSystem.from_callables(lambda t: 1 + t / 2, lambda t: 0.5, recon_grid)
     src6 = evo.SourceModel(f6, sys6.rho, sys6.rho_at_zero)
     traj6 = evo.duhamel_solve(src6, basis6, recon_grid)
     recon = inv.reconstruct_f(traj6, sys6, basis6.eigenvalues, f_true=f6)
 
-    rng2 = np.random.default_rng(cfg.seed + 1)
-    zr = rng2.standard_normal(cfg.recon_steps + 1) + 1j * rng2.standard_normal(cfg.recon_steps + 1)
+    zr = _complex_normal(np.random.default_rng(cfg.seed + 1), cfg.recon_steps + 1)
     roundtrip = float(np.abs(inv.volterra_invert(sys6, inv.volterra_apply(sys6, zr)) - zr).max())
 
     basis1 = _basis(cfg, lam=lam, k=1)
@@ -496,8 +496,7 @@ def run_inverse(cfg: LabConfig, outdir: Path):
         rejected = True
     traj_t = evo.duhamel_solve(evo.SourceModel(f1, sys_t.rho, sys_t.rho_at_zero), basis1, id_grid)
     w = inv.antiderivative_reduce(traj_t)
-    p_samples = np.zeros_like(sys_t.rho)
-    p_samples[1:] = 0.5 * sys_t.dt * np.cumsum(sys_t.rho[1:] + sys_t.rho[:-1])
+    p_samples = evo.cumulative_trapezoid(sys_t.rho, sys_t.dt)
     v = evo.free_trajectory(-1j * f1, basis1, id_grid)
     route4 = inv.convolve_source(p_samples, v, basis1.eigenvalues)
     agreement = float(np.abs(route4.y.coeffs - w.coeffs).max())
@@ -584,7 +583,10 @@ def _run_stages(subcommand: str, cfg: LabConfig, outdir: Path) -> dict[str, bool
     checks: dict[str, bool] = {}
     reports: dict[str, dict] = {}
     for name in names:
-        cks, rep = _RUNNERS[name](cfg, outdir)
+        try:
+            cks, rep = _RUNNERS[name](cfg, outdir)
+        except ValueError as exc:
+            raise StageFailure(name, str(exc)) from exc
         checks.update({key: bool(value) for key, value in cks.items()})
         reports[name] = rep
     digests = {
@@ -634,7 +636,7 @@ def main(argv=None) -> int:
         description="Numerical laboratory for the singular Schrodinger operator "
                     "with an inverse-square potential",
     )
-    parser.add_argument("subcommand", choices=SUBCOMMANDS)
+    parser.add_argument("subcommand", choices=(*_RUNNERS, "all"))
     parser.add_argument("--config", default=None, help="key = value configuration file")
     parser.add_argument("--out", default="out", help="output root (env LAB_OUT overrides)")
     parser.add_argument("--seed", type=int, default=None, help="RNG seed override")
@@ -656,7 +658,13 @@ def main(argv=None) -> int:
             "message": str(exc),
         }, sort_keys=True))
         return 3
-    except (ConfigError, ValueError) as exc:
+    except StageFailure as exc:
+        print(json.dumps({"error": "stage_failure", "stage": exc.stage,
+                          "message": str(exc)}, sort_keys=True))
+        return 4
+    except ValueError as exc:
+        # only loading and validation raise ValueError here: stage errors
+        # arrive as StageFailure
         print(json.dumps({"error": "invalid_config", "message": str(exc)}, sort_keys=True))
         return 2
 

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .evolution import ModeState, ObservationMask, TimeGrid, duhamel_modal_source
+from .evolution import (ModeState, ObservationMask, TimeGrid, duhamel_modal_source,
+                        trapezoid_weights)
 from .spectral import SpectralBasis
 
 
@@ -62,7 +63,6 @@ class ControlResult:
     cost: float
     target_gap: np.ndarray        # d = u_d - free flow of u_0 at T
     control_samples: np.ndarray | None = None
-    control_times: np.ndarray | None = None
 
 
 def hum_solve(gram: Gramian, u0: ModeState, ud: ModeState, eps: float,
@@ -92,7 +92,6 @@ def hum_solve(gram: Gramian, u0: ModeState, ud: ModeState, eps: float,
         phases = np.exp(1j * np.outer(sample_times - gram.horizon, mus))
         phi = basis.eigenvectors[gram.mask.node_indices, :]
         result.control_samples = 1j * (phases * q) @ phi.T
-        result.control_times = np.asarray(sample_times, dtype=float)
     return result
 
 
@@ -110,8 +109,7 @@ def verify_control(result: ControlResult, gram: Gramian, u0: ModeState,
     mus = gram.mode_eigenvalues
     t_end = gram.horizon
     s = np.linspace(0.0, t_end, n_steps + 1)
-    w = np.full(n_steps + 1, t_end / n_steps)
-    w[0] = w[-1] = 0.5 * t_end / n_steps
+    w = trapezoid_weights(n_steps + 1, t_end / n_steps)
     g = control_modal_source(gram, result.multiplier, s)       # (nt, k)
     integral = ((np.exp(1j * np.outer(mus, t_end - s)) * g.T) * w).sum(axis=1)
     u_t = np.exp(1j * mus * t_end) * u0.coeffs - 1j * integral

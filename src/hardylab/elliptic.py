@@ -20,7 +20,7 @@ import numpy as np
 from .errors import IllPosedTruncationError
 from .evolution import (ModeTrajectory, ObservationMask, TimeGrid,
                         free_trajectory, numerical_rank, observability_matrix,
-                        observe)
+                        observe, trapezoid_weights)
 from .flatness import FlatnessKernel, GevreyBump, build_kernel, kernel_residual
 from .spectral import SpectralBasis
 
@@ -80,11 +80,8 @@ def moment_trace(bump: GevreyBump, trajectory: ModeTrajectory) -> np.ndarray:
     the transform evaluated at t = -1 where the kernel reduces to psi.
     """
     times = trajectory.times
-    dt = times[1] - times[0]
-    w = np.full(len(times), dt)
-    w[0] = w[-1] = 0.5 * dt
-    psi = bump(times)
-    return (w * psi) @ trajectory.coeffs
+    w = trapezoid_weights(len(times), times[1] - times[0])
+    return (w * bump(times)) @ trajectory.coeffs
 
 
 @dataclass
@@ -104,7 +101,6 @@ class UcpReport:
     singular_values: np.ndarray
     rank: int
     condition: float
-    column_scales: np.ndarray
 
 
 def ucp_probe(basis: SpectralBasis, window: CylinderWindow) -> UcpReport:
@@ -126,15 +122,11 @@ def ucp_probe(basis: SpectralBasis, window: CylinderWindow) -> UcpReport:
     grow = np.exp(np.outer(t - 1.0, s))      # e^(s(t-1)) <= 1
     decay = np.exp(-np.outer(t + 1.0, s))    # e^(-s(t+1)) <= 1
     phi = basis.eigenvectors[window.mask.node_indices, :]
-    cols = []
-    for k in range(basis.k_modes):
-        cols.append(np.outer(grow[:, k], phi[:, k]).ravel())
-        cols.append(np.outer(decay[:, k], phi[:, k]).ravel())
-    m = np.column_stack(cols)
+    # row (t_i, node m), column 2k + (0 grow | 1 decay)
+    exps = np.stack([grow, decay], axis=-1)                 # (nt, k, 2)
+    m = (exps[:, None, :, :] * phi[None, :, :, None]).reshape(n_samples, 2 * basis.k_modes)
     sv = np.linalg.svd(m, compute_uv=False)
-    rank = numerical_rank(sv, m.shape)
-    scales = np.repeat(np.exp(-s), 2)
-    return UcpReport(sv, rank, float(sv[0] / sv[-1]), scales)
+    return UcpReport(sv, numerical_rank(sv, m.shape), float(sv[0] / sv[-1]))
 
 
 @dataclass

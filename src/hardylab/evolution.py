@@ -17,6 +17,20 @@ import numpy as np
 from .spectral import RadialGrid, SpectralBasis
 
 
+def trapezoid_weights(n_nodes: int, dt: float) -> np.ndarray:
+    """Composite trapezoid weights on n_nodes uniform nodes spaced dt apart."""
+    w = np.full(n_nodes, dt)
+    w[0] = w[-1] = 0.5 * dt
+    return w
+
+
+def cumulative_trapezoid(values: np.ndarray, dt: float) -> np.ndarray:
+    """Running trapezoid integral along axis 0, starting from 0 at the first node."""
+    out = np.zeros_like(values)
+    out[1:] = 0.5 * dt * np.cumsum(values[1:] + values[:-1], axis=0)
+    return out
+
+
 @dataclass
 class TimeGrid:
     """Uniform grid t_j = j*T/steps, j = 0..steps."""
@@ -35,9 +49,7 @@ class TimeGrid:
         self.times = self.dt * np.arange(self.steps + 1)
 
     def trapezoid_weights(self) -> np.ndarray:
-        w = np.full(self.steps + 1, self.dt)
-        w[0] = w[-1] = 0.5 * self.dt
-        return w
+        return trapezoid_weights(self.steps + 1, self.dt)
 
 
 @dataclass
@@ -45,7 +57,6 @@ class ModeState:
     """Spectral coefficients of a solution at one time instant."""
 
     coeffs: np.ndarray
-    time: float = 0.0
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.coeffs))
@@ -58,13 +69,6 @@ class ModeTrajectory:
     times: np.ndarray
     coeffs: np.ndarray  # (len(times), k_modes)
 
-    @property
-    def k_modes(self) -> int:
-        return self.coeffs.shape[1]
-
-    def state(self, j: int) -> ModeState:
-        return ModeState(self.coeffs[j].copy(), float(self.times[j]))
-
 
 @dataclass
 class SourceModel:
@@ -74,16 +78,11 @@ class SourceModel:
     rho: np.ndarray        # samples on the driving TimeGrid
     rho_at_zero: float
 
-    @classmethod
-    def from_callable(cls, f_modes, rho_fn, grid: TimeGrid) -> "SourceModel":
-        rho = np.array([rho_fn(t) for t in grid.times], dtype=float)
-        return cls(np.asarray(f_modes, dtype=complex), rho, float(rho[0]))
-
 
 def propagate(state: ModeState, basis: SpectralBasis, t: float) -> ModeState:
     """Apply the exact phases exp(i mu_k t)."""
     phases = np.exp(1j * basis.eigenvalues * t)
-    return ModeState(state.coeffs * phases, state.time + t)
+    return ModeState(state.coeffs * phases)
 
 
 def duhamel_modal_source(g: np.ndarray, mus: np.ndarray, grid: TimeGrid) -> ModeTrajectory:

@@ -27,6 +27,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .evolution import trapezoid_weights
+
 MAX_TRUNCATION = 40
 MIN_CONTOUR_RADIUS = 1e-3
 # dense kernel values are produced this many t nodes at a time (about 1 MB
@@ -68,23 +70,26 @@ def gevrey_bump(horizon: float, sigma: float = 2.0) -> GevreyBump:
     return GevreyBump(horizon, sigma, c)
 
 
-def cauchy_derivatives(bump: GevreyBump, tau: float, k_max: int, contour_nodes: int | None = None) -> np.ndarray:
+def cauchy_derivatives(bump: GevreyBump, tau: float, k_max: int) -> np.ndarray:
     """psi^(k)(tau) for k = 0..k_max from one contour of trapezoid averages."""
-    table = derivative_table(bump, np.array([tau]), k_max, contour_nodes)
-    return table[0]
+    return derivative_table(bump, np.array([tau]), k_max)[0]
 
 
-def derivative_table(bump: GevreyBump, taus: np.ndarray, k_max: int, contour_nodes: int | None = None) -> np.ndarray:
+def derivative_table(bump: GevreyBump, taus: np.ndarray, k_max: int) -> np.ndarray:
     """Derivative rows psi^(k)(tau_j); endpoints and exterior points are 0.
 
-    Interior points need radius r = min(tau, T-tau)/2 >= 1e-3; the node
-    count must exceed 4*k_max to keep aliasing out of the top orders.
+    Interior points need radius r = min(tau, T-tau)/2 >= 1e-3.  The contour
+    has max(256, 4*(k_max+1)) nodes, which keeps aliasing out of the top
+    orders.  Accuracy: at T = 1 and k_max <= 25 the rows reach the rounding
+    floor of the contour sum, 1e-8 |exact| + 1e-13 peak k!/r^k, only for tau
+    in [0.066, 0.934].  Within about 0.065 of either support end the 256-node
+    sum is not converged (absolute errors up to 2e-3 at tau = 0.064, against
+    values below 1e-17) until both sides underflow to exact zeros; the
+    kernel multiplies those rows by factors <= 4^k/(2k)!.
     """
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     t_end = bump.horizon
-    m = contour_nodes or max(256, 4 * (k_max + 1))
-    if m < 4 * k_max:
-        raise ValueError("need at least 4*k_max contour nodes")
+    m = max(256, 4 * (k_max + 1))
     interior = (taus > 0.0) & (taus < t_end)
     r = 0.5 * np.minimum(taus, t_end - taus)
     tight = interior & (r < MIN_CONTOUR_RADIUS)
@@ -199,14 +204,12 @@ def _evaluate(t, table: np.ndarray, k_trunc: int) -> np.ndarray:
     return values
 
 
-def kernel_eval(bump: GevreyBump, t: float, tau: float, k_trunc: int,
-                deriv_row: np.ndarray | None = None) -> complex:
+def kernel_eval(bump: GevreyBump, t: float, tau: float, k_trunc: int) -> complex:
     """Point value of the truncated kernel series."""
     if k_trunc > MAX_TRUNCATION:
         raise ValueError(f"k_trunc {k_trunc} exceeds cap {MAX_TRUNCATION}")
-    if deriv_row is None:
-        deriv_row = derivative_table(bump, np.array([tau]), k_trunc)[0]
-    return complex(_evaluate(t, deriv_row[None, : k_trunc + 1], k_trunc)[0, 0])
+    deriv_row = cauchy_derivatives(bump, tau, k_trunc)
+    return complex(_evaluate(t, deriv_row[None, :], k_trunc)[0, 0])
 
 
 @dataclass
@@ -242,10 +245,7 @@ class FlatnessKernel:
         return self.rows()
 
     def tau_weights(self) -> np.ndarray:
-        dt = self.tau_nodes[1] - self.tau_nodes[0]
-        w = np.full(len(self.tau_nodes), dt)
-        w[0] = w[-1] = 0.5 * dt
-        return w
+        return trapezoid_weights(len(self.tau_nodes), self.tau_nodes[1] - self.tau_nodes[0])
 
 
 def build_kernel(bump: GevreyBump, t_nodes: np.ndarray, tau_nodes: np.ndarray,

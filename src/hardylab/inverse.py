@@ -21,7 +21,7 @@ import numpy as np
 from scipy import fft as sp_fft
 from scipy.linalg import solve_triangular, toeplitz
 
-from .evolution import ModeTrajectory, TimeGrid
+from .evolution import ModeTrajectory, TimeGrid, cumulative_trapezoid
 
 RHO_ZERO_TOL = 1e-14
 SUPPORT_REL_THRESHOLD = 1e-12
@@ -70,10 +70,16 @@ def _fftconvolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def trapezoid_convolution(a: np.ndarray, b: np.ndarray, dt: float) -> np.ndarray:
-    """(a * b)(t_j) = dt [ a_j b_0/2 + sum_{0<m<j} a_{j-m} b_m + a_0 b_j/2 ]."""
+    """(a * b)(t_j) = dt [ a_j b_0/2 + sum_{0<m<j} a_{j-m} b_m + a_0 b_j/2 ].
+
+    a has shape (n,); b has shape (n,) or (n, k), each column convolved
+    with a.
+    """
     n = len(a)
     if len(b) != n:
         raise ValueError("convolution inputs must share the grid")
+    if np.ndim(b) == 2:
+        a = a[:, None]
     full = _fftconvolve(a, b)[:n]
     out = dt * (full - 0.5 * a * b[0] - 0.5 * a[0] * b)
     out[0] = 0.0
@@ -81,7 +87,7 @@ def trapezoid_convolution(a: np.ndarray, b: np.ndarray, dt: float) -> np.ndarray
 
 
 def volterra_apply(sys: VolterraSystem, z: np.ndarray) -> np.ndarray:
-    """K z = rho(0) z + trapezoid convolution of rho' with z."""
+    """K z = rho(0) z + trapezoid convolution of rho' with z, z of shape (n,) or (n, k)."""
     z = np.asarray(z)
     return sys.rho_at_zero * z + trapezoid_convolution(sys.drho, z, sys.dt)
 
@@ -131,7 +137,6 @@ def _toeplitz_substitution(col: np.ndarray, leaf: np.ndarray, b: np.ndarray) -> 
 class ReconstructionResult:
     f_recovered: np.ndarray
     z: np.ndarray                 # (n_times, k_modes)
-    dt_u: np.ndarray              # (n_times, k_modes)
     relative_error: float | None
     diagnostics: dict
 
@@ -185,17 +190,15 @@ def reconstruct_f(trajectory: ModeTrajectory, sys: VolterraSystem, mus: np.ndarr
         scale = np.linalg.norm(f_true)
         rel = float(np.linalg.norm(f_rec - f_true) / scale) if scale else None
         # identity K z = du/dt is structural after the triangular solve
-        kz = np.column_stack([volterra_apply(sys, z[:, k]) for k in range(z.shape[1])])
+        kz = volterra_apply(sys, z)
         diagnostics["factorization_residual"] = float(np.abs(kz - dt_u).max())
-    return ReconstructionResult(f_rec, z, dt_u, rel, diagnostics)
+    return ReconstructionResult(f_rec, z, rel, diagnostics)
 
 
 def duhamel_identity_residual(trajectory: ModeTrajectory, sys: VolterraSystem,
                               z: np.ndarray) -> float:
     """Max mismatch of u(t) = integral_0^t rho(s) z(t-s, .) ds per mode."""
-    conv = np.column_stack([
-        trapezoid_convolution(sys.rho, z[:, k], sys.dt) for k in range(z.shape[1])
-    ])
+    conv = trapezoid_convolution(sys.rho, z, sys.dt)
     return float(np.abs(conv - trajectory.coeffs).max())
 
 
@@ -217,9 +220,7 @@ def antiderivative_reduce(trajectory: ModeTrajectory) -> ModeTrajectory:
     if np.abs(c[0]).max() > 1e-12 * max(np.abs(c).max(), 1e-300):
         raise ValueError("antiderivative reduction expects u(0) = 0")
     dt = trajectory.times[1] - trajectory.times[0]
-    w = np.zeros_like(c)
-    w[1:] = 0.5 * dt * np.cumsum(c[1:] + c[:-1], axis=0)
-    return ModeTrajectory(trajectory.times.copy(), w)
+    return ModeTrajectory(trajectory.times.copy(), cumulative_trapezoid(c, dt))
 
 
 @dataclass
@@ -241,9 +242,7 @@ def convolve_source(rho: np.ndarray, v: ModeTrajectory, mus: np.ndarray) -> Conv
     dt = v.times[1] - v.times[0]
     mus = np.asarray(mus, dtype=float)
     f_modes = 1j * v.coeffs[0, :]
-    y = np.column_stack([
-        trapezoid_convolution(rho, v.coeffs[:, k], dt) for k in range(v.k_modes)
-    ])
+    y = trapezoid_convolution(rho, v.coeffs, dt)
     ydot = (y[2:] - y[:-2]) / (2.0 * dt)
     resid = np.abs(
         1j * ydot + mus[None, :] * y[1:-1] - np.outer(rho[1:-1], f_modes)
@@ -261,8 +260,7 @@ class SupportReport:
     additivity_gap: float | None
 
 
-def titchmarsh_support(a: np.ndarray, b: np.ndarray, dt: float,
-                       rel_threshold: float = SUPPORT_REL_THRESHOLD) -> SupportReport:
+def titchmarsh_support(a: np.ndarray, b: np.ndarray, dt: float) -> SupportReport:
     """Earliest support points of a, b and a*b; their mismatch
     |start(a*b) - start(a) - start(b)| is returned (None on zero input)."""
 
@@ -270,7 +268,7 @@ def titchmarsh_support(a: np.ndarray, b: np.ndarray, dt: float,
         m = np.abs(x).max()
         if m == 0.0:
             return None
-        idx = np.flatnonzero(np.abs(x) > rel_threshold * m)
+        idx = np.flatnonzero(np.abs(x) > SUPPORT_REL_THRESHOLD * m)
         return int(idx[0]) if len(idx) else None
 
     ia, ib = first_alive(a), first_alive(b)

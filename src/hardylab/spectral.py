@@ -64,12 +64,43 @@ class RadialGrid:
         self.nodes = self.spacing * np.arange(1, self.n_interior + 1)
         self.weights = np.full(self.n_interior, self.spacing)
 
-    def inner(self, u: np.ndarray, v: np.ndarray) -> complex:
-        """Quadrature inner product <u, v> = h * sum u conj(v)."""
-        return self.spacing * np.vdot(v, u)
 
-    def norm(self, u: np.ndarray) -> float:
-        return float(np.sqrt(self.spacing) * np.linalg.norm(u))
+def tridiagonal_apply(diagonal: np.ndarray, offdiagonal: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Product of the symmetric tridiagonal matrix (diagonal, offdiagonal) with v."""
+    out = diagonal * v
+    out[:-1] += offdiagonal * v[1:]
+    out[1:] += offdiagonal * v[:-1]
+    return out
+
+
+def tridiagonal_norm(diagonal: np.ndarray, offdiagonal: np.ndarray) -> float:
+    """Infinity norm of the symmetric tridiagonal matrix (diagonal, offdiagonal)."""
+    pad = np.concatenate(([0.0], np.abs(offdiagonal), [0.0]))
+    return float(np.max(np.abs(diagonal) + pad[:-1] + pad[1:]))
+
+
+def dirichlet_eigenpairs(diagonal: np.ndarray, offdiagonal: np.ndarray, spacing: float,
+                         count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest `count` eigenpairs of a three-point Dirichlet discretization.
+
+    The eigenvectors are orthonormal under the spacing-weighted quadrature,
+    and the first component above 1e-12 * max|v| of each is positive.  Every
+    pair must have residual ||A v - mu v|| <= EIGEN_RESIDUAL_TOL ||A|| ||v||.
+    """
+    vals, vecs = eigh_tridiagonal(diagonal, offdiagonal, select="i",
+                                  select_range=(0, count - 1))
+    # Euclidean-orthonormal -> orthonormal under the spacing-weighted quadrature
+    vecs = vecs / np.sqrt(spacing)
+    a_norm = tridiagonal_norm(diagonal, offdiagonal)
+    for k in range(count):
+        col = vecs[:, k]
+        idx = np.flatnonzero(np.abs(col) > 1e-12 * np.abs(col).max())
+        if len(idx) and col[idx[0]] < 0:
+            vecs[:, k] = col = -col
+        res = np.linalg.norm(tridiagonal_apply(diagonal, offdiagonal, col) - vals[k] * col)
+        if res > EIGEN_RESIDUAL_TOL * a_norm * np.linalg.norm(col):
+            raise RuntimeError(f"eigenpair {k} residual {res:.3e} exceeds tolerance")
+    return vals, vecs
 
 
 @dataclass
@@ -84,15 +115,11 @@ class HardyDiscretization:
     bessel_order: float
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        out = self.diagonal * v
-        out[:-1] += self.offdiagonal * v[1:]
-        out[1:] += self.offdiagonal * v[:-1]
-        return out
+        return tridiagonal_apply(self.diagonal, self.offdiagonal, v)
 
     def norm_estimate(self) -> float:
         """Infinity-norm bound, enough to scale eigenresidual tolerances."""
-        pad = np.concatenate(([0.0], np.abs(self.offdiagonal), [0.0]))
-        return float(np.max(np.abs(self.diagonal) + pad[:-1] + pad[1:]))
+        return tridiagonal_norm(self.diagonal, self.offdiagonal)
 
 
 def assemble_hardy_operator(grid: RadialGrid, lam: float, n: int = 3) -> HardyDiscretization:
@@ -126,32 +153,12 @@ class SpectralBasis:
         return len(self.eigenvalues)
 
 
-def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    out = vectors.copy()
-    for k in range(out.shape[1]):
-        col = out[:, k]
-        idx = np.flatnonzero(np.abs(col) > 1e-12 * np.abs(col).max())
-        if len(idx) and col[idx[0]] < 0:
-            out[:, k] = -col
-    return out
-
-
 def solve_spectrum(op: HardyDiscretization, k_modes: int) -> SpectralBasis:
     """Lowest k_modes eigenpairs of the tridiagonal discretization."""
     n = op.grid.n_interior
     if k_modes > n:
         raise ValueError(f"k_modes = {k_modes} exceeds matrix size {n}")
-    vals, vecs = eigh_tridiagonal(
-        op.diagonal, op.offdiagonal, select="i", select_range=(0, k_modes - 1)
-    )
-    # Euclidean-orthonormal -> orthonormal under the h-weighted quadrature
-    vecs = vecs / np.sqrt(op.grid.spacing)
-    vecs = _fix_signs(vecs)
-    a_norm = op.norm_estimate()
-    for k in range(k_modes):
-        res = np.linalg.norm(op.apply(vecs[:, k]) - vals[k] * vecs[:, k])
-        if res > EIGEN_RESIDUAL_TOL * a_norm * np.linalg.norm(vecs[:, k]):
-            raise RuntimeError(f"eigenpair {k} residual {res:.3e} exceeds tolerance")
+    vals, vecs = dirichlet_eigenpairs(op.diagonal, op.offdiagonal, op.grid.spacing, k_modes)
     return SpectralBasis(op.grid, vals, vecs, op.lam, op.dimension_n, op.bessel_order)
 
 
@@ -180,13 +187,11 @@ def hardy_pencil_infimum(grid: RadialGrid) -> float:
     return float(vals[0])
 
 
-def bessel_oracle_table(basis: SpectralBasis, k_check: int | None = None) -> np.ndarray:
+def bessel_oracle_table(basis: SpectralBasis) -> np.ndarray:
     """Rows (k, mu_k, j_{nu,k}^2, rel_err) comparing FD eigenvalues to the oracle."""
     from .bessel import bessel_zeros
 
-    k_check = basis.k_modes if k_check is None else min(k_check, basis.k_modes)
-    zeros = bessel_zeros(basis.bessel_order, k_check)
-    mu = basis.eigenvalues[:k_check]
-    oracle = zeros**2
+    oracle = bessel_zeros(basis.bessel_order, basis.k_modes) ** 2
+    mu = basis.eigenvalues
     rel = np.abs(mu - oracle) / oracle
-    return np.column_stack([np.arange(1, k_check + 1), mu, oracle, rel])
+    return np.column_stack([np.arange(1, basis.k_modes + 1), mu, oracle, rel])

@@ -31,6 +31,38 @@ def test_zero_coupling_spectrum_doubled_squares(basis0):
     assert basis0.multiplicity_pairs == [(0, 1), (2, 3), (4, 5), (6, 7)]
 
 
+@pytest.mark.parametrize("lam, n_ang, k_count", [(0.0, 256, 8), (0.1, 512, 8),
+                                                  (3 / 16, 128, 5), (0.24, 512, 7),
+                                                  (-1.0, 64, 1)])
+def test_spectrum_matches_inline_construction(lam, n_ang, k_count):
+    # the arc eigensolve and sign rule as written before they moved to spectral
+    from scipy.linalg import eigh_tridiagonal
+
+    prob = AngularProblem(lam, n_ang)
+    n_arc = int(np.ceil(k_count / 2))
+    h2 = prob.spacing**2
+    diag = 2.0 / h2 - lam / np.sin(prob.angles) ** 2
+    off = np.full(n_ang - 1, -1.0 / h2)
+    vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, n_arc - 1))
+    vecs = vecs / np.sqrt(prob.spacing)
+    for k in range(n_arc):
+        col = vecs[:, k]
+        idx = np.flatnonzero(np.abs(col) > 1e-12 * np.abs(col).max())
+        if len(idx) and col[idx[0]] < 0:
+            vecs[:, k] = -col
+    eigenvectors = np.zeros((2 * n_ang, k_count))
+    pairs = []
+    for j in range(k_count):
+        arc = j % 2
+        eigenvectors[arc * n_ang : (arc + 1) * n_ang, j] = vecs[:, j // 2]
+        if arc == 1:
+            pairs.append((j - 1, j))
+    basis = angular_spectrum(prob, k_count)
+    assert np.array_equal(basis.eigenvalues, np.repeat(vals, 2)[:k_count])
+    assert np.array_equal(basis.eigenvectors, eigenvectors)
+    assert basis.multiplicity_pairs == pairs
+
+
 def test_arc_orthonormality(basis0, prob0):
     gram = prob0.spacing * basis0.eigenvectors.T @ basis0.eigenvectors
     assert np.abs(gram - np.eye(basis0.count)).max() <= 1e-10

@@ -1,8 +1,14 @@
 import csv
+import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hardylab import cli
 from hardylab.cli import LabConfig, load_config, main, run, validate_config
@@ -64,6 +70,15 @@ def test_invalid_config_exit_code(tmp_path, capsys):
     assert payload["error"] == "invalid_config"
 
 
+def test_missing_config_file_exit_code(tmp_path, capsys):
+    out_root = tmp_path / "out"
+    code = main(["spectrum", "--config", str(tmp_path / "absent.cfg"), "--out", str(out_root)])
+    assert code == 2
+    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert payload["error"] == "invalid_config"
+    assert not out_root.exists()
+
+
 @pytest.mark.parametrize("text", [
     "dimension_n = 11\n",       # nu = 4.5
     "lam = -12\n",              # nu = 3.5: the Newton polish would need J_4.5
@@ -78,6 +93,37 @@ def test_oracle_range_rejected_before_output(tmp_path, capsys, text):
     payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert payload["error"] == "invalid_config"
     assert not out_root.exists()
+
+
+@pytest.mark.parametrize("text", [
+    "mask_a = 0.0\nmask_b = 0.001\n",                        # no node in (0, 0.001)
+    "mask_kind = cantor\nmask_a = 0.5\nmask_b = 0.504\n",    # base under 4 spacings
+])
+@pytest.mark.parametrize("stage", ["uniqueness", "hum", "evolve"])
+def test_empty_mask_rejected_before_output(tmp_path, capsys, text, stage):
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text(text)
+    out_root = tmp_path / "out"
+    code = main([stage, "--config", str(cfg_file), "--out", str(out_root)])
+    assert code == 2
+    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert payload["error"] == "invalid_config"
+    assert "mask" in payload["message"]
+    assert not out_root.exists()
+
+
+def test_stage_value_error_exits_4(tmp_path, capsys, monkeypatch):
+    def broken(cfg, outdir):
+        (outdir / "partial.csv").write_text("t\n")
+        raise ValueError("no convergence")
+
+    monkeypatch.setitem(cli._RUNNERS, "hardy", broken)
+    out_root = tmp_path / "out"
+    code = main(["all", "--out", str(out_root)])
+    assert code == 4
+    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert payload == {"error": "stage_failure", "stage": "hardy", "message": "no convergence"}
+    assert list(out_root.iterdir()) == []
 
 
 def test_oracle_range_limits_run(tmp_path):
@@ -119,6 +165,37 @@ def test_config_file_round_trip(tmp_path):
     assert cfg.n_interior == 300
     assert cfg.eps_list == (0.1, 0.01)
     assert cfg.mask_kind == "cantor"
+
+
+_FIELD_VALUES = {
+    int: st.integers(-10**6, 10**6),
+    float: st.floats(allow_nan=False, allow_infinity=False),
+    str: st.sampled_from(["interval", "cantor"]),
+    tuple: st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                    max_size=6).map(tuple),
+}
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.fixed_dictionaries({f.name: _FIELD_VALUES[type(getattr(LabConfig(), f.name))]
+                              for f in dataclasses.fields(LabConfig)}))
+def test_load_config_round_trip_every_field(tmp_path, values):
+    def text(value):
+        if isinstance(value, tuple):
+            return ", ".join(map(repr, value))
+        return value if isinstance(value, str) else repr(value)
+
+    cfg_file = tmp_path / "lab.cfg"
+    cfg_file.write_text("".join(f"{key} = {text(value)}\n" for key, value in values.items()))
+    assert dataclasses.asdict(load_config(str(cfg_file))) == values
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    code = "import sys, hardylab.cli; print('scipy.signal' in sys.modules)"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 def test_seed_and_out_flags(tmp_path, monkeypatch):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hardylab.control import (defect_curve, gramian, hum_solve, verify_control,
                               verify_control_trajectory)
@@ -53,6 +55,22 @@ def test_gramian_hermitian_psd_positive(gram):
     assert np.abs(m - m.conj().T).max() <= 1e-14
     eigs = np.linalg.eigvalsh(m)
     assert eigs[0] > 0  # strictly positive for an open-interval mask
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(-1.0, 0.24), st.integers(1, 12), st.integers(0, 199), st.integers(0, 199),
+       st.floats(0.25, 2.0))
+def test_gramian_hermitian_psd_random_masks(lam, k, i, j, horizon):
+    # interval around nodes min(i, j)..max(i, j), so the mask has at least one node
+    basis = make_basis(n=200, lam=lam, k=k)
+    h = basis.grid.spacing
+    lo, hi = sorted((i, j))
+    mask = interval_mask(basis.grid, basis.grid.nodes[lo] - h / 2, basis.grid.nodes[hi] + h / 2)
+    assert mask.n_nodes == hi - lo + 1
+    m = gramian(basis, mask, horizon).matrix
+    assert np.abs(m - m.conj().T).max() <= 1e-14
+    eigs = np.linalg.eigvalsh(m)
+    assert eigs[0] >= -1e-14 * max(eigs[-1], 1.0)
 
 
 def test_gramian_empty_mask_rejected(basis):

@@ -139,6 +139,22 @@ def test_ucp_single_time_slice_deficient():
     assert report.rank <= 4  # growth/decay pair collapses without t-variation
 
 
+def test_ucp_matrix_matches_column_loop():
+    # the column-by-column construction the broadcast replaced
+    basis = make_basis(k=6)
+    window = CylinderWindow(interval_mask(basis.grid, 0.3, 0.6), np.linspace(-1, 1, 33))
+    s = np.sqrt(basis.eigenvalues)
+    grow = np.exp(np.outer(window.t_nodes - 1.0, s))
+    decay = np.exp(-np.outer(window.t_nodes + 1.0, s))
+    phi = basis.eigenvectors[window.mask.node_indices, :]
+    cols = []
+    for k in range(basis.k_modes):
+        cols.append(np.outer(grow[:, k], phi[:, k]).ravel())
+        cols.append(np.outer(decay[:, k], phi[:, k]).ravel())
+    sv = np.linalg.svd(np.column_stack(cols), compute_uv=False)
+    assert np.array_equal(ucp_probe(basis, window).singular_values, sv)
+
+
 def test_ucp_requires_positive_modes():
     basis = make_basis(k=2)
     neg = SpectralBasis(basis.grid, np.array([-1.0, 4.0]), basis.eigenvectors,

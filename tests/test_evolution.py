@@ -50,6 +50,19 @@ def test_norm_conservation_and_reversal():
         assert np.abs(back.coeffs - c0).max() <= 1e-12
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.floats(-50.0, 50.0), st.integers(1, 16), st.sampled_from([-1.0, 0.0, 3 / 16, 0.24]),
+       st.integers(0, 2**31))
+def test_propagate_unitary_and_reversible(t, k, lam, seed):
+    basis = make_basis(lam=lam, k=k)
+    rng = np.random.default_rng(seed)
+    c0 = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    state = ModeState(c0)
+    fwd = propagate(state, basis, t)
+    assert abs(fwd.norm() - state.norm()) <= 1e-12
+    assert np.abs(propagate(fwd, basis, -t).coeffs - c0).max() <= 1e-12
+
+
 def test_duhamel_zero_frequency_constant_source():
     basis = synthetic_basis([0.0])
     grid = TimeGrid(1.0, 100)

@@ -307,6 +307,21 @@ def test_fftconvolve_axis0_broadcast_bit_identical_to_scipy(m, h, k):
     assert np.array_equal(_fftconvolve(col, b.real), fftconvolve(col, b.real, axes=0))
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.integers(2, 3000), st.sampled_from([256, 257, 512])), st.integers(1, 6),
+       st.sampled_from(["rr", "rc", "cr", "cc"]), st.integers(0, 2**31))
+def test_trapezoid_convolution_columns_match_single_calls(n, k, kinds, seed):
+    rng = np.random.default_rng(seed)
+    a, b = rng.standard_normal(n), rng.standard_normal((n, k))
+    if kinds[0] == "c":
+        a = a + 1j * rng.standard_normal(n)
+    if kinds[1] == "c":
+        b = b + 1j * rng.standard_normal((n, k))
+    dt = 1.0 / n
+    columns = np.column_stack([trapezoid_convolution(a, b[:, j], dt) for j in range(k)])
+    assert np.array_equal(trapezoid_convolution(a, b, dt), columns)
+
+
 def test_trapezoid_convolution_against_quadrature():
     t = TimeGrid(1.0, 800).times
     dt = t[1] - t[0]
