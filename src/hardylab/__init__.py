@@ -8,7 +8,7 @@ __version__ = "0.1.0"
 from .angular import (AngularBasis, AngularProblem, angular_spectrum,
                       beta_coefficients, blowup_profile_check, gamma_exponent,
                       separated_residual)
-from .bessel import bessel_j, bessel_zeros
+from .bessel import bessel_zeros
 from .control import (ControlResult, Gramian, defect_curve, gramian, hum_solve,
                       verify_control)
 from .elliptic import (CylinderWindow, EllipticProfile, elliptic_residual,

@@ -9,7 +9,10 @@ identically.
 
 Exit codes: 0 success, 1 tolerance breach under --check, 2 invalid
 configuration, 3 supercritical coupling, 4 a stage failed on a configuration
-that passed validation.
+that passed validation: it raised ValueError, RuntimeError (which covers
+IllPosedTruncationError, a failed eigenpair residual and a Gramian that is
+not positive definite) or FloatingPointError.  The stage_failure payload
+names the stage and the exception class, and no output directory is left.
 """
 
 import argparse
@@ -45,11 +48,16 @@ class ConfigError(ValueError):
 
 
 class StageFailure(Exception):
-    """A stage raised ValueError on a configuration that passed validation."""
+    """A stage raised one of _STAGE_ERRORS on a configuration that passed validation."""
 
-    def __init__(self, stage: str, message: str):
+    def __init__(self, stage: str, error: Exception):
         self.stage = stage
-        super().__init__(message)
+        self.exception = type(error).__name__
+        super().__init__(str(error))
+
+
+# failures a stage can raise on a validated configuration; they exit 4
+_STAGE_ERRORS = (ValueError, RuntimeError, FloatingPointError)
 
 
 @dataclass
@@ -461,6 +469,7 @@ def run_hum(cfg: LabConfig, outdir: Path):
         "hum_defect_decreasing": all(a > b for a, b in zip(defects, defects[1:])),
         "hum_cost_nondecreasing": all(b >= a - 1e-12 for a, b in zip(costs, costs[1:])),
     }
+    # sigma_min here is lambda_min(G), an eigenvalue (see Gramian.sigma_min)
     return checks, {"identity_gap": identity_gap, "sigma_min": float(eigs[0])}
 
 
@@ -585,8 +594,8 @@ def _run_stages(subcommand: str, cfg: LabConfig, outdir: Path) -> dict[str, bool
     for name in names:
         try:
             cks, rep = _RUNNERS[name](cfg, outdir)
-        except ValueError as exc:
-            raise StageFailure(name, str(exc)) from exc
+        except _STAGE_ERRORS as exc:
+            raise StageFailure(name, exc) from exc
         checks.update({key: bool(value) for key, value in cks.items()})
         reports[name] = rep
     digests = {
@@ -660,7 +669,7 @@ def main(argv=None) -> int:
         return 3
     except StageFailure as exc:
         print(json.dumps({"error": "stage_failure", "stage": exc.stage,
-                          "message": str(exc)}, sort_keys=True))
+                          "exception": exc.exception, "message": str(exc)}, sort_keys=True))
         return 4
     except ValueError as exc:
         # only loading and validation raise ValueError here: stage errors

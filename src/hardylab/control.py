@@ -42,6 +42,13 @@ class Gramian:
     mask: ObservationMask
 
     def sigma_min(self) -> float:
+        """lambda_min(G), the smallest eigenvalue of the Gramian.
+
+        Not a singular value: G = O^H O up to conjugation for the observation
+        map O of initial coefficients onto L^2((0, T) x mask), so this is the
+        square of O's smallest singular value.  The name is kept because
+        artifacts and reports use the key `sigma_min`.
+        """
         return float(np.linalg.eigvalsh(self.matrix)[0])
 
 
@@ -127,7 +134,8 @@ def verify_control_trajectory(result: ControlResult, gram: Gramian, u0: ModeStat
 
 
 def defect_curve(gram: Gramian, u0: ModeState, ud: ModeState, eps_list) -> list[dict]:
-    """Rows (eps, defect, cost, sigma_min) for a decreasing penalty sweep."""
+    """Rows (eps, defect, cost, sigma_min) for a decreasing penalty sweep;
+    every row's sigma_min is the same lambda_min(G) (see Gramian.sigma_min)."""
     eps_list = list(eps_list)
     if any(e <= 0 for e in eps_list):
         raise ValueError("penalties must be positive")

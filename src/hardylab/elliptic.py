@@ -143,8 +143,9 @@ def uniqueness_pipeline(c0: np.ndarray, basis: SpectralBasis, mask: ObservationM
                         bump: GevreyBump, obs_grid: TimeGrid, k_trunc: int = 24,
                         transform_t_nodes: int = 257) -> UniquenessCertificate:
     """Quantitative vanishing certificate: observation energy eta on the mask
-    bounds the initial state by eta / sigma_min of the observation map, with
-    the kernel/transform/moment residual chain attached.
+    bounds the initial state by eta / sigma_min, where sigma_min is the
+    smallest singular value of the observation matrix, with the
+    kernel/transform/moment residual chain attached.
 
     Refuses (IllPosedTruncationError) when sigma_min drops below 1e-12.
     """

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from hardylab import cli
 from hardylab.cli import LabConfig, load_config, main, run, validate_config
-from hardylab.errors import SupercriticalCouplingError
+from hardylab.errors import IllPosedTruncationError, SupercriticalCouplingError
 
 
 def light_config(**overrides) -> LabConfig:
@@ -81,7 +81,7 @@ def test_missing_config_file_exit_code(tmp_path, capsys):
 
 @pytest.mark.parametrize("text", [
     "dimension_n = 11\n",       # nu = 4.5
-    "lam = -12\n",              # nu = 3.5: the Newton polish would need J_4.5
+    "lam = -12\n",              # nu = 3.5: zero_count_bound is verified up to 3
     "spectrum_modes = 25\n",    # J_0.5 has 19 zeros below 60
 ])
 def test_oracle_range_rejected_before_output(tmp_path, capsys, text):
@@ -122,7 +122,24 @@ def test_stage_value_error_exits_4(tmp_path, capsys, monkeypatch):
     code = main(["all", "--out", str(out_root)])
     assert code == 4
     payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    assert payload == {"error": "stage_failure", "stage": "hardy", "message": "no convergence"}
+    assert payload == {"error": "stage_failure", "stage": "hardy", "exception": "ValueError",
+                       "message": "no convergence"}
+    assert list(out_root.iterdir()) == []
+
+
+@pytest.mark.parametrize("error", [RuntimeError, FloatingPointError, IllPosedTruncationError])
+def test_stage_numerical_error_exits_4(tmp_path, capsys, monkeypatch, error):
+    def broken(cfg, outdir):
+        (outdir / "partial.csv").write_text("t\n")
+        raise error("numerical failure")
+
+    monkeypatch.setitem(cli._RUNNERS, "transform", broken)
+    out_root = tmp_path / "out"
+    code = main(["all", "--out", str(out_root)])
+    assert code == 4
+    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert payload == {"error": "stage_failure", "stage": "transform",
+                       "exception": error.__name__, "message": "numerical failure"}
     assert list(out_root.iterdir()) == []
 
 
@@ -190,12 +207,18 @@ def test_load_config_round_trip_every_field(tmp_path, values):
     assert dataclasses.asdict(load_config(str(cfg_file))) == values
 
 
-def test_cli_import_leaves_scipy_signal_unloaded():
-    code = "import sys, hardylab.cli; print('scipy.signal' in sys.modules)"
+def _loaded_scipy_modules(imports: str) -> list[str]:
+    code = f"import json, sys, {imports}; print(json.dumps(sorted(sys.modules)))"
     src = str(Path(cli.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "False"
+    return [name for name in json.loads(out.stdout) if name.split(".")[0] == "scipy"]
+
+
+def test_cli_import_loads_no_scipy_beyond_linalg_and_fft():
+    # the import floor of every run: scipy.signal, scipy.optimize or any other
+    # scipy module beyond these two would add to the start-up time
+    assert _loaded_scipy_modules("hardylab.cli") == _loaded_scipy_modules("scipy.linalg, scipy.fft")
 
 
 def test_seed_and_out_flags(tmp_path, monkeypatch):
@@ -234,11 +257,11 @@ def test_check_flag_fails_on_breach(tmp_path):
 def test_failing_stage_leaves_no_output_directory(tmp_path, monkeypatch):
     def broken(cfg, outdir):
         (outdir / "partial.csv").write_text("t\n")
-        raise RuntimeError("stage failed")
+        raise OSError("stage failed")   # not a numerical failure: it propagates
 
     monkeypatch.setitem(cli._RUNNERS, "hardy", broken)
     out_root = tmp_path / "out"
-    with pytest.raises(RuntimeError, match="stage failed"):
+    with pytest.raises(OSError, match="stage failed"):
         run("all", light_config(), out_root)
     assert list(out_root.iterdir()) == []
 
