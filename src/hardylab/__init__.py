@@ -19,7 +19,7 @@ from .evolution import (ModeState, ModeTrajectory, ObservationMask, SourceModel,
                         interval_mask, observability_matrix, observe, propagate)
 from .flatness import (FlatnessKernel, GevreyBump, build_kernel,
                        cauchy_derivatives, control_trace, gevrey_bump,
-                       kernel_eval, kernel_residual)
+                       kernel_residual)
 from .inverse import (ReconstructionResult, VolterraSystem, antiderivative_reduce,
                       convolve_source, free_evolution_check, reconstruct_f,
                       titchmarsh_support, volterra_apply, volterra_invert)

@@ -1,11 +1,11 @@
 """Batch front end: presets, deterministic runs, CSV/JSON artifacts.
 
 Every subcommand writes its tables plus a manifest (config snapshot, check
-booleans, sha256 digests) into a stamped directory under --out (overridden
-by the LAB_OUT environment variable); the directory appears under its
-stamped name only once the manifest is written.  Bodies of the CSV/JSON
-artifacts are functions of config and seed only, so repeated runs digest
-identically.
+booleans, each stage's report of measured values and wall seconds, sha256
+digests) into a stamped directory under --out (overridden by the LAB_OUT
+environment variable); the directory appears under its stamped name only
+once the manifest is written.  Bodies of the CSV/JSON artifacts are
+functions of config and seed only, so repeated runs digest identically.
 
 Exit codes: 0 success, 1 tolerance breach under --check, 2 invalid
 configuration, 3 supercritical coupling, 4 a stage failed on a configuration
@@ -41,6 +41,7 @@ from . import spectral as spc
 from .errors import SupercriticalCouplingError
 
 ARTIFACT_VERSION = "0.1.0"
+ORACLE_REL_TOL = 1e-2   # worst relative error of the spectrum vs the Bessel oracle
 
 
 class ConfigError(ValueError):
@@ -86,8 +87,6 @@ class LabConfig:
     inverse_steps: int = 10_000
     recon_steps: int = 1000
     seed: int = 0
-    tol_eigen_residual: float = 1e-10
-    tol_oracle_rel: float = 1e-2
 
     def to_dict(self) -> dict:
         out = dataclasses.asdict(self)
@@ -245,7 +244,7 @@ def run_spectrum(cfg: LabConfig, outdir: Path):
     table = spc.bessel_oracle_table(basis)
     write_csv(outdir / "spectrum.csv", ["k", "mu_k", "bessel_oracle", "rel_err"], table)
     worst = float(table[:, 3].max())
-    checks = {"spectrum_oracle_rel_err": worst <= cfg.tol_oracle_rel}
+    checks = {"spectrum_oracle_rel_err": worst <= ORACLE_REL_TOL}
     return checks, {"worst_rel_err": worst, "bessel_order": basis.bessel_order}
 
 
@@ -455,7 +454,7 @@ def run_hum(cfg: LabConfig, outdir: Path):
               [(r["eps"], r["defect"], r["cost"], r["sigma_min"]) for r in curve])
     times = np.linspace(0.0, cfg.horizon, 201)
     result = ctl.hum_solve(gram, u0, ud, 1e-3, sample_times=times, basis=basis)
-    forward = ctl.verify_control(result, gram, u0, n_steps=cfg.hum_verify_steps)
+    forward = ctl.verify_control(result, gram, n_steps=cfg.hum_verify_steps)
     identity_gap = abs(forward - result.defect_predicted)
     rows = _sampled(times, basis.grid.nodes[mask.node_indices], result.control_samples,
                     4, max(1, mask.n_nodes // 40))
@@ -591,11 +590,14 @@ def _run_stages(subcommand: str, cfg: LabConfig, outdir: Path) -> dict[str, bool
     names = list(_RUNNERS) if subcommand == "all" else [subcommand]
     checks: dict[str, bool] = {}
     reports: dict[str, dict] = {}
+    stage_seconds: dict[str, float] = {}
     for name in names:
+        stage_started = time.monotonic()
         try:
             cks, rep = _RUNNERS[name](cfg, outdir)
         except _STAGE_ERRORS as exc:
             raise StageFailure(name, exc) from exc
+        stage_seconds[name] = time.monotonic() - stage_started
         checks.update({key: bool(value) for key, value in cks.items()})
         reports[name] = rep
     digests = {
@@ -609,7 +611,9 @@ def _run_stages(subcommand: str, cfg: LabConfig, outdir: Path) -> dict[str, bool
         "config": cfg.to_dict(),
         "wall_clock_utc": datetime.now(timezone.utc).isoformat(),
         "elapsed_seconds": time.monotonic() - started,
+        "stage_seconds": stage_seconds,
         "checks": checks,
+        "reports": reports,
         "digests": digests,
     }
     write_json(outdir / "manifest.json", manifest)

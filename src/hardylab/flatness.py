@@ -204,14 +204,6 @@ def _evaluate(t, table: np.ndarray, k_trunc: int) -> np.ndarray:
     return values
 
 
-def kernel_eval(bump: GevreyBump, t: float, tau: float, k_trunc: int) -> complex:
-    """Point value of the truncated kernel series."""
-    if k_trunc > MAX_TRUNCATION:
-        raise ValueError(f"k_trunc {k_trunc} exceeds cap {MAX_TRUNCATION}")
-    deriv_row = cauchy_derivatives(bump, tau, k_trunc)
-    return complex(_evaluate(t, deriv_row[None, :], k_trunc)[0, 0])
-
-
 @dataclass
 class FlatnessKernel:
     """The kernel in separable form: t nodes, tau nodes and the derivative

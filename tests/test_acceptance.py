@@ -193,7 +193,7 @@ def test_criterion_08_hum():
     u0 = evo.ModeState(rng.standard_normal(8) + 1j * rng.standard_normal(8))
     ud = evo.ModeState(rng.standard_normal(8) + 1j * rng.standard_normal(8))
     res = ctl.hum_solve(gram, u0, ud, 1e-3)
-    fwd = ctl.verify_control(res, gram, u0, n_steps=200_000)
+    fwd = ctl.verify_control(res, gram, n_steps=200_000)
     identity_gap = abs(fwd - res.defect_predicted)
     rows = ctl.defect_curve(gram, u0, ud, (1e-1, 1e-2, 1e-3, 1e-4, 1e-5))
     defects = [r["defect"] for r in rows]

@@ -1,3 +1,4 @@
+import ast
 import csv
 import dataclasses
 import json
@@ -68,6 +69,25 @@ def test_invalid_config_exit_code(tmp_path, capsys):
     assert code == 2
     payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert payload["error"] == "invalid_config"
+
+
+@pytest.mark.parametrize("key", ["tol_eigen_residual", "tol_oracle_rel"])
+def test_removed_tolerance_keys_are_unknown(tmp_path, capsys, key):
+    cfg_file = tmp_path / "old.cfg"
+    cfg_file.write_text(f"{key} = 1e-3\n")
+    code = main(["spectrum", "--config", str(cfg_file), "--out", str(tmp_path / "out")])
+    assert code == 2
+    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert f"unknown key {key!r}" in payload["message"]
+
+
+def test_every_config_field_is_read():
+    # a LabConfig field that cli.py never reads as cfg.<field> configures nothing
+    tree = ast.parse(Path(cli.__file__).read_text())
+    read = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and isinstance(node.value, ast.Name) and node.value.id == "cfg"}
+    assert {f.name for f in dataclasses.fields(LabConfig)} - read == set()
 
 
 def test_missing_config_file_exit_code(tmp_path, capsys):
@@ -271,3 +291,14 @@ def test_completed_run_leaves_only_the_stamped_directory(tmp_path):
     (outdir,) = tmp_path.iterdir()
     assert outdir.name.startswith("spectrum-")
     assert (outdir / "manifest.json").exists()
+
+
+def test_manifest_keeps_stage_reports_and_times(tmp_path):
+    assert run("all", light_config(), tmp_path) == 0
+    manifest = json.loads((find_run_dir(tmp_path, "all") / "manifest.json").read_text())
+    assert list(manifest["reports"]) == sorted(cli._RUNNERS)
+    assert list(manifest["stage_seconds"]) == sorted(cli._RUNNERS)
+    assert all(seconds >= 0.0 for seconds in manifest["stage_seconds"].values())
+    assert len(manifest["checks"]) == 31
+    gap = manifest["reports"]["hum"]["identity_gap"]
+    assert manifest["checks"]["hum_defect_identity"] == (gap <= 1e-6)

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hardylab.control import (defect_curve, gramian, hum_solve, verify_control,
-                              verify_control_trajectory)
-from hardylab.evolution import ModeState, TimeGrid, interval_mask, propagate
+from hardylab.control import (ETA_BLOCK, _eta_matrix, _eta_matrix_trapezoid, defect_curve,
+                              gramian, hum_solve, verify_control)
+from hardylab.evolution import ModeState, interval_mask, propagate, trapezoid_weights
 from hardylab.spectral import RadialGrid, assemble_hardy_operator, solve_spectrum
 
 
@@ -29,6 +29,13 @@ def random_states(k, seed=0):
     u0 = ModeState(rng.standard_normal(k) + 1j * rng.standard_normal(k))
     ud = ModeState(rng.standard_normal(k) + 1j * rng.standard_normal(k))
     return u0, ud
+
+
+def node_interval_mask(basis, i, j):
+    # interval around nodes min(i, j)..max(i, j), so the mask has at least one node
+    h = basis.grid.spacing
+    lo, hi = sorted((i, j))
+    return interval_mask(basis.grid, basis.grid.nodes[lo] - h / 2, basis.grid.nodes[hi] + h / 2)
 
 
 def test_single_mode_gramian_value(basis):
@@ -61,12 +68,9 @@ def test_gramian_hermitian_psd_positive(gram):
 @given(st.floats(-1.0, 0.24), st.integers(1, 12), st.integers(0, 199), st.integers(0, 199),
        st.floats(0.25, 2.0))
 def test_gramian_hermitian_psd_random_masks(lam, k, i, j, horizon):
-    # interval around nodes min(i, j)..max(i, j), so the mask has at least one node
     basis = make_basis(n=200, lam=lam, k=k)
-    h = basis.grid.spacing
-    lo, hi = sorted((i, j))
-    mask = interval_mask(basis.grid, basis.grid.nodes[lo] - h / 2, basis.grid.nodes[hi] + h / 2)
-    assert mask.n_nodes == hi - lo + 1
+    mask = node_interval_mask(basis, i, j)
+    assert mask.n_nodes == abs(i - j) + 1
     m = gramian(basis, mask, horizon).matrix
     assert np.abs(m - m.conj().T).max() <= 1e-14
     eigs = np.linalg.eigvalsh(m)
@@ -123,25 +127,59 @@ def test_hum_rejects_nonpositive_penalty(gram):
 def test_forward_simulation_matches_predicted_defect(gram):
     u0, ud = random_states(8, seed=6)
     res = hum_solve(gram, u0, ud, 1e-3)
-    fwd = verify_control(res, gram, u0, n_steps=100_000)
+    fwd = verify_control(res, gram, n_steps=100_000)
     assert abs(fwd - res.defect_predicted) <= 1e-6
 
 
 def test_forward_error_second_order(gram):
     u0, ud = random_states(8, seed=7)
     res = hum_solve(gram, u0, ud, 1e-2)
-    e1 = abs(verify_control(res, gram, u0, n_steps=4000) - res.defect_predicted)
-    e2 = abs(verify_control(res, gram, u0, n_steps=8000) - res.defect_predicted)
+    e1 = abs(verify_control(res, gram, n_steps=4000) - res.defect_predicted)
+    e2 = abs(verify_control(res, gram, n_steps=8000) - res.defect_predicted)
     assert e1 / e2 == pytest.approx(4.0, rel=0.35)
 
 
-def test_zero_control_trajectory_is_free_flow(gram, basis):
-    u0 = ModeState(np.ones(8, dtype=complex))
-    res = hum_solve(gram, u0, propagate(u0, basis, 1.0), 1e-4)  # q ~ 0
-    grid = TimeGrid(1.0, 64)
-    traj = verify_control_trajectory(res, gram, u0, grid)
-    free = np.exp(1j * np.outer(grid.times, basis.eigenvalues)) * u0.coeffs
-    assert np.abs(traj - free).max() <= 1e-10
+def _time_domain_source(gram, q, times):
+    # oracle: the mask-projected modal source g_k(t) = i (Mw E(t) q)_k of the control
+    phases = np.exp(1j * np.outer(gram.mode_eigenvalues, times - gram.horizon))
+    return (1j * (gram.mass_masked @ (phases * q[:, None]))).T   # (nt, k)
+
+
+def _time_domain_verify(result, gram, u0, n_steps):
+    # oracle: forward simulation of the controlled flow by trapezoid Duhamel
+    mus = gram.mode_eigenvalues
+    t_end = gram.horizon
+    s = np.linspace(0.0, t_end, n_steps + 1)
+    w = trapezoid_weights(n_steps + 1, t_end / n_steps)
+    g = _time_domain_source(gram, result.multiplier, s)
+    integral = ((np.exp(1j * np.outer(mus, t_end - s)) * g.T) * w).sum(axis=1)
+    u_t = np.exp(1j * mus * t_end) * u0.coeffs - 1j * integral
+    ud = result.target_gap + np.exp(1j * mus * t_end) * u0.coeffs
+    return float(np.linalg.norm(u_t - ud))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(-1.0, 0.24), st.integers(1, 16), st.integers(0, 199), st.integers(0, 199),
+       st.floats(0.25, 2.0),
+       st.sampled_from([1, ETA_BLOCK - 2, ETA_BLOCK - 1, ETA_BLOCK, 2 * ETA_BLOCK + 3]),
+       st.integers(0, 2**32 - 1))
+def test_verify_control_matches_time_domain_simulation(lam, k, i, j, horizon, n_steps, seed):
+    # the sampled Gramian reorders the same trapezoid sum as the forward
+    # simulation, including the free flow that cancels in u(T) - u_d
+    basis = make_basis(n=200, lam=lam, k=k)
+    gram = gramian(basis, node_interval_mask(basis, i, j), horizon)
+    u0, ud = random_states(k, seed=seed)
+    res = hum_solve(gram, u0, ud, 1e-3)
+    expected = _time_domain_verify(res, gram, u0, n_steps)
+    tol = 1e-12 * max(1.0, np.linalg.norm(res.target_gap))
+    assert abs(verify_control(res, gram, n_steps=n_steps) - expected) <= tol
+
+
+def test_sampled_eta_converges_at_second_order(basis):
+    exact = _eta_matrix(basis.eigenvalues, 1.0)
+    e1 = np.abs(_eta_matrix_trapezoid(basis.eigenvalues, 1.0, 2000) - exact).max()
+    e2 = np.abs(_eta_matrix_trapezoid(basis.eigenvalues, 1.0, 4000) - exact).max()
+    assert e1 / e2 == pytest.approx(4.0, rel=0.05)
 
 
 def test_defect_curve_monotonicity(gram):

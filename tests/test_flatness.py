@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hardylab.flatness import (ROW_BLOCK, _even_power_factors, build_kernel,
                                bump_derivatives_exact, cauchy_derivatives,
                                control_trace, derivative_table, gevrey_bump,
-                               kernel_eval, kernel_residual)
+                               kernel_residual)
 
 
 def test_bump_normalization_and_closed_form():
@@ -115,14 +115,6 @@ def test_kernel_flat_time_datum_at_left_edge():
     assert diff <= 1e-10 * max(np.abs(kernel.values).max(), 1.0)
 
 
-def test_kernel_eval_point_matches_table():
-    bump = gevrey_bump(1.0, 2.0)
-    taus = np.linspace(0.0, 1.0, 17)
-    kernel = build_kernel(bump, np.array([-1.0, 0.25, 1.0]), taus, 8)
-    v = kernel_eval(bump, 0.25, taus[5], 8)
-    assert v == pytest.approx(kernel.values[1, 5], abs=1e-13 * abs(kernel.values[1, 5]))
-
-
 def test_kernel_truncation_zero_gives_bump_trace():
     bump = gevrey_bump(1.0, 2.0)
     taus = np.linspace(0.0, 1.0, 33)
@@ -134,7 +126,7 @@ def test_kernel_truncation_zero_gives_bump_trace():
 def test_kernel_truncation_cap():
     bump = gevrey_bump(1.0, 2.0)
     with pytest.raises(ValueError, match="cap"):
-        kernel_eval(bump, 0.0, 0.5, 41)
+        build_kernel(bump, np.array([0.0]), np.array([0.0, 0.5, 1.0]), 41)
 
 
 def test_truncation_difference_bounded_by_tail():
