@@ -11,6 +11,11 @@ quadrature is spectrally accurate because the integrands vanish to all
 orders at tau = 0, T.  The transform sums the kernel a block of t rows at a
 time and contracts each block at once, so its memory does not grow with the
 number of t nodes.
+
+The observation and unique-continuation maps are held as the Khatri-Rao
+factors of evolution.khatri_rao_core, never as (samples, modes) matrices:
+their singular values, and the certificate's reconstruction, come from a
+core of at most k^2 rows.
 """
 
 from dataclasses import dataclass
@@ -19,8 +24,8 @@ import numpy as np
 
 from .errors import IllPosedTruncationError
 from .evolution import (ModeTrajectory, ObservationMask, TimeGrid,
-                        free_trajectory, numerical_rank, observability_matrix,
-                        observe, trapezoid_weights)
+                        free_trajectory, khatri_rao_core, numerical_rank,
+                        observability_matrix, observe, trapezoid_weights)
 from .flatness import FlatnessKernel, GevreyBump, build_kernel, kernel_residual
 from .spectral import SpectralBasis
 
@@ -109,7 +114,9 @@ def ucp_probe(basis: SpectralBasis, window: CylinderWindow) -> UcpReport:
 
     Columns are pre-scaled by e^(-s_k) so both exponential families peak at
     one on t in [-1, 1]; scaling changes singular values by known positive
-    factors and leaves the rank statement intact.
+    factors and leaves the rank statement intact.  Column 2k + (0 | 1) is
+    (grow | decay)[:, k] (x) phi_k, so the map is factored by
+    khatri_rao_core and never formed.
     """
     mus = basis.eigenvalues
     if np.any(mus <= 0):
@@ -122,11 +129,15 @@ def ucp_probe(basis: SpectralBasis, window: CylinderWindow) -> UcpReport:
     grow = np.exp(np.outer(t - 1.0, s))      # e^(s(t-1)) <= 1
     decay = np.exp(-np.outer(t + 1.0, s))    # e^(-s(t+1)) <= 1
     phi = basis.eigenvectors[window.mask.node_indices, :]
-    # row (t_i, node m), column 2k + (0 grow | 1 decay)
-    exps = np.stack([grow, decay], axis=-1)                 # (nt, k, 2)
-    m = (exps[:, None, :, :] * phi[None, :, :, None]).reshape(n_samples, 2 * basis.k_modes)
-    sv = np.linalg.svd(m, compute_uv=False)
-    return UcpReport(sv, numerical_rank(sv, m.shape), float(sv[0] / sv[-1]))
+    exps = np.stack([grow, decay], axis=-1).reshape(len(t), 2 * basis.k_modes)
+    *_, core = khatri_rao_core(exps, phi, np.repeat(np.arange(basis.k_modes), 2))
+    sv = np.linalg.svd(core, compute_uv=False)
+    # a single time node leaves the core k rows: the other k singular
+    # values of the map are exact zeros
+    sv = np.pad(sv, (0, 2 * basis.k_modes - len(sv)))
+    with np.errstate(divide="ignore"):
+        condition = float(sv[0] / sv[-1])
+    return UcpReport(sv, numerical_rank(sv, (n_samples, 2 * basis.k_modes)), condition)
 
 
 @dataclass
@@ -144,24 +155,25 @@ def uniqueness_pipeline(c0: np.ndarray, basis: SpectralBasis, mask: ObservationM
                         transform_t_nodes: int = 257) -> UniquenessCertificate:
     """Quantitative vanishing certificate: observation energy eta on the mask
     bounds the initial state by eta / sigma_min, where sigma_min is the
-    smallest singular value of the observation matrix, with the
-    kernel/transform/moment residual chain attached.
+    smallest singular value of the observation map (computed from its
+    Khatri-Rao core), with the kernel/transform/moment residual chain
+    attached.  The initial state is recovered by least squares through the
+    same factors.
 
     Refuses (IllPosedTruncationError) when sigma_min drops below 1e-12.
     """
     c0 = np.asarray(c0, dtype=complex)
     trajectory = free_trajectory(c0, basis, obs_grid)
     samples = observe(trajectory, mask, basis)
-    w = np.sqrt(np.outer(obs_grid.trapezoid_weights(), mask.weights))
-    eta = float(np.linalg.norm(w * samples))
+    weighted = np.sqrt(np.outer(obs_grid.trapezoid_weights(), mask.weights)) * samples
+    eta = float(np.linalg.norm(weighted))
     report = observability_matrix(basis, mask, obs_grid)
     sigma_min = float(report.singular_values[-1])
     if sigma_min < SIGMA_MIN_FLOOR:
         raise IllPosedTruncationError(
             f"sigma_min {sigma_min:.3e} below {SIGMA_MIN_FLOOR}: refusing certificate"
         )
-    recon, *_ = np.linalg.lstsq(report.matrix, (w * samples).ravel(), rcond=None)
-    recon_err = float(np.linalg.norm(recon - c0))
+    recon_err = float(np.linalg.norm(report.least_squares(weighted) - c0))
 
     t_nodes = np.linspace(-1.0, 1.0, transform_t_nodes)
     kernel = build_kernel(bump, t_nodes, obs_grid.times, k_trunc)

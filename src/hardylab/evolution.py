@@ -8,6 +8,13 @@ problems are integrated by Duhamel's formula with trapezoid quadrature,
 evaluated in closed form: the phase exp(i mu_k t) is pulled out of the
 integral and the rest is one cumulative trapezoid sum, so the cost is linear
 in the number of steps and every row is the composite trapezoid value.
+
+Observation maps on (0, T) x mask have Khatri-Rao columns: column k is
+a[:, k] (x) b[:, k], a time factor times a space factor.  They are never
+built.  With the thin QRs a = qa ra and b = qb rb the map is
+(qa (x) qb) C, where the core C[(i, j), k] = ra[i, k] rb[j, k] has at most
+k^2 rows; the Kronecker factor has orthonormal columns, so singular values
+and least-squares solutions come from C.
 """
 
 from dataclasses import dataclass, field
@@ -183,10 +190,11 @@ def fat_cantor_mask(grid: RadialGrid, base_interval: tuple[float, float] = (0.0,
             nxt.append((lo, mid - 0.5 * removed))
             nxt.append((mid + 0.5 * removed, hi))
         intervals = nxt
-    keep = np.zeros(grid.n_interior, dtype=bool)
-    for lo, hi in intervals:
-        keep |= (grid.nodes >= lo) & (grid.nodes <= hi)
-    idx = np.flatnonzero(keep)
+    # the intervals are sorted and disjoint: a node can only lie in the
+    # last one starting at or before it
+    lo, hi = np.array(intervals).T
+    last = np.searchsorted(lo, grid.nodes, side="right") - 1
+    idx = np.flatnonzero((last >= 0) & (grid.nodes <= hi[last]))
     if len(idx) == 0:
         raise ValueError("fat-Cantor mask contains no grid nodes")
     analytic = length * (0.5 + 2.0 ** (-(depth + 1)))
@@ -216,11 +224,48 @@ def numerical_rank(singular_values: np.ndarray, shape: tuple[int, ...]) -> int:
     return int(np.count_nonzero(singular_values > tol))
 
 
+def khatri_rao_core(a: np.ndarray, b: np.ndarray, cols: np.ndarray | None = None):
+    """Orthonormal factors and core of the map whose column c is
+    a[:, c] (x) b[:, cols[c]] (time-major rows; cols defaults to the identity).
+
+    Returns (qa, qb, core) with the map equal to (qa (x) qb) @ core, where
+    a = qa ra and b = qb rb are thin QRs and core[(i, j), c] = ra[i, c] rb[j, cols[c]].
+    The Kronecker factor has orthonormal columns, so the map and the core,
+    of at most min(rows(a), cols(a)) * min(rows(b), cols(b)) rows, share
+    their singular values.
+    """
+    qa, ra = np.linalg.qr(a)
+    qb, rb = np.linalg.qr(b)
+    if cols is not None:
+        rb = rb[:, cols]
+    core = (ra[:, None, :] * rb[None, :, :]).reshape(-1, a.shape[1])
+    return qa, qb, core
+
+
 @dataclass
 class ObservabilityReport:
-    matrix: np.ndarray
+    """Singular values and rank of the weighted observation map, with the
+    factors (qa, qb, core) of khatri_rao_core that represent it."""
+
     singular_values: np.ndarray
     rank: int
+    qa: np.ndarray
+    qb: np.ndarray
+    core: np.ndarray
+
+    def least_squares(self, weighted_samples: np.ndarray) -> np.ndarray:
+        """Least-squares coefficients of the (times, nodes) weighted samples.
+
+        The residual splits into a part in the range of qa (x) qb, which the
+        projected samples qa^H Y conj(qb) carry, and an orthogonal part that
+        no coefficients reach.  Singular values are cut, as for the rank, at
+        s_max * max(shape) * eps of the full map's shape.
+        """
+        projected = self.qa.conj().T @ weighted_samples @ self.qb.conj()
+        shape = (self.qa.shape[0] * self.qb.shape[0], self.core.shape[1])
+        x, *_ = np.linalg.lstsq(self.core, projected.ravel(),
+                                rcond=max(shape) * np.finfo(float).eps)
+        return x
 
 
 def observability_matrix(basis: SpectralBasis, mask: ObservationMask, grid: TimeGrid) -> ObservabilityReport:
@@ -228,18 +273,18 @@ def observability_matrix(basis: SpectralBasis, mask: ObservationMask, grid: Time
 
     Rows carry sqrt(time weight * node weight) so singular values mimic the
     continuous L^2((0,T) x omega) observation norm; the smallest one is the
-    truncation-level injectivity margin.
+    truncation-level injectivity margin.  Column k is a[:, k] (x) b[:, k]
+    with a = sqrt(w_t) e^(i mu_k t) and b = sqrt(w_x) phi_k; the map is
+    factored by khatri_rao_core and never formed.
     """
     n_rows = (grid.steps + 1) * mask.n_nodes
     if basis.k_modes > n_rows:
         raise ValueError("fewer samples than modes: observation map cannot be injective")
-    phases = np.exp(1j * np.outer(grid.times, basis.eigenvalues))  # (nt, k)
-    phi = basis.eigenvectors[mask.node_indices, :]                 # (nm, k)
-    m = phases[:, None, :] * phi[None, :, :]                       # (nt, nm, k)
-    w = np.sqrt(np.outer(grid.trapezoid_weights(), mask.weights))  # (nt, nm)
-    m = m * w[:, :, None]
-    m = m.reshape(n_rows, basis.k_modes)
-    if not np.all(np.abs(m).max(axis=0) > 0):
+    a = np.sqrt(grid.trapezoid_weights())[:, None] * np.exp(1j * np.outer(grid.times, basis.eigenvalues))
+    b = np.sqrt(mask.weights)[:, None] * basis.eigenvectors[mask.node_indices, :]
+    # |a| is sqrt(w_t) > 0 everywhere, so a column vanishes only with b's
+    if not np.all(np.abs(b).max(axis=0) > 0):
         raise ValueError("degenerate all-zero column: basis/mask inconsistency")
-    s = np.linalg.svd(m, compute_uv=False)
-    return ObservabilityReport(m, s, numerical_rank(s, m.shape))
+    qa, qb, core = khatri_rao_core(a, b)
+    s = np.linalg.svd(core, compute_uv=False)
+    return ObservabilityReport(s, numerical_rank(s, (n_rows, basis.k_modes)), qa, qb, core)

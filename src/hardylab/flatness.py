@@ -185,13 +185,19 @@ def _series(coef: np.ndarray, table: np.ndarray) -> np.ndarray:
     complex term adds its real and imaginary products to the matching part
     of the sum, so a part whose coefficients are all zero (every other
     order, as the coefficients carry the powers of i) is skipped: adding
-    exact zeros leaves the sum unchanged.
+    exact zeros leaves the sum unchanged.  The parts are summed in separate
+    contiguous real arrays, each term formed in one reused buffer.
     """
-    out = np.zeros((coef.shape[1], table.shape[0]), dtype=complex)
+    shape = (coef.shape[1], table.shape[0])
+    real, imag, term = np.zeros(shape), np.zeros(shape), np.empty(shape)
+    columns = np.ascontiguousarray(table.T)
     for k in range(coef.shape[0]):
-        for part, c in ((out.real, coef[k].real), (out.imag, coef[k].imag)):
+        for part, c in ((real, coef[k].real), (imag, coef[k].imag)):
             if np.any(c):
-                part += np.outer(c, table[:, k])
+                part += np.multiply(c[:, None], columns[k], out=term)
+    out = np.empty(shape, dtype=complex)
+    out.real = real
+    out.imag = imag
     return out
 
 

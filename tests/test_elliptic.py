@@ -5,7 +5,8 @@ from hardylab.elliptic import (CylinderWindow, EllipticProfile, elliptic_residua
                                moment_trace, transform, ucp_probe,
                                uniqueness_pipeline)
 from hardylab.errors import IllPosedTruncationError
-from hardylab.evolution import (TimeGrid, free_trajectory, interval_mask)
+from hardylab.evolution import (TimeGrid, free_trajectory, interval_mask,
+                                observability_matrix)
 from hardylab.evolution import ModeTrajectory
 from hardylab.flatness import build_kernel, gevrey_bump
 from hardylab.spectral import RadialGrid, SpectralBasis, assemble_hardy_operator, solve_spectrum
@@ -139,10 +140,8 @@ def test_ucp_single_time_slice_deficient():
     assert report.rank <= 4  # growth/decay pair collapses without t-variation
 
 
-def test_ucp_matrix_matches_column_loop():
-    # the column-by-column construction the broadcast replaced
-    basis = make_basis(k=6)
-    window = CylinderWindow(interval_mask(basis.grid, 0.3, 0.6), np.linspace(-1, 1, 33))
+def column_loop_ucp_matrix(basis, window):
+    # the column-by-column construction of the dense UCP matrix
     s = np.sqrt(basis.eigenvalues)
     grow = np.exp(np.outer(window.t_nodes - 1.0, s))
     decay = np.exp(-np.outer(window.t_nodes + 1.0, s))
@@ -151,8 +150,26 @@ def test_ucp_matrix_matches_column_loop():
     for k in range(basis.k_modes):
         cols.append(np.outer(grow[:, k], phi[:, k]).ravel())
         cols.append(np.outer(decay[:, k], phi[:, k]).ravel())
-    sv = np.linalg.svd(np.column_stack(cols), compute_uv=False)
-    assert np.array_equal(ucp_probe(basis, window).singular_values, sv)
+    return np.column_stack(cols)
+
+
+def test_ucp_matrix_matches_column_loop():
+    basis = make_basis(k=6)
+    window = CylinderWindow(interval_mask(basis.grid, 0.3, 0.6), np.linspace(-1, 1, 33))
+    sv = np.linalg.svd(column_loop_ucp_matrix(basis, window), compute_uv=False)
+    assert np.abs(ucp_probe(basis, window).singular_values - sv).max() <= 1e-13 * sv[0]
+
+
+def test_ucp_single_time_slice_matches_column_loop():
+    # one time node leaves a core of k rows for 2k unknowns
+    basis = make_basis(k=4)
+    window = CylinderWindow(interval_mask(basis.grid, 0.3, 0.6), np.array([0.25]))
+    dense = column_loop_ucp_matrix(basis, window)
+    sv = np.linalg.svd(dense, compute_uv=False)
+    report = ucp_probe(basis, window)
+    assert report.singular_values.shape == sv.shape
+    assert np.abs(report.singular_values - sv).max() <= 1e-13 * sv[0]
+    assert report.rank == np.linalg.matrix_rank(dense) == 4
 
 
 def test_ucp_requires_positive_modes():
@@ -197,3 +214,22 @@ def test_uniqueness_pipeline_refuses_degenerate_basis(setup):
     with pytest.raises(IllPosedTruncationError):
         uniqueness_pipeline(np.array([1.0, 1.0]), dup, mask, bump,
                             TimeGrid(1.0, 8), k_trunc=8, transform_t_nodes=33)
+
+
+def test_uniqueness_pipeline_refuses_near_singular_basis(setup):
+    basis, bump, tau_grid, _ = setup
+    # two modes a 1e-13 perturbation apart: sigma_min positive but below the floor
+    phi = basis.eigenvectors
+    near = SpectralBasis(
+        basis.grid,
+        np.array([basis.eigenvalues[0], basis.eigenvalues[0]]),
+        np.column_stack([phi[:, 0], phi[:, 0] + 1e-13 * phi[:, 1]]),
+        basis.lam, 3, basis.bessel_order,
+    )
+    mask = interval_mask(basis.grid, 0.3, 0.6)
+    grid = TimeGrid(1.0, 8)
+    sigma_min = observability_matrix(near, mask, grid).singular_values[-1]
+    assert 0.0 < sigma_min < 1e-12
+    with pytest.raises(IllPosedTruncationError):
+        uniqueness_pipeline(np.array([1.0, 1.0]), near, mask, bump,
+                            grid, k_trunc=8, transform_t_nodes=33)

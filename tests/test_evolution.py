@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hardylab.evolution import (ModeState, SourceModel, TimeGrid,
@@ -217,12 +217,63 @@ def test_numerical_rank_matches_matrix_rank(rows, cols, rank, seed):
     assert numerical_rank(s, m.shape) == np.linalg.matrix_rank(m)
 
 
+def dense_observability_matrix(basis, mask, grid):
+    # the dense (times * nodes, k) construction the Khatri-Rao core replaced
+    n_rows = (grid.steps + 1) * mask.n_nodes
+    phases = np.exp(1j * np.outer(grid.times, basis.eigenvalues))  # (nt, k)
+    phi = basis.eigenvectors[mask.node_indices, :]                 # (nm, k)
+    m = phases[:, None, :] * phi[None, :, :]                       # (nt, nm, k)
+    w = np.sqrt(np.outer(grid.trapezoid_weights(), mask.weights))  # (nt, nm)
+    m = m * w[:, :, None]
+    return m.reshape(n_rows, basis.k_modes)
+
+
 def test_observability_rank_matches_matrix_rank():
     basis = make_basis(n=200, k=4)
     for mask in (interval_mask(basis.grid, 0.5, 0.5 + 2.5 * basis.grid.spacing),
                  fat_cantor_mask(basis.grid, (0.0, 1.0))):
         report = observability_matrix(basis, mask, TimeGrid(1.0, 8))
-        assert report.rank == np.linalg.matrix_rank(report.matrix)
+        dense = dense_observability_matrix(basis, mask, TimeGrid(1.0, 8))
+        assert report.rank == np.linalg.matrix_rank(dense)
+
+
+def oracle_mask(kind, grid):
+    if kind == "cantor":
+        return fat_cantor_mask(grid, (0.0, 1.0))
+    if kind == "interval":
+        return interval_mask(grid, 0.3, 0.6)
+    # a window of exactly `kind` nodes, starting at node 20
+    lo = 19.5 * grid.spacing
+    return interval_mask(grid, lo, lo + kind * grid.spacing)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 64), st.floats(-1.0, 0.24),
+       st.sampled_from([1, 2, "interval", "cantor"]), st.integers(0, 2**31))
+def test_observability_matches_dense_oracle(k, steps, lam, kind, seed):
+    basis = make_basis(n=64, lam=lam, k=k)
+    mask = oracle_mask(kind, basis.grid)
+    grid = TimeGrid(1.0, steps)
+    if k > (steps + 1) * mask.n_nodes:
+        with pytest.raises(ValueError, match="fewer samples"):
+            observability_matrix(basis, mask, grid)
+        return
+    report = observability_matrix(basis, mask, grid)
+    dense = dense_observability_matrix(basis, mask, grid)
+    s = np.linalg.svd(dense, compute_uv=False)
+    assert report.singular_values.shape == s.shape
+    assert np.abs(report.singular_values - s).max() <= 1e-13 * s[0]
+    assert report.rank == np.linalg.matrix_rank(dense)
+    rng = np.random.default_rng(seed)
+    samples = (rng.standard_normal((steps + 1, mask.n_nodes))
+               + 1j * rng.standard_normal((steps + 1, mask.n_nodes)))
+    expected, *_ = np.linalg.lstsq(dense, samples.ravel(), rcond=None)
+    x = report.least_squares(samples)
+    # two backward-stable solves differ by about kappa * eps relative; a
+    # one-node window with steps ~ k reaches kappa ~ 1e5
+    kappa = s[0] / s[report.rank - 1]
+    tol = max(1e-12, 16 * kappa * np.finfo(float).eps)
+    assert np.linalg.norm(x - expected) <= tol * max(1.0, np.linalg.norm(expected))
 
 
 def test_observability_single_node_reported():
@@ -246,6 +297,56 @@ def test_fat_cantor_construction():
     assert mask.analytic_measure == pytest.approx(0.5 + 2.0 ** (-(depth + 1)), abs=1e-15)
     # grid-realized measure close to the analytic one
     assert abs(mask.realized_measure() - mask.analytic_measure) <= 2 * grid.spacing * depth
+
+
+def test_observability_near_singular_matches_dense_oracle():
+    # two modes a 1e-13 perturbation apart: sigma_min ~ 2.6e-14 lies below the
+    # rank tolerance of the full 810-row map but above that of its 4-row core
+    basis = make_basis(n=300, lam=3 / 16, k=2)
+    phi = basis.eigenvectors
+    near = SpectralBasis(basis.grid, np.array([basis.eigenvalues[0]] * 2),
+                         np.column_stack([phi[:, 0], phi[:, 0] + 1e-13 * phi[:, 1]]),
+                         basis.lam, 3, basis.bessel_order)
+    mask = interval_mask(basis.grid, 0.3, 0.6)
+    grid = TimeGrid(1.0, 8)
+    report = observability_matrix(near, mask, grid)
+    dense = dense_observability_matrix(near, mask, grid)
+    assert 0.0 < report.singular_values[-1] < 1e-12
+    assert report.rank == np.linalg.matrix_rank(dense) == 1
+    samples = (dense @ np.array([1.0, 2.0j])).reshape(grid.steps + 1, mask.n_nodes)
+    expected, *_ = np.linalg.lstsq(dense, samples.ravel(), rcond=None)
+    x = report.least_squares(samples)
+    assert np.linalg.norm(x - expected) <= 1e-12 * max(1.0, np.linalg.norm(expected))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 4000), st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
+       st.one_of(st.just(1.0), st.floats(0.5, 1.0)))
+def test_fat_cantor_membership_matches_interval_loop(n, a, b):
+    grid = RadialGrid(n)
+    assume(b - a >= 4 * grid.spacing)
+    # the construction with the loop over every interval that the
+    # searchsorted lookup replaced
+    length = b - a
+    intervals = [(a, b)]
+    for k in range(int(np.ceil(np.log2(grid.n_interior)))):
+        removed = length * 4.0 ** (-(k + 1))
+        nxt = []
+        for lo, hi in intervals:
+            mid = 0.5 * (lo + hi)
+            nxt.append((lo, mid - 0.5 * removed))
+            nxt.append((mid + 0.5 * removed, hi))
+        intervals = nxt
+    keep = np.zeros(grid.n_interior, dtype=bool)
+    for lo, hi in intervals:
+        keep |= (grid.nodes >= lo) & (grid.nodes <= hi)
+    if not keep.any():
+        with pytest.raises(ValueError, match="no grid nodes"):
+            fat_cantor_mask(grid, (a, b))
+        return
+    mask = fat_cantor_mask(grid, (a, b))
+    assert mask.intervals == intervals
+    assert np.array_equal(mask.node_indices, np.flatnonzero(keep))
 
 
 def test_fat_cantor_short_interval_rejected():
