@@ -300,15 +300,16 @@ def run_kernel(cfg: LabConfig, outdir: Path):
     tau_nodes = evo.TimeGrid(cfg.horizon, cfg.tau_steps).times
     kernel = fla.build_kernel(bump, t_nodes, tau_nodes, cfg.k_trunc)
     report = fla.kernel_residual(kernel)
+    # evaluate only the boundary slices and the sample, never the dense kernel
     psi = bump(tau_nodes)
     boundary = max(
-        float(np.abs(kernel.values[:, 0]).max()),
-        float(np.abs(kernel.values[:, -1]).max()),
-        float(np.abs(kernel.values[0] - psi).max()),
+        float(np.abs(kernel.sub_grid(tau_index=[0, -1])).max()),
+        float(np.abs(kernel.rows(0, 1)[0] - psi).max()),
     )
     trace = fla.control_trace(kernel)
-    rows = _sampled(t_nodes, tau_nodes, kernel.values,
-                    max(1, (len(t_nodes) - 1) // 50), max(1, (len(tau_nodes) - 1) // 128))
+    t_rows = slice(None, None, max(1, (len(t_nodes) - 1) // 50))
+    tau_cols = slice(None, None, max(1, (len(tau_nodes) - 1) // 128))
+    rows = _sampled(t_nodes[t_rows], tau_nodes[tau_cols], kernel.sub_grid(t_rows, tau_cols), 1, 1)
     write_csv(outdir / "kernel.csv", ["t", "tau", "re_k", "im_k"], rows)
     ratio = report.max_residual / report.max_kernel
     write_json(outdir / "kernel_residual.json", {

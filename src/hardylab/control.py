@@ -12,7 +12,8 @@ eps (G + eps I)^{-1} d; the control cost is q^H G q exactly.
 verify_control checks the defect without the closed form of eta: the
 trapezoid rule for the controlled Duhamel integral, reordered, gives
 u(T) - u_d = (Mw o eta_dt) q - d with eta_dt the trapezoid value of eta (the
-sampled Gramian); the free flow of u_0 cancels.
+sampled Gramian); the free flow of u_0 cancels.  Each entry of eta_dt is a
+finite geometric series, summed in closed form whatever the number of steps.
 """
 
 from dataclasses import dataclass
@@ -20,12 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .evolution import ModeState, ObservationMask, trapezoid_weights
+from .evolution import ModeState, ObservationMask
 from .spectral import SpectralBasis
-
-# time nodes per phase block of _eta_matrix_trapezoid; pairwise-added block
-# sums round better than one long product and never hold a (k, n_steps) array
-ETA_BLOCK = 4096
 
 
 def _eta_matrix(mus: np.ndarray, horizon: float) -> np.ndarray:
@@ -39,19 +36,19 @@ def _eta_matrix(mus: np.ndarray, horizon: float) -> np.ndarray:
 
 
 def _eta_matrix_trapezoid(mus: np.ndarray, horizon: float, n_steps: int) -> np.ndarray:
-    """Trapezoid value of _eta_matrix on n_steps uniform steps of (0, T):
-    eta_dt[k, l] = sum_s w_s e^{i mu_k s} e^{-i mu_l s}, one (P w) @ P^H
-    product per ETA_BLOCK time nodes, the block sums added pairwise."""
-    times = np.linspace(0.0, horizon, n_steps + 1)
-    weights = trapezoid_weights(n_steps + 1, horizon / n_steps)
-    blocks = []
-    for start in range(0, n_steps + 1, ETA_BLOCK):
-        phases = np.exp(1j * np.outer(mus, times[start:start + ETA_BLOCK]))
-        blocks.append((phases * weights[start:start + ETA_BLOCK]) @ phases.conj().T)
-    while len(blocks) > 1:
-        pairs = [a + b for a, b in zip(blocks[0::2], blocks[1::2])]
-        blocks = pairs + blocks[2 * len(pairs):]
-    return blocks[0]
+    """Trapezoid value of _eta_matrix on n_steps uniform steps of (0, T).
+
+    Entry (k, l) is the geometric sum of w_s z^s, z = e^{i theta dt}, theta =
+    mu_k - mu_l: (dt/2)(1 + z)(1 - z^n)/(1 - z) = dt cot(x) sin(y) e^{iy} with
+    x = theta dt/2 and y = theta T/2 (from T, not as n x), a form that never
+    takes the cancelling difference 1 - z; where x = 0 the sum is T."""
+    dt = horizon / n_steps
+    theta = np.subtract.outer(mus, mus)
+    x, y = 0.5 * theta * dt, 0.5 * theta * horizon
+    zero = x == 0
+    eta = dt * np.sin(y) / np.tan(np.where(zero, 1.0, x)) * np.exp(1j * y)
+    eta[zero] = horizon
+    return eta
 
 
 @dataclass
@@ -129,6 +126,8 @@ def verify_control(result: ControlResult, gram: Gramian, n_steps: int = 200_000)
     """Terminal defect ||u(T) - u_d|| of the controlled flow under the
     n_steps trapezoid rule, as ||(Mw o eta_dt) q - d||; it agrees with the
     predicted defect up to the quadrature error of eta_dt."""
+    if n_steps < 1:
+        raise ValueError(f"verify_control needs n_steps >= 1, got {n_steps}")
     eta_dt = _eta_matrix_trapezoid(gram.mode_eigenvalues, gram.horizon, n_steps)
     return float(np.linalg.norm((gram.mass_masked * eta_dt) @ result.multiplier
                                 - result.target_gap))

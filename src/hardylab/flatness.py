@@ -213,7 +213,7 @@ def _evaluate(t, table: np.ndarray, k_trunc: int) -> np.ndarray:
 @dataclass
 class FlatnessKernel:
     """The kernel in separable form: t nodes, tau nodes and the derivative
-    table.  Dense values are produced on demand, in row blocks."""
+    table.  Values are produced on demand, in row blocks or on a sub-grid."""
 
     bump: GevreyBump
     k_trunc: int
@@ -223,7 +223,13 @@ class FlatnessKernel:
 
     def rows(self, start: int = 0, stop: int | None = None) -> np.ndarray:
         """Kernel values on t_nodes[start:stop] x tau_nodes."""
-        return _evaluate(self.t_nodes[start:stop], self.deriv_table, self.k_trunc)
+        return self.sub_grid(slice(start, stop))
+
+    def sub_grid(self, t_index=slice(None), tau_index=slice(None)) -> np.ndarray:
+        """Kernel values on t_nodes[t_index] x tau_nodes[tau_index].  The
+        series is summed entry by entry, so each value has the bits of the
+        same entry of `values`."""
+        return _evaluate(self.t_nodes[t_index], self.deriv_table[tau_index], self.k_trunc)
 
     def row_blocks(self) -> list[tuple[int, int]]:
         """(start, stop) of consecutive ROW_BLOCK-row slices of the t grid.

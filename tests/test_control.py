@@ -1,10 +1,14 @@
+import ast
+import inspect
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hardylab.control import (ETA_BLOCK, _eta_matrix, _eta_matrix_trapezoid, defect_curve,
-                              gramian, hum_solve, verify_control)
+from hardylab.control import (_eta_matrix, _eta_matrix_trapezoid, defect_curve, gramian,
+                              hum_solve, verify_control)
 from hardylab.evolution import ModeState, interval_mask, propagate, trapezoid_weights
 from hardylab.spectral import RadialGrid, assemble_hardy_operator, solve_spectrum
 
@@ -161,7 +165,7 @@ def _time_domain_verify(result, gram, u0, n_steps):
 @settings(max_examples=40, deadline=None)
 @given(st.floats(-1.0, 0.24), st.integers(1, 16), st.integers(0, 199), st.integers(0, 199),
        st.floats(0.25, 2.0),
-       st.sampled_from([1, ETA_BLOCK - 2, ETA_BLOCK - 1, ETA_BLOCK, 2 * ETA_BLOCK + 3]),
+       st.sampled_from([1, 4094, 4095, 4096, 8195]),
        st.integers(0, 2**32 - 1))
 def test_verify_control_matches_time_domain_simulation(lam, k, i, j, horizon, n_steps, seed):
     # the sampled Gramian reorders the same trapezoid sum as the forward
@@ -173,6 +177,92 @@ def test_verify_control_matches_time_domain_simulation(lam, k, i, j, horizon, n_
     expected = _time_domain_verify(res, gram, u0, n_steps)
     tol = 1e-12 * max(1.0, np.linalg.norm(res.target_gap))
     assert abs(verify_control(res, gram, n_steps=n_steps) - expected) <= tol
+
+
+def _eta_block_sum(mus, horizon, n_steps, block=4096):
+    # oracle: the trapezoid sum node by node, one (P w) @ P^H product per
+    # block of time nodes, the block sums added pairwise
+    times = np.linspace(0.0, horizon, n_steps + 1)
+    weights = trapezoid_weights(n_steps + 1, horizon / n_steps)
+    blocks = []
+    for start in range(0, n_steps + 1, block):
+        phases = np.exp(1j * np.outer(mus, times[start:start + block]))
+        blocks.append((phases * weights[start:start + block]) @ phases.conj().T)
+    while len(blocks) > 1:
+        pairs = [a + b for a, b in zip(blocks[0::2], blocks[1::2])]
+        blocks = pairs + blocks[2 * len(pairs):]
+    return blocks[0]
+
+
+def _eta_geometric_mp(mus, horizon, n_steps):
+    # oracle: (dt/2)(1 + z)(1 - z^n)/(1 - z), z = e^{i theta dt}, at 40 digits
+    # from the exact differences of the double eigenvalues
+    with mpmath.workdps(40):
+        dt = mpmath.mpf(horizon) / n_steps
+        out = np.empty((len(mus), len(mus)), dtype=complex)
+        for k, mu_k in enumerate(mus):
+            for l, mu_l in enumerate(mus):
+                theta = mpmath.mpf(mu_k) - mpmath.mpf(mu_l)
+                if theta == 0:
+                    out[k, l] = float(horizon)
+                    continue
+                z = mpmath.expj(theta * dt)
+                out[k, l] = complex(dt / 2 * (1 + z) * (1 - z ** n_steps) / (1 - z))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(-1.0, 0.24), st.integers(1, 16), st.floats(0.25, 2.0),
+       st.sampled_from([1, 2, 4094, 4095, 4096, 8195, 100003]))
+def test_sampled_eta_matches_block_sum(lam, k, horizon, n_steps):
+    mus = make_basis(n=200, lam=lam, k=k).eigenvalues
+    oracle = _eta_block_sum(mus, horizon, n_steps)
+    # the oracle's phases e^{i mu t} round at eps mu t, up to 0.35 eps mu_max T
+    # in the entries against a 40-digit sum; both forms carry that rounding
+    # when few steps leave the entries undamped by 1/theta
+    rel = 1e-14 + 2 * np.finfo(float).eps * mus.max() * horizon
+    err = np.abs(_eta_matrix_trapezoid(mus, horizon, n_steps) - oracle).max()
+    assert err <= rel * np.abs(oracle).max()
+
+
+@pytest.mark.parametrize("k, n_steps", [(8, 200_000), (16, 800_000)])
+def test_sampled_eta_matches_extended_precision_sum(k, n_steps):
+    # the lab-default and the long time-stepping sizes
+    mus = make_basis(n=800, lam=0.0, k=k).eigenvalues
+    ref = _eta_geometric_mp(mus, 1.0, n_steps)
+    err = np.abs(_eta_matrix_trapezoid(mus, 1.0, n_steps) - ref).max()
+    assert err <= 1e-15 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n_steps", [1, 4095, 200_000])
+def test_sampled_eta_near_degenerate_pair(n_steps):
+    mus = np.array([2.0, 2.0 + 1e-13, 7.5])
+    assert 0 < mus[1] - mus[0] < 2e-13
+    eta = _eta_matrix_trapezoid(mus, 1.3, n_steps)
+    oracle = _eta_block_sum(mus, 1.3, n_steps)
+    assert np.all(np.isfinite(eta.view(float)))
+    assert np.abs(eta - oracle).max() <= 1e-14 * np.abs(oracle).max()
+
+
+@pytest.mark.parametrize("n_steps", [1, 3, 200_000])
+def test_sampled_eta_diagonal_is_horizon(basis, n_steps):
+    eta = _eta_matrix_trapezoid(basis.eigenvalues, 0.7, n_steps)
+    assert np.all(np.diag(eta) == 0.7)
+
+
+def test_sampled_eta_does_not_use_closed_form():
+    # the check must stay independent of the Gramian's closed form of eta
+    tree = ast.parse(inspect.getsource(_eta_matrix_trapezoid))
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert "_eta_matrix" not in names
+
+
+@pytest.mark.parametrize("n_steps", [0, -1])
+def test_verify_control_rejects_nonpositive_steps(gram, n_steps):
+    u0, ud = random_states(8)
+    res = hum_solve(gram, u0, ud, 1e-3)
+    with pytest.raises(ValueError, match="n_steps"):
+        verify_control(res, gram, n_steps=n_steps)
 
 
 def test_sampled_eta_converges_at_second_order(basis):

@@ -230,6 +230,19 @@ def test_kernel_rows_bit_identical_to_dense_assembly(nt):
             report.tail_match_error) == residual_oracle(kernel)
 
 
+@pytest.mark.parametrize("t_index, tau_index", [
+    (slice(None), [0, -1]),
+    (slice(0, 1), slice(None)),
+    (slice(None, None, 4), slice(None, None, 8)),
+    ([3, 0, 200], [256, 1, 128]),
+])
+def test_kernel_sub_grid_bit_identical_to_values(t_index, tau_index):
+    bump = gevrey_bump(1.0, 2.0)
+    kernel = build_kernel(bump, np.linspace(-1, 1, 201), np.linspace(0.0, 1.0, 257), 24)
+    expected = kernel.values[t_index][:, tau_index]
+    assert np.array_equal(kernel.sub_grid(t_index, tau_index), expected)
+
+
 def test_control_trace_off_grid_matches_on_grid():
     bump = gevrey_bump(1.0, 2.0)
     taus = np.linspace(0.0, 1.0, 129)
