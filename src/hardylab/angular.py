@@ -49,9 +49,6 @@ class AngularProblem:
         """Union grid of both arcs (the poles are implicit Dirichlet zeros)."""
         return np.concatenate([self.angles, np.pi + self.angles])
 
-    def apply_arc_operator(self, psi_arc: np.ndarray) -> np.ndarray:
-        return tridiagonal_apply(self.diagonal, self.offdiagonal, psi_arc)
-
 
 @dataclass
 class AngularBasis:
@@ -118,8 +115,7 @@ class BlowupStudy:
     exact: bool
 
 
-def blowup_profile_check(coeffs, gammas, psi_columns: np.ndarray, spacing: float,
-                         radii: np.ndarray | None = None, n_rho: int = 64) -> BlowupStudy:
+def blowup_profile_check(coeffs, gammas, psi_columns: np.ndarray, spacing: float) -> BlowupStudy:
     """Scaling limit of a separated combination w = sum_j a_j r^(gamma_j) psi_j.
 
     Measures || r^-gamma_1 w(r .) - rho^gamma_1 a_1 psi_1 || over the unit
@@ -132,10 +128,9 @@ def blowup_profile_check(coeffs, gammas, psi_columns: np.ndarray, spacing: float
     order = np.argsort(gammas)
     coeffs, gammas = coeffs[order], gammas[order]
     psi_columns = psi_columns[:, order]
-    if radii is None:
-        radii = 2.0 ** -np.arange(1, 7)
-    radii = np.asarray(radii, dtype=float)
-    rho = (np.arange(1, n_rho + 1)) / n_rho
+    radii = 2.0 ** -np.arange(1, 7)   # the ball shrinks by halves
+    n_rho = 64
+    rho = np.arange(1, n_rho + 1) / n_rho
     w_rho = rho / n_rho  # midpoint-free radial quadrature weight rho * drho
     discrepancies = np.empty(len(radii))
     for i, r in enumerate(radii):
@@ -152,21 +147,20 @@ def blowup_profile_check(coeffs, gammas, psi_columns: np.ndarray, spacing: float
                        float(gammas[1] - gammas[0]), exact=False)
 
 
-def separated_residual(prob: AngularProblem, basis: AngularBasis, k: int,
-                       n_radial: int = 61, r_range: tuple[float, float] = (0.2, 0.8),
+def separated_residual(prob: AngularProblem, basis: AngularBasis, k: int, n_radial: int = 61,
                        gamma_override: float | None = None) -> float:
-    """Max residual of -Laplacian w - (lam/x_n^2) w for w = r^gamma psi_k on an
-    annulus, radial derivatives by central differences and the angular part
-    by the discrete arc operator."""
+    """Max residual of -Laplacian w - (lam/x_n^2) w for w = r^gamma psi_k on the
+    annulus 0.2 < r < 0.8, radial derivatives by central differences and the
+    angular part by the discrete arc operator."""
     mu = basis.eigenvalues[k]
     gamma = gamma_exponent(mu, prob.dimension_N) if gamma_override is None else gamma_override
     psi = basis.eigenvectors[:, k]
     n = prob.n_ang
     a_psi = np.concatenate([
-        prob.apply_arc_operator(psi[:n]),
-        prob.apply_arc_operator(psi[n:]),
+        tridiagonal_apply(prob.diagonal, prob.offdiagonal, psi[:n]),
+        tridiagonal_apply(prob.diagonal, prob.offdiagonal, psi[n:]),
     ])
-    r = np.linspace(r_range[0], r_range[1], n_radial)
+    r = np.linspace(0.2, 0.8, n_radial)
     hr = r[1] - r[0]
     rg = r**gamma
     w_rr = (rg[2:] - 2.0 * rg[1:-1] + rg[:-2]) / hr**2

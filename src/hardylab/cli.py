@@ -1,11 +1,12 @@
 """Batch front end: presets, deterministic runs, CSV/JSON artifacts.
 
 Every subcommand writes its tables plus a manifest (config snapshot, check
-booleans, each stage's report of measured values and wall seconds, sha256
-digests) into a stamped directory under --out (overridden by the LAB_OUT
-environment variable); the directory appears under its stamped name only
-once the manifest is written.  Bodies of the CSV/JSON artifacts are
-functions of config and seed only, so repeated runs digest identically.
+booleans, each check's value, comparator and bound from CHECKS, each stage's
+report of measured values and wall seconds, sha256 digests) into a stamped
+directory under --out (overridden by the LAB_OUT environment variable); the
+directory appears under its stamped name only once the manifest is written.
+Bodies of the CSV/JSON artifacts are functions of config and seed only, so
+repeated runs digest identically.
 
 Exit codes: 0 success, 1 tolerance breach under --check, 2 invalid
 configuration, 3 supercritical coupling, 4 a stage failed on a configuration
@@ -20,6 +21,8 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
+import operator
 import os
 import shutil
 import sys
@@ -41,7 +44,6 @@ from . import spectral as spc
 from .errors import SupercriticalCouplingError
 
 ARTIFACT_VERSION = "0.1.0"
-ORACLE_REL_TOL = 1e-2   # worst relative error of the spectrum vs the Bessel oracle
 
 
 class ConfigError(ValueError):
@@ -88,11 +90,6 @@ class LabConfig:
     recon_steps: int = 1000
     seed: int = 0
 
-    def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        out["eps_list"] = list(self.eps_list)
-        return out
-
 
 def validate_config(cfg: LabConfig) -> None:
     if cfg.dimension_n < 1 or cfg.dimension_n == 2:
@@ -133,13 +130,13 @@ def validate_config(cfg: LabConfig) -> None:
         raise ConfigError("eps_list entries must be positive")
     if any(b >= a for a, b in zip(cfg.eps_list, cfg.eps_list[1:])):
         raise ConfigError("eps_list must be strictly decreasing")
-    for name in ("time_steps", "obs_time_steps", "tau_steps", "inverse_steps",
-                 "recon_steps", "hum_verify_steps"):
-        if getattr(cfg, name) < 1:
-            raise ConfigError(f"{name} must be positive")
-    if cfg.inverse_steps < 2:
-        # the rho(0) = 0 route certifies itself with centered differences
-        raise ConfigError("inverse_steps must be at least 2")
+    for name, least in (("time_steps", 1), ("obs_time_steps", 1), ("hum_verify_steps", 1),
+                        ("tau_steps", 2),          # one step leaves a zero kernel
+                        ("inverse_steps", 2),      # the rho(0) = 0 route: centered differences
+                        ("transform_t_nodes", 3),  # the elliptic residual: 3-point differences
+                        ("recon_steps", 14)):      # titchmarsh bumps: 8 dt <= 0.3 * 2T
+        if getattr(cfg, name) < least:
+            raise ConfigError(f"{name} must be at least {least}")
     try:
         _mask(cfg, spc.RadialGrid(cfg.n_interior))
     except ValueError as exc:
@@ -167,16 +164,11 @@ def load_config(path: str | None) -> LabConfig:
         key, value = (s.strip() for s in line.split("=", 1))
         if key not in _FIELD_TYPES:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        current = getattr(cfg, key)
         try:
             if key == "eps_list":
                 parsed = tuple(float(v) for v in value.split(","))
-            elif isinstance(current, int):
-                parsed = int(value)
-            elif isinstance(current, float):
-                parsed = float(value)
-            else:
-                parsed = value
+            else:   # int, float or str, as the field's default
+                parsed = type(getattr(cfg, key))(value)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
         setattr(cfg, key, parsed)
@@ -237,338 +229,393 @@ def _sampled(xs, ys, values: np.ndarray, x_stride: int, y_stride: int) -> list[t
 
 
 # ---------------------------------------------------------------------------
-# subcommand runners: each returns (checks, report) and writes artifacts
+# checks: each bounds one quantity its stage measures, which absorbs any
+# dependence on the configuration
+
+_COMPARATORS = {
+    "<=": operator.le, ">=": operator.ge, "<": operator.lt, ">": operator.gt, "==": operator.eq,
+    "open_interval": lambda value, bound: bound[0] < value < bound[1],
+}
+
+CHECKS = {  # name: (stage, comparator, bound)
+    "spectrum_oracle_rel_err": ("spectrum", "<=", 1e-2),  # worst rel. error vs the Bessel oracle
+    "hardy_sweep_bound": ("hardy", ">=", 0.25 - 1e-10),   # least of 1000 Rayleigh quotients
+    "hardy_pencil_decreasing": ("hardy", ">", 0.0),       # smallest drop, n/4 to n/2 to n nodes
+    "hardy_pencil_in_range": ("hardy", "open_interval", (0.25, 0.30)),
+    "evolution_norm_drift": ("evolve", "<=", 1e-12),
+    "evolution_time_reversal": ("evolve", "<=", 1e-12),
+    "kernel_boundary_exact": ("kernel", "<=", 1e-12),
+    "kernel_tail_match": ("kernel", "<=", 1e-8),          # over max(max residual, 1)
+    "kernel_residual_ratio": ("kernel", "<=", 1e-6),
+    "transform_residual": ("transform", "<=", 1e-5),
+    "transform_moment_consistency": ("transform", "<=", 1e-12),
+    "observability_full_rank": ("uniqueness", "==", 0),   # rank deficit, k_modes - rank
+    "ucp_full_rank": ("uniqueness", "==", 0),             # rank deficit, 2 k_modes - rank
+    "uniqueness_reconstruction": ("uniqueness", "<=", 1e-8),
+    "angular_gamma_identity": ("angular", "<=", 1e-12),
+    "angular_arc_oracle": ("angular", "<=", 5e-3),
+    "angular_monotone_in_lam": ("angular", ">", 0.0),     # smallest drop of mu_1 as lam grows
+    "angular_blowup_exponent": ("angular", "<=", 0.1),    # relative error, inf if none fitted
+    "hum_hermitian": ("hum", "<=", 1e-14),
+    "hum_psd": ("hum", ">=", -1e-14),                     # lambda_min / max(lambda_max, 1)
+    "hum_defect_identity": ("hum", "<=", 1e-6),
+    "hum_defect_decreasing": ("hum", ">", 0.0),           # smallest drop along eps_list
+    "hum_cost_nondecreasing": ("hum", ">=", -1e-12),      # smallest rise along eps_list
+    "inverse_roundtrip": ("inverse-source", "<=", 1e-10),
+    "inverse_reconstruction": ("inverse-source", "<=", 1e-3),  # inf for a zero source
+    "inverse_factorization_identity": ("inverse-source", "<=", 1e-8),
+    "inverse_convolution_identity": ("inverse-source", "<=", 1e-6),
+    "inverse_free_evolution": ("inverse-source", "<=", 1e-4),
+    "inverse_rho0_rejected": ("inverse-source", "==", True),
+    "inverse_reduction_agreement": ("inverse-source", "<=", 1e-6),
+    "titchmarsh_additivity": ("titchmarsh", "<=", 2.0),   # worst gap in units of dt
+}
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """A measured value against its CHECKS entry; true when the check passes."""
+
+    value: float | int | bool
+    comparator: str
+    bound: float | int | bool | tuple
+
+    def __bool__(self) -> bool:
+        return bool(_COMPARATORS[self.comparator](self.value, self.bound))
+
+
+def judge(name: str, value) -> Verdict:
+    return Verdict(value, *CHECKS[name][1:])
+
+
+def _judge_stage(stage: str, measured: dict) -> dict[str, Verdict]:
+    return {name: judge(name, measured[name]) for name in CHECKS if CHECKS[name][0] == stage}
+
+
+def _smallest_step(values) -> float:
+    """min of values[i] - values[i+1]: positive iff strictly decreasing."""
+    return min((a - b for a, b in zip(values, values[1:])), default=math.inf)
+
+
+def _exponent_error(study: ang.BlowupStudy) -> float:
+    fit, expected = study.fitted_exponent, study.expected_exponent
+    return math.inf if fit is None else abs(fit - expected) / expected
+
+
+# ---------------------------------------------------------------------------
+# stages: measure_<stage> maps explicit inputs to the checked quantities (keyed
+# by check name) and what the artifacts need; run_<stage> builds the inputs
+# from cfg, writes the artifacts and returns (checks, report)
 
 def run_spectrum(cfg: LabConfig, outdir: Path):
     basis = _basis(cfg, k=cfg.spectrum_modes)
-    table = spc.bessel_oracle_table(basis)
+    table = spc.bessel_oracle_table(basis)   # the measurement: (k, mu_k, oracle, rel_err) rows
     write_csv(outdir / "spectrum.csv", ["k", "mu_k", "bessel_oracle", "rel_err"], table)
     worst = float(table[:, 3].max())
-    checks = {"spectrum_oracle_rel_err": worst <= ORACLE_REL_TOL}
-    return checks, {"worst_rel_err": worst, "bessel_order": basis.bessel_order}
+    return (_judge_stage("spectrum", {"spectrum_oracle_rel_err": worst}),
+            {"worst_rel_err": worst, "bessel_order": basis.bessel_order})
+
+
+def measure_hardy(n_interior: int, rng: np.random.Generator) -> dict:
+    """Rayleigh quotients of 1000 random vectors; pencil infima at n/4, n/2 and n nodes."""
+    grid = spc.RadialGrid(n_interior)
+    ratios = np.array([spc.hardy_rayleigh(grid, rng.standard_normal(n_interior))
+                       for _ in range(1000)])
+    pencil = [(n, spc.hardy_pencil_infimum(spc.RadialGrid(n)))
+              for n in (n_interior // 4, n_interior // 2, n_interior)]
+    return {"ratios": ratios, "pencil": pencil, "hardy_sweep_bound": float(ratios.min()),
+            "hardy_pencil_decreasing": _smallest_step([inf for _, inf in pencil]),
+            "hardy_pencil_in_range": pencil[-1][1]}
 
 
 def run_hardy(cfg: LabConfig, outdir: Path):
-    grid = spc.RadialGrid(cfg.n_interior)
-    rng = np.random.default_rng(cfg.seed)
-    ratios = np.array([
-        spc.hardy_rayleigh(grid, rng.standard_normal(cfg.n_interior))
-        for _ in range(1000)
-    ])
-    sizes = [cfg.n_interior // 4, cfg.n_interior // 2, cfg.n_interior]
-    pencil = [(n, spc.hardy_pencil_infimum(spc.RadialGrid(n))) for n in sizes]
-    write_csv(outdir / "hardy_pencil.csv", ["n_interior", "infimum"], pencil)
+    m = measure_hardy(cfg.n_interior, np.random.default_rng(cfg.seed))
+    write_csv(outdir / "hardy_pencil.csv", ["n_interior", "infimum"], m["pencil"])
     write_csv(outdir / "hardy_sweep.csv", ["stat", "value"],
-              [("min_ratio", ratios.min()), ("mean_ratio", ratios.mean())])
-    inf_final = pencil[-1][1]
-    checks = {
-        "hardy_sweep_bound": bool(ratios.min() >= 0.25 - 1e-10),
-        "hardy_pencil_decreasing": all(a[1] > b[1] for a, b in zip(pencil, pencil[1:])),
-        "hardy_pencil_in_range": bool(0.25 < inf_final < 0.30),
-    }
-    return checks, {"min_ratio": float(ratios.min()), "pencil": pencil}
+              [("min_ratio", m["ratios"].min()), ("mean_ratio", m["ratios"].mean())])
+    return _judge_stage("hardy", m), {"min_ratio": m["hardy_sweep_bound"], "pencil": m["pencil"]}
 
 
-def run_evolve(cfg: LabConfig, outdir: Path):
-    basis = _basis(cfg)
-    rng = np.random.default_rng(cfg.seed)
-    c0 = _complex_normal(rng, cfg.k_modes)
+def measure_evolve(basis: spc.SpectralBasis, c0: np.ndarray, times) -> dict:
+    """Norm drift and round-trip error of propagating c0 by each t and back."""
     state = evo.ModeState(c0)
-    drift = 0.0
-    reversal = 0.0
-    for t in np.linspace(0.25, 10.0, 40):
+    drift = reversal = 0.0
+    for t in times:
         fwd = evo.propagate(state, basis, t)
         drift = max(drift, abs(fwd.norm() - state.norm()))
         back = evo.propagate(fwd, basis, -t)
         reversal = max(reversal, float(np.abs(back.coeffs - c0).max()))
+    return {"evolution_norm_drift": drift, "evolution_time_reversal": reversal}
+
+
+def run_evolve(cfg: LabConfig, outdir: Path):
+    basis = _basis(cfg)
+    c0 = _complex_normal(np.random.default_rng(cfg.seed), cfg.k_modes)
+    m = measure_evolve(basis, c0, np.linspace(0.25, 10.0, 40))
     tg = evo.TimeGrid(cfg.horizon, cfg.time_steps)
     mask = _mask(cfg, basis.grid)
     samples = evo.observe(evo.free_trajectory(c0, basis, tg), mask, basis)
     rows = _sampled(tg.times, basis.grid.nodes[mask.node_indices], samples,
                     max(1, tg.steps // 100), max(1, mask.n_nodes // 40))
     write_csv(outdir / "trajectory.csv", ["t", "node", "re_u", "im_u"], rows)
-    checks = {
-        "evolution_norm_drift": drift <= 1e-12,
-        "evolution_time_reversal": reversal <= 1e-12,
-    }
-    return checks, {"norm_drift": drift, "reversal_error": reversal}
+    return _judge_stage("evolve", m), {"norm_drift": m["evolution_norm_drift"],
+                                       "reversal_error": m["evolution_time_reversal"]}
+
+
+def measure_kernel(bump: fla.GevreyBump, t_nodes, tau_nodes, k_trunc: int) -> dict:
+    kernel = fla.build_kernel(bump, t_nodes, tau_nodes, k_trunc)
+    res = fla.kernel_residual(kernel)
+    # evaluate only the boundary slices, never the dense kernel
+    boundary = max(float(np.abs(kernel.sub_grid(tau_index=[0, -1])).max()),
+                   float(np.abs(kernel.sub_grid(slice(0, 1))[0] - bump(tau_nodes)).max()))
+    return {"kernel": kernel, "residual": res, "kernel_boundary_exact": boundary,
+            "kernel_tail_match": res.tail_match_error / max(res.max_residual, 1.0),
+            "kernel_residual_ratio": res.max_residual / res.max_kernel}
 
 
 def run_kernel(cfg: LabConfig, outdir: Path):
-    bump = fla.gevrey_bump(cfg.horizon, 2.0)
     t_nodes = np.linspace(-1.0, 1.0, cfg.kernel_t_nodes)
     tau_nodes = evo.TimeGrid(cfg.horizon, cfg.tau_steps).times
-    kernel = fla.build_kernel(bump, t_nodes, tau_nodes, cfg.k_trunc)
-    report = fla.kernel_residual(kernel)
-    # evaluate only the boundary slices and the sample, never the dense kernel
-    psi = bump(tau_nodes)
-    boundary = max(
-        float(np.abs(kernel.sub_grid(tau_index=[0, -1])).max()),
-        float(np.abs(kernel.rows(0, 1)[0] - psi).max()),
-    )
-    trace = fla.control_trace(kernel)
+    m = measure_kernel(fla.gevrey_bump(cfg.horizon, 2.0), t_nodes, tau_nodes, cfg.k_trunc)
     t_rows = slice(None, None, max(1, (len(t_nodes) - 1) // 50))
     tau_cols = slice(None, None, max(1, (len(tau_nodes) - 1) // 128))
+    kernel, res = m["kernel"], m["residual"]
     rows = _sampled(t_nodes[t_rows], tau_nodes[tau_cols], kernel.sub_grid(t_rows, tau_cols), 1, 1)
     write_csv(outdir / "kernel.csv", ["t", "tau", "re_k", "im_k"], rows)
-    ratio = report.max_residual / report.max_kernel
     write_json(outdir / "kernel_residual.json", {
-        "config": cfg.to_dict(),
-        "k_trunc": cfg.k_trunc,
-        "max_residual": report.max_residual,
-        "max_kernel": report.max_kernel,
-        "residual_over_max_kernel": ratio,
-        "tail_match_error": report.tail_match_error,
-        "boundary_defect": boundary,
-        "control_trace_sup": float(np.abs(trace).max()),
+        "config": dataclasses.asdict(cfg), "k_trunc": cfg.k_trunc,
+        "max_residual": res.max_residual, "max_kernel": res.max_kernel,
+        "residual_over_max_kernel": m["kernel_residual_ratio"],
+        "tail_match_error": res.tail_match_error, "boundary_defect": m["kernel_boundary_exact"],
+        "control_trace_sup": float(np.abs(fla.control_trace(kernel)).max()),
     })
-    checks = {
-        "kernel_boundary_exact": boundary <= 1e-12,
-        "kernel_tail_match": report.tail_match_error <= 1e-8 * max(report.max_residual, 1.0),
-        "kernel_residual_ratio": ratio <= 1e-6,
-    }
-    return checks, {"ratio": ratio, "boundary": boundary}
+    return _judge_stage("kernel", m), {"ratio": m["kernel_residual_ratio"],
+                                       "boundary": m["kernel_boundary_exact"]}
+
+
+def measure_transform(basis: spc.SpectralBasis, kernel: fla.FlatnessKernel, tau_grid) -> dict:
+    """Transform of the free flow from the all-ones state on the kernel's tau grid."""
+    trajectory = evo.free_trajectory(np.ones(basis.k_modes), basis, tau_grid)
+    profile = ell.transform(trajectory, kernel, basis.eigenvalues)
+    residual, per_mode = ell.elliptic_residual(profile)
+    moments = ell.moment_trace(kernel.bump, trajectory)
+    return {"profile": profile, "per_mode": per_mode, "moments": moments,
+            "transform_residual": residual,
+            "transform_moment_consistency": float(np.abs(profile.values[:, 0] - moments).max())}
 
 
 def run_transform(cfg: LabConfig, outdir: Path):
-    basis = _basis(cfg)
-    bump = fla.gevrey_bump(cfg.horizon, 2.0)
     tau_grid = evo.TimeGrid(cfg.horizon, cfg.tau_steps)
     t_nodes = np.linspace(-1.0, 1.0, cfg.transform_t_nodes)
-    kernel = fla.build_kernel(bump, t_nodes, tau_grid.times, cfg.transform_k_trunc)
-    trajectory = evo.free_trajectory(np.ones(cfg.k_modes), basis, tau_grid)
-    profile = ell.transform(trajectory, kernel, basis.eigenvalues)
-    residual, per_mode = ell.elliptic_residual(profile)
-    moments = ell.moment_trace(bump, trajectory)
-    consistency = float(np.abs(profile.values[:, 0] - moments).max())
-    rows = _sampled(range(1, profile.k_modes + 1), t_nodes, profile.values,
+    kernel = fla.build_kernel(fla.gevrey_bump(cfg.horizon, 2.0), t_nodes, tau_grid.times,
+                              cfg.transform_k_trunc)
+    m = measure_transform(_basis(cfg), kernel, tau_grid)
+    rows = _sampled(range(1, m["profile"].k_modes + 1), t_nodes, m["profile"].values,
                     1, max(1, (len(t_nodes) - 1) // 200))
     write_csv(outdir / "elliptic_profile.csv", ["k", "t", "re_w", "im_w"], rows)
     write_json(outdir / "transform_report.json", {
-        "config": cfg.to_dict(),
-        "k_trunc": cfg.transform_k_trunc,
-        "residual": residual,
-        "per_mode": per_mode.tolist(),
-        "moment_consistency": consistency,
-        "moments_abs": np.abs(moments).tolist(),
+        "config": dataclasses.asdict(cfg), "k_trunc": cfg.transform_k_trunc,
+        "residual": m["transform_residual"], "per_mode": m["per_mode"].tolist(),
+        "moment_consistency": m["transform_moment_consistency"],
+        "moments_abs": np.abs(m["moments"]).tolist(),
     })
-    checks = {
-        "transform_residual": residual <= 1e-5,
-        "transform_moment_consistency": consistency <= 1e-12,
-    }
-    return checks, {"residual": residual, "moment_consistency": consistency}
+    return _judge_stage("transform", m), {"residual": m["transform_residual"],
+                                          "moment_consistency": m["transform_moment_consistency"]}
+
+
+def measure_uniqueness(basis: spc.SpectralBasis, mask: evo.ObservationMask, obs_grid, tau_grid,
+                       k_trunc: int, c0: np.ndarray) -> dict:
+    """Observability and UCP ranks, and the certificate that recovers c0."""
+    obs = evo.observability_matrix(basis, mask, obs_grid)
+    ucp = ell.ucp_probe(basis, ell.CylinderWindow(mask, np.linspace(-1.0, 1.0, 33)))
+    cert = ell.uniqueness_pipeline(c0, basis, mask, fla.gevrey_bump(tau_grid.horizon, 2.0),
+                                   tau_grid, k_trunc=k_trunc)
+    return {"observability": obs, "ucp": ucp, "certificate": cert,
+            "observability_full_rank": basis.k_modes - obs.rank,
+            "ucp_full_rank": 2 * basis.k_modes - ucp.rank,
+            "uniqueness_reconstruction": cert.reconstruction_error}
 
 
 def run_uniqueness(cfg: LabConfig, outdir: Path):
     basis = _basis(cfg)
     mask = _mask(cfg, basis.grid)
-    obs_grid = evo.TimeGrid(cfg.horizon, cfg.obs_time_steps)
-    report = evo.observability_matrix(basis, mask, obs_grid)
-    window = ell.CylinderWindow(mask, np.linspace(-1.0, 1.0, 33))
-    ucp = ell.ucp_probe(basis, window)
-    rng = np.random.default_rng(cfg.seed)
-    c0 = _complex_normal(rng, cfg.k_modes)
-    bump = fla.gevrey_bump(cfg.horizon, 2.0)
-    cert = ell.uniqueness_pipeline(
-        c0, basis, mask, bump, evo.TimeGrid(cfg.horizon, cfg.tau_steps),
-        k_trunc=cfg.transform_k_trunc,
-    )
+    m = measure_uniqueness(basis, mask, evo.TimeGrid(cfg.horizon, cfg.obs_time_steps),
+                           evo.TimeGrid(cfg.horizon, cfg.tau_steps), cfg.transform_k_trunc,
+                           _complex_normal(np.random.default_rng(cfg.seed), cfg.k_modes))
+    obs, ucp, cert = m["observability"], m["ucp"], m["certificate"]
     write_json(outdir / "observability.json", {
-        "config": cfg.to_dict(),
+        "config": dataclasses.asdict(cfg),
         "mask": {"kind": mask.kind, "intervals": mask.intervals,
                  "n_nodes": mask.n_nodes, "measure": mask.realized_measure()},
-        "singular_values": report.singular_values.tolist(),
-        "rank": report.rank,
-        "ucp_singular_values": ucp.singular_values.tolist(),
-        "ucp_rank": ucp.rank,
+        "singular_values": obs.singular_values.tolist(), "rank": obs.rank,
+        "ucp_singular_values": ucp.singular_values.tolist(), "ucp_rank": ucp.rank,
         "ucp_condition": ucp.condition,
     })
     write_json(outdir / "certificate.json", {
-        "config": cfg.to_dict(),
-        "eta": cert.eta,
-        "sigma_min": cert.sigma_min,
-        "bound": cert.bound,
-        "c0_norm": cert.c0_norm,
-        "reconstruction_error": cert.reconstruction_error,
-        "residuals": cert.residuals,
+        "config": dataclasses.asdict(cfg), "eta": cert.eta, "sigma_min": cert.sigma_min,
+        "bound": cert.bound, "c0_norm": cert.c0_norm,
+        "reconstruction_error": cert.reconstruction_error, "residuals": cert.residuals,
     })
-    checks = {
-        "observability_full_rank": report.rank == cfg.k_modes,
-        "ucp_full_rank": ucp.rank == 2 * cfg.k_modes,
-        "uniqueness_reconstruction": cert.reconstruction_error <= 1e-8,
-    }
-    return checks, {"rank": report.rank, "ucp_rank": ucp.rank}
+    return _judge_stage("uniqueness", m), {"rank": obs.rank, "ucp_rank": ucp.rank}
+
+
+def measure_angular(n_ang: int) -> dict:
+    """Circle spectra over a coupling sweep; the arc oracle and blow-up study at lam = 0."""
+    rows, mu1 = [], []
+    for lam in (0.0, 0.1, 0.1875, 0.24):
+        prob = ang.AngularProblem(lam, n_ang)
+        basis = ang.angular_spectrum(prob, 8)
+        mu1.append(basis.eigenvalues[0])
+        for k, mu in enumerate(basis.eigenvalues, 1):
+            rows.append((lam, k, mu, ang.gamma_exponent(mu, prob.dimension_N)))
+    prob0 = ang.AngularProblem(0.0, n_ang)
+    basis0 = ang.angular_spectrum(prob0, 8)
+    arcvals = basis0.eigenvalues[::2][:4]
+    study = ang.blowup_profile_check([1.0, 0.5], [1.0, 2.0], basis0.eigenvectors[:, [0, 2]],
+                                     prob0.spacing)
+    gamma_defect = max(abs(g * (g + prob.dimension_N - 2) - mu) for _, _, mu, g in rows)
+    oracle_err = float(max(abs(v - (j + 1) ** 2) / (j + 1) ** 2 for j, v in enumerate(arcvals)))
+    return {"rows": rows, "study": study, "angular_gamma_identity": gamma_defect,
+            "angular_arc_oracle": oracle_err, "angular_monotone_in_lam": _smallest_step(mu1),
+            "angular_blowup_exponent": _exponent_error(study)}
 
 
 def run_angular(cfg: LabConfig, outdir: Path):
-    lam_sweep = (0.0, 0.1, 0.1875, 0.24)
-    rows = []
-    mu1 = []
-    for lam in lam_sweep:
-        prob = ang.AngularProblem(lam, cfg.n_ang)
-        basis = ang.angular_spectrum(prob, 8)
-        mu1.append(basis.eigenvalues[0])
-        for k in range(basis.count):
-            mu = basis.eigenvalues[k]
-            rows.append((lam, k + 1, mu, ang.gamma_exponent(mu, prob.dimension_N)))
-    write_csv(outdir / "angular_spectrum.csv", ["lam", "k", "mu_k", "gamma_k"], rows)
-    gamma_defect = max(
-        abs(g * (g + prob.dimension_N - 2) - mu)
-        for lam, k, mu, g in rows
-    )
-    prob0 = ang.AngularProblem(0.0, cfg.n_ang)
-    basis0 = ang.angular_spectrum(prob0, 8)
-    arcvals = basis0.eigenvalues[::2][:4]
-    oracle_err = float(max(
-        abs(v - (j + 1) ** 2) / (j + 1) ** 2 for j, v in enumerate(arcvals)
-    ))
-    study = ang.blowup_profile_check(
-        [1.0, 0.5], [1.0, 2.0], basis0.eigenvectors[:, [0, 2]], prob0.spacing
-    )
+    m = measure_angular(cfg.n_ang)
+    study = m["study"]
+    write_csv(outdir / "angular_spectrum.csv", ["lam", "k", "mu_k", "gamma_k"], m["rows"])
     write_csv(outdir / "blowup.csv", ["r", "discrepancy"],
               list(zip(study.radii, study.discrepancies)))
-    checks = {
-        "angular_gamma_identity": gamma_defect <= 1e-12,
-        "angular_arc_oracle": oracle_err <= 5e-3,
-        "angular_monotone_in_lam": all(a > b for a, b in zip(mu1, mu1[1:])),
-        "angular_blowup_exponent": (
-            study.fitted_exponent is not None
-            and abs(study.fitted_exponent - study.expected_exponent)
-            <= 0.1 * study.expected_exponent
-        ),
-    }
-    return checks, {"gamma_defect": gamma_defect, "oracle_err": oracle_err,
-                    "blowup_exponent": study.fitted_exponent}
+    return _judge_stage("angular", m), {"gamma_defect": m["angular_gamma_identity"],
+                                        "oracle_err": m["angular_arc_oracle"],
+                                        "blowup_exponent": study.fitted_exponent}
+
+
+def measure_hum(basis: spc.SpectralBasis, mask: evo.ObservationMask, horizon: float,
+                rng: np.random.Generator, eps_list, verify_steps: int) -> dict:
+    """Gramian, defect curve and the eps = 1e-3 control for random u0 then ud from rng."""
+    u0 = evo.ModeState(_complex_normal(rng, basis.k_modes))
+    ud = evo.ModeState(_complex_normal(rng, basis.k_modes))
+    gram = ctl.gramian(basis, mask, horizon)
+    eigs = np.linalg.eigvalsh(gram.matrix)
+    curve = ctl.defect_curve(gram, u0, ud, eps_list)
+    times = np.linspace(0.0, horizon, 201)
+    result = ctl.hum_solve(gram, u0, ud, 1e-3, sample_times=times, basis=basis)
+    forward = ctl.verify_control(result, gram, n_steps=verify_steps)
+    return {"curve": curve, "times": times, "control": result, "lambda_min": float(eigs[0]),
+            "hum_hermitian": float(np.abs(gram.matrix - gram.matrix.conj().T).max()),
+            "hum_psd": eigs[0] / max(eigs[-1], 1.0),
+            "hum_defect_identity": abs(forward - result.defect_predicted),
+            "hum_defect_decreasing": _smallest_step([r["defect"] for r in curve]),
+            "hum_cost_nondecreasing": _smallest_step([r["cost"] for r in curve][::-1])}
 
 
 def run_hum(cfg: LabConfig, outdir: Path):
     basis = _basis(cfg)
     mask = _mask(cfg, basis.grid)
-    gram = ctl.gramian(basis, mask, cfg.horizon)
-    herm = float(np.abs(gram.matrix - gram.matrix.conj().T).max())
-    eigs = np.linalg.eigvalsh(gram.matrix)
-    rng = np.random.default_rng(cfg.seed)
-    u0 = evo.ModeState(_complex_normal(rng, cfg.k_modes))
-    ud = evo.ModeState(_complex_normal(rng, cfg.k_modes))
-    curve = ctl.defect_curve(gram, u0, ud, cfg.eps_list)
+    m = measure_hum(basis, mask, cfg.horizon, np.random.default_rng(cfg.seed), cfg.eps_list,
+                    cfg.hum_verify_steps)
     write_csv(outdir / "defect_curve.csv", ["eps", "defect", "cost", "sigma_min"],
-              [(r["eps"], r["defect"], r["cost"], r["sigma_min"]) for r in curve])
-    times = np.linspace(0.0, cfg.horizon, 201)
-    result = ctl.hum_solve(gram, u0, ud, 1e-3, sample_times=times, basis=basis)
-    forward = ctl.verify_control(result, gram, n_steps=cfg.hum_verify_steps)
-    identity_gap = abs(forward - result.defect_predicted)
-    rows = _sampled(times, basis.grid.nodes[mask.node_indices], result.control_samples,
-                    4, max(1, mask.n_nodes // 40))
+              [(r["eps"], r["defect"], r["cost"], r["sigma_min"]) for r in m["curve"]])
+    rows = _sampled(m["times"], basis.grid.nodes[mask.node_indices],
+                    m["control"].control_samples, 4, max(1, mask.n_nodes // 40))
     write_csv(outdir / "control.csv", ["t", "node", "re_h", "im_h"], rows)
-    defects = [r["defect"] for r in curve]
-    costs = [r["cost"] for r in curve]
-    checks = {
-        "hum_hermitian": herm <= 1e-14,
-        "hum_psd": bool(eigs[0] >= -1e-14 * max(eigs[-1], 1.0)),
-        "hum_defect_identity": identity_gap <= 1e-6,
-        "hum_defect_decreasing": all(a > b for a, b in zip(defects, defects[1:])),
-        "hum_cost_nondecreasing": all(b >= a - 1e-12 for a, b in zip(costs, costs[1:])),
-    }
-    # sigma_min here is lambda_min(G), an eigenvalue (see Gramian.sigma_min)
-    return checks, {"identity_gap": identity_gap, "sigma_min": float(eigs[0])}
+    return _judge_stage("hum", m), {"identity_gap": m["hum_defect_identity"],
+                                    "sigma_min": m["lambda_min"]}
 
 
-def run_inverse(cfg: LabConfig, outdir: Path):
-    lam = 3.0 / 16.0
-    basis6 = _basis(cfg, lam=lam, k=6)
-    rng = np.random.default_rng(cfg.seed)
-    f6 = _complex_normal(rng, 6)
-    recon_grid = evo.TimeGrid(cfg.horizon, cfg.recon_steps)
+def measure_inverse(basis6: spc.SpectralBasis, basis1: spc.SpectralBasis, f6: np.ndarray,
+                    zr: np.ndarray, recon_grid: evo.TimeGrid, id_grid: evo.TimeGrid) -> dict:
+    """Recovery of f6 and round trip of zr on recon_grid; on id_grid with one mode,
+    the identity chain, the rho(0) = 0 rejection and the two rho(0) = 0 routes."""
     sys6 = inv.VolterraSystem.from_callables(lambda t: 1 + t / 2, lambda t: 0.5, recon_grid)
-    src6 = evo.SourceModel(f6, sys6.rho, sys6.rho_at_zero)
-    traj6 = evo.duhamel_solve(src6, basis6, recon_grid)
-    recon = inv.reconstruct_f(traj6, sys6, basis6.eigenvalues, f_true=f6)
-
-    zr = _complex_normal(np.random.default_rng(cfg.seed + 1), cfg.recon_steps + 1)
+    traj6 = evo.duhamel_solve(evo.SourceModel(f6, sys6.rho, sys6.rho_at_zero), basis6, recon_grid)
+    recon = inv.reconstruct_f(traj6, sys6, basis6.eigenvalues, f6)
     roundtrip = float(np.abs(inv.volterra_invert(sys6, inv.volterra_apply(sys6, zr)) - zr).max())
-
-    basis1 = _basis(cfg, lam=lam, k=1)
-    id_grid = evo.TimeGrid(cfg.horizon, cfg.inverse_steps)
     sys1 = inv.VolterraSystem.from_callables(lambda t: 1 + t / 2, lambda t: 0.5, id_grid)
     f1 = np.array([1.0 + 0.0j])
     traj1 = evo.duhamel_solve(evo.SourceModel(f1, sys1.rho, sys1.rho_at_zero), basis1, id_grid)
-    rec1 = inv.reconstruct_f(traj1, sys1, basis1.eigenvalues, f_true=f1)
-    id_factor = rec1.diagnostics["factorization_residual"]
-    id_conv = inv.duhamel_identity_residual(traj1, sys1, rec1.z)
-    id_free = float(inv.free_evolution_check(rec1.z, basis1.eigenvalues, sys1.dt).max())
-
+    rec1 = inv.reconstruct_f(traj1, sys1, basis1.eigenvalues, f1)
+    free = float(inv.free_evolution_check(rec1.z, basis1.eigenvalues, sys1.dt).max())
     sys_t = inv.VolterraSystem.from_callables(lambda t: t, lambda t: 1.0, id_grid)
     rejected = False
     try:
-        inv.volterra_invert(sys_t, np.ones(cfg.inverse_steps + 1, dtype=complex))
+        inv.volterra_invert(sys_t, np.ones(len(id_grid.times), dtype=complex))
     except ValueError:
         rejected = True
     traj_t = evo.duhamel_solve(evo.SourceModel(f1, sys_t.rho, sys_t.rho_at_zero), basis1, id_grid)
     w = inv.antiderivative_reduce(traj_t)
-    p_samples = evo.cumulative_trapezoid(sys_t.rho, sys_t.dt)
     v = evo.free_trajectory(-1j * f1, basis1, id_grid)
-    route4 = inv.convolve_source(p_samples, v, basis1.eigenvalues)
-    agreement = float(np.abs(route4.y.coeffs - w.coeffs).max())
+    route4 = inv.convolve_source(evo.cumulative_trapezoid(sys_t.rho, sys_t.dt), v,
+                                 basis1.eigenvalues)
+    return {"reconstruction": recon, "route4": route4, "inverse_roundtrip": roundtrip,
+            "inverse_reconstruction": (math.inf if recon.relative_error is None
+                                       else recon.relative_error),
+            "inverse_factorization_identity": rec1.diagnostics["factorization_residual"],
+            "inverse_convolution_identity": inv.duhamel_identity_residual(traj1, sys1, rec1.z),
+            "inverse_free_evolution": free, "inverse_rho0_rejected": rejected,
+            "inverse_reduction_agreement": float(np.abs(route4.y.coeffs - w.coeffs).max())}
 
+
+def run_inverse(cfg: LabConfig, outdir: Path):
+    lam = 3.0 / 16.0
+    recon_grid = evo.TimeGrid(cfg.horizon, cfg.recon_steps)
+    id_grid = evo.TimeGrid(cfg.horizon, cfg.inverse_steps)
+    f6 = _complex_normal(np.random.default_rng(cfg.seed), 6)
+    zr = _complex_normal(np.random.default_rng(cfg.seed + 1), cfg.recon_steps + 1)
+    m = measure_inverse(_basis(cfg, lam=lam, k=6), _basis(cfg, lam=lam, k=1), f6, zr,
+                        recon_grid, id_grid)
+    recon = m["reconstruction"]
     write_json(outdir / "reconstruction.json", {
-        "config": cfg.to_dict(),
-        "lambda": lam,
-        "recon_dt": recon_grid.dt,
+        "config": dataclasses.asdict(cfg), "lambda": lam, "recon_dt": recon_grid.dt,
         "f_true": [[c.real, c.imag] for c in f6],
         "f_recovered": [[c.real, c.imag] for c in recon.f_recovered],
-        "relative_error": recon.relative_error,
-        "volterra_roundtrip": roundtrip,
+        "relative_error": recon.relative_error, "volterra_roundtrip": m["inverse_roundtrip"],
         "identity_dt": id_grid.dt,
-        "factorization_identity": id_factor,
-        "convolution_identity": id_conv,
-        "free_evolution_residual": id_free,
-        "rho0_zero_rejected": rejected,
-        "reduction_route_agreement": agreement,
-        "source_identity_residual": route4.source_identity_residual,
+        "factorization_identity": m["inverse_factorization_identity"],
+        "convolution_identity": m["inverse_convolution_identity"],
+        "free_evolution_residual": m["inverse_free_evolution"],
+        "rho0_zero_rejected": m["inverse_rho0_rejected"],
+        "reduction_route_agreement": m["inverse_reduction_agreement"],
+        "source_identity_residual": m["route4"].source_identity_residual,
     })
-    rel_err = 1.0 if recon.relative_error is None else recon.relative_error
-    checks = {
-        "inverse_roundtrip": roundtrip <= 1e-10,
-        "inverse_reconstruction": rel_err <= 1e-3,
-        "inverse_factorization_identity": id_factor <= 1e-8,
-        "inverse_convolution_identity": id_conv <= 1e-6,
-        "inverse_free_evolution": id_free <= 1e-4,
-        "inverse_rho0_rejected": rejected,
-        "inverse_reduction_agreement": agreement <= 1e-6,
-    }
-    return checks, {"roundtrip": roundtrip, "rel_err": recon.relative_error,
-                    "id_conv": id_conv, "id_free": id_free, "agreement": agreement}
+    return _judge_stage("inverse-source", m), {
+        "roundtrip": m["inverse_roundtrip"], "rel_err": recon.relative_error,
+        "id_conv": m["inverse_convolution_identity"], "id_free": m["inverse_free_evolution"],
+        "agreement": m["inverse_reduction_agreement"]}
 
 
 def _random_bump(rng: np.random.Generator, times: np.ndarray, lo: float, hi: float,
-                 min_width: float) -> tuple[np.ndarray, float]:
+                 min_width: float) -> np.ndarray:
     # quadratic onset keeps the sampled support within a node of the analytic
     # one, which the relative support cutoff then resolves exactly
-    t_end = times[-1]
-    width = rng.uniform(min_width, 0.3 * t_end)
+    width = rng.uniform(min_width, 0.3 * times[-1])
     start = rng.uniform(lo, hi - width)
     x = np.zeros_like(times)
     inside = (times > start) & (times < start + width)
     s = (times[inside] - start) / width
     x[inside] = (s * (1.0 - s)) ** 2
-    return x, start
+    return x
+
+
+def measure_titchmarsh(horizon: float, steps: int, rng: np.random.Generator) -> dict:
+    """Support additivity of 20 pairs of random bumps on 2 * steps steps over (0, 2 horizon)."""
+    grid = evo.TimeGrid(2.0 * horizon, 2 * steps)
+    rows = []
+    for _ in range(20):
+        a = _random_bump(rng, grid.times, 0.05, 0.9 * horizon, 8 * grid.dt)
+        b = _random_bump(rng, grid.times, 0.05, 0.9 * horizon, 8 * grid.dt)
+        rep = inv.titchmarsh_support(a, b, grid.dt)
+        rows.append((rep.start_a, rep.start_b, rep.start_convolution, rep.additivity_gap))
+    worst = max([0.0] + [row[3] for row in rows])
+    return {"rows": rows, "worst_gap": worst, "dt": grid.dt,
+            "titchmarsh_additivity": worst / grid.dt}
 
 
 def run_titchmarsh(cfg: LabConfig, outdir: Path):
-    grid = evo.TimeGrid(2.0 * cfg.horizon, 2 * cfg.recon_steps)
-    rng = np.random.default_rng(cfg.seed)
-    rows = []
-    worst = 0.0
-    for _ in range(20):
-        a, _ = _random_bump(rng, grid.times, 0.05, 0.9 * cfg.horizon, 8 * grid.dt)
-        b, _ = _random_bump(rng, grid.times, 0.05, 0.9 * cfg.horizon, 8 * grid.dt)
-        rep = inv.titchmarsh_support(a, b, grid.dt)
-        rows.append((rep.start_a, rep.start_b, rep.start_convolution, rep.additivity_gap))
-        worst = max(worst, rep.additivity_gap)
-    write_csv(outdir / "titchmarsh.csv",
-              ["start_a", "start_b", "start_conv", "gap"], rows)
-    checks = {"titchmarsh_additivity": worst <= 2.0 * grid.dt}
-    return checks, {"worst_gap": worst, "dt": grid.dt}
+    m = measure_titchmarsh(cfg.horizon, cfg.recon_steps, np.random.default_rng(cfg.seed))
+    write_csv(outdir / "titchmarsh.csv", ["start_a", "start_b", "start_conv", "gap"], m["rows"])
+    return _judge_stage("titchmarsh", m), {"worst_gap": m["worst_gap"], "dt": m["dt"]}
 
 
 _RUNNERS = {
@@ -589,31 +636,29 @@ def _run_stages(subcommand: str, cfg: LabConfig, outdir: Path) -> dict[str, bool
     """Run the stages into outdir and write the manifest last."""
     started = time.monotonic()
     names = list(_RUNNERS) if subcommand == "all" else [subcommand]
-    checks: dict[str, bool] = {}
-    reports: dict[str, dict] = {}
-    stage_seconds: dict[str, float] = {}
+    checks, details, reports, stage_seconds = {}, {}, {}, {}
     for name in names:
         stage_started = time.monotonic()
         try:
-            cks, rep = _RUNNERS[name](cfg, outdir)
+            verdicts, rep = _RUNNERS[name](cfg, outdir)
         except _STAGE_ERRORS as exc:
             raise StageFailure(name, exc) from exc
         stage_seconds[name] = time.monotonic() - stage_started
-        checks.update({key: bool(value) for key, value in cks.items()})
+        for key, verdict in verdicts.items():
+            checks[key] = bool(verdict)
+            details[key] = {**dataclasses.asdict(verdict), "pass": checks[key]}
         reports[name] = rep
-    digests = {
-        p.name: _digest(p)
-        for p in sorted(outdir.iterdir())
-        if p.suffix in (".csv", ".json")
-    }
+    digests = {p.name: _digest(p) for p in sorted(outdir.iterdir())
+               if p.suffix in (".csv", ".json")}
     manifest = {
         "artifact_version": ARTIFACT_VERSION,
         "subcommand": subcommand,
-        "config": cfg.to_dict(),
+        "config": dataclasses.asdict(cfg),
         "wall_clock_utc": datetime.now(timezone.utc).isoformat(),
         "elapsed_seconds": time.monotonic() - started,
         "stage_seconds": stage_seconds,
         "checks": checks,
+        "check_details": details,
         "reports": reports,
         "digests": digests,
     }

@@ -59,7 +59,7 @@ def transform(trajectory: ModeTrajectory, kernel: FlatnessKernel,
     w = kernel.tau_weights()
     values = np.empty((len(kernel.t_nodes), trajectory.coeffs.shape[1]), dtype=complex)
     for start, stop in kernel.row_blocks():
-        values[start:stop] = (kernel.rows(start, stop) * w) @ trajectory.coeffs
+        values[start:stop] = (kernel.sub_grid(slice(start, stop)) * w) @ trajectory.coeffs
     return EllipticProfile(kernel.t_nodes.copy(), values.T, np.asarray(mode_eigenvalues))
 
 

@@ -221,10 +221,6 @@ class FlatnessKernel:
     tau_nodes: np.ndarray
     deriv_table: np.ndarray     # (len(tau_nodes), k_trunc + 2)
 
-    def rows(self, start: int = 0, stop: int | None = None) -> np.ndarray:
-        """Kernel values on t_nodes[start:stop] x tau_nodes."""
-        return self.sub_grid(slice(start, stop))
-
     def sub_grid(self, t_index=slice(None), tau_index=slice(None)) -> np.ndarray:
         """Kernel values on t_nodes[t_index] x tau_nodes[tau_index].  The
         series is summed entry by entry, so each value has the bits of the
@@ -246,7 +242,7 @@ class FlatnessKernel:
     @functools.cached_property
     def values(self) -> np.ndarray:
         """The dense (len(t_nodes), len(tau_nodes)) kernel; for small grids."""
-        return self.rows()
+        return self.sub_grid()
 
     def tau_weights(self) -> np.ndarray:
         return trapezoid_weights(len(self.tau_nodes), self.tau_nodes[1] - self.tau_nodes[0])
@@ -294,7 +290,7 @@ def kernel_residual(kernel: FlatnessKernel) -> KernelResidualReport:
         dtt_series = _series(powers[1 : kt + 1, None] * fac[:kt], table[:, 1:])
         tail = _series(powers[kt + 1] * fac[kt:], table[:, kt + 1 :])
         residual = 1j * dtau_series - dtt_series
-        peaks.append([np.abs(residual).max(), np.abs(kernel.rows(start, stop)).max(),
+        peaks.append([np.abs(residual).max(), np.abs(kernel.sub_grid(slice(start, stop))).max(),
                       np.abs(tail).max(), np.abs(residual - tail).max()])
     max_residual, max_kernel, max_tail, tail_match = np.max(peaks, axis=0)
     return KernelResidualReport(

@@ -137,41 +137,17 @@ def _toeplitz_substitution(col: np.ndarray, leaf: np.ndarray, b: np.ndarray) -> 
 class ReconstructionResult:
     f_recovered: np.ndarray
     z: np.ndarray                 # (n_times, k_modes)
-    relative_error: float | None
+    relative_error: float | None  # None for a zero source
     diagnostics: dict
 
 
-def modal_time_derivative(trajectory: ModeTrajectory, mus: np.ndarray,
-                          sys: VolterraSystem, f_modes: np.ndarray | None = None,
-                          method: str = "modal") -> np.ndarray:
-    """d/dt of the mode coefficients.
-
-    "modal" evaluates the exact mode equation c' = i mu c - i f rho from the
-    stored trajectory (needs the source modes); "fd" uses second-order
-    differences and is kept for stress tests.
-    """
-    c = trajectory.coeffs
-    if method == "modal":
-        if f_modes is None:
-            raise ValueError("modal derivative needs the source modes")
-        return 1j * mus[None, :] * c - 1j * np.outer(sys.rho, f_modes)
-    if method == "fd":
-        dt = sys.dt
-        out = np.empty_like(c)
-        out[1:-1] = (c[2:] - c[:-2]) / (2.0 * dt)
-        out[0] = (-3.0 * c[0] + 4.0 * c[1] - c[2]) / (2.0 * dt)
-        out[-1] = (3.0 * c[-1] - 4.0 * c[-2] + c[-3]) / (2.0 * dt)
-        return out
-    raise ValueError(f"unknown derivative method {method!r}")
-
-
 def reconstruct_f(trajectory: ModeTrajectory, sys: VolterraSystem, mus: np.ndarray,
-                  f_true: np.ndarray | None = None,
-                  derivative: str = "modal") -> ReconstructionResult:
+                  f_true: np.ndarray) -> ReconstructionResult:
     """Recover the spatial source modes: z = K^{-1}(du/dt), f = i z(0).
 
-    The default "modal" derivative isolates the Volterra-inversion error
-    from differentiation noise; pass derivative="fd" to stress the chain.
+    du/dt comes from the exact mode equation c' = i mu c - i f rho with the
+    true source modes, which isolates the Volterra-inversion error from
+    differentiation noise.
     """
     if abs(sys.rho_at_zero) <= RHO_ZERO_TOL:
         raise ValueError("rho(0) = 0: reconstruction requires the nonvanishing route")
@@ -180,19 +156,15 @@ def reconstruct_f(trajectory: ModeTrajectory, sys: VolterraSystem, mus: np.ndarr
     ):
         raise ValueError("trajectory and Volterra system grids differ")
     mus = np.asarray(mus, dtype=float)
-    dt_u = modal_time_derivative(trajectory, mus, sys, f_true, derivative)
+    f_true = np.asarray(f_true, dtype=complex)
+    dt_u = 1j * mus[None, :] * trajectory.coeffs - 1j * np.outer(sys.rho, f_true)
     z = volterra_invert(sys, dt_u)
     f_rec = 1j * z[0, :]
-    rel = None
-    diagnostics: dict = {}
-    if f_true is not None:
-        f_true = np.asarray(f_true, dtype=complex)
-        scale = np.linalg.norm(f_true)
-        rel = float(np.linalg.norm(f_rec - f_true) / scale) if scale else None
-        # identity K z = du/dt is structural after the triangular solve
-        kz = volterra_apply(sys, z)
-        diagnostics["factorization_residual"] = float(np.abs(kz - dt_u).max())
-    return ReconstructionResult(f_rec, z, rel, diagnostics)
+    scale = np.linalg.norm(f_true)
+    rel = float(np.linalg.norm(f_rec - f_true) / scale) if scale else None
+    # identity K z = du/dt is structural after the triangular solve
+    residual = float(np.abs(volterra_apply(sys, z) - dt_u).max())
+    return ReconstructionResult(f_rec, z, rel, {"factorization_residual": residual})
 
 
 def duhamel_identity_residual(trajectory: ModeTrajectory, sys: VolterraSystem,

@@ -114,13 +114,6 @@ class HardyDiscretization:
     offdiagonal: np.ndarray
     bessel_order: float
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        return tridiagonal_apply(self.diagonal, self.offdiagonal, v)
-
-    def norm_estimate(self) -> float:
-        """Infinity-norm bound, enough to scale eigenresidual tolerances."""
-        return tridiagonal_norm(self.diagonal, self.offdiagonal)
-
 
 def assemble_hardy_operator(grid: RadialGrid, lam: float, n: int = 3) -> HardyDiscretization:
     """Three-point discretization of the reduced radial operator."""

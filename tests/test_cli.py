@@ -1,7 +1,10 @@
 import ast
+import contextlib
 import csv
 import dataclasses
+import io
 import json
+import operator
 import os
 import subprocess
 import sys
@@ -163,6 +166,31 @@ def test_stage_numerical_error_exits_4(tmp_path, capsys, monkeypatch, error):
     assert list(out_root.iterdir()) == []
 
 
+@pytest.mark.parametrize("text", [
+    "transform_t_nodes = 1\n",   # IndexError in the elliptic residual
+    "transform_t_nodes = 2\n",   # no interior node for the second difference
+    "tau_steps = 1\n",           # zero kernel: the residual ratio divides by 0
+    "recon_steps = 13\n",        # titchmarsh bumps 8 dt wide exceed 0.3 of 2T
+])
+def test_short_grids_rejected_before_output(tmp_path, capsys, text):
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text(text)
+    out_root = tmp_path / "out"
+    code = main(["all", "--config", str(cfg_file), "--out", str(out_root)])
+    assert code == 2
+    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert payload["error"] == "invalid_config"
+    assert text.split(" =")[0] in payload["message"]
+    assert not out_root.exists()
+
+
+@pytest.mark.parametrize("field, least", [
+    ("transform_t_nodes", 3), ("tau_steps", 2), ("recon_steps", 14),
+])
+def test_shortest_accepted_grids_run_all(tmp_path, field, least):
+    assert run("all", light_config(**{field: least}), tmp_path) == 0
+
+
 def test_oracle_range_limits_run(tmp_path):
     # the largest accepted order and mode count both run to completion
     cfg = light_config(lam=-8.75, spectrum_modes=17)   # nu = 3
@@ -293,12 +321,75 @@ def test_completed_run_leaves_only_the_stamped_directory(tmp_path):
     assert (outdir / "manifest.json").exists()
 
 
-def test_manifest_keeps_stage_reports_and_times(tmp_path):
-    assert run("all", light_config(), tmp_path) == 0
-    manifest = json.loads((find_run_dir(tmp_path, "all") / "manifest.json").read_text())
+@pytest.fixture(scope="module")
+def all_run(tmp_path_factory):
+    """One 'all' run at the light config with every runner wrapped as the
+    benchmark harness wraps cli._RUNNERS: (exit code, the runners' return
+    values, the printed summary, the manifest)."""
+    returned = {}
+    runners = dict(cli._RUNNERS)
+
+    def keeper(stage, runner):
+        def keep(cfg, outdir):
+            returned[stage] = runner(cfg, outdir)
+            return returned[stage]
+        return keep
+
+    cli._RUNNERS.update({stage: keeper(stage, r) for stage, r in runners.items()})
+    printed = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(printed):
+            code = run("all", light_config(), tmp_path_factory.mktemp("all"))
+    finally:
+        cli._RUNNERS.update(runners)
+    summary = json.loads(printed.getvalue().splitlines()[-1])
+    manifest = json.loads((Path(summary["outdir"]) / "manifest.json").read_text())
+    return code, returned, summary, manifest
+
+
+def test_manifest_keeps_stage_reports_and_times(all_run):
+    code, _, _, manifest = all_run
+    assert code == 0
     assert list(manifest["reports"]) == sorted(cli._RUNNERS)
     assert list(manifest["stage_seconds"]) == sorted(cli._RUNNERS)
     assert all(seconds >= 0.0 for seconds in manifest["stage_seconds"].values())
     assert len(manifest["checks"]) == 31
-    gap = manifest["reports"]["hum"]["identity_gap"]
-    assert manifest["checks"]["hum_defect_identity"] == (gap <= 1e-6)
+    identity = manifest["check_details"]["hum_defect_identity"]
+    assert identity["value"] == manifest["reports"]["hum"]["identity_gap"]
+
+
+def test_runner_contract_matches_manifest(all_run):
+    # what the benchmark harness reads: (checks, report) per stage, reports
+    # as saved in the manifest, and the printed checks equal to the manifest's
+    _, returned, summary, manifest = all_run
+    assert sorted(returned) == sorted(cli._RUNNERS) and len(returned) == 10
+    names = []
+    for stage, result in returned.items():
+        assert isinstance(result, tuple) and len(result) == 2
+        checks, report = result
+        names += checks
+        assert {name: bool(ok) for name, ok in checks.items()} == {
+            name: manifest["checks"][name] for name in checks}
+        assert json.loads(json.dumps(report, default=cli._fmt)) == manifest["reports"][stage]
+    assert sorted(names) == sorted(manifest["checks"])
+    assert summary["checks"] == manifest["checks"]
+
+
+_COMPARATORS = {
+    "<=": operator.le, ">=": operator.ge, "<": operator.lt, ">": operator.gt, "==": operator.eq,
+    "open_interval": lambda value, bound: bound[0] < value < bound[1],
+}
+
+
+def test_check_details_record_value_comparator_bound(all_run):
+    _, _, _, manifest = all_run
+    details = manifest["check_details"]
+    assert sorted(details) == sorted(manifest["checks"]) == sorted(cli.CHECKS)
+    for name, detail in details.items():
+        assert set(detail) == {"value", "comparator", "bound", "pass"}
+        assert detail["pass"] is manifest["checks"][name]
+        compare = _COMPARATORS[detail["comparator"]]
+        assert detail["pass"] == compare(detail["value"], detail["bound"])
+        _, comparator, bound = cli.CHECKS[name]
+        assert detail["comparator"] == comparator
+        assert detail["bound"] == (list(bound) if isinstance(bound, tuple) else bound)

@@ -223,7 +223,7 @@ def test_kernel_rows_bit_identical_to_dense_assembly(nt):
     assert [start for start, _ in bounds[1:]] == [stop for _, stop in bounds[:-1]]
     assert bounds[0][0] == 0 and bounds[-1][1] == nt
     assert all(stop - start > 1 for start, stop in bounds) or nt == 1
-    blocks = [kernel.rows(start, stop) for start, stop in bounds]
+    blocks = [kernel.sub_grid(slice(start, stop)) for start, stop in bounds]
     assert np.array_equal(np.concatenate(blocks), oracle)
     report = kernel_residual(kernel)
     assert (report.max_residual, report.max_kernel, report.max_tail,
