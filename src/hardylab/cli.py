@@ -91,7 +91,17 @@ class LabConfig:
     seed: int = 0
 
 
-def validate_config(cfg: LabConfig) -> None:
+# the least horizon of each stage that cannot run at every positive one.  The
+# kernel's Cauchy sums sample the sigma = 2 bump up to exp(5.76 / T^4) (at
+# tau = T/2) and scale the samples by k!/r^k, so for some k_trunc <=
+# MAX_TRUNCATION they overflow at T = 0.325 and below (0.3125 and below at
+# k_trunc = 24).  The titchmarsh bumps are up to 0.6 T wide and must start in
+# [0.05, 0.9 T - width].
+HORIZON_FLOORS = {"kernel": 1 / 3, "transform": 1 / 3, "titchmarsh": 1 / 6}
+
+
+def validate_config(cfg: LabConfig, subcommand: str = "all") -> None:
+    """Reject cfg, before any output, if a stage of subcommand cannot run it."""
     if cfg.dimension_n < 1 or cfg.dimension_n == 2:
         raise ConfigError(f"dimension_n must be a positive integer != 2, got {cfg.dimension_n}")
     lam_star = spc.critical_constant(cfg.dimension_n)
@@ -116,6 +126,10 @@ def validate_config(cfg: LabConfig) -> None:
         raise ConfigError("n_ang must be at least 64")
     if cfg.horizon <= 0:
         raise ConfigError("horizon must be positive")
+    for stage in _stage_names(subcommand):
+        if cfg.horizon < HORIZON_FLOORS.get(stage, 0.0):
+            raise ConfigError(f"horizon must be at least {HORIZON_FLOORS[stage]:.6g} "
+                              f"for the {stage} stage, got {cfg.horizon:g}")
     if cfg.k_modes < 1 or cfg.k_modes > cfg.n_interior:
         raise ConfigError("k_modes must lie in [1, n_interior]")
     if not 0 < cfg.k_trunc <= fla.MAX_TRUNCATION:
@@ -423,13 +437,13 @@ def run_transform(cfg: LabConfig, outdir: Path):
                                           "moment_consistency": m["transform_moment_consistency"]}
 
 
-def measure_uniqueness(basis: spc.SpectralBasis, mask: evo.ObservationMask, obs_grid, tau_grid,
-                       k_trunc: int, c0: np.ndarray) -> dict:
-    """Observability and UCP ranks, and the certificate that recovers c0."""
+def measure_uniqueness(basis: spc.SpectralBasis, mask: evo.ObservationMask, obs_grid,
+                       cert_grid, c0: np.ndarray) -> dict:
+    """Observability and UCP ranks on obs_grid, and the certificate that
+    recovers c0 from its observations on cert_grid."""
     obs = evo.observability_matrix(basis, mask, obs_grid)
     ucp = ell.ucp_probe(basis, ell.CylinderWindow(mask, np.linspace(-1.0, 1.0, 33)))
-    cert = ell.uniqueness_pipeline(c0, basis, mask, fla.gevrey_bump(tau_grid.horizon, 2.0),
-                                   tau_grid, k_trunc=k_trunc)
+    cert = ell.uniqueness_pipeline(c0, basis, mask, cert_grid)
     return {"observability": obs, "ucp": ucp, "certificate": cert,
             "observability_full_rank": basis.k_modes - obs.rank,
             "ucp_full_rank": 2 * basis.k_modes - ucp.rank,
@@ -440,7 +454,7 @@ def run_uniqueness(cfg: LabConfig, outdir: Path):
     basis = _basis(cfg)
     mask = _mask(cfg, basis.grid)
     m = measure_uniqueness(basis, mask, evo.TimeGrid(cfg.horizon, cfg.obs_time_steps),
-                           evo.TimeGrid(cfg.horizon, cfg.tau_steps), cfg.transform_k_trunc,
+                           evo.TimeGrid(cfg.horizon, cfg.tau_steps),
                            _complex_normal(np.random.default_rng(cfg.seed), cfg.k_modes))
     obs, ucp, cert = m["observability"], m["ucp"], m["certificate"]
     write_json(outdir / "observability.json", {
@@ -454,7 +468,7 @@ def run_uniqueness(cfg: LabConfig, outdir: Path):
     write_json(outdir / "certificate.json", {
         "config": dataclasses.asdict(cfg), "eta": cert.eta, "sigma_min": cert.sigma_min,
         "bound": cert.bound, "c0_norm": cert.c0_norm,
-        "reconstruction_error": cert.reconstruction_error, "residuals": cert.residuals,
+        "reconstruction_error": cert.reconstruction_error,
     })
     return _judge_stage("uniqueness", m), {"rank": obs.rank, "ucp_rank": ucp.rank}
 
@@ -524,26 +538,32 @@ def run_hum(cfg: LabConfig, outdir: Path):
                                     "sigma_min": m["lambda_min"]}
 
 
+def _linear_rho(grid: evo.TimeGrid, rho0: float, slope: float) -> inv.VolterraSystem:
+    """The Volterra system of rho(t) = rho0 + slope t on the grid."""
+    t = grid.times.copy()
+    return inv.VolterraSystem(t, rho0 + slope * t, np.full_like(t, slope))
+
+
 def measure_inverse(basis6: spc.SpectralBasis, basis1: spc.SpectralBasis, f6: np.ndarray,
                     zr: np.ndarray, recon_grid: evo.TimeGrid, id_grid: evo.TimeGrid) -> dict:
     """Recovery of f6 and round trip of zr on recon_grid; on id_grid with one mode,
     the identity chain, the rho(0) = 0 rejection and the two rho(0) = 0 routes."""
-    sys6 = inv.VolterraSystem.from_callables(lambda t: 1 + t / 2, lambda t: 0.5, recon_grid)
-    traj6 = evo.duhamel_solve(evo.SourceModel(f6, sys6.rho, sys6.rho_at_zero), basis6, recon_grid)
+    sys6 = _linear_rho(recon_grid, 1.0, 0.5)
+    traj6 = evo.duhamel_solve(evo.SourceModel(f6, sys6.rho), basis6, recon_grid)
     recon = inv.reconstruct_f(traj6, sys6, basis6.eigenvalues, f6)
     roundtrip = float(np.abs(inv.volterra_invert(sys6, inv.volterra_apply(sys6, zr)) - zr).max())
-    sys1 = inv.VolterraSystem.from_callables(lambda t: 1 + t / 2, lambda t: 0.5, id_grid)
+    sys1 = _linear_rho(id_grid, 1.0, 0.5)
     f1 = np.array([1.0 + 0.0j])
-    traj1 = evo.duhamel_solve(evo.SourceModel(f1, sys1.rho, sys1.rho_at_zero), basis1, id_grid)
+    traj1 = evo.duhamel_solve(evo.SourceModel(f1, sys1.rho), basis1, id_grid)
     rec1 = inv.reconstruct_f(traj1, sys1, basis1.eigenvalues, f1)
     free = float(inv.free_evolution_check(rec1.z, basis1.eigenvalues, sys1.dt).max())
-    sys_t = inv.VolterraSystem.from_callables(lambda t: t, lambda t: 1.0, id_grid)
+    sys_t = _linear_rho(id_grid, 0.0, 1.0)
     rejected = False
     try:
         inv.volterra_invert(sys_t, np.ones(len(id_grid.times), dtype=complex))
     except ValueError:
         rejected = True
-    traj_t = evo.duhamel_solve(evo.SourceModel(f1, sys_t.rho, sys_t.rho_at_zero), basis1, id_grid)
+    traj_t = evo.duhamel_solve(evo.SourceModel(f1, sys_t.rho), basis1, id_grid)
     w = inv.antiderivative_reduce(traj_t)
     v = evo.free_trajectory(-1j * f1, basis1, id_grid)
     route4 = inv.convolve_source(evo.cumulative_trapezoid(sys_t.rho, sys_t.dt), v,
@@ -632,12 +652,15 @@ _RUNNERS = {
 }
 
 
+def _stage_names(subcommand: str) -> list[str]:
+    return list(_RUNNERS) if subcommand == "all" else [subcommand]
+
+
 def _run_stages(subcommand: str, cfg: LabConfig, outdir: Path) -> dict[str, bool]:
     """Run the stages into outdir and write the manifest last."""
     started = time.monotonic()
-    names = list(_RUNNERS) if subcommand == "all" else [subcommand]
     checks, details, reports, stage_seconds = {}, {}, {}, {}
-    for name in names:
+    for name in _stage_names(subcommand):
         stage_started = time.monotonic()
         try:
             verdicts, rep = _RUNNERS[name](cfg, outdir)
@@ -672,7 +695,7 @@ def run(subcommand: str, cfg: LabConfig, out_root: Path, check: bool = False) ->
     The stages write into a hidden sibling directory, which takes the stamped
     name only once the manifest is written; if a stage raises, it is removed.
     """
-    validate_config(cfg)
+    validate_config(cfg, subcommand)
     stamp = datetime.now(timezone.utc).strftime("%Y%m%d-%H%M%S%f")
     outdir = out_root / f"{subcommand}-{stamp}"
     workdir = out_root / f".{outdir.name}.partial"

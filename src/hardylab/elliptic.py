@@ -15,7 +15,9 @@ number of t nodes.
 The observation and unique-continuation maps are held as the Khatri-Rao
 factors of evolution.khatri_rao_core, never as (samples, modes) matrices:
 their singular values, and the certificate's reconstruction, come from a
-core of at most k^2 rows.
+core of at most k^2 rows.  The certificate works on the observation map
+alone: the kernel and the transform are built and checked by their own CLI
+stages, not again here.
 """
 
 from dataclasses import dataclass
@@ -26,7 +28,7 @@ from .errors import IllPosedTruncationError
 from .evolution import (ModeTrajectory, ObservationMask, TimeGrid,
                         free_trajectory, khatri_rao_core, numerical_rank,
                         observability_matrix, observe, trapezoid_weights)
-from .flatness import FlatnessKernel, GevreyBump, build_kernel, kernel_residual
+from .flatness import FlatnessKernel, GevreyBump
 from .spectral import SpectralBasis
 
 SIGMA_MIN_FLOOR = 1e-12
@@ -147,24 +149,20 @@ class UniquenessCertificate:
     bound: float
     c0_norm: float
     reconstruction_error: float
-    residuals: dict
 
 
 def uniqueness_pipeline(c0: np.ndarray, basis: SpectralBasis, mask: ObservationMask,
-                        bump: GevreyBump, obs_grid: TimeGrid, k_trunc: int = 24,
-                        transform_t_nodes: int = 257) -> UniquenessCertificate:
+                        obs_grid: TimeGrid) -> UniquenessCertificate:
     """Quantitative vanishing certificate: observation energy eta on the mask
     bounds the initial state by eta / sigma_min, where sigma_min is the
     smallest singular value of the observation map (computed from its
-    Khatri-Rao core), with the kernel/transform/moment residual chain
-    attached.  The initial state is recovered by least squares through the
-    same factors.
+    Khatri-Rao core).  The initial state is recovered by least squares
+    through the same factors.
 
     Refuses (IllPosedTruncationError) when sigma_min drops below 1e-12.
     """
     c0 = np.asarray(c0, dtype=complex)
-    trajectory = free_trajectory(c0, basis, obs_grid)
-    samples = observe(trajectory, mask, basis)
+    samples = observe(free_trajectory(c0, basis, obs_grid), mask, basis)
     weighted = np.sqrt(np.outer(obs_grid.trapezoid_weights(), mask.weights)) * samples
     eta = float(np.linalg.norm(weighted))
     report = observability_matrix(basis, mask, obs_grid)
@@ -173,26 +171,10 @@ def uniqueness_pipeline(c0: np.ndarray, basis: SpectralBasis, mask: ObservationM
         raise IllPosedTruncationError(
             f"sigma_min {sigma_min:.3e} below {SIGMA_MIN_FLOOR}: refusing certificate"
         )
-    recon_err = float(np.linalg.norm(report.least_squares(weighted) - c0))
-
-    t_nodes = np.linspace(-1.0, 1.0, transform_t_nodes)
-    kernel = build_kernel(bump, t_nodes, obs_grid.times, k_trunc)
-    kres = kernel_residual(kernel)
-    profile = transform(trajectory, kernel, basis.eigenvalues)
-    eres, _ = elliptic_residual(profile)
-    moments = moment_trace(bump, free_trajectory(np.ones_like(c0), basis, obs_grid))
-    residuals = {
-        "kernel_max_residual": kres.max_residual,
-        "kernel_max_abs": kres.max_kernel,
-        "transform_residual": eres,
-        "moment_min_abs": float(np.abs(moments).min()),
-        "moments_abs": np.abs(moments).tolist(),
-    }
     return UniquenessCertificate(
         eta=eta,
         sigma_min=sigma_min,
         bound=eta / sigma_min,
         c0_norm=float(np.linalg.norm(c0)),
-        reconstruction_error=recon_err,
-        residuals=residuals,
+        reconstruction_error=float(np.linalg.norm(report.least_squares(weighted) - c0)),
     )

@@ -83,7 +83,6 @@ class SourceModel:
 
     f_modes: np.ndarray
     rho: np.ndarray        # samples on the driving TimeGrid
-    rho_at_zero: float
 
 
 def propagate(state: ModeState, basis: SpectralBasis, t: float) -> ModeState:

@@ -228,16 +228,9 @@ class FlatnessKernel:
         return _evaluate(self.t_nodes[t_index], self.deriv_table[tau_index], self.k_trunc)
 
     def row_blocks(self) -> list[tuple[int, int]]:
-        """(start, stop) of consecutive ROW_BLOCK-row slices of the t grid.
-
-        A one-row remainder joins the slice before it: a product with a
-        single row goes through a matrix-vector kernel that sums in another
-        order than the matrix-matrix one.
-        """
-        starts = list(range(0, len(self.t_nodes), ROW_BLOCK))
-        if len(starts) > 1 and len(self.t_nodes) - starts[-1] == 1:
-            starts.pop()
-        return list(zip(starts, starts[1:] + [len(self.t_nodes)]))
+        """(start, stop) of consecutive ROW_BLOCK-row slices of the t grid."""
+        n = len(self.t_nodes)
+        return [(start, min(start + ROW_BLOCK, n)) for start in range(0, n, ROW_BLOCK)]
 
     @functools.cached_property
     def values(self) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 from scipy import fft as sp_fft
 from scipy.linalg import solve_triangular, toeplitz
 
-from .evolution import ModeTrajectory, TimeGrid, cumulative_trapezoid
+from .evolution import ModeTrajectory, cumulative_trapezoid
 
 RHO_ZERO_TOL = 1e-14
 SUPPORT_REL_THRESHOLD = 1e-12
@@ -36,14 +36,10 @@ class VolterraSystem:
     times: np.ndarray
     rho: np.ndarray
     drho: np.ndarray
-    rho_at_zero: float
 
-    @classmethod
-    def from_callables(cls, rho_fn, drho_fn, grid: TimeGrid) -> "VolterraSystem":
-        t = grid.times
-        rho = np.array([rho_fn(s) for s in t], dtype=float)
-        drho = np.array([drho_fn(s) for s in t], dtype=float)
-        return cls(t.copy(), rho, drho, float(rho[0]))
+    @property
+    def rho_at_zero(self) -> float:
+        return float(self.rho[0])
 
     @property
     def dt(self) -> float:

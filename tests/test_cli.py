@@ -2,8 +2,10 @@ import ast
 import contextlib
 import csv
 import dataclasses
+import inspect
 import io
 import json
+import math
 import operator
 import os
 import subprocess
@@ -15,6 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hardylab import cli
+from hardylab import flatness as fla
 from hardylab.cli import LabConfig, load_config, main, run, validate_config
 from hardylab.errors import IllPosedTruncationError, SupercriticalCouplingError
 
@@ -199,6 +202,64 @@ def test_oracle_range_limits_run(tmp_path):
 
 def test_shortest_inverse_grid_runs(tmp_path):
     assert run("inverse-source", light_config(inverse_steps=2), tmp_path) == 0
+
+
+_KERNEL_FLOOR = cli.HORIZON_FLOORS["kernel"]
+_TITCHMARSH_FLOOR = cli.HORIZON_FLOORS["titchmarsh"]
+
+
+@pytest.mark.parametrize("subcommand, horizon", [
+    ("kernel", math.nextafter(_KERNEL_FLOOR, 0.0)),
+    ("kernel", 0.3),              # the Cauchy sums overflow at truncation 24
+    ("transform", math.nextafter(_KERNEL_FLOOR, 0.0)),
+    ("all", math.nextafter(_KERNEL_FLOOR, 0.0)),
+    ("titchmarsh", math.nextafter(_TITCHMARSH_FLOOR, 0.0)),
+    ("titchmarsh", 0.16),         # a wide bump leaves no room for its start
+])
+def test_short_horizon_rejected_before_output(tmp_path, capsys, subcommand, horizon):
+    cfg_file = tmp_path / "short.cfg"
+    cfg_file.write_text(f"horizon = {horizon!r}\n")
+    out_root = tmp_path / "out"
+    code = main([subcommand, "--config", str(cfg_file), "--out", str(out_root)])
+    assert code == 2
+    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert payload["error"] == "invalid_config"
+    assert "horizon" in payload["message"]
+    assert not out_root.exists()
+
+
+@pytest.mark.parametrize("subcommand, overrides", [
+    # the largest truncation overflows first, so the floor is run at it
+    ("kernel", {"horizon": _KERNEL_FLOOR, "k_trunc": fla.MAX_TRUNCATION}),
+    ("transform", {"horizon": _KERNEL_FLOOR, "transform_k_trunc": fla.MAX_TRUNCATION}),
+    ("titchmarsh", {"horizon": _TITCHMARSH_FLOOR}),
+    ("uniqueness", {"horizon": 0.05}),   # builds no kernel: no floor
+])
+def test_horizon_at_floor_runs(tmp_path, subcommand, overrides):
+    assert run(subcommand, light_config(**overrides), tmp_path) == 0
+
+
+def test_horizon_floor_applies_to_the_stages_run():
+    short = light_config(horizon=0.05)
+    for subcommand in ("spectrum", "hardy", "evolve", "uniqueness", "angular", "hum",
+                       "inverse-source"):
+        validate_config(short, subcommand)
+    with pytest.raises(cli.ConfigError, match="horizon"):
+        validate_config(short)   # one argument: every stage, as 'all'
+
+
+def test_uniqueness_builds_no_flatness_kernel(tmp_path, monkeypatch):
+    # the kernel and the transform are built by their own stages only
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the uniqueness stage called hardylab.flatness")
+
+    for name, obj in vars(fla).items():
+        if inspect.isfunction(obj) and obj.__module__ == fla.__name__:
+            monkeypatch.setattr(fla, name, forbidden)
+    assert run("uniqueness", light_config(), tmp_path) == 0
+    cert = json.loads((find_run_dir(tmp_path, "uniqueness") / "certificate.json").read_text())
+    assert set(cert) == {"config", "eta", "sigma_min", "bound", "c0_norm",
+                         "reconstruction_error"}
 
 
 def test_validate_config_rules():

@@ -42,12 +42,15 @@ def test_transform_linearity_and_zero(setup):
 
 
 def test_streamed_transform_matches_dense_contraction(setup):
-    basis, bump, tau_grid, kernel = setup
+    basis, bump, tau_grid, kernel401 = setup
     traj = free_trajectory(np.array([1.0, -0.5 + 0.25j, 0.1, 0.7j]), basis, tau_grid)
-    profile = transform(traj, kernel, basis.eigenvalues)
-    dense = ((kernel.values * kernel.tau_weights()) @ traj.coeffs).T
-    scale = np.abs(profile.values).max()
-    assert np.abs(profile.values - dense).max() <= 1e-13 * scale
+    # 65 and 129 t nodes end in a one-row block
+    short = [build_kernel(bump, np.linspace(-1.0, 1.0, nt), tau_grid.times, 24) for nt in (65, 129)]
+    for kernel in [kernel401, *short]:
+        profile = transform(traj, kernel, basis.eigenvalues)
+        dense = ((kernel.values * kernel.tau_weights()) @ traj.coeffs).T
+        scale = np.abs(profile.values).max()
+        assert np.abs(profile.values - dense).max() <= 1e-13 * scale
 
 
 def test_transform_grid_mismatch_rejected(setup):
@@ -182,27 +185,25 @@ def test_ucp_requires_positive_modes():
 
 
 def test_uniqueness_pipeline_zero_state(setup):
-    basis, bump, tau_grid, _ = setup
+    basis = setup[0]
     mask = interval_mask(basis.grid, 0.3, 0.6)
-    cert = uniqueness_pipeline(np.zeros(4), basis, mask, bump,
-                               TimeGrid(1.0, 16), k_trunc=12, transform_t_nodes=65)
+    cert = uniqueness_pipeline(np.zeros(4), basis, mask, TimeGrid(1.0, 16))
     assert cert.eta == 0.0 and cert.bound == 0.0
 
 
 def test_uniqueness_pipeline_reconstructs(setup):
-    basis, bump, tau_grid, _ = setup
+    basis = setup[0]
     mask = interval_mask(basis.grid, 0.0, 1.0)
     rng = np.random.default_rng(11)
     c0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    cert = uniqueness_pipeline(c0, basis, mask, bump,
-                               TimeGrid(1.0, 32), k_trunc=12, transform_t_nodes=65)
+    cert = uniqueness_pipeline(c0, basis, mask, TimeGrid(1.0, 32))
     assert cert.reconstruction_error <= 1e-8
     assert cert.bound == pytest.approx(cert.eta / cert.sigma_min)
     assert cert.bound >= cert.c0_norm - 1e-9
 
 
 def test_uniqueness_pipeline_refuses_degenerate_basis(setup):
-    basis, bump, tau_grid, _ = setup
+    basis = setup[0]
     # duplicated mode makes two observation columns identical: sigma_min = 0
     dup = SpectralBasis(
         basis.grid,
@@ -212,12 +213,11 @@ def test_uniqueness_pipeline_refuses_degenerate_basis(setup):
     )
     mask = interval_mask(basis.grid, 0.3, 0.6)
     with pytest.raises(IllPosedTruncationError):
-        uniqueness_pipeline(np.array([1.0, 1.0]), dup, mask, bump,
-                            TimeGrid(1.0, 8), k_trunc=8, transform_t_nodes=33)
+        uniqueness_pipeline(np.array([1.0, 1.0]), dup, mask, TimeGrid(1.0, 8))
 
 
 def test_uniqueness_pipeline_refuses_near_singular_basis(setup):
-    basis, bump, tau_grid, _ = setup
+    basis = setup[0]
     # two modes a 1e-13 perturbation apart: sigma_min positive but below the floor
     phi = basis.eigenvectors
     near = SpectralBasis(
@@ -231,5 +231,4 @@ def test_uniqueness_pipeline_refuses_near_singular_basis(setup):
     sigma_min = observability_matrix(near, mask, grid).singular_values[-1]
     assert 0.0 < sigma_min < 1e-12
     with pytest.raises(IllPosedTruncationError):
-        uniqueness_pipeline(np.array([1.0, 1.0]), near, mask, bump,
-                            grid, k_trunc=8, transform_t_nodes=33)
+        uniqueness_pipeline(np.array([1.0, 1.0]), near, mask, grid)

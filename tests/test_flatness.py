@@ -222,7 +222,6 @@ def test_kernel_rows_bit_identical_to_dense_assembly(nt):
     bounds = kernel.row_blocks()
     assert [start for start, _ in bounds[1:]] == [stop for _, stop in bounds[:-1]]
     assert bounds[0][0] == 0 and bounds[-1][1] == nt
-    assert all(stop - start > 1 for start, stop in bounds) or nt == 1
     blocks = [kernel.sub_grid(slice(start, stop)) for start, stop in bounds]
     assert np.array_equal(np.concatenate(blocks), oracle)
     report = kernel_residual(kernel)

@@ -21,7 +21,9 @@ def make_basis(k=6, lam=3 / 16, n=400):
 
 
 def make_system(rho_fn, drho_fn, steps=1000, horizon=1.0):
-    return VolterraSystem.from_callables(rho_fn, drho_fn, TimeGrid(horizon, steps))
+    """rho and rho' sampled on the grid, one call each (constants broadcast)."""
+    t = TimeGrid(horizon, steps).times
+    return VolterraSystem(t, np.zeros_like(t) + rho_fn(t), np.zeros_like(t) + drho_fn(t))
 
 
 def test_constant_rho_is_identity():
@@ -94,7 +96,7 @@ def volterra_systems(draw):
     drho = draw(st.floats(0.0, 1.0)) * rng.uniform(-1.0, 1.0, n)
     times = np.linspace(0.0, 1.0, n)
     rho = rho0 + np.concatenate(([0.0], np.cumsum(drho[1:] + drho[:-1]))) * 0.5 * times[1]
-    return VolterraSystem(times, rho, drho, rho0), rng
+    return VolterraSystem(times, rho, drho), rng
 
 
 def dense_volterra_matrix(sys):
@@ -150,7 +152,7 @@ def test_reconstruct_zero_source():
     grid = TimeGrid(1.0, 500)
     sys = make_system(lambda t: 1 + t / 2, lambda t: 0.5, steps=500)
     f = np.zeros(3, dtype=complex)
-    traj = duhamel_solve(SourceModel(f, sys.rho, sys.rho_at_zero), basis, grid)
+    traj = duhamel_solve(SourceModel(f, sys.rho), basis, grid)
     result = reconstruct_f(traj, sys, basis.eigenvalues, f_true=f)
     assert np.abs(result.f_recovered).max() <= 1e-14
 
@@ -161,7 +163,7 @@ def test_reconstruct_six_random_modes_exact_derivative():
     sys = make_system(lambda t: 1 + t / 2, lambda t: 0.5, steps=1000)
     rng = np.random.default_rng(3)
     f = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    traj = duhamel_solve(SourceModel(f, sys.rho, sys.rho_at_zero), basis, grid)
+    traj = duhamel_solve(SourceModel(f, sys.rho), basis, grid)
     result = reconstruct_f(traj, sys, basis.eigenvalues, f_true=f)
     assert result.relative_error <= 1e-3
     assert result.diagnostics["factorization_residual"] <= 1e-8
@@ -173,7 +175,7 @@ def test_reconstruct_fd_derivative_low_mode():
     grid = TimeGrid(1.0, 1000)
     sys = make_system(lambda t: 1 + t / 2, lambda t: 0.5, steps=1000)
     f = np.array([1.0 - 0.5j])
-    c = duhamel_solve(SourceModel(f, sys.rho, sys.rho_at_zero), basis, grid).coeffs
+    c = duhamel_solve(SourceModel(f, sys.rho), basis, grid).coeffs
     dt = sys.dt
     dudt = np.empty_like(c)
     dudt[1:-1] = (c[2:] - c[:-2]) / (2.0 * dt)
@@ -189,7 +191,7 @@ def test_identity_chain_resolved_mode():
     grid = TimeGrid(1.0, steps)
     sys = make_system(lambda t: 1 + t / 2, lambda t: 0.5, steps=steps)
     f = np.array([1.0 + 0.0j])
-    traj = duhamel_solve(SourceModel(f, sys.rho, sys.rho_at_zero), basis, grid)
+    traj = duhamel_solve(SourceModel(f, sys.rho), basis, grid)
     result = reconstruct_f(traj, sys, basis.eigenvalues, f_true=f)
     assert result.diagnostics["factorization_residual"] <= 1e-8      # K z = du/dt
     assert duhamel_identity_residual(traj, sys, result.z) <= 1e-6     # u = rho * z
@@ -286,7 +288,7 @@ def test_reduction_route_matches_duhamel():
     grid = TimeGrid(1.0, 1000)
     rho = grid.times * (1.0 - grid.times / 2)
     f = np.array([1.0, -0.5j, 0.25 + 0.25j])
-    u = duhamel_solve(SourceModel(f, rho, rho[0]), basis, grid)
+    u = duhamel_solve(SourceModel(f, rho), basis, grid)
     v = free_trajectory(-1j * f, basis, grid)
     y = convolve_source(rho, v, basis.eigenvalues)
     assert np.abs(y.y.coeffs - u.coeffs).max() <= 1e-12
