@@ -1,29 +1,34 @@
 """Batch front end: presets, deterministic runs, CSV/JSON artifacts.
 
-Every subcommand writes its tables plus a manifest (config snapshot, check
-booleans, each check's value, comparator and bound from CHECKS, each stage's
-report of measured values and wall seconds, sha256 digests) into a stamped
-directory under --out (overridden by the LAB_OUT environment variable); the
-directory appears under its stamped name only once the manifest is written.
-Bodies of the CSV/JSON artifacts are functions of config and seed only, so
-repeated runs digest identically.
+Every subcommand writes its tables plus a manifest (config snapshot, the
+python, numpy and scipy versions, check booleans, each check's value,
+comparator and bound from CHECKS, each stage's report of measured values and
+wall seconds, sha256 digests) into a stamped directory under --out
+(overridden by the LAB_OUT environment variable); the directory appears under
+its stamped name only once the manifest is written.  A CSV table is a header
+line, then one line per row with floats as %.17g and other values as str,
+comma-separated and unquoted, every line ending in CRLF.  Bodies of the
+CSV/JSON artifacts are functions of config and seed only, so repeated runs
+digest identically.
 
 Exit codes: 0 success, 1 tolerance breach under --check, 2 invalid
-configuration, 3 supercritical coupling, 4 a stage failed on a configuration
-that passed validation: it raised ValueError, RuntimeError (which covers
+configuration (among others a horizon below a stage's HORIZON_FLOORS entry,
+or a tau grid that flatness.guard_band refuses for kernel and transform), 3
+supercritical coupling, 4 a stage failed on a configuration that passed
+validation: it raised ValueError, RuntimeError (which covers
 IllPosedTruncationError, a failed eigenpair residual and a Gramian that is
 not positive definite) or FloatingPointError.  The stage_failure payload
 names the stage and the exception class, and no output directory is left.
 """
 
 import argparse
-import csv
 import dataclasses
 import hashlib
 import json
 import math
 import operator
 import os
+import platform
 import shutil
 import sys
 import time
@@ -32,6 +37,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import angular as ang
 from . import bessel as bes
@@ -151,6 +157,13 @@ def validate_config(cfg: LabConfig, subcommand: str = "all") -> None:
                         ("recon_steps", 14)):      # titchmarsh bumps: 8 dt <= 0.3 * 2T
         if getattr(cfg, name) < least:
             raise ConfigError(f"{name} must be at least {least}")
+    if {"kernel", "transform"} & set(_stage_names(subcommand)):
+        # both build derivative tables on this grid: refuse what derivative_table would
+        try:
+            fla.guard_band(_bump(cfg), evo.TimeGrid(cfg.horizon, cfg.tau_steps).times)
+        except ValueError as exc:
+            raise ConfigError(f"tau grid of horizon {cfg.horizon:g} and tau_steps "
+                              f"{cfg.tau_steps}: {exc}") from exc
     try:
         _mask(cfg, spc.RadialGrid(cfg.n_interior))
     except ValueError as exc:
@@ -198,12 +211,28 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def write_csv(path: Path, header: list[str], rows) -> None:
+# text csv.writer would quote; write_csv writes fields unquoted
+_QUOTED = (",", '"', "\r", "\n")
+
+
+def write_csv(path: Path, header: list[str], columns) -> None:
+    """A header line, then one line per row of the columns (one array per
+    header name): values of a floating column as %.17g, any other value as
+    str, separated by commas, every line ending in CRLF."""
+    columns = [np.asarray(c) for c in columns]
+    if len(columns) != len(header):
+        raise ValueError(f"{len(header)} header names for {len(columns)} columns")
+    text = [*header, *(v for col in columns if col.dtype.kind in "OSU" for v in col.tolist())]
+    if any(q in str(v) for v in text for q in _QUOTED):
+        raise ValueError("CSV fields must not hold commas, quotes or line breaks")
+    n_rows = len(columns[0]) if columns else 0
+    cells = [None] * (n_rows * len(columns))
+    for j, col in enumerate(columns):
+        cells[j::len(columns)] = col.tolist()   # ValueError unless n_rows long
+    row = ",".join("%.17g" if col.dtype.kind == "f" else "%s" for col in columns) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        fh.write(",".join(header) + "\r\n")
+        fh.write((row * n_rows) % tuple(cells))
 
 
 def write_json(path: Path, payload: dict) -> None:
@@ -225,6 +254,11 @@ def _basis(cfg: LabConfig, lam: float | None = None, k: int | None = None) -> sp
     return spc.solve_spectrum(op, cfg.k_modes if k is None else k)
 
 
+def _bump(cfg: LabConfig) -> fla.GevreyBump:
+    """The sigma = 2 bump on (0, horizon) of the kernel and transform stages."""
+    return fla.gevrey_bump(cfg.horizon, 2.0)
+
+
 def _mask(cfg: LabConfig, grid: spc.RadialGrid) -> evo.ObservationMask:
     if cfg.mask_kind == "interval":
         return evo.interval_mask(grid, cfg.mask_a, cfg.mask_b)
@@ -236,10 +270,12 @@ def _complex_normal(rng: np.random.Generator, k: int) -> np.ndarray:
     return rng.standard_normal(k) + 1j * rng.standard_normal(k)
 
 
-def _sampled(xs, ys, values: np.ndarray, x_stride: int, y_stride: int) -> list[tuple]:
-    """Rows (x_i, y_j, Re v_ij, Im v_ij) on every x_stride-th x and y_stride-th y."""
-    return [(xs[i], ys[j], values[i, j].real, values[i, j].imag)
-            for i in range(0, len(xs), x_stride) for j in range(0, len(ys), y_stride)]
+def _sampled(xs, ys, values: np.ndarray, x_stride: int, y_stride: int) -> list[np.ndarray]:
+    """Columns x_i, y_j, Re v_ij, Im v_ij on every x_stride-th x and y_stride-th
+    y, one row per (i, j) with j running fastest."""
+    block = np.asarray(values)[:len(xs):x_stride, :len(ys):y_stride]
+    xs, ys = np.asarray(xs)[::x_stride], np.asarray(ys)[::y_stride]
+    return [np.repeat(xs, len(ys)), np.tile(ys, len(xs)), block.real.ravel(), block.imag.ravel()]
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +360,7 @@ def _exponent_error(study: ang.BlowupStudy) -> float:
 def run_spectrum(cfg: LabConfig, outdir: Path):
     basis = _basis(cfg, k=cfg.spectrum_modes)
     table = spc.bessel_oracle_table(basis)   # the measurement: (k, mu_k, oracle, rel_err) rows
-    write_csv(outdir / "spectrum.csv", ["k", "mu_k", "bessel_oracle", "rel_err"], table)
+    write_csv(outdir / "spectrum.csv", ["k", "mu_k", "bessel_oracle", "rel_err"], table.T)
     worst = float(table[:, 3].max())
     return (_judge_stage("spectrum", {"spectrum_oracle_rel_err": worst}),
             {"worst_rel_err": worst, "bessel_order": basis.bessel_order})
@@ -344,9 +380,9 @@ def measure_hardy(n_interior: int, rng: np.random.Generator) -> dict:
 
 def run_hardy(cfg: LabConfig, outdir: Path):
     m = measure_hardy(cfg.n_interior, np.random.default_rng(cfg.seed))
-    write_csv(outdir / "hardy_pencil.csv", ["n_interior", "infimum"], m["pencil"])
+    write_csv(outdir / "hardy_pencil.csv", ["n_interior", "infimum"], zip(*m["pencil"]))
     write_csv(outdir / "hardy_sweep.csv", ["stat", "value"],
-              [("min_ratio", m["ratios"].min()), ("mean_ratio", m["ratios"].mean())])
+              [["min_ratio", "mean_ratio"], [m["ratios"].min(), m["ratios"].mean()]])
     return _judge_stage("hardy", m), {"min_ratio": m["hardy_sweep_bound"], "pencil": m["pencil"]}
 
 
@@ -369,9 +405,9 @@ def run_evolve(cfg: LabConfig, outdir: Path):
     tg = evo.TimeGrid(cfg.horizon, cfg.time_steps)
     mask = _mask(cfg, basis.grid)
     samples = evo.observe(evo.free_trajectory(c0, basis, tg), mask, basis)
-    rows = _sampled(tg.times, basis.grid.nodes[mask.node_indices], samples,
-                    max(1, tg.steps // 100), max(1, mask.n_nodes // 40))
-    write_csv(outdir / "trajectory.csv", ["t", "node", "re_u", "im_u"], rows)
+    columns = _sampled(tg.times, basis.grid.nodes[mask.node_indices], samples,
+                       max(1, tg.steps // 100), max(1, mask.n_nodes // 40))
+    write_csv(outdir / "trajectory.csv", ["t", "node", "re_u", "im_u"], columns)
     return _judge_stage("evolve", m), {"norm_drift": m["evolution_norm_drift"],
                                        "reversal_error": m["evolution_time_reversal"]}
 
@@ -390,12 +426,13 @@ def measure_kernel(bump: fla.GevreyBump, t_nodes, tau_nodes, k_trunc: int) -> di
 def run_kernel(cfg: LabConfig, outdir: Path):
     t_nodes = np.linspace(-1.0, 1.0, cfg.kernel_t_nodes)
     tau_nodes = evo.TimeGrid(cfg.horizon, cfg.tau_steps).times
-    m = measure_kernel(fla.gevrey_bump(cfg.horizon, 2.0), t_nodes, tau_nodes, cfg.k_trunc)
+    m = measure_kernel(_bump(cfg), t_nodes, tau_nodes, cfg.k_trunc)
     t_rows = slice(None, None, max(1, (len(t_nodes) - 1) // 50))
     tau_cols = slice(None, None, max(1, (len(tau_nodes) - 1) // 128))
     kernel, res = m["kernel"], m["residual"]
-    rows = _sampled(t_nodes[t_rows], tau_nodes[tau_cols], kernel.sub_grid(t_rows, tau_cols), 1, 1)
-    write_csv(outdir / "kernel.csv", ["t", "tau", "re_k", "im_k"], rows)
+    columns = _sampled(t_nodes[t_rows], tau_nodes[tau_cols], kernel.sub_grid(t_rows, tau_cols),
+                       1, 1)
+    write_csv(outdir / "kernel.csv", ["t", "tau", "re_k", "im_k"], columns)
     write_json(outdir / "kernel_residual.json", {
         "config": dataclasses.asdict(cfg), "k_trunc": cfg.k_trunc,
         "max_residual": res.max_residual, "max_kernel": res.max_kernel,
@@ -421,12 +458,11 @@ def measure_transform(basis: spc.SpectralBasis, kernel: fla.FlatnessKernel, tau_
 def run_transform(cfg: LabConfig, outdir: Path):
     tau_grid = evo.TimeGrid(cfg.horizon, cfg.tau_steps)
     t_nodes = np.linspace(-1.0, 1.0, cfg.transform_t_nodes)
-    kernel = fla.build_kernel(fla.gevrey_bump(cfg.horizon, 2.0), t_nodes, tau_grid.times,
-                              cfg.transform_k_trunc)
+    kernel = fla.build_kernel(_bump(cfg), t_nodes, tau_grid.times, cfg.transform_k_trunc)
     m = measure_transform(_basis(cfg), kernel, tau_grid)
-    rows = _sampled(range(1, m["profile"].k_modes + 1), t_nodes, m["profile"].values,
-                    1, max(1, (len(t_nodes) - 1) // 200))
-    write_csv(outdir / "elliptic_profile.csv", ["k", "t", "re_w", "im_w"], rows)
+    columns = _sampled(range(1, m["profile"].k_modes + 1), t_nodes, m["profile"].values,
+                       1, max(1, (len(t_nodes) - 1) // 200))
+    write_csv(outdir / "elliptic_profile.csv", ["k", "t", "re_w", "im_w"], columns)
     write_json(outdir / "transform_report.json", {
         "config": dataclasses.asdict(cfg), "k_trunc": cfg.transform_k_trunc,
         "residual": m["transform_residual"], "per_mode": m["per_mode"].tolist(),
@@ -497,9 +533,8 @@ def measure_angular(n_ang: int) -> dict:
 def run_angular(cfg: LabConfig, outdir: Path):
     m = measure_angular(cfg.n_ang)
     study = m["study"]
-    write_csv(outdir / "angular_spectrum.csv", ["lam", "k", "mu_k", "gamma_k"], m["rows"])
-    write_csv(outdir / "blowup.csv", ["r", "discrepancy"],
-              list(zip(study.radii, study.discrepancies)))
+    write_csv(outdir / "angular_spectrum.csv", ["lam", "k", "mu_k", "gamma_k"], zip(*m["rows"]))
+    write_csv(outdir / "blowup.csv", ["r", "discrepancy"], [study.radii, study.discrepancies])
     return _judge_stage("angular", m), {"gamma_defect": m["angular_gamma_identity"],
                                         "oracle_err": m["angular_arc_oracle"],
                                         "blowup_exponent": study.fitted_exponent}
@@ -529,11 +564,11 @@ def run_hum(cfg: LabConfig, outdir: Path):
     mask = _mask(cfg, basis.grid)
     m = measure_hum(basis, mask, cfg.horizon, np.random.default_rng(cfg.seed), cfg.eps_list,
                     cfg.hum_verify_steps)
-    write_csv(outdir / "defect_curve.csv", ["eps", "defect", "cost", "sigma_min"],
-              [(r["eps"], r["defect"], r["cost"], r["sigma_min"]) for r in m["curve"]])
-    rows = _sampled(m["times"], basis.grid.nodes[mask.node_indices],
-                    m["control"].control_samples, 4, max(1, mask.n_nodes // 40))
-    write_csv(outdir / "control.csv", ["t", "node", "re_h", "im_h"], rows)
+    header = ["eps", "defect", "cost", "sigma_min"]
+    write_csv(outdir / "defect_curve.csv", header, [[r[key] for r in m["curve"]] for key in header])
+    columns = _sampled(m["times"], basis.grid.nodes[mask.node_indices],
+                       m["control"].control_samples, 4, max(1, mask.n_nodes // 40))
+    write_csv(outdir / "control.csv", ["t", "node", "re_h", "im_h"], columns)
     return _judge_stage("hum", m), {"identity_gap": m["hum_defect_identity"],
                                     "sigma_min": m["lambda_min"]}
 
@@ -634,7 +669,8 @@ def measure_titchmarsh(horizon: float, steps: int, rng: np.random.Generator) -> 
 
 def run_titchmarsh(cfg: LabConfig, outdir: Path):
     m = measure_titchmarsh(cfg.horizon, cfg.recon_steps, np.random.default_rng(cfg.seed))
-    write_csv(outdir / "titchmarsh.csv", ["start_a", "start_b", "start_conv", "gap"], m["rows"])
+    write_csv(outdir / "titchmarsh.csv", ["start_a", "start_b", "start_conv", "gap"],
+              zip(*m["rows"]))
     return _judge_stage("titchmarsh", m), {"worst_gap": m["worst_gap"], "dt": m["dt"]}
 
 
@@ -677,6 +713,8 @@ def _run_stages(subcommand: str, cfg: LabConfig, outdir: Path) -> dict[str, bool
         "artifact_version": ARTIFACT_VERSION,
         "subcommand": subcommand,
         "config": dataclasses.asdict(cfg),
+        "versions": {"python": platform.python_version(), "numpy": np.__version__,
+                     "scipy": scipy.__version__},
         "wall_clock_utc": datetime.now(timezone.utc).isoformat(),
         "elapsed_seconds": time.monotonic() - started,
         "stage_seconds": stage_seconds,

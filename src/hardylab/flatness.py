@@ -75,6 +75,25 @@ def cauchy_derivatives(bump: GevreyBump, tau: float, k_max: int) -> np.ndarray:
     return derivative_table(bump, np.array([tau]), k_max)[0]
 
 
+def guard_band(bump: GevreyBump, taus: np.ndarray) -> np.ndarray:
+    """Mask of the interior taus whose contour radius min(tau, T-tau)/2 is
+    below MIN_CONTOUR_RADIUS; derivative_table leaves their rows zero.
+
+    Raises ValueError unless the bump (and hence every derivative reachable
+    in float64) has underflowed to zero at each of them.
+    """
+    taus = np.atleast_1d(np.asarray(taus, dtype=float))
+    t_end = bump.horizon
+    r = 0.5 * np.minimum(taus, t_end - taus)
+    tight = (taus > 0.0) & (taus < t_end) & (r < MIN_CONTOUR_RADIUS)
+    if np.any(tight):
+        with np.errstate(over="ignore"):
+            expo = bump.c_norm - (taus[tight] * (t_end - taus[tight])) ** (-bump.sigma)
+        if np.any(expo > -1000.0):
+            raise ValueError("tau too close to the support endpoints (radius < 1e-3)")
+    return tight
+
+
 def derivative_table(bump: GevreyBump, taus: np.ndarray, k_max: int) -> np.ndarray:
     """Derivative rows psi^(k)(tau_j); endpoints and exterior points are 0.
 
@@ -90,17 +109,8 @@ def derivative_table(bump: GevreyBump, taus: np.ndarray, k_max: int) -> np.ndarr
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     t_end = bump.horizon
     m = max(256, 4 * (k_max + 1))
-    interior = (taus > 0.0) & (taus < t_end)
+    interior = (taus > 0.0) & (taus < t_end) & ~guard_band(bump, taus)
     r = 0.5 * np.minimum(taus, t_end - taus)
-    tight = interior & (r < MIN_CONTOUR_RADIUS)
-    if np.any(tight):
-        # inside the guard band the row is kept only if the bump (and hence
-        # every derivative reachable in float64) has underflowed to zero
-        with np.errstate(over="ignore"):
-            expo = bump.c_norm - (taus[tight] * (t_end - taus[tight])) ** (-bump.sigma)
-        if np.any(expo > -1000.0):
-            raise ValueError("tau too close to the support endpoints (radius < 1e-3)")
-        interior = interior & ~tight
     table = np.zeros((len(taus), k_max + 1))
     if not np.any(interior):
         return table
@@ -185,16 +195,19 @@ def _series(coef: np.ndarray, table: np.ndarray) -> np.ndarray:
     complex term adds its real and imaginary products to the matching part
     of the sum, so a part whose coefficients are all zero (every other
     order, as the coefficients carry the powers of i) is skipped: adding
-    exact zeros leaves the sum unchanged.  The parts are summed in separate
-    contiguous real arrays, each term formed in one reused buffer.
+    exact zeros leaves the sum unchanged.  Which orders have a nonzero part
+    is decided once per call, one any() over each part's rows.  The parts
+    are summed in separate contiguous real arrays, each term formed in one
+    reused buffer.
     """
     shape = (coef.shape[1], table.shape[0])
     real, imag, term = np.zeros(shape), np.zeros(shape), np.empty(shape)
     columns = np.ascontiguousarray(table.T)
+    parts = [(acc, c, c.any(axis=1)) for acc, c in ((real, coef.real), (imag, coef.imag))]
     for k in range(coef.shape[0]):
-        for part, c in ((real, coef[k].real), (imag, coef[k].imag)):
-            if np.any(c):
-                part += np.multiply(c[:, None], columns[k], out=term)
+        for acc, c, nonzero in parts:
+            if nonzero[k]:
+                acc += np.multiply(c[k, :, None], columns[k], out=term)
     out = np.empty(shape, dtype=complex)
     out.real = real
     out.imag = imag

@@ -8,11 +8,14 @@ import json
 import math
 import operator
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -248,6 +251,59 @@ def test_horizon_floor_applies_to_the_stages_run():
         validate_config(short)   # one argument: every stage, as 'all'
 
 
+# at horizon 30 the bump has not underflowed at the first tau node of 16384
+# steps (1.8e-3), nor at the second of 32768, yet both lie in the contour
+# guard band of derivative_table
+@pytest.mark.parametrize("subcommand", ["kernel", "transform", "all"])
+@pytest.mark.parametrize("tau_steps", [16384, 32768])
+def test_tau_grid_in_the_guard_band_rejected_before_output(tmp_path, capsys, subcommand,
+                                                           tau_steps):
+    cfg_file = tmp_path / "long.cfg"
+    cfg_file.write_text(f"horizon = 30\ntau_steps = {tau_steps}\n")
+    out_root = tmp_path / "out"
+    code = main([subcommand, "--config", str(cfg_file), "--out", str(out_root)])
+    assert code == 2
+    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert payload["error"] == "invalid_config"
+    assert "tau_steps" in payload["message"] and "radius" in payload["message"]
+    assert not out_root.exists()
+
+
+@pytest.mark.parametrize("horizon, tau_steps, rejected", [
+    (30.0, 16384, True), (30.0, 32768, True), (30.0, 1024, False), (20.0, 16384, False),
+    (1.0, 65536, False),   # the bump has underflowed at every guard-band node
+])
+def test_tau_grid_validation_agrees_with_derivative_table(horizon, tau_steps, rejected):
+    cfg = light_config(horizon=horizon, tau_steps=tau_steps)
+    taus = np.linspace(0.0, horizon, tau_steps + 1)
+    near_ends = taus[np.minimum(taus, horizon - taus) < 0.01]   # holds the guard band
+    try:
+        fla.derivative_table(fla.gevrey_bump(horizon, 2.0), near_ends, 0)
+        table_raises = False
+    except ValueError:
+        table_raises = True
+    assert table_raises == rejected
+    if rejected:
+        with pytest.raises(cli.ConfigError, match="tau_steps"):
+            validate_config(cfg, "kernel")
+    else:
+        validate_config(cfg, "kernel")
+
+
+@pytest.mark.parametrize("subcommand", ["kernel", "transform"])
+def test_long_horizon_with_the_default_tau_grid_runs(tmp_path, subcommand):
+    assert run(subcommand, light_config(horizon=30.0, tau_steps=LabConfig().tau_steps),
+               tmp_path) == 0
+
+
+def test_guard_band_applies_only_to_the_stages_that_build_a_kernel(tmp_path):
+    cfg = light_config(horizon=30.0, tau_steps=16384)
+    for subcommand in ("spectrum", "hardy", "evolve", "uniqueness", "angular", "hum",
+                       "inverse-source", "titchmarsh"):
+        validate_config(cfg, subcommand)
+    assert run("uniqueness", cfg, tmp_path) == 0
+
+
 def test_uniqueness_builds_no_flatness_kernel(tmp_path, monkeypatch):
     # the kernel and the transform are built by their own stages only
     def forbidden(*args, **kwargs):
@@ -417,6 +473,17 @@ def test_manifest_keeps_stage_reports_and_times(all_run):
     assert len(manifest["checks"]) == 31
     identity = manifest["check_details"]["hum_defect_identity"]
     assert identity["value"] == manifest["reports"]["hum"]["identity_gap"]
+
+
+def test_manifest_records_the_library_versions(tmp_path, all_run):
+    _, _, _, manifest = all_run
+    assert manifest["versions"] == {"python": platform.python_version(),
+                                    "numpy": np.__version__, "scipy": scipy.__version__}
+    # a repeated run under the same versions digests identically
+    assert run("all", light_config(), tmp_path) == 0
+    again = json.loads((find_run_dir(tmp_path, "all") / "manifest.json").read_text())
+    assert again["versions"] == manifest["versions"]
+    assert again["digests"] == manifest["digests"]
 
 
 def test_runner_contract_matches_manifest(all_run):

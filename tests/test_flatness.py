@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hardylab.flatness import (ROW_BLOCK, _even_power_factors, build_kernel,
+from hardylab.flatness import (ROW_BLOCK, _even_power_factors, _series, build_kernel,
                                bump_derivatives_exact, cauchy_derivatives,
                                control_trace, derivative_table, gevrey_bump,
-                               kernel_residual)
+                               guard_band, kernel_residual)
 
 
 def test_bump_normalization_and_closed_form():
@@ -46,6 +46,16 @@ def test_cauchy_rejects_endpoint_neighborhood():
     bump = gevrey_bump(100.0, 2.0)
     with pytest.raises(ValueError, match="radius"):
         cauchy_derivatives(bump, 1.5e-3, 3)
+
+
+def test_guard_band_marks_the_rows_derivative_table_zeroes():
+    bump = gevrey_bump(1.0, 2.0)
+    taus = np.array([-0.5, 0.0, 5e-4, 1.9e-3, 2e-3, 0.5, 1.0 - 1e-3, 1.0, 1.5])
+    assert guard_band(bump, taus).tolist() == [False, False, True, True, False, False,
+                                               True, False, False]
+    assert np.all(derivative_table(bump, taus, 3)[guard_band(bump, taus)] == 0.0)
+    with pytest.raises(ValueError, match="radius"):
+        guard_band(gevrey_bump(100.0, 2.0), [1.5e-3])
 
 
 def test_cauchy_underflowed_edge_band_is_zero():
@@ -250,3 +260,52 @@ def test_control_trace_off_grid_matches_on_grid():
     assert on_grid.t_nodes[-1] == 1.0 and 1.0 not in off_grid.t_nodes
     assert np.array_equal(control_trace(on_grid), on_grid.values[-1])
     assert np.array_equal(control_trace(off_grid), control_trace(on_grid))
+
+
+def series_oracle(coef, table):
+    """_series as it stood before the zero parts were found in one pass: one
+    np.any per order and part."""
+    shape = (coef.shape[1], table.shape[0])
+    real, imag, term = np.zeros(shape), np.zeros(shape), np.empty(shape)
+    columns = np.ascontiguousarray(table.T)
+    for k in range(coef.shape[0]):
+        for part, c in ((real, coef[k].real), (imag, coef[k].imag)):
+            if np.any(c):
+                part += np.multiply(c[:, None], columns[k], out=term)
+    out = np.empty(shape, dtype=complex)
+    out.real = real
+    out.imag = imag
+    return out
+
+
+# how each order's real and imaginary parts are zeroed: not at all, in some
+# entries only (the order must still be summed), or in every entry
+_ZEROED = ("none", "some", "all")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 9), st.integers(1, 9), st.integers(0, 2**32 - 1),
+       st.data())
+def test_series_matches_per_order_zero_test(orders, n_t, n_tau, seed, data):
+    rng = np.random.default_rng(seed)
+    real = rng.standard_normal((orders, n_t)) * 10.0 ** rng.integers(-30, 30, (orders, 1))
+    imag = rng.standard_normal((orders, n_t))
+    for part in (real, imag):
+        for k in range(orders):
+            zeroed = data.draw(st.sampled_from(_ZEROED))
+            if zeroed == "some":
+                part[k, rng.integers(0, n_t, size=max(1, n_t - 1))] = 0.0
+            elif zeroed == "all":
+                part[k] = 0.0
+    coef = real + 1j * imag
+    table = rng.standard_normal((n_tau, orders))
+    assert np.array_equal(_series(coef, table), series_oracle(coef, table))
+    assert np.array_equal(_series(real, table), series_oracle(real, table))
+
+
+def test_series_sums_an_order_whose_part_is_zero_in_some_entries():
+    coef = np.array([[1.0 + 0.0j, 0.0 + 2.0j], [0.0 + 0.0j, 3.0 + 0.0j]])
+    table = np.array([[1.0, 10.0]])
+    expected = np.array([[1.0 + 0.0j], [30.0 + 2.0j]])
+    assert np.array_equal(_series(coef, table), expected)
+    assert np.array_equal(series_oracle(coef, table), expected)

@@ -1,7 +1,7 @@
 """What the benchmark in perfbench/ reads of the program, checked without
 running the benchmark: the traced functions and their counted parameters,
 the kernel attributes it sizes, and the reference values of the lab-default
-workload."""
+and time-stepping workloads."""
 
 import ast
 import importlib
@@ -20,6 +20,7 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
 # import the benchmark's modules without writing bytecode into its directory
 _write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+import inputs  # noqa: E402
 import spans  # noqa: E402
 import workloads  # noqa: E402
 sys.dont_write_bytecode = _write_bytecode
@@ -59,3 +60,18 @@ def test_lab_default_reference_keys_come_from_a_default_run(tmp_path):
     values = op.values()
     assert set(expected) <= set(values)
     assert workloads.compare(values, expected) == []
+
+
+def test_time_stepping_reference_keys_come_from_a_seed_0_run(tmp_path):
+    # the workload's config file at seed 0, loaded and flattened as the benchmark does
+    config = tmp_path / "time-stepping.cfg"
+    config.write_text(inputs.config_text("time-stepping", 0))
+    op = workloads.CliOp("time-stepping", cli.load_config(str(config)), tmp_path / "out")
+    with op.capturing_reports():
+        op.run()
+    reference = json.loads((PERFBENCH / "reference.json").read_text())
+    expected = reference["time-stepping"]["per_seed"]["0"]
+    values = op.values()
+    assert set(expected) <= set(values)
+    assert workloads.compare(values, expected) == []
+    assert op.check(None) == []
