@@ -1,15 +1,17 @@
 """Batch front end: presets, deterministic runs, CSV/JSON artifacts.
 
 Every subcommand writes its tables plus a manifest (config snapshot, the
-python, numpy and scipy versions, check booleans, each check's value,
+python, numpy and scipy versions and the OpenBLAS libraries pinned to one
+thread, check booleans, each check's value,
 comparator and bound from CHECKS, each stage's report of measured values and
 wall seconds, sha256 digests) into a stamped directory under --out
 (overridden by the LAB_OUT environment variable); the directory appears under
 its stamped name only once the manifest is written.  A CSV table is a header
 line, then one line per row with floats as %.17g and other values as str,
-comma-separated and unquoted, every line ending in CRLF.  Bodies of the
-CSV/JSON artifacts are functions of config and seed only, so repeated runs
-digest identically.
+comma-separated and unquoted, every line ending in CRLF.  The stages run
+with every loaded OpenBLAS on one thread, so bodies of the CSV/JSON artifacts
+are functions of config and seed only, not of the core count, and repeated
+runs digest identically.
 
 Exit codes: 0 success, 1 tolerance breach under --check, 2 invalid
 configuration (among others a horizon below a stage's HORIZON_FLOORS entry,
@@ -22,6 +24,8 @@ names the stage and the exception class, and no output directory is left.
 """
 
 import argparse
+import contextlib
+import ctypes
 import dataclasses
 import hashlib
 import json
@@ -29,9 +33,11 @@ import math
 import operator
 import os
 import platform
+import re
 import shutil
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -367,10 +373,11 @@ def run_spectrum(cfg: LabConfig, outdir: Path):
 
 
 def measure_hardy(n_interior: int, rng: np.random.Generator) -> dict:
-    """Rayleigh quotients of 1000 random vectors; pencil infima at n/4, n/2 and n nodes."""
+    """Rayleigh quotients of 1000 random vectors, drawn in blocks of 100 rows
+    (the stream of 1000 one-row draws); pencil infima at n/4, n/2 and n nodes."""
     grid = spc.RadialGrid(n_interior)
-    ratios = np.array([spc.hardy_rayleigh(grid, rng.standard_normal(n_interior))
-                       for _ in range(1000)])
+    ratios = np.concatenate([spc.hardy_rayleigh(grid, rng.standard_normal((100, n_interior)))
+                             for _ in range(10)])
     pencil = [(n, spc.hardy_pencil_infimum(spc.RadialGrid(n)))
               for n in (n_interior // 4, n_interior // 2, n_interior)]
     return {"ratios": ratios, "pencil": pencil, "hardy_sweep_bound": float(ratios.min()),
@@ -692,8 +699,53 @@ def _stage_names(subcommand: str) -> list[str]:
     return list(_RUNNERS) if subcommand == "all" else [subcommand]
 
 
-def _run_stages(subcommand: str, cfg: LabConfig, outdir: Path) -> dict[str, bool]:
-    """Run the stages into outdir and write the manifest last."""
+# the (getter, setter) symbol pairs of the OpenBLAS builds numpy and scipy ship
+_OPENBLAS_SYMBOLS = [(f"{prefix}_get_num_threads{suffix}", f"{prefix}_set_num_threads{suffix}")
+                     for prefix in ("scipy_openblas", "openblas") for suffix in ("64_", "")]
+
+
+def _openblas_libraries() -> list[tuple[str, Callable[[], int], Callable[[int], None]]]:
+    """(file name, thread-count getter, setter) of each OpenBLAS mapped into
+    this process; none without /proc."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted(set(re.findall(r"/\S*openblas\S*\.so\S*", fh.read())))
+    except OSError:
+        return []
+    found = []
+    for path in paths:
+        lib = ctypes.CDLL(path)   # already loaded: the same handle, no second copy
+        for get_name, set_name in _OPENBLAS_SYMBOLS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                getter, setter = getattr(lib, get_name), getattr(lib, set_name)
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                found.append((Path(path).name, getter, setter))
+                break
+    return found
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with every loaded OpenBLAS on one thread; yield their file
+    names.  The lab's products are too small to gain from more threads, whose
+    workers busy-wait on a second core and whose split reductions change last
+    bits with the core count.  The previous counts come back on exit."""
+    libraries = _openblas_libraries()
+    previous = [getter() for _, getter, _ in libraries]
+    try:
+        for _, _, setter in libraries:
+            setter(1)
+        yield [name for name, _, _ in libraries]
+    finally:
+        for (_, _, setter), count in zip(libraries, previous):
+            setter(count)
+
+
+def _run_stages(subcommand: str, cfg: LabConfig, outdir: Path,
+                blas: list[str]) -> dict[str, bool]:
+    """Run the stages into outdir and write the manifest last; blas names the
+    OpenBLAS libraries pinned to one thread for the run."""
     started = time.monotonic()
     checks, details, reports, stage_seconds = {}, {}, {}, {}
     for name in _stage_names(subcommand):
@@ -714,7 +766,7 @@ def _run_stages(subcommand: str, cfg: LabConfig, outdir: Path) -> dict[str, bool
         "subcommand": subcommand,
         "config": dataclasses.asdict(cfg),
         "versions": {"python": platform.python_version(), "numpy": np.__version__,
-                     "scipy": scipy.__version__},
+                     "scipy": scipy.__version__, "blas": blas},
         "wall_clock_utc": datetime.now(timezone.utc).isoformat(),
         "elapsed_seconds": time.monotonic() - started,
         "stage_seconds": stage_seconds,
@@ -739,7 +791,8 @@ def run(subcommand: str, cfg: LabConfig, out_root: Path, check: bool = False) ->
     workdir = out_root / f".{outdir.name}.partial"
     workdir.mkdir(parents=True, exist_ok=False)
     try:
-        checks = _run_stages(subcommand, cfg, workdir)
+        with _one_blas_thread() as blas:
+            checks = _run_stages(subcommand, cfg, workdir, blas)
         workdir.rename(outdir)
     except BaseException:
         shutil.rmtree(workdir, ignore_errors=True)

@@ -155,17 +155,21 @@ def solve_spectrum(op: HardyDiscretization, k_modes: int) -> SpectralBasis:
     return SpectralBasis(op.grid, vals, vecs, op.lam, op.dimension_n, op.bessel_order)
 
 
-def hardy_rayleigh(grid: RadialGrid, v: np.ndarray) -> float:
-    """Discrete Hardy quotient sum((dv/h)^2 h) / sum((v/r)^2 h), v Dirichlet-padded."""
+def hardy_rayleigh(grid: RadialGrid, v: np.ndarray) -> float | np.ndarray:
+    """Discrete Hardy quotient sum((dv/h)^2 h) / sum((v/r)^2 h), v Dirichlet-padded,
+    of each vector along the last axis of v: a float for one vector, else an
+    array of v.shape[:-1]."""
     v = np.asarray(v, dtype=float)
-    if v.shape != grid.nodes.shape:
+    if v.shape[-1:] != grid.nodes.shape:
         raise ValueError("vector does not match the grid")
-    den = np.sum((v / grid.nodes) ** 2) * grid.spacing
-    if den == 0.0:
+    den = np.sum((v / grid.nodes) ** 2, axis=-1) * grid.spacing
+    if np.any(den == 0.0):
         raise ValueError("degenerate input: zero vector")
-    padded = np.concatenate(([0.0], v, [0.0]))
-    num = np.sum((np.diff(padded) / grid.spacing) ** 2) * grid.spacing
-    return float(num / den)
+    ends = np.zeros((*v.shape[:-1], 1))
+    padded = np.concatenate((ends, v, ends), axis=-1)
+    num = np.sum((np.diff(padded, axis=-1) / grid.spacing) ** 2, axis=-1) * grid.spacing
+    ratio = num / den
+    return float(ratio) if v.ndim == 1 else ratio
 
 
 def hardy_pencil_infimum(grid: RadialGrid) -> float:

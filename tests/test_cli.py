@@ -2,6 +2,7 @@ import ast
 import contextlib
 import csv
 import dataclasses
+import hashlib
 import inspect
 import io
 import json
@@ -478,12 +479,85 @@ def test_manifest_keeps_stage_reports_and_times(all_run):
 def test_manifest_records_the_library_versions(tmp_path, all_run):
     _, _, _, manifest = all_run
     assert manifest["versions"] == {"python": platform.python_version(),
-                                    "numpy": np.__version__, "scipy": scipy.__version__}
+                                    "numpy": np.__version__, "scipy": scipy.__version__,
+                                    "blas": [name for name, _, _ in cli._openblas_libraries()]}
     # a repeated run under the same versions digests identically
     assert run("all", light_config(), tmp_path) == 0
     again = json.loads((find_run_dir(tmp_path, "all") / "manifest.json").read_text())
     assert again["versions"] == manifest["versions"]
     assert again["digests"] == manifest["digests"]
+
+
+@pytest.fixture
+def openblas_at_two_threads():
+    """Every loaded OpenBLAS at two threads for the test, then as before."""
+    libraries = cli._openblas_libraries()
+    if not libraries:
+        pytest.skip("no OpenBLAS library is loaded")
+    before = [getter() for _, getter, _ in libraries]
+    for _, _, setter in libraries:
+        setter(2)
+    yield libraries
+    for (_, _, setter), count in zip(libraries, before):
+        setter(count)
+
+
+def _blas_threads(libraries) -> list[int]:
+    return [getter() for _, getter, _ in libraries]
+
+
+def test_stages_run_on_one_openblas_thread(tmp_path, monkeypatch, openblas_at_two_threads):
+    seen = []
+
+    def probe(cfg, outdir):
+        seen.append(_blas_threads(openblas_at_two_threads))
+        return {}, {}
+
+    monkeypatch.setitem(cli._RUNNERS, "spectrum", probe)
+    assert run("spectrum", light_config(), tmp_path) == 0
+    assert seen == [[1] * len(openblas_at_two_threads)]
+    assert _blas_threads(openblas_at_two_threads) == [2] * len(openblas_at_two_threads)
+    manifest = json.loads((find_run_dir(tmp_path, "spectrum") / "manifest.json").read_text())
+    assert manifest["versions"]["blas"] == [name for name, _, _ in openblas_at_two_threads]
+
+
+def test_openblas_threads_restored_after_a_stage_fails(tmp_path, monkeypatch,
+                                                      openblas_at_two_threads):
+    seen = []
+
+    def broken(cfg, outdir):
+        seen.append(_blas_threads(openblas_at_two_threads))
+        raise ValueError("no convergence")
+
+    monkeypatch.setitem(cli._RUNNERS, "hardy", broken)
+    with pytest.raises(cli.StageFailure):
+        run("hardy", light_config(), tmp_path)
+    assert seen == [[1] * len(openblas_at_two_threads)]
+    assert _blas_threads(openblas_at_two_threads) == [2] * len(openblas_at_two_threads)
+
+
+def test_manifest_names_no_blas_when_none_is_found(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_openblas_libraries", lambda: [])
+    assert run("titchmarsh", light_config(), tmp_path) == 0
+    manifest = json.loads((find_run_dir(tmp_path, "titchmarsh") / "manifest.json").read_text())
+    assert manifest["versions"]["blas"] == []
+
+
+def test_uniqueness_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # at the default config an unpinned two-thread OpenBLAS moves the
+    # certificate's reconstruction_error in its last bits
+    src = str(Path(cli.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+        env.pop("LAB_OUT", None)
+        out = subprocess.run([sys.executable, "-m", "hardylab", "uniqueness",
+                              "--out", str(tmp_path / threads)],
+                             capture_output=True, text=True, check=True, env=env)
+        outdir = Path(json.loads(out.stdout.splitlines()[-1])["outdir"])
+        digests.append({name: hashlib.sha256((outdir / name).read_bytes()).hexdigest()
+                        for name in ("certificate.json", "observability.json")})
+    assert digests[0] == digests[1]
 
 
 def test_runner_contract_matches_manifest(all_run):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hardylab.bessel import bessel_zeros
 from hardylab.errors import SupercriticalCouplingError
@@ -133,6 +135,26 @@ def test_hardy_zero_vector_rejected():
     grid = RadialGrid(64)
     with pytest.raises(ValueError, match="degenerate"):
         hardy_rayleigh(grid, np.zeros(64))
+    batch = np.ones((3, 64))
+    batch[1] = 0.0
+    with pytest.raises(ValueError, match="degenerate"):
+        hardy_rayleigh(grid, batch)
+    with pytest.raises(ValueError, match="does not match"):
+        hardy_rayleigh(grid, np.ones((3, 63)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(8, 300), shape=st.lists(st.integers(1, 6), min_size=1, max_size=2),
+       seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1e-100, 1.0, 1e100]))
+def test_hardy_quotient_batched_equals_one_row(n, shape, seed, scale):
+    # the cli's hardy stage reduces blocks of rows; each must be the one-row value
+    grid = RadialGrid(n)
+    v = scale * np.random.default_rng(seed).standard_normal((*shape, n))
+    batched = hardy_rayleigh(grid, v)
+    assert batched.shape == tuple(shape)
+    one_row = [hardy_rayleigh(grid, row) for row in v.reshape(-1, n)]
+    assert all(isinstance(q, float) for q in one_row)
+    assert np.array_equal(batched, np.reshape(one_row, shape))
 
 
 def test_pencil_infimum_above_quarter_and_decreasing():
