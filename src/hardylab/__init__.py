@@ -14,12 +14,11 @@ from .control import (ControlResult, Gramian, defect_curve, gramian, hum_solve,
 from .elliptic import (CylinderWindow, EllipticProfile, elliptic_residual,
                        moment_trace, transform, ucp_probe, uniqueness_pipeline)
 from .errors import IllPosedTruncationError, SupercriticalCouplingError
-from .evolution import (ModeState, ModeTrajectory, ObservationMask, SourceModel,
-                        TimeGrid, duhamel_solve, fat_cantor_mask, free_trajectory,
+from .evolution import (ModeState, ModeTrajectory, ObservationMask, TimeGrid,
+                        duhamel_solve, fat_cantor_mask, free_trajectory,
                         interval_mask, observability_matrix, observe, propagate)
-from .flatness import (FlatnessKernel, GevreyBump, build_kernel,
-                       cauchy_derivatives, control_trace, gevrey_bump,
-                       kernel_residual)
+from .flatness import (FlatnessKernel, GevreyBump, build_kernel, control_trace,
+                       gevrey_bump, kernel_residual)
 from .inverse import (ReconstructionResult, VolterraSystem, antiderivative_reduce,
                       convolve_source, free_evolution_check, reconstruct_f,
                       titchmarsh_support, volterra_apply, volterra_invert)

@@ -156,8 +156,11 @@ def validate_config(cfg: LabConfig, subcommand: str = "all") -> None:
         raise ConfigError("eps_list entries must be positive")
     if any(b >= a for a, b in zip(cfg.eps_list, cfg.eps_list[1:])):
         raise ConfigError("eps_list must be strictly decreasing")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {cfg.seed}")
     for name, least in (("time_steps", 1), ("obs_time_steps", 1), ("hum_verify_steps", 1),
                         ("tau_steps", 2),          # one step leaves a zero kernel
+                        ("kernel_t_nodes", 2),     # t = -1 alone: a residual of exactly 0
                         ("inverse_steps", 2),      # the rho(0) = 0 route: centered differences
                         ("transform_t_nodes", 3),  # the elliptic residual: 3-point differences
                         ("recon_steps", 14)):      # titchmarsh bumps: 8 dt <= 0.3 * 2T
@@ -518,15 +521,15 @@ def run_uniqueness(cfg: LabConfig, outdir: Path):
 
 def measure_angular(n_ang: int) -> dict:
     """Circle spectra over a coupling sweep; the arc oracle and blow-up study at lam = 0."""
-    rows, mu1 = [], []
+    rows, mu1, solved = [], [], []
     for lam in (0.0, 0.1, 0.1875, 0.24):
         prob = ang.AngularProblem(lam, n_ang)
         basis = ang.angular_spectrum(prob, 8)
+        solved.append((prob, basis))
         mu1.append(basis.eigenvalues[0])
         for k, mu in enumerate(basis.eigenvalues, 1):
             rows.append((lam, k, mu, ang.gamma_exponent(mu, prob.dimension_N)))
-    prob0 = ang.AngularProblem(0.0, n_ang)
-    basis0 = ang.angular_spectrum(prob0, 8)
+    prob0, basis0 = solved[0]      # the sweep starts at lam = 0
     arcvals = basis0.eigenvalues[::2][:4]
     study = ang.blowup_profile_check([1.0, 0.5], [1.0, 2.0], basis0.eigenvectors[:, [0, 2]],
                                      prob0.spacing)
@@ -591,12 +594,12 @@ def measure_inverse(basis6: spc.SpectralBasis, basis1: spc.SpectralBasis, f6: np
     """Recovery of f6 and round trip of zr on recon_grid; on id_grid with one mode,
     the identity chain, the rho(0) = 0 rejection and the two rho(0) = 0 routes."""
     sys6 = _linear_rho(recon_grid, 1.0, 0.5)
-    traj6 = evo.duhamel_solve(evo.SourceModel(f6, sys6.rho), basis6, recon_grid)
+    traj6 = evo.duhamel_solve(f6, sys6.rho, basis6, recon_grid)
     recon = inv.reconstruct_f(traj6, sys6, basis6.eigenvalues, f6)
     roundtrip = float(np.abs(inv.volterra_invert(sys6, inv.volterra_apply(sys6, zr)) - zr).max())
     sys1 = _linear_rho(id_grid, 1.0, 0.5)
     f1 = np.array([1.0 + 0.0j])
-    traj1 = evo.duhamel_solve(evo.SourceModel(f1, sys1.rho), basis1, id_grid)
+    traj1 = evo.duhamel_solve(f1, sys1.rho, basis1, id_grid)
     rec1 = inv.reconstruct_f(traj1, sys1, basis1.eigenvalues, f1)
     free = float(inv.free_evolution_check(rec1.z, basis1.eigenvalues, sys1.dt).max())
     sys_t = _linear_rho(id_grid, 0.0, 1.0)
@@ -605,7 +608,7 @@ def measure_inverse(basis6: spc.SpectralBasis, basis1: spc.SpectralBasis, f6: np
         inv.volterra_invert(sys_t, np.ones(len(id_grid.times), dtype=complex))
     except ValueError:
         rejected = True
-    traj_t = evo.duhamel_solve(evo.SourceModel(f1, sys_t.rho), basis1, id_grid)
+    traj_t = evo.duhamel_solve(f1, sys_t.rho, basis1, id_grid)
     w = inv.antiderivative_reduce(traj_t)
     v = evo.free_trajectory(-1j * f1, basis1, id_grid)
     route4 = inv.convolve_source(evo.cumulative_trapezoid(sys_t.rho, sys_t.dt), v,

@@ -77,14 +77,6 @@ class ModeTrajectory:
     coeffs: np.ndarray  # (len(times), k_modes)
 
 
-@dataclass
-class SourceModel:
-    """Separable source f(x) rho(t): spatial modes plus sampled amplitude."""
-
-    f_modes: np.ndarray
-    rho: np.ndarray        # samples on the driving TimeGrid
-
-
 def propagate(state: ModeState, basis: SpectralBasis, t: float) -> ModeState:
     """Apply the exact phases exp(i mu_k t)."""
     phases = np.exp(1j * basis.eigenvalues * t)
@@ -116,9 +108,11 @@ def duhamel_modal_source(g: np.ndarray, mus: np.ndarray, grid: TimeGrid) -> Mode
     return ModeTrajectory(grid.times.copy(), -0.5j * grid.dt * phase * acc)
 
 
-def duhamel_solve(src: SourceModel, basis: SpectralBasis, grid: TimeGrid) -> ModeTrajectory:
-    """Trajectory of the separably-sourced problem with u(0) = 0."""
-    g = np.outer(src.rho, src.f_modes)
+def duhamel_solve(f_modes: np.ndarray, rho: np.ndarray, basis: SpectralBasis,
+                  grid: TimeGrid) -> ModeTrajectory:
+    """Trajectory of the problem with u(0) = 0 and the separable source
+    f(x) rho(t): spatial modes f_modes, amplitude rho sampled on grid."""
+    g = np.outer(rho, f_modes)
     return duhamel_modal_source(g, basis.eigenvalues, grid)
 
 

@@ -17,7 +17,7 @@ there, so the principal branch is safe for non-integer sigma.
 
 The kernel is kept in this rank-(K+1) separable form: the t nodes, the tau
 nodes and the derivative table psi^(k)(tau_j).  Dense values are summed on
-demand, a block of t rows at a time, by one accumulator, so every consumer
+demand, a block of t rows at a time, by one evaluator, so every consumer
 sees the same bits without holding the whole (t, tau) array.
 """
 
@@ -68,11 +68,6 @@ def gevrey_bump(horizon: float, sigma: float = 2.0) -> GevreyBump:
         raise ValueError("sigma must be >= 1")
     c = (4.0 / horizon**2) ** sigma
     return GevreyBump(horizon, sigma, c)
-
-
-def cauchy_derivatives(bump: GevreyBump, tau: float, k_max: int) -> np.ndarray:
-    """psi^(k)(tau) for k = 0..k_max from one contour of trapezoid averages."""
-    return derivative_table(bump, np.array([tau]), k_max)[0]
 
 
 def guard_band(bump: GevreyBump, taus: np.ndarray) -> np.ndarray:
@@ -179,46 +174,33 @@ def bump_derivatives_exact(bump: GevreyBump, tau, k_max: int) -> np.ndarray:
 def _even_power_factors(t, k_trunc: int) -> np.ndarray:
     """(t+1)^(2k)/(2k)! for k = 0..k_trunc by ratio accumulation."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    fac = np.empty((k_trunc + 1, len(t)))
-    fac[0] = 1.0
+    fac = np.ones((k_trunc + 1, len(t)))
     base = (t + 1.0) ** 2
     for k in range(1, k_trunc + 1):
         fac[k] = fac[k - 1] * base / ((2 * k - 1) * (2 * k))
     return fac
 
 
-def _series(coef: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """sum_k outer(coef[k], table[:, k]), accumulated in k order.
+def _evaluate(t, table: np.ndarray, k_trunc: int) -> np.ndarray:
+    """sum_{k=0}^{k_trunc} i^k (t_i+1)^(2k)/(2k)! table[j, k], summed in k order.
 
     Every kernel-shaped series is summed here, so dense values from any
-    caller and any row block are bit-identical.  With a real table each
-    complex term adds its real and imaginary products to the matching part
-    of the sum, so a part whose coefficients are all zero (every other
-    order, as the coefficients carry the powers of i) is skipped: adding
-    exact zeros leaves the sum unchanged.  Which orders have a nonzero part
-    is decided once per call, one any() over each part's rows.  The parts
-    are summed in separate contiguous real arrays, each term formed in one
-    reused buffer.
+    caller and any row block are bit-identical.  The table is real, so i^k
+    sends even orders to the real part and odd orders to the imaginary
+    part, each with the sign of k mod 4.  The parts are summed in separate
+    contiguous real arrays, each term formed in one reused buffer.  An
+    empty sum (k_trunc = -1) is zero.
     """
-    shape = (coef.shape[1], table.shape[0])
-    real, imag, term = np.zeros(shape), np.zeros(shape), np.empty(shape)
-    columns = np.ascontiguousarray(table.T)
-    parts = [(acc, c, c.any(axis=1)) for acc, c in ((real, coef.real), (imag, coef.imag))]
-    for k in range(coef.shape[0]):
-        for acc, c, nonzero in parts:
-            if nonzero[k]:
-                acc += np.multiply(c[k, :, None], columns[k], out=term)
-    out = np.empty(shape, dtype=complex)
-    out.real = real
-    out.imag = imag
-    return out
-
-
-def _evaluate(t, table: np.ndarray, k_trunc: int) -> np.ndarray:
-    """K(t_i, tau_j) for the t values and the derivative rows of `table`."""
-    powers = 1j ** np.arange(k_trunc + 1)
-    values = _series(powers[:, None] * _even_power_factors(t, k_trunc), table)
-    if not np.all(np.isfinite(values.view(float))):
+    fac = _even_power_factors(t, k_trunc)
+    shape = (fac.shape[1], table.shape[0])
+    parts, term = np.zeros((2, *shape)), np.empty(shape)
+    columns = np.ascontiguousarray(table[:, : k_trunc + 1].T)
+    for k in range(k_trunc + 1):
+        sign = -1.0 if k % 4 >= 2 else 1.0
+        parts[k % 2] += np.multiply(sign * fac[k, :, None], columns[k], out=term)
+    values = np.empty(shape, dtype=complex)
+    values.real, values.imag = parts
+    if not np.all(np.isfinite(parts)):
         raise FloatingPointError("non-finite kernel term: truncation misuse")
     return values
 
@@ -281,21 +263,24 @@ def kernel_residual(kernel: FlatnessKernel) -> KernelResidualReport:
     """Residual of i dK/dtau - d^2K/dt^2 on the evaluation grid.
 
     The tau derivative reuses the Cauchy table shifted by one order; the t
-    derivative differentiates the even series exactly.  Their mismatch
-    against the one-term telescoping tail is floating-point noise, reported
-    as tail_match_error.  The series are summed one row block at a time and
-    only their maxima are kept.
+    derivative differentiates the even series exactly.  Both derivative
+    series are built from E, the tau-derivative series truncated one order
+    early, and the last tau term: dK/dtau = E + last and d^2K/dt^2 = i E.
+    They share every product but the last, so the residual is the one-term
+    telescoping tail i * last up to the rounding of one cancellation, and
+    tail_match_error measures that rounding, not an independent PDE
+    residual.  The series are summed one row block at a time and only their
+    maxima are kept.
     """
     kt = kernel.k_trunc
     table = kernel.deriv_table
-    powers = 1j ** np.arange(kt + 2)
     peaks = []
     for start, stop in kernel.row_blocks():
-        fac = _even_power_factors(kernel.t_nodes[start:stop], kt)
-        dtau_series = _series(powers[: kt + 1, None] * fac, table[:, 1:])
-        dtt_series = _series(powers[1 : kt + 1, None] * fac[:kt], table[:, 1:])
-        tail = _series(powers[kt + 1] * fac[kt:], table[:, kt + 1 :])
-        residual = 1j * dtau_series - dtt_series
+        t = kernel.t_nodes[start:stop]
+        e_series = _evaluate(t, table[:, 1:], kt - 1)
+        last = 1j**kt * np.multiply.outer(_even_power_factors(t, kt)[kt], table[:, kt + 1])
+        dtau, dtt, tail = e_series + last, 1j * e_series, 1j * last
+        residual = 1j * dtau - dtt
         peaks.append([np.abs(residual).max(), np.abs(kernel.sub_grid(slice(start, stop))).max(),
                       np.abs(tail).max(), np.abs(residual - tail).max()])
     max_residual, max_kernel, max_tail, tail_match = np.max(peaks, axis=0)

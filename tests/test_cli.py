@@ -178,6 +178,9 @@ def test_stage_numerical_error_exits_4(tmp_path, capsys, monkeypatch, error):
     "transform_t_nodes = 2\n",   # no interior node for the second difference
     "tau_steps = 1\n",           # zero kernel: the residual ratio divides by 0
     "recon_steps = 13\n",        # titchmarsh bumps 8 dt wide exceed 0.3 of 2T
+    "kernel_t_nodes = 0\n",      # the kernel residual reduces an empty array
+    "kernel_t_nodes = 1\n",      # t = -1 alone: the residual ratio reads exactly 0
+    "seed = -1\n",               # numpy rejects negative seeds
 ])
 def test_short_grids_rejected_before_output(tmp_path, capsys, text):
     cfg_file = tmp_path / "bad.cfg"
@@ -192,7 +195,7 @@ def test_short_grids_rejected_before_output(tmp_path, capsys, text):
 
 
 @pytest.mark.parametrize("field, least", [
-    ("transform_t_nodes", 3), ("tau_steps", 2), ("recon_steps", 14),
+    ("transform_t_nodes", 3), ("tau_steps", 2), ("recon_steps", 14), ("kernel_t_nodes", 2),
 ])
 def test_shortest_accepted_grids_run_all(tmp_path, field, least):
     assert run("all", light_config(**{field: least}), tmp_path) == 0
@@ -396,6 +399,14 @@ def test_seed_and_out_flags(tmp_path, monkeypatch):
     outdir = find_run_dir(env_root, "titchmarsh")
     manifest = json.loads((outdir / "manifest.json").read_text())
     assert manifest["config"]["seed"] == 3
+
+
+def test_negative_seed_flag_rejected_before_output(tmp_path, capsys):
+    out_root = tmp_path / "out"
+    assert main(["all", "--out", str(out_root), "--seed", "-1"]) == 2
+    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert payload["error"] == "invalid_config" and "seed" in payload["message"]
+    assert not out_root.exists()
 
 
 def test_determinism_of_csv_bodies(tmp_path):

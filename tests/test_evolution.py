@@ -3,8 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hardylab.evolution import (ModeState, SourceModel, TimeGrid,
-                                duhamel_modal_source, duhamel_solve,
+from hardylab.evolution import (ModeState, TimeGrid, duhamel_modal_source, duhamel_solve,
                                 fat_cantor_mask, free_trajectory, interval_mask,
                                 numerical_rank, observability_matrix, observe,
                                 propagate)
@@ -66,16 +65,14 @@ def test_propagate_unitary_and_reversible(t, k, lam, seed):
 def test_duhamel_zero_frequency_constant_source():
     basis = synthetic_basis([0.0])
     grid = TimeGrid(1.0, 100)
-    src = SourceModel(np.array([2.0 + 0j]), np.ones(101))
-    traj = duhamel_solve(src, basis, grid)
+    traj = duhamel_solve(np.array([2.0 + 0j]), np.ones(101), basis, grid)
     assert np.abs(traj.coeffs[:, 0] - (-1j * 2.0 * grid.times)).max() <= 1e-13
 
 
 def test_duhamel_zero_source_is_zero():
     basis = make_basis(k=3)
     grid = TimeGrid(1.0, 50)
-    src = SourceModel(np.zeros(3, dtype=complex), np.zeros(51))
-    traj = duhamel_solve(src, basis, grid)
+    traj = duhamel_solve(np.zeros(3, dtype=complex), np.zeros(51), basis, grid)
     assert np.abs(traj.coeffs).max() == 0.0
 
 
@@ -86,7 +83,7 @@ def test_duhamel_initial_slope():
     for steps in (100, 200, 400):
         grid = TimeGrid(1e-2, steps)
         rho = 1.0 + grid.times / 2
-        traj = duhamel_solve(SourceModel(f, rho), basis, grid)
+        traj = duhamel_solve(f, rho, basis, grid)
         slope = (traj.coeffs[1] - traj.coeffs[0]) / grid.dt
         errs.append(np.abs(slope + 1j * f * rho[0]).max())
     assert errs[0] <= 0.05 and errs[-1] < errs[0]
@@ -100,12 +97,12 @@ def test_duhamel_linearity():
     f2 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     rho1 = np.sin(np.pi * grid.times)
     rho2 = grid.times**2
-    t_sum = duhamel_solve(SourceModel(f1 + f2, rho1), basis, grid)
-    t_1 = duhamel_solve(SourceModel(f1, rho1), basis, grid)
-    t_2 = duhamel_solve(SourceModel(f2, rho1), basis, grid)
+    t_sum = duhamel_solve(f1 + f2, rho1, basis, grid)
+    t_1 = duhamel_solve(f1, rho1, basis, grid)
+    t_2 = duhamel_solve(f2, rho1, basis, grid)
     assert np.abs(t_sum.coeffs - t_1.coeffs - t_2.coeffs).max() <= 1e-12
-    r_sum = duhamel_solve(SourceModel(f1, rho1 + rho2), basis, grid)
-    r_1 = duhamel_solve(SourceModel(f1, rho2), basis, grid)
+    r_sum = duhamel_solve(f1, rho1 + rho2, basis, grid)
+    r_1 = duhamel_solve(f1, rho2, basis, grid)
     assert np.abs(r_sum.coeffs - t_1.coeffs - r_1.coeffs).max() <= 1e-12
 
 
@@ -116,7 +113,7 @@ def test_duhamel_quadrature_second_order():
     def solve(steps):
         grid = TimeGrid(1.0, steps)
         rho = np.exp(-grid.times) * np.sin(2 * grid.times)
-        return duhamel_solve(SourceModel(f, rho), basis, grid).coeffs[-1]
+        return duhamel_solve(f, rho, basis, grid).coeffs[-1]
 
     c1, c2, c4 = solve(200), solve(400), solve(800)
     reference = c4 + (c4 - c2) / 3.0  # Richardson extrapolation at order 2

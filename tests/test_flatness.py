@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hardylab.flatness import (ROW_BLOCK, _even_power_factors, _series, build_kernel,
-                               bump_derivatives_exact, cauchy_derivatives,
-                               control_trace, derivative_table, gevrey_bump,
-                               guard_band, kernel_residual)
+from hardylab.flatness import (ROW_BLOCK, _even_power_factors, build_kernel,
+                               bump_derivatives_exact, control_trace, derivative_table,
+                               gevrey_bump, guard_band, kernel_residual)
 
 
 def test_bump_normalization_and_closed_form():
@@ -29,14 +28,14 @@ def test_bump_validation():
 def test_cauchy_zeroth_derivative_matches_direct():
     bump = gevrey_bump(1.0, 2.0)
     for tau in (0.2, 0.5, 0.77):
-        table = cauchy_derivatives(bump, tau, 4)
+        table = derivative_table(bump, np.array([tau]), 4)[0]
         assert table[0] == pytest.approx(bump(tau), abs=1e-12)
 
 
 def test_cauchy_first_derivative_vanishes_at_center():
     bump = gevrey_bump(1.0, 2.0)
-    table = cauchy_derivatives(bump, 0.5, 6)
-    scale = abs(cauchy_derivatives(bump, 0.4, 1)[1])
+    table = derivative_table(bump, np.array([0.5]), 6)[0]
+    scale = abs(derivative_table(bump, np.array([0.4]), 1)[0, 1])
     assert abs(table[1]) <= 1e-12 * max(scale, 1.0)
 
 
@@ -45,7 +44,7 @@ def test_cauchy_rejects_endpoint_neighborhood():
     # guard trips, so the request must be refused rather than zeroed
     bump = gevrey_bump(100.0, 2.0)
     with pytest.raises(ValueError, match="radius"):
-        cauchy_derivatives(bump, 1.5e-3, 3)
+        derivative_table(bump, np.array([1.5e-3]), 3)
 
 
 def test_guard_band_marks_the_rows_derivative_table_zeroes():
@@ -62,14 +61,14 @@ def test_cauchy_underflowed_edge_band_is_zero():
     # at T = 1 the bump underflows to exact zero well inside the guard band,
     # so fine kernel grids get zero rows there instead of a rejection
     bump = gevrey_bump(1.0, 2.0)
-    table = cauchy_derivatives(bump, 1e-3, 5)
+    table = derivative_table(bump, np.array([1e-3]), 5)[0]
     assert np.all(table == 0.0)
     assert bump(1e-3) == 0.0
 
 
 def test_cauchy_matches_exact_recurrence_low_order():
     bump = gevrey_bump(1.0, 2.0)
-    cau = cauchy_derivatives(bump, 0.3, 3)
+    cau = derivative_table(bump, np.array([0.3]), 3)[0]
     exact = bump_derivatives_exact(bump, Fraction(3, 10), 3)
     assert abs(cau[3] - exact[3]) <= 1e-8 * abs(exact[3])
 
@@ -92,7 +91,7 @@ def test_cauchy_matches_exact_recurrence_high_order(tau):
     # noise (psi(0.1) ~ 1e-47) are compared against that floor instead
     bump = gevrey_bump(1.0, 2.0)
     k_max = 25
-    cau = cauchy_derivatives(bump, float(tau), k_max)
+    cau = derivative_table(bump, np.array([float(tau)]), k_max)[0]
     exact = bump_derivatives_exact(bump, tau, k_max)
     floor = cauchy_noise_floor(bump, float(tau), k_max)
     for k in range(k_max + 1):
@@ -222,21 +221,30 @@ def residual_oracle(kernel):
             float(np.abs(tail).max()), float(np.abs(residual - tail).max()))
 
 
-@pytest.mark.parametrize("nt", [1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 201, 2 * ROW_BLOCK + 1])
-def test_kernel_rows_bit_identical_to_dense_assembly(nt):
+# t grids by id: the row-block edges on [-1, 1], and one off-grid span that
+# does not end at t = 1
+_T_GRIDS = {str(nt): np.linspace(-1, 1, nt)
+            for nt in (1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 201, 2 * ROW_BLOCK + 1)}
+_T_GRIDS["off-grid"] = np.linspace(-0.95, 0.9, ROW_BLOCK + 7)
+
+
+@pytest.mark.parametrize("t_nodes", _T_GRIDS.values(), ids=_T_GRIDS.keys())
+def test_kernel_rows_bit_identical_to_dense_assembly(t_nodes):
+    # the last term of each truncation covers every residue of K mod 4
     bump = gevrey_bump(1.0, 2.0)
     taus = np.linspace(0.0, 1.0, 257)
-    kernel = build_kernel(bump, np.linspace(-1, 1, nt), taus, 24)
-    oracle = dense_kernel_oracle(kernel)
-    assert np.array_equal(kernel.values, oracle)
-    bounds = kernel.row_blocks()
-    assert [start for start, _ in bounds[1:]] == [stop for _, stop in bounds[:-1]]
-    assert bounds[0][0] == 0 and bounds[-1][1] == nt
-    blocks = [kernel.sub_grid(slice(start, stop)) for start, stop in bounds]
-    assert np.array_equal(np.concatenate(blocks), oracle)
-    report = kernel_residual(kernel)
-    assert (report.max_residual, report.max_kernel, report.max_tail,
-            report.tail_match_error) == residual_oracle(kernel)
+    for k_trunc in (0, 1, 2, 3, 24, 40):
+        kernel = build_kernel(bump, t_nodes, taus, k_trunc)
+        oracle = dense_kernel_oracle(kernel)
+        assert np.array_equal(kernel.values, oracle)
+        bounds = kernel.row_blocks()
+        assert [start for start, _ in bounds[1:]] == [stop for _, stop in bounds[:-1]]
+        assert bounds[0][0] == 0 and bounds[-1][1] == len(t_nodes)
+        blocks = [kernel.sub_grid(slice(start, stop)) for start, stop in bounds]
+        assert np.array_equal(np.concatenate(blocks), oracle)
+        report = kernel_residual(kernel)
+        assert (report.max_residual, report.max_kernel, report.max_tail,
+                report.tail_match_error) == residual_oracle(kernel)
 
 
 @pytest.mark.parametrize("t_index, tau_index", [
@@ -260,52 +268,3 @@ def test_control_trace_off_grid_matches_on_grid():
     assert on_grid.t_nodes[-1] == 1.0 and 1.0 not in off_grid.t_nodes
     assert np.array_equal(control_trace(on_grid), on_grid.values[-1])
     assert np.array_equal(control_trace(off_grid), control_trace(on_grid))
-
-
-def series_oracle(coef, table):
-    """_series as it stood before the zero parts were found in one pass: one
-    np.any per order and part."""
-    shape = (coef.shape[1], table.shape[0])
-    real, imag, term = np.zeros(shape), np.zeros(shape), np.empty(shape)
-    columns = np.ascontiguousarray(table.T)
-    for k in range(coef.shape[0]):
-        for part, c in ((real, coef[k].real), (imag, coef[k].imag)):
-            if np.any(c):
-                part += np.multiply(c[:, None], columns[k], out=term)
-    out = np.empty(shape, dtype=complex)
-    out.real = real
-    out.imag = imag
-    return out
-
-
-# how each order's real and imaginary parts are zeroed: not at all, in some
-# entries only (the order must still be summed), or in every entry
-_ZEROED = ("none", "some", "all")
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 12), st.integers(1, 9), st.integers(1, 9), st.integers(0, 2**32 - 1),
-       st.data())
-def test_series_matches_per_order_zero_test(orders, n_t, n_tau, seed, data):
-    rng = np.random.default_rng(seed)
-    real = rng.standard_normal((orders, n_t)) * 10.0 ** rng.integers(-30, 30, (orders, 1))
-    imag = rng.standard_normal((orders, n_t))
-    for part in (real, imag):
-        for k in range(orders):
-            zeroed = data.draw(st.sampled_from(_ZEROED))
-            if zeroed == "some":
-                part[k, rng.integers(0, n_t, size=max(1, n_t - 1))] = 0.0
-            elif zeroed == "all":
-                part[k] = 0.0
-    coef = real + 1j * imag
-    table = rng.standard_normal((n_tau, orders))
-    assert np.array_equal(_series(coef, table), series_oracle(coef, table))
-    assert np.array_equal(_series(real, table), series_oracle(real, table))
-
-
-def test_series_sums_an_order_whose_part_is_zero_in_some_entries():
-    coef = np.array([[1.0 + 0.0j, 0.0 + 2.0j], [0.0 + 0.0j, 3.0 + 0.0j]])
-    table = np.array([[1.0, 10.0]])
-    expected = np.array([[1.0 + 0.0j], [30.0 + 2.0j]])
-    assert np.array_equal(_series(coef, table), expected)
-    assert np.array_equal(series_oracle(coef, table), expected)

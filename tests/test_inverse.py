@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_triangular, toeplitz
 from scipy.signal import fftconvolve
 
-from hardylab.evolution import SourceModel, TimeGrid, duhamel_solve, free_trajectory
+from hardylab.evolution import TimeGrid, duhamel_solve, free_trajectory
 from hardylab.evolution import ModeTrajectory
 from hardylab.inverse import (VolterraSystem, _fftconvolve, antiderivative_reduce,
                               convolve_source, duhamel_identity_residual,
@@ -152,7 +152,7 @@ def test_reconstruct_zero_source():
     grid = TimeGrid(1.0, 500)
     sys = make_system(lambda t: 1 + t / 2, lambda t: 0.5, steps=500)
     f = np.zeros(3, dtype=complex)
-    traj = duhamel_solve(SourceModel(f, sys.rho), basis, grid)
+    traj = duhamel_solve(f, sys.rho, basis, grid)
     result = reconstruct_f(traj, sys, basis.eigenvalues, f_true=f)
     assert np.abs(result.f_recovered).max() <= 1e-14
 
@@ -163,7 +163,7 @@ def test_reconstruct_six_random_modes_exact_derivative():
     sys = make_system(lambda t: 1 + t / 2, lambda t: 0.5, steps=1000)
     rng = np.random.default_rng(3)
     f = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    traj = duhamel_solve(SourceModel(f, sys.rho), basis, grid)
+    traj = duhamel_solve(f, sys.rho, basis, grid)
     result = reconstruct_f(traj, sys, basis.eigenvalues, f_true=f)
     assert result.relative_error <= 1e-3
     assert result.diagnostics["factorization_residual"] <= 1e-8
@@ -175,7 +175,7 @@ def test_reconstruct_fd_derivative_low_mode():
     grid = TimeGrid(1.0, 1000)
     sys = make_system(lambda t: 1 + t / 2, lambda t: 0.5, steps=1000)
     f = np.array([1.0 - 0.5j])
-    c = duhamel_solve(SourceModel(f, sys.rho), basis, grid).coeffs
+    c = duhamel_solve(f, sys.rho, basis, grid).coeffs
     dt = sys.dt
     dudt = np.empty_like(c)
     dudt[1:-1] = (c[2:] - c[:-2]) / (2.0 * dt)
@@ -191,7 +191,7 @@ def test_identity_chain_resolved_mode():
     grid = TimeGrid(1.0, steps)
     sys = make_system(lambda t: 1 + t / 2, lambda t: 0.5, steps=steps)
     f = np.array([1.0 + 0.0j])
-    traj = duhamel_solve(SourceModel(f, sys.rho), basis, grid)
+    traj = duhamel_solve(f, sys.rho, basis, grid)
     result = reconstruct_f(traj, sys, basis.eigenvalues, f_true=f)
     assert result.diagnostics["factorization_residual"] <= 1e-8      # K z = du/dt
     assert duhamel_identity_residual(traj, sys, result.z) <= 1e-6     # u = rho * z
@@ -288,7 +288,7 @@ def test_reduction_route_matches_duhamel():
     grid = TimeGrid(1.0, 1000)
     rho = grid.times * (1.0 - grid.times / 2)
     f = np.array([1.0, -0.5j, 0.25 + 0.25j])
-    u = duhamel_solve(SourceModel(f, rho), basis, grid)
+    u = duhamel_solve(f, rho, basis, grid)
     v = free_trajectory(-1j * f, basis, grid)
     y = convolve_source(rho, v, basis.eigenvalues)
     assert np.abs(y.y.coeffs - u.coeffs).max() <= 1e-12
