@@ -556,7 +556,7 @@ def measure_hum(basis: spc.SpectralBasis, mask: evo.ObservationMask, horizon: fl
     u0 = evo.ModeState(_complex_normal(rng, basis.k_modes))
     ud = evo.ModeState(_complex_normal(rng, basis.k_modes))
     gram = ctl.gramian(basis, mask, horizon)
-    eigs = np.linalg.eigvalsh(gram.matrix)
+    eigs = gram.eigenvalues
     curve = ctl.defect_curve(gram, u0, ud, eps_list)
     times = np.linspace(0.0, horizon, 201)
     result = ctl.hum_solve(gram, u0, ud, 1e-3, sample_times=times, basis=basis)

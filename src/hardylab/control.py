@@ -7,7 +7,10 @@ spectral basis the reachable increment of a multiplier vector q is G q with
 
 where Mw is the mask-restricted mass matrix of the eigenfunctions.  The
 penalized problem (G + eps I) q = d has the closed-form terminal defect
-eps (G + eps I)^{-1} d; the control cost is q^H G q exactly.
+eps (G + eps I)^{-1} d; the control cost is q^H G q exactly.  Both are read
+from the one eigendecomposition G = V diag(lam) V^H: with dh = V^H d and
+w = dh / (lam + eps), q = V w, the defect is eps ||w|| and the squared cost
+is sum lam |w|^2, for any number of penalties.
 
 verify_control checks the defect without the closed form of eta: the
 trapezoid rule for the controlled Duhamel integral, reordered, gives
@@ -16,10 +19,9 @@ sampled Gramian); the free flow of u_0 cancels.  Each entry of eta_dt is a
 finite geometric series, summed in closed form whatever the number of steps.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .evolution import ModeState, ObservationMask
 from .spectral import SpectralBasis
@@ -53,13 +55,22 @@ def _eta_matrix_trapezoid(mus: np.ndarray, horizon: float, n_steps: int) -> np.n
 
 @dataclass
 class Gramian:
-    """Hermitian PSD control Gramian over (0, T) x mask at fixed truncation."""
+    """Hermitian PSD control Gramian over (0, T) x mask at fixed truncation.
+
+    Its eigendecomposition matrix = V diag(eigenvalues) V^H (ascending) is
+    computed once, here; sigma_min, hum_solve and defect_curve read it.
+    """
 
     matrix: np.ndarray
     mass_masked: np.ndarray
     mode_eigenvalues: np.ndarray
     horizon: float
     mask: ObservationMask
+    eigenvalues: np.ndarray = field(init=False)
+    eigenvectors: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.eigenvalues, self.eigenvectors = np.linalg.eigh(self.matrix)
 
     def sigma_min(self) -> float:
         """lambda_min(G), the smallest eigenvalue of the Gramian.
@@ -69,7 +80,7 @@ class Gramian:
         square of O's smallest singular value.  The name is kept because
         artifacts and reports use the key `sigma_min`.
         """
-        return float(np.linalg.eigvalsh(self.matrix)[0])
+        return float(self.eigenvalues[0])
 
 
 def gramian(basis: SpectralBasis, mask: ObservationMask, horizon: float) -> Gramian:
@@ -92,31 +103,44 @@ class ControlResult:
     control_samples: np.ndarray | None = None
 
 
+def _penalized(gram: Gramian, u0: ModeState, ud: ModeState, eps: np.ndarray):
+    """The target gap d = u_d - e^{i mu T} u_0 and, for each penalty in eps,
+    the coefficients w = (lam + eps)^{-1} V^H d of q in the Gramian's
+    eigenbasis (one column per penalty), the defect eps ||w|| and the cost
+    sqrt(sum lam |w|^2)."""
+    shifted = gram.eigenvalues[:, None] + eps
+    if np.any(shifted[0] <= 0):
+        raise RuntimeError("Gramian + eps I not positive definite: assembly fault")
+    d = ud.coeffs - np.exp(1j * gram.mode_eigenvalues * gram.horizon) * u0.coeffs
+    w = (gram.eigenvectors.conj().T @ d)[:, None] / shifted
+    power = np.abs(w) ** 2
+    defect = eps * np.sqrt(power.sum(axis=0))
+    cost = np.sqrt(np.maximum(gram.eigenvalues @ power, 0.0))
+    return d, w, defect, cost
+
+
 def hum_solve(gram: Gramian, u0: ModeState, ud: ModeState, eps: float,
               sample_times: np.ndarray | None = None,
               basis: SpectralBasis | None = None) -> ControlResult:
     """Solve (G + eps I) q = d and report the closed-form defect and cost.
 
+    q is V w from the Gramian's eigendecomposition, refined once against G.
     The control is h(t, x) = i * sum_l q_l e^{i mu_l (t - T)} phi_l(x) on the
     mask; pass `sample_times` (and the basis) to store physical samples.
     """
     if eps <= 0:
         raise ValueError("penalty eps must be positive")
-    mus = gram.mode_eigenvalues
-    d = ud.coeffs - np.exp(1j * mus * gram.horizon) * u0.coeffs
-    k = len(mus)
-    try:
-        factor = cho_factor(gram.matrix + eps * np.eye(k))
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError("Gramian + eps I not positive definite: assembly fault") from exc
-    q = cho_solve(factor, d)
-    defect = float(np.linalg.norm(eps * q))
-    cost_sq = np.vdot(q, gram.matrix @ q).real
-    result = ControlResult(q, eps, defect, float(np.sqrt(max(cost_sq, 0.0))), d)
+    d, w, defect, cost = _penalized(gram, u0, ud, np.array([eps]))
+    v = gram.eigenvectors
+    q = v @ w[:, 0]
+    # one refinement step against G itself: V is orthonormal only to a few
+    # ulps, which would leave q several times less accurate than a Cholesky solve
+    q = q + v @ ((v.conj().T @ (d - gram.matrix @ q - eps * q)) / (gram.eigenvalues + eps))
+    result = ControlResult(q, eps, float(defect[0]), float(cost[0]), d)
     if sample_times is not None:
         if basis is None:
             raise ValueError("basis required to sample the control in space")
-        phases = np.exp(1j * np.outer(sample_times - gram.horizon, mus))
+        phases = np.exp(1j * np.outer(sample_times - gram.horizon, gram.mode_eigenvalues))
         phi = basis.eigenvectors[gram.mask.node_indices, :]
         result.control_samples = 1j * (phases * q) @ phi.T
     return result
@@ -141,14 +165,7 @@ def defect_curve(gram: Gramian, u0: ModeState, ud: ModeState, eps_list) -> list[
         raise ValueError("penalties must be positive")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("penalty sweep must be strictly decreasing")
+    _, _, defects, costs = _penalized(gram, u0, ud, np.array(eps_list, dtype=float))
     smin = gram.sigma_min()
-    rows = []
-    for eps in eps_list:
-        res = hum_solve(gram, u0, ud, eps)
-        rows.append({
-            "eps": eps,
-            "defect": res.defect_predicted,
-            "cost": res.cost,
-            "sigma_min": smin,
-        })
-    return rows
+    return [{"eps": eps, "defect": float(defect), "cost": float(cost), "sigma_min": smin}
+            for eps, defect, cost in zip(eps_list, defects, costs)]

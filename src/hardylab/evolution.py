@@ -174,18 +174,16 @@ def fat_cantor_mask(grid: RadialGrid, base_interval: tuple[float, float] = (0.0,
     if length < 4 * grid.spacing:
         raise ValueError("base interval shorter than 4 grid spacings")
     depth = int(np.ceil(np.log2(grid.n_interior)))
-    intervals = [(a, b)]
+    # endpoints level by level: each (lo, hi) is replaced, in order, by
+    # (lo, mid - removed/2) and (mid + removed/2, hi)
+    lo, hi = np.array([a]), np.array([b])
     for k in range(depth):
-        removed = length * 4.0 ** (-(k + 1))
-        nxt = []
-        for lo, hi in intervals:
-            mid = 0.5 * (lo + hi)
-            nxt.append((lo, mid - 0.5 * removed))
-            nxt.append((mid + 0.5 * removed, hi))
-        intervals = nxt
+        half = 0.5 * (length * 4.0 ** (-(k + 1)))
+        mid = 0.5 * (lo + hi)
+        lo = np.column_stack((lo, mid + half)).ravel()
+        hi = np.column_stack((mid - half, hi)).ravel()
     # the intervals are sorted and disjoint: a node can only lie in the
     # last one starting at or before it
-    lo, hi = np.array(intervals).T
     last = np.searchsorted(lo, grid.nodes, side="right") - 1
     idx = np.flatnonzero((last >= 0) & (grid.nodes <= hi[last]))
     if len(idx) == 0:
@@ -195,7 +193,7 @@ def fat_cantor_mask(grid: RadialGrid, base_interval: tuple[float, float] = (0.0,
         kind="cantor",
         node_indices=idx,
         weights=grid.weights[idx],
-        intervals=intervals,
+        intervals=list(zip(lo.tolist(), hi.tolist())),
         analytic_measure=analytic,
         unit_measure_limit=0.5,
         depth=depth,

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
+from .bessel import bessel_zeros
 from .errors import SupercriticalCouplingError
 
 EIGEN_RESIDUAL_TOL = 1e-10  # relative to ||A||, per eigenpair
@@ -66,10 +67,11 @@ class RadialGrid:
 
 
 def tridiagonal_apply(diagonal: np.ndarray, offdiagonal: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Product of the symmetric tridiagonal matrix (diagonal, offdiagonal) with v."""
+    """Product of the symmetric tridiagonal matrix (diagonal, offdiagonal) with
+    each vector along the last axis of v."""
     out = diagonal * v
-    out[:-1] += offdiagonal * v[1:]
-    out[1:] += offdiagonal * v[:-1]
+    out[..., :-1] += offdiagonal * v[..., 1:]
+    out[..., 1:] += offdiagonal * v[..., :-1]
     return out
 
 
@@ -91,15 +93,16 @@ def dirichlet_eigenpairs(diagonal: np.ndarray, offdiagonal: np.ndarray, spacing:
                                   select_range=(0, count - 1))
     # Euclidean-orthonormal -> orthonormal under the spacing-weighted quadrature
     vecs = vecs / np.sqrt(spacing)
-    a_norm = tridiagonal_norm(diagonal, offdiagonal)
-    for k in range(count):
-        col = vecs[:, k]
-        idx = np.flatnonzero(np.abs(col) > 1e-12 * np.abs(col).max())
-        if len(idx) and col[idx[0]] < 0:
-            vecs[:, k] = col = -col
-        res = np.linalg.norm(tridiagonal_apply(diagonal, offdiagonal, col) - vals[k] * col)
-        if res > EIGEN_RESIDUAL_TOL * a_norm * np.linalg.norm(col):
-            raise RuntimeError(f"eigenpair {k} residual {res:.3e} exceeds tolerance")
+    size = np.abs(vecs)
+    significant = size > 1e-12 * size.max(axis=0)
+    first = vecs[np.argmax(significant, axis=0), np.arange(count)]
+    vecs[:, significant.any(axis=0) & (first < 0)] *= -1.0
+    residual = np.linalg.norm(tridiagonal_apply(diagonal, offdiagonal, vecs.T)
+                              - vals[:, None] * vecs.T, axis=1)
+    (bad,) = np.nonzero(residual > EIGEN_RESIDUAL_TOL * tridiagonal_norm(diagonal, offdiagonal)
+                        * np.linalg.norm(vecs, axis=0))
+    if len(bad):
+        raise RuntimeError(f"eigenpair {bad[0]} residual {residual[bad[0]]:.3e} exceeds tolerance")
     return vals, vecs
 
 
@@ -186,8 +189,6 @@ def hardy_pencil_infimum(grid: RadialGrid) -> float:
 
 def bessel_oracle_table(basis: SpectralBasis) -> np.ndarray:
     """Rows (k, mu_k, j_{nu,k}^2, rel_err) comparing FD eigenvalues to the oracle."""
-    from .bessel import bessel_zeros
-
     oracle = bessel_zeros(basis.bessel_order, basis.k_modes) ** 2
     mu = basis.eigenvalues
     rel = np.abs(mu - oracle) / oracle

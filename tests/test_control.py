@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_factor, cho_solve
 
-from hardylab.control import (_eta_matrix, _eta_matrix_trapezoid, defect_curve, gramian,
-                              hum_solve, verify_control)
-from hardylab.evolution import ModeState, interval_mask, propagate, trapezoid_weights
+from hardylab.control import (Gramian, _eta_matrix, _eta_matrix_trapezoid, defect_curve,
+                              gramian, hum_solve, verify_control)
+from hardylab.evolution import (ModeState, fat_cantor_mask, interval_mask, propagate,
+                                trapezoid_weights)
 from hardylab.spectral import RadialGrid, assemble_hardy_operator, solve_spectrum
 
 
@@ -120,6 +122,92 @@ def test_hum_linearity_in_gap(gram, basis):
     res2 = hum_solve(gram, u0, doubled, 1e-2)
     assert np.abs(res2.multiplier - 2 * res1.multiplier).max() <= 1e-10
     assert res2.defect_predicted == pytest.approx(2 * res1.defect_predicted, rel=1e-12)
+
+
+def cholesky_oracle(gram, u0, ud, eps):
+    """q, defect and cost of (G + eps I) q = d by a Cholesky solve."""
+    d = ud.coeffs - np.exp(1j * gram.mode_eigenvalues * gram.horizon) * u0.coeffs
+    q = cho_solve(cho_factor(gram.matrix + eps * np.eye(len(d))), d)
+    cost = np.sqrt(max(np.vdot(q, gram.matrix @ q).real, 0.0))
+    return q, np.linalg.norm(eps * q), cost
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(-1.0, 0.24), st.integers(1, 12), st.booleans(), st.integers(0, 199),
+       st.integers(0, 199), st.floats(0.25, 2.0), st.integers(0, 2**32 - 1))
+def test_hum_and_defect_curve_match_cholesky_oracle(lam, k, cantor, i, j, horizon, seed):
+    basis = make_basis(n=200, lam=lam, k=k)
+    if cantor:
+        # around nodes lo..hi, at least five of them: the base interval spans
+        # the 4 spacings fat_cantor_mask needs
+        lo = min(i, j, 195)
+        hi = max(i, j, lo + 4)
+        h = basis.grid.spacing
+        mask = fat_cantor_mask(basis.grid, (basis.grid.nodes[lo] - h / 2,
+                                            basis.grid.nodes[hi] + h / 2))
+    else:
+        mask = node_interval_mask(basis, i, j)
+    gram = gramian(basis, mask, horizon)
+    u0, ud = random_states(k, seed)
+    eps_list = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)
+    rows = defect_curve(gram, u0, ud, eps_list)
+    for eps, row in zip(eps_list, rows):
+        q, defect, cost = cholesky_oracle(gram, u0, ud, eps)
+        res = hum_solve(gram, u0, ud, eps)
+        assert np.linalg.norm(res.multiplier - q) <= 1e-12 * np.linalg.norm(q)
+        for value in (row["defect"], res.defect_predicted):
+            assert value == pytest.approx(defect, rel=1e-12)
+        for value in (row["cost"], res.cost):
+            assert value == pytest.approx(cost, rel=1e-12)
+        assert row["sigma_min"] == gram.sigma_min() == gram.eigenvalues[0]
+
+
+def test_hum_multiplier_within_one_rounding_unit_of_exact_solve(gram):
+    # q = V w alone is off by 2.4e-16 to 5.6e-16 here (V is orthonormal only
+    # to a few ulps), a Cholesky solve by 1.0e-16 to 3.3e-16; the refined q
+    # stays within np.finfo(float).eps of a 40-digit solve
+    worst = 0.0
+    for seed in range(6):
+        u0, ud = random_states(8, seed)
+        for eps in (1e-1, 1e-3, 1e-5):
+            res = hum_solve(gram, u0, ud, eps)
+            with mpmath.workdps(40):
+                a = mpmath.matrix([[mpmath.mpc(complex(gram.matrix[i, j])) + (eps if i == j else 0)
+                                    for j in range(8)] for i in range(8)])
+                exact = mpmath.lu_solve(a, mpmath.matrix([mpmath.mpc(complex(x))
+                                                          for x in res.target_gap]))
+            exact = np.array([complex(x) for x in exact])
+            worst = max(worst, np.linalg.norm(res.multiplier - exact) / np.linalg.norm(exact))
+    assert worst <= np.finfo(float).eps
+
+
+def test_hum_rejects_gramian_below_minus_eps(gram):
+    # a hand-made Gramian with lambda_min = -2 eps: G + eps I is indefinite
+    eps = 1e-3
+    shift = gram.sigma_min() + 2 * eps
+    bad = Gramian(gram.matrix - shift * np.eye(8), gram.mass_masked, gram.mode_eigenvalues,
+                  gram.horizon, gram.mask)
+    assert bad.sigma_min() == pytest.approx(-2 * eps, rel=1e-9)
+    u0, ud = random_states(8)
+    with pytest.raises(RuntimeError, match="not positive definite: assembly fault"):
+        hum_solve(bad, u0, ud, eps)
+    with pytest.raises(RuntimeError, match="not positive definite: assembly fault"):
+        defect_curve(bad, u0, ud, (1e-1, 1e-2, eps))
+    # a penalty above -lambda_min still solves
+    assert hum_solve(bad, u0, ud, 3 * eps).defect_predicted > 0
+
+
+def test_hum_reads_the_one_eigendecomposition(gram, monkeypatch):
+    u0, ud = random_states(8, seed=6)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Gramian decomposed again")
+
+    for name in ("eigh", "eigvalsh", "cholesky", "solve"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    defect_curve(gram, u0, ud, (1e-1, 1e-3))
+    hum_solve(gram, u0, ud, 1e-3)
+    gram.sigma_min()
 
 
 def test_hum_rejects_nonpositive_penalty(gram):

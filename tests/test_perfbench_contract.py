@@ -1,7 +1,7 @@
 """What the benchmark in perfbench/ reads of the program, checked without
 running the benchmark: the traced functions and their counted parameters,
-the kernel attributes it sizes, and the reference values of the lab-default
-and time-stepping workloads."""
+the kernel attributes it sizes, and the reference values of its three
+workloads."""
 
 import ast
 import importlib
@@ -75,3 +75,17 @@ def test_time_stepping_reference_keys_come_from_a_seed_0_run(tmp_path):
     assert set(expected) <= set(values)
     assert workloads.compare(values, expected) == []
     assert op.check(None) == []
+
+
+def test_coupling_sweep_pass_at_seed_0_meets_the_reference(tmp_path):
+    # one pass of the sweep at the workload's seed-0 config and rng, checked
+    # as the benchmark checks every pass: its Bessel zeros to ZERO_RTOL
+    config = tmp_path / "coupling-sweep.cfg"
+    config.write_text(inputs.config_text("coupling-sweep", 0))
+    cfg = cli.load_config(str(config))
+    rng = np.random.default_rng(inputs.config_seed("coupling-sweep", 0))
+    rows = workloads.sweep_pass(cfg, rng)
+    reference = json.loads((PERFBENCH / "reference.json").read_text())
+    expected = reference["coupling-sweep"]["all_seeds"]
+    assert any(".bessel_zero_sq." in key for key in expected)
+    assert workloads.sweep_check(cfg, rows, expected) == []

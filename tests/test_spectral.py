@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal
 
+from hardylab import spectral
 from hardylab.bessel import bessel_zeros
 from hardylab.errors import SupercriticalCouplingError
 from hardylab.spectral import (RadialGrid, assemble_hardy_operator, bessel_order,
-                               critical_constant, hardy_pencil_infimum,
+                               critical_constant, dirichlet_eigenpairs, hardy_pencil_infimum,
                                hardy_rayleigh, solve_spectrum, tridiagonal_apply,
                                tridiagonal_norm)
 
@@ -104,6 +106,55 @@ def test_sign_convention_first_component_positive():
         col = basis.eigenvectors[:, k]
         idx = np.flatnonzero(np.abs(col) > 1e-12 * np.abs(col).max())
         assert col[idx[0]] > 0
+
+
+def per_column_eigenpairs(diagonal, offdiagonal, spacing, count):
+    """dirichlet_eigenpairs with its sign rule and residual check run one
+    column at a time."""
+    vals, vecs = eigh_tridiagonal(diagonal, offdiagonal, select="i",
+                                  select_range=(0, count - 1))
+    vecs = vecs / np.sqrt(spacing)
+    a_norm = tridiagonal_norm(diagonal, offdiagonal)
+    for k in range(count):
+        col = vecs[:, k]
+        idx = np.flatnonzero(np.abs(col) > 1e-12 * np.abs(col).max())
+        if len(idx) and col[idx[0]] < 0:
+            vecs[:, k] = col = -col
+        res = np.linalg.norm(tridiagonal_apply(diagonal, offdiagonal, col) - vals[k] * col)
+        if res > spectral.EIGEN_RESIDUAL_TOL * a_norm * np.linalg.norm(col):
+            raise RuntimeError(f"eigenpair {k} residual {res:.3e} exceeds tolerance")
+    return vals, vecs
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(8, 600), st.floats(-2.0, 0.24), st.integers(1, 16),
+       st.sampled_from([1, 3, 5]))
+def test_eigenpairs_equal_per_column_loop(n, lam, k, dim):
+    op = assemble_hardy_operator(RadialGrid(n), lam, dim)
+    args = (op.diagonal, op.offdiagonal, op.grid.spacing, min(k, n))
+    vals, vecs = dirichlet_eigenpairs(*args)
+    ref_vals, ref_vecs = per_column_eigenpairs(*args)
+    assert np.array_equal(vals, ref_vals)
+    assert np.array_equal(vecs, ref_vecs)
+
+
+def test_eigenpair_failure_names_the_first_failing_pair(monkeypatch):
+    op = assemble_hardy_operator(RadialGrid(200), 3 / 16, 3)
+    args = (op.diagonal, op.offdiagonal, op.grid.spacing, 6)
+    monkeypatch.setattr(spectral, "EIGEN_RESIDUAL_TOL", 0.0)
+    with pytest.raises(RuntimeError, match="eigenpair 0 residual"):
+        dirichlet_eigenpairs(*args)
+    # eigenvalues 2 and 4 off by 1: those two pairs fail, and the first is named
+    monkeypatch.undo()
+
+    def shifted(*a, **kw):
+        vals, vecs = eigh_tridiagonal(*a, **kw)
+        vals[[4, 2]] += 1.0
+        return vals, vecs
+
+    monkeypatch.setattr(spectral, "eigh_tridiagonal", shifted)
+    with pytest.raises(RuntimeError, match="eigenpair 2 residual"):
+        dirichlet_eigenpairs(*args)
 
 
 def test_coercivity_below_critical():
