@@ -14,19 +14,23 @@ are functions of config and seed only, not of the core count, and repeated
 runs digest identically.
 
 Exit codes: 0 success, 1 tolerance breach under --check, 2 invalid
-configuration (among others a horizon below a stage's HORIZON_FLOORS entry,
-or a tau grid that flatness.guard_band refuses for kernel and transform), 3
-supercritical coupling, 4 a stage failed on a configuration that passed
-validation: it raised ValueError, RuntimeError (which covers
-IllPosedTruncationError, a failed eigenpair residual and a Gramian that is
-not positive definite) or FloatingPointError.  The stage_failure payload
-names the stage and the exception class, and no output directory is left.
+configuration (among others a non-finite lam, horizon, mask_a, mask_b or
+eps_list entry, an observation mask without grid nodes, a horizon below a
+stage's HORIZON_FLOORS entry, a tau grid that flatness.guard_band refuses
+for kernel and transform, or, for uniqueness, a mask whose samples are fewer
+than the unknowns of its observability or UCP map), 3 supercritical
+coupling, 4 a stage failed on a configuration that passed validation: it
+raised ValueError, RuntimeError (which covers IllPosedTruncationError, a
+failed eigenpair residual and a Gramian that is not positive definite) or
+FloatingPointError.  The stage_failure payload names the stage and the
+exception class, and no output directory is left.
 """
 
 import argparse
 import contextlib
 import ctypes
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -112,8 +116,37 @@ class LabConfig:
 HORIZON_FLOORS = {"kernel": 1 / 3, "transform": 1 / 3, "titchmarsh": 1 / 6}
 
 
-def validate_config(cfg: LabConfig, subcommand: str = "all") -> None:
-    """Reject cfg, before any output, if a stage of subcommand cannot run it."""
+# t nodes of the uniqueness stage's UCP window on [-1, 1]
+UCP_WINDOW_NODES = 33
+
+
+class Lab:
+    """What the stages of one run share, each built once: the config, its snapshot, the
+    stages, the radial and tau grids and the mask, and on first call the sigma = 2 bump
+    and the basis of each exact (lam, k), never sliced from a larger k's basis, whose
+    first eigenpairs differ in their last bits."""
+
+    def __init__(self, cfg: LabConfig, stages: list[str]):
+        self.cfg, self.config, self.stages = cfg, dataclasses.asdict(cfg), stages
+        self.grid = grid = spc.RadialGrid(cfg.n_interior)
+        self.tau_grid = evo.TimeGrid(cfg.horizon, cfg.tau_steps)
+        try:
+            self.mask = (evo.interval_mask(grid, cfg.mask_a, cfg.mask_b) if cfg.mask_kind == "interval"
+                         else evo.fat_cantor_mask(grid, (cfg.mask_a, cfg.mask_b)))
+        except ValueError as exc:
+            raise ConfigError(f"observation mask: {exc}") from exc
+        self.bump = functools.cache(lambda: fla.gevrey_bump(cfg.horizon, 2.0))
+        self.basis = functools.cache(lambda lam, k: spc.solve_spectrum(
+            spc.assemble_hardy_operator(grid, lam, cfg.dimension_n), k))
+
+
+def validate_config(cfg: LabConfig, subcommand: str = "all") -> Lab:
+    """Reject cfg, before any output, if a stage of subcommand cannot run it; else its Lab."""
+    for name in ("lam", "horizon", "mask_a", "mask_b"):
+        if not math.isfinite(getattr(cfg, name)):
+            raise ConfigError(f"{name} must be finite, got {getattr(cfg, name)}")
+    if not all(map(math.isfinite, cfg.eps_list)):
+        raise ConfigError(f"eps_list entries must be finite, got {cfg.eps_list}")
     if cfg.dimension_n < 1 or cfg.dimension_n == 2:
         raise ConfigError(f"dimension_n must be a positive integer != 2, got {cfg.dimension_n}")
     lam_star = spc.critical_constant(cfg.dimension_n)
@@ -138,7 +171,8 @@ def validate_config(cfg: LabConfig, subcommand: str = "all") -> None:
         raise ConfigError("n_ang must be at least 64")
     if cfg.horizon <= 0:
         raise ConfigError("horizon must be positive")
-    for stage in _stage_names(subcommand):
+    stages = list(_RUNNERS) if subcommand == "all" else [subcommand]
+    for stage in stages:
         if cfg.horizon < HORIZON_FLOORS.get(stage, 0.0):
             raise ConfigError(f"horizon must be at least {HORIZON_FLOORS[stage]:.6g} "
                               f"for the {stage} stage, got {cfg.horizon:g}")
@@ -150,8 +184,6 @@ def validate_config(cfg: LabConfig, subcommand: str = "all") -> None:
         raise ConfigError(f"transform_k_trunc must lie in (0, {fla.MAX_TRUNCATION}]")
     if cfg.mask_kind not in ("interval", "cantor"):
         raise ConfigError("mask_kind must be 'interval' or 'cantor'")
-    if not (0.0 <= cfg.mask_a < cfg.mask_b <= 1.0):
-        raise ConfigError("mask interval must satisfy 0 <= a < b <= 1")
     if any(e <= 0 for e in cfg.eps_list):
         raise ConfigError("eps_list entries must be positive")
     if any(b >= a for a, b in zip(cfg.eps_list, cfg.eps_list[1:])):
@@ -166,17 +198,26 @@ def validate_config(cfg: LabConfig, subcommand: str = "all") -> None:
                         ("recon_steps", 14)):      # titchmarsh bumps: 8 dt <= 0.3 * 2T
         if getattr(cfg, name) < least:
             raise ConfigError(f"{name} must be at least {least}")
-    if {"kernel", "transform"} & set(_stage_names(subcommand)):
+    lab = Lab(cfg, stages)   # builds the mask, but neither the bump nor a spectrum
+    if {"kernel", "transform"} & set(stages):
         # both build derivative tables on this grid: refuse what derivative_table would
         try:
-            fla.guard_band(_bump(cfg), evo.TimeGrid(cfg.horizon, cfg.tau_steps).times)
+            fla.guard_band(lab.bump(), lab.tau_grid.times)
         except ValueError as exc:
             raise ConfigError(f"tau grid of horizon {cfg.horizon:g} and tau_steps "
                               f"{cfg.tau_steps}: {exc}") from exc
-    try:
-        _mask(cfg, spc.RadialGrid(cfg.n_interior))
-    except ValueError as exc:
-        raise ConfigError(f"observation mask: {exc}") from exc
+    if "uniqueness" in stages:
+        # its observability maps sample each mask node at steps + 1 times (on the
+        # obs_time_steps and tau_steps grids), its UCP map at UCP_WINDOW_NODES times
+        steps = min(cfg.obs_time_steps, cfg.tau_steps)
+        if (steps + 1) * lab.mask.n_nodes < cfg.k_modes:
+            raise ConfigError(f"observation mask: {lab.mask.n_nodes} node(s) at {steps + 1} "
+                              f"times give fewer samples than k_modes = {cfg.k_modes}")
+        if UCP_WINDOW_NODES * lab.mask.n_nodes < 2 * cfg.k_modes:
+            raise ConfigError(f"observation mask: {lab.mask.n_nodes} node(s) at the "
+                              f"{UCP_WINDOW_NODES} times of the UCP window give fewer "
+                              f"samples than 2 k_modes = {2 * cfg.k_modes}")
+    return lab
 
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(LabConfig)}
@@ -256,23 +297,6 @@ def _digest(path: Path) -> str:
 
 # ---------------------------------------------------------------------------
 # shared builders
-
-def _basis(cfg: LabConfig, lam: float | None = None, k: int | None = None) -> spc.SpectralBasis:
-    grid = spc.RadialGrid(cfg.n_interior)
-    op = spc.assemble_hardy_operator(grid, cfg.lam if lam is None else lam, cfg.dimension_n)
-    return spc.solve_spectrum(op, cfg.k_modes if k is None else k)
-
-
-def _bump(cfg: LabConfig) -> fla.GevreyBump:
-    """The sigma = 2 bump on (0, horizon) of the kernel and transform stages."""
-    return fla.gevrey_bump(cfg.horizon, 2.0)
-
-
-def _mask(cfg: LabConfig, grid: spc.RadialGrid) -> evo.ObservationMask:
-    if cfg.mask_kind == "interval":
-        return evo.interval_mask(grid, cfg.mask_a, cfg.mask_b)
-    return evo.fat_cantor_mask(grid, (cfg.mask_a, cfg.mask_b))
-
 
 def _complex_normal(rng: np.random.Generator, k: int) -> np.ndarray:
     """k standard complex normals: k real parts drawn first, then k imaginary."""
@@ -363,11 +387,11 @@ def _exponent_error(study: ang.BlowupStudy) -> float:
 
 # ---------------------------------------------------------------------------
 # stages: measure_<stage> maps explicit inputs to the checked quantities (keyed
-# by check name) and what the artifacts need; run_<stage> builds the inputs
-# from cfg, writes the artifacts and returns (checks, report)
+# by check name) and what the artifacts need; run_<stage> takes the inputs
+# from the run's Lab, writes the artifacts and returns (checks, report)
 
-def run_spectrum(cfg: LabConfig, outdir: Path):
-    basis = _basis(cfg, k=cfg.spectrum_modes)
+def run_spectrum(lab: Lab, outdir: Path):
+    basis = lab.basis(lab.cfg.lam, lab.cfg.spectrum_modes)
     table = spc.bessel_oracle_table(basis)   # the measurement: (k, mu_k, oracle, rel_err) rows
     write_csv(outdir / "spectrum.csv", ["k", "mu_k", "bessel_oracle", "rel_err"], table.T)
     worst = float(table[:, 3].max())
@@ -388,8 +412,8 @@ def measure_hardy(n_interior: int, rng: np.random.Generator) -> dict:
             "hardy_pencil_in_range": pencil[-1][1]}
 
 
-def run_hardy(cfg: LabConfig, outdir: Path):
-    m = measure_hardy(cfg.n_interior, np.random.default_rng(cfg.seed))
+def run_hardy(lab: Lab, outdir: Path):
+    m = measure_hardy(lab.cfg.n_interior, np.random.default_rng(lab.cfg.seed))
     write_csv(outdir / "hardy_pencil.csv", ["n_interior", "infimum"], zip(*m["pencil"]))
     write_csv(outdir / "hardy_sweep.csv", ["stat", "value"],
               [["min_ratio", "mean_ratio"], [m["ratios"].min(), m["ratios"].mean()]])
@@ -408,12 +432,11 @@ def measure_evolve(basis: spc.SpectralBasis, c0: np.ndarray, times) -> dict:
     return {"evolution_norm_drift": drift, "evolution_time_reversal": reversal}
 
 
-def run_evolve(cfg: LabConfig, outdir: Path):
-    basis = _basis(cfg)
+def run_evolve(lab: Lab, outdir: Path):
+    cfg, basis, mask = lab.cfg, lab.basis(lab.cfg.lam, lab.cfg.k_modes), lab.mask
     c0 = _complex_normal(np.random.default_rng(cfg.seed), cfg.k_modes)
     m = measure_evolve(basis, c0, np.linspace(0.25, 10.0, 40))
     tg = evo.TimeGrid(cfg.horizon, cfg.time_steps)
-    mask = _mask(cfg, basis.grid)
     samples = evo.observe(evo.free_trajectory(c0, basis, tg), mask, basis)
     columns = _sampled(tg.times, basis.grid.nodes[mask.node_indices], samples,
                        max(1, tg.steps // 100), max(1, mask.n_nodes // 40))
@@ -433,10 +456,10 @@ def measure_kernel(bump: fla.GevreyBump, t_nodes, tau_nodes, k_trunc: int) -> di
             "kernel_residual_ratio": res.max_residual / res.max_kernel}
 
 
-def run_kernel(cfg: LabConfig, outdir: Path):
+def run_kernel(lab: Lab, outdir: Path):
+    cfg, tau_nodes = lab.cfg, lab.tau_grid.times
     t_nodes = np.linspace(-1.0, 1.0, cfg.kernel_t_nodes)
-    tau_nodes = evo.TimeGrid(cfg.horizon, cfg.tau_steps).times
-    m = measure_kernel(_bump(cfg), t_nodes, tau_nodes, cfg.k_trunc)
+    m = measure_kernel(lab.bump(), t_nodes, tau_nodes, cfg.k_trunc)
     t_rows = slice(None, None, max(1, (len(t_nodes) - 1) // 50))
     tau_cols = slice(None, None, max(1, (len(tau_nodes) - 1) // 128))
     kernel, res = m["kernel"], m["residual"]
@@ -444,7 +467,7 @@ def run_kernel(cfg: LabConfig, outdir: Path):
                        1, 1)
     write_csv(outdir / "kernel.csv", ["t", "tau", "re_k", "im_k"], columns)
     write_json(outdir / "kernel_residual.json", {
-        "config": dataclasses.asdict(cfg), "k_trunc": cfg.k_trunc,
+        "config": lab.config, "k_trunc": cfg.k_trunc,
         "max_residual": res.max_residual, "max_kernel": res.max_kernel,
         "residual_over_max_kernel": m["kernel_residual_ratio"],
         "tail_match_error": res.tail_match_error, "boundary_defect": m["kernel_boundary_exact"],
@@ -465,16 +488,16 @@ def measure_transform(basis: spc.SpectralBasis, kernel: fla.FlatnessKernel, tau_
             "transform_moment_consistency": float(np.abs(profile.values[:, 0] - moments).max())}
 
 
-def run_transform(cfg: LabConfig, outdir: Path):
-    tau_grid = evo.TimeGrid(cfg.horizon, cfg.tau_steps)
+def run_transform(lab: Lab, outdir: Path):
+    cfg, tau_grid = lab.cfg, lab.tau_grid
     t_nodes = np.linspace(-1.0, 1.0, cfg.transform_t_nodes)
-    kernel = fla.build_kernel(_bump(cfg), t_nodes, tau_grid.times, cfg.transform_k_trunc)
-    m = measure_transform(_basis(cfg), kernel, tau_grid)
+    kernel = fla.build_kernel(lab.bump(), t_nodes, tau_grid.times, cfg.transform_k_trunc)
+    m = measure_transform(lab.basis(cfg.lam, cfg.k_modes), kernel, tau_grid)
     columns = _sampled(range(1, m["profile"].k_modes + 1), t_nodes, m["profile"].values,
                        1, max(1, (len(t_nodes) - 1) // 200))
     write_csv(outdir / "elliptic_profile.csv", ["k", "t", "re_w", "im_w"], columns)
     write_json(outdir / "transform_report.json", {
-        "config": dataclasses.asdict(cfg), "k_trunc": cfg.transform_k_trunc,
+        "config": lab.config, "k_trunc": cfg.transform_k_trunc,
         "residual": m["transform_residual"], "per_mode": m["per_mode"].tolist(),
         "moment_consistency": m["transform_moment_consistency"],
         "moments_abs": np.abs(m["moments"]).tolist(),
@@ -488,7 +511,7 @@ def measure_uniqueness(basis: spc.SpectralBasis, mask: evo.ObservationMask, obs_
     """Observability and UCP ranks on obs_grid, and the certificate that
     recovers c0 from its observations on cert_grid."""
     obs = evo.observability_matrix(basis, mask, obs_grid)
-    ucp = ell.ucp_probe(basis, ell.CylinderWindow(mask, np.linspace(-1.0, 1.0, 33)))
+    ucp = ell.ucp_probe(basis, ell.CylinderWindow(mask, np.linspace(-1.0, 1.0, UCP_WINDOW_NODES)))
     cert = ell.uniqueness_pipeline(c0, basis, mask, cert_grid)
     return {"observability": obs, "ucp": ucp, "certificate": cert,
             "observability_full_rank": basis.k_modes - obs.rank,
@@ -496,15 +519,14 @@ def measure_uniqueness(basis: spc.SpectralBasis, mask: evo.ObservationMask, obs_
             "uniqueness_reconstruction": cert.reconstruction_error}
 
 
-def run_uniqueness(cfg: LabConfig, outdir: Path):
-    basis = _basis(cfg)
-    mask = _mask(cfg, basis.grid)
+def run_uniqueness(lab: Lab, outdir: Path):
+    cfg, basis, mask = lab.cfg, lab.basis(lab.cfg.lam, lab.cfg.k_modes), lab.mask
     m = measure_uniqueness(basis, mask, evo.TimeGrid(cfg.horizon, cfg.obs_time_steps),
-                           evo.TimeGrid(cfg.horizon, cfg.tau_steps),
+                           lab.tau_grid,
                            _complex_normal(np.random.default_rng(cfg.seed), cfg.k_modes))
     obs, ucp, cert = m["observability"], m["ucp"], m["certificate"]
     write_json(outdir / "observability.json", {
-        "config": dataclasses.asdict(cfg),
+        "config": lab.config,
         "mask": {"kind": mask.kind, "intervals": mask.intervals,
                  "n_nodes": mask.n_nodes, "measure": mask.realized_measure()},
         "singular_values": obs.singular_values.tolist(), "rank": obs.rank,
@@ -512,7 +534,7 @@ def run_uniqueness(cfg: LabConfig, outdir: Path):
         "ucp_condition": ucp.condition,
     })
     write_json(outdir / "certificate.json", {
-        "config": dataclasses.asdict(cfg), "eta": cert.eta, "sigma_min": cert.sigma_min,
+        "config": lab.config, "eta": cert.eta, "sigma_min": cert.sigma_min,
         "bound": cert.bound, "c0_norm": cert.c0_norm,
         "reconstruction_error": cert.reconstruction_error,
     })
@@ -540,8 +562,8 @@ def measure_angular(n_ang: int) -> dict:
             "angular_blowup_exponent": _exponent_error(study)}
 
 
-def run_angular(cfg: LabConfig, outdir: Path):
-    m = measure_angular(cfg.n_ang)
+def run_angular(lab: Lab, outdir: Path):
+    m = measure_angular(lab.cfg.n_ang)
     study = m["study"]
     write_csv(outdir / "angular_spectrum.csv", ["lam", "k", "mu_k", "gamma_k"], zip(*m["rows"]))
     write_csv(outdir / "blowup.csv", ["r", "discrepancy"], [study.radii, study.discrepancies])
@@ -569,9 +591,8 @@ def measure_hum(basis: spc.SpectralBasis, mask: evo.ObservationMask, horizon: fl
             "hum_cost_nondecreasing": _smallest_step([r["cost"] for r in curve][::-1])}
 
 
-def run_hum(cfg: LabConfig, outdir: Path):
-    basis = _basis(cfg)
-    mask = _mask(cfg, basis.grid)
+def run_hum(lab: Lab, outdir: Path):
+    cfg, basis, mask = lab.cfg, lab.basis(lab.cfg.lam, lab.cfg.k_modes), lab.mask
     m = measure_hum(basis, mask, cfg.horizon, np.random.default_rng(cfg.seed), cfg.eps_list,
                     cfg.hum_verify_steps)
     header = ["eps", "defect", "cost", "sigma_min"]
@@ -622,17 +643,17 @@ def measure_inverse(basis6: spc.SpectralBasis, basis1: spc.SpectralBasis, f6: np
             "inverse_reduction_agreement": float(np.abs(route4.y.coeffs - w.coeffs).max())}
 
 
-def run_inverse(cfg: LabConfig, outdir: Path):
-    lam = 3.0 / 16.0
+def run_inverse(lab: Lab, outdir: Path):
+    cfg, lam = lab.cfg, 3.0 / 16.0
     recon_grid = evo.TimeGrid(cfg.horizon, cfg.recon_steps)
     id_grid = evo.TimeGrid(cfg.horizon, cfg.inverse_steps)
     f6 = _complex_normal(np.random.default_rng(cfg.seed), 6)
     zr = _complex_normal(np.random.default_rng(cfg.seed + 1), cfg.recon_steps + 1)
-    m = measure_inverse(_basis(cfg, lam=lam, k=6), _basis(cfg, lam=lam, k=1), f6, zr,
+    m = measure_inverse(lab.basis(lam, 6), lab.basis(lam, 1), f6, zr,
                         recon_grid, id_grid)
     recon = m["reconstruction"]
     write_json(outdir / "reconstruction.json", {
-        "config": dataclasses.asdict(cfg), "lambda": lam, "recon_dt": recon_grid.dt,
+        "config": lab.config, "lambda": lam, "recon_dt": recon_grid.dt,
         "f_true": [[c.real, c.imag] for c in f6],
         "f_recovered": [[c.real, c.imag] for c in recon.f_recovered],
         "relative_error": recon.relative_error, "volterra_roundtrip": m["inverse_roundtrip"],
@@ -677,7 +698,8 @@ def measure_titchmarsh(horizon: float, steps: int, rng: np.random.Generator) -> 
             "titchmarsh_additivity": worst / grid.dt}
 
 
-def run_titchmarsh(cfg: LabConfig, outdir: Path):
+def run_titchmarsh(lab: Lab, outdir: Path):
+    cfg = lab.cfg
     m = measure_titchmarsh(cfg.horizon, cfg.recon_steps, np.random.default_rng(cfg.seed))
     write_csv(outdir / "titchmarsh.csv", ["start_a", "start_b", "start_conv", "gap"],
               zip(*m["rows"]))
@@ -696,10 +718,6 @@ _RUNNERS = {
     "inverse-source": run_inverse,
     "titchmarsh": run_titchmarsh,
 }
-
-
-def _stage_names(subcommand: str) -> list[str]:
-    return list(_RUNNERS) if subcommand == "all" else [subcommand]
 
 
 # the (getter, setter) symbol pairs of the OpenBLAS builds numpy and scipy ship
@@ -745,16 +763,16 @@ def _one_blas_thread():
             setter(count)
 
 
-def _run_stages(subcommand: str, cfg: LabConfig, outdir: Path,
+def _run_stages(subcommand: str, lab: Lab, outdir: Path,
                 blas: list[str]) -> dict[str, bool]:
     """Run the stages into outdir and write the manifest last; blas names the
     OpenBLAS libraries pinned to one thread for the run."""
     started = time.monotonic()
     checks, details, reports, stage_seconds = {}, {}, {}, {}
-    for name in _stage_names(subcommand):
+    for name in lab.stages:
         stage_started = time.monotonic()
         try:
-            verdicts, rep = _RUNNERS[name](cfg, outdir)
+            verdicts, rep = _RUNNERS[name](lab, outdir)
         except _STAGE_ERRORS as exc:
             raise StageFailure(name, exc) from exc
         stage_seconds[name] = time.monotonic() - stage_started
@@ -767,7 +785,7 @@ def _run_stages(subcommand: str, cfg: LabConfig, outdir: Path,
     manifest = {
         "artifact_version": ARTIFACT_VERSION,
         "subcommand": subcommand,
-        "config": dataclasses.asdict(cfg),
+        "config": lab.config,
         "versions": {"python": platform.python_version(), "numpy": np.__version__,
                      "scipy": scipy.__version__, "blas": blas},
         "wall_clock_utc": datetime.now(timezone.utc).isoformat(),
@@ -788,14 +806,14 @@ def run(subcommand: str, cfg: LabConfig, out_root: Path, check: bool = False) ->
     The stages write into a hidden sibling directory, which takes the stamped
     name only once the manifest is written; if a stage raises, it is removed.
     """
-    validate_config(cfg, subcommand)
+    lab = validate_config(cfg, subcommand)
     stamp = datetime.now(timezone.utc).strftime("%Y%m%d-%H%M%S%f")
     outdir = out_root / f"{subcommand}-{stamp}"
     workdir = out_root / f".{outdir.name}.partial"
     workdir.mkdir(parents=True, exist_ok=False)
     try:
         with _one_blas_thread() as blas:
-            checks = _run_stages(subcommand, cfg, workdir, blas)
+            checks = _run_stages(subcommand, lab, workdir, blas)
         workdir.rename(outdir)
     except BaseException:
         shutil.rmtree(workdir, ignore_errors=True)

@@ -21,7 +21,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hardylab import cli
+from hardylab import evolution as evo
 from hardylab import flatness as fla
+from hardylab import spectral as spc
 from hardylab.cli import LabConfig, load_config, main, run, validate_config
 from hardylab.errors import IllPosedTruncationError, SupercriticalCouplingError
 
@@ -140,6 +142,44 @@ def test_empty_mask_rejected_before_output(tmp_path, capsys, text, stage):
     assert payload["error"] == "invalid_config"
     assert "mask" in payload["message"]
     assert not out_root.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field, template", [
+    ("lam", "{}"), ("horizon", "{}"), ("mask_a", "{}"), ("mask_b", "{}"),
+    ("eps_list", "1e-1, {}"), ("eps_list", "{}, 1e-1"),
+])
+def test_non_finite_floats_rejected_before_output(tmp_path, capsys, field, template, value):
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text(f"{field} = {template.format(value)}\n")
+    out_root = tmp_path / "out"
+    code = main(["all", "--config", str(cfg_file), "--out", str(out_root)])
+    assert code == 2
+    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert payload["error"] == "invalid_config"
+    assert field in payload["message"]
+    assert not out_root.exists()
+
+
+# one node of the default 800-node grid lies in (0.3, 0.3015)
+@pytest.mark.parametrize("text", [
+    "obs_time_steps = 1\n",   # 2 observability samples for 8 modes
+    "k_modes = 40\n",         # 33 observability samples for 40 modes
+    "k_modes = 20\n",         # 33 UCP window samples for 40 unknowns
+])
+def test_mask_too_narrow_for_uniqueness_rejected_before_output(tmp_path, capsys, text):
+    cfg_file = tmp_path / "narrow.cfg"
+    cfg_file.write_text("mask_a = 0.3\nmask_b = 0.3015\n" + text)
+    for subcommand in ("uniqueness", "all"):
+        out_root = tmp_path / subcommand
+        code = main([subcommand, "--config", str(cfg_file), "--out", str(out_root)])
+        assert code == 2
+        payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert payload["error"] == "invalid_config"
+        assert "mask" in payload["message"]
+        assert not out_root.exists()
+    for subcommand in ("hum", "evolve"):   # they sample the mask at their own sizes
+        assert main([subcommand, "--config", str(cfg_file), "--out", str(tmp_path)]) == 0
 
 
 def test_stage_value_error_exits_4(tmp_path, capsys, monkeypatch):
@@ -320,6 +360,28 @@ def test_uniqueness_builds_no_flatness_kernel(tmp_path, monkeypatch):
     cert = json.loads((find_run_dir(tmp_path, "uniqueness") / "certificate.json").read_text())
     assert set(cert) == {"config", "eta", "sigma_min", "bound", "c0_norm",
                          "reconstruction_error"}
+
+
+def test_default_all_builds_each_shared_object_once(tmp_path, monkeypatch):
+    counts = {}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def call(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, call)
+
+    for module, name in ((spc, "solve_spectrum"), (fla, "gevrey_bump"),
+                         (evo, "interval_mask"), (fla, "derivative_table")):
+        counted(module, name)
+    assert run("all", LabConfig(), tmp_path) == 0
+    # spectrum_modes and k_modes at lam, k = 6 and k = 1 at lam = 3/16.  The
+    # kernel (order 25) and transform (order 33) tables stay two: one shared
+    # table would move kernel.csv in its last bits, which waits on ROADMAP item 1
+    assert counts == {"solve_spectrum": 4, "gevrey_bump": 1, "interval_mask": 1,
+                      "derivative_table": 2}
 
 
 def test_validate_config_rules():
@@ -586,6 +648,21 @@ def test_runner_contract_matches_manifest(all_run):
         assert json.loads(json.dumps(report, default=cli._fmt)) == manifest["reports"][stage]
     assert sorted(names) == sorted(manifest["checks"])
     assert summary["checks"] == manifest["checks"]
+
+
+def _artifact_digests(outdir: Path) -> dict[str, str]:
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in outdir.iterdir()
+            if p.name != "manifest.json"}
+
+
+def test_each_stage_writes_alone_what_it_writes_in_all(tmp_path, all_run):
+    # the objects the stages share leave no stage depending on those before it
+    _, _, summary, _ = all_run
+    alone = {}
+    for stage in cli._RUNNERS:
+        assert run(stage, light_config(), tmp_path / stage) == 0
+        alone.update(_artifact_digests(find_run_dir(tmp_path / stage, stage)))
+    assert alone == _artifact_digests(Path(summary["outdir"]))
 
 
 _COMPARATORS = {
