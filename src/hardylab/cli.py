@@ -2,23 +2,24 @@
 
 Every subcommand writes its tables plus a manifest (config snapshot, the
 python, numpy and scipy versions and the OpenBLAS libraries pinned to one
-thread, check booleans, each check's value,
-comparator and bound from CHECKS, each stage's report of measured values and
+thread, check booleans, each check's value, comparator and bound from
+CHECKS, each stage's report of measured values and of the sizes it used, its
 wall seconds, sha256 digests) into a stamped directory under --out
-(overridden by the LAB_OUT environment variable); the directory appears under
-its stamped name only once the manifest is written.  A CSV table is a header
-line, then one line per row with floats as %.17g and other values as str,
-comma-separated and unquoted, every line ending in CRLF.  The stages run
-with every loaded OpenBLAS on one thread, so bodies of the CSV/JSON artifacts
-are functions of config and seed only, not of the core count, and repeated
-runs digest identically.
+(overridden by the LAB_OUT environment variable); the directory appears
+under its stamped name only once the manifest is written.  A CSV table is a
+header line, then one line per row with floats as %.17g and other values as
+str, comma-separated and unquoted, every line ending in CRLF.  The stages run
+with every loaded OpenBLAS on one thread, so bodies of the CSV/JSON
+artifacts are functions of config and seed only, not of the core count, and
+repeated runs digest identically.
 
 Exit codes: 0 success, 1 tolerance breach under --check, 2 invalid
 configuration (among others a non-finite lam, horizon, mask_a, mask_b or
-eps_list entry, an observation mask without grid nodes, a horizon below a
-stage's HORIZON_FLOORS entry, a tau grid that flatness.guard_band refuses
-for kernel and transform, or, for uniqueness, a mask whose samples are fewer
-than the unknowns of its observability or UCP map), 3 supercritical
+eps_list entry, spectrum_modes or k_modes above n_interior, an observation
+mask without grid nodes, a horizon below a stage's HORIZON_FLOORS entry, a
+tau grid that flatness.guard_band refuses for kernel and transform, or, for
+uniqueness, a mask whose samples are fewer than the unknowns of its
+observability or UCP map), 3 supercritical
 coupling, 4 a stage failed on a configuration that passed validation: it
 raised ValueError, RuntimeError (which covers IllPosedTruncationError, a
 failed eigenpair residual and a Gramian that is not positive definite) or
@@ -122,9 +123,11 @@ UCP_WINDOW_NODES = 33
 
 class Lab:
     """What the stages of one run share, each built once: the config, its snapshot, the
-    stages, the radial and tau grids and the mask, and on first call the sigma = 2 bump
-    and the basis of each exact (lam, k), never sliced from a larger k's basis, whose
-    first eigenpairs differ in their last bits."""
+    stages, the radial and tau grids and the mask, and on first call the sigma = 2 bump,
+    its Cauchy derivative table on the tau grid and the basis of each exact (lam, k),
+    never sliced from a larger k's basis, whose first eigenpairs differ in their last
+    bits.  The table serves both flatness truncations at the order the config asks of
+    either, never at one that depends on the stages run: its bits depend on the order."""
 
     def __init__(self, cfg: LabConfig, stages: list[str]):
         self.cfg, self.config, self.stages = cfg, dataclasses.asdict(cfg), stages
@@ -136,6 +139,8 @@ class Lab:
         except ValueError as exc:
             raise ConfigError(f"observation mask: {exc}") from exc
         self.bump = functools.cache(lambda: fla.gevrey_bump(cfg.horizon, 2.0))
+        self.table = functools.cache(lambda: fla.derivative_table(
+            self.bump(), self.tau_grid.times, max(cfg.k_trunc, cfg.transform_k_trunc) + 1))
         self.basis = functools.cache(lambda lam, k: spc.solve_spectrum(
             spc.assemble_hardy_operator(grid, lam, cfg.dimension_n), k))
 
@@ -176,8 +181,10 @@ def validate_config(cfg: LabConfig, subcommand: str = "all") -> Lab:
         if cfg.horizon < HORIZON_FLOORS.get(stage, 0.0):
             raise ConfigError(f"horizon must be at least {HORIZON_FLOORS[stage]:.6g} "
                               f"for the {stage} stage, got {cfg.horizon:g}")
-    if cfg.k_modes < 1 or cfg.k_modes > cfg.n_interior:
-        raise ConfigError("k_modes must lie in [1, n_interior]")
+    for name in ("spectrum_modes", "k_modes"):
+        if not 1 <= getattr(cfg, name) <= cfg.n_interior:
+            raise ConfigError(f"{name} must lie in [1, n_interior = {cfg.n_interior}], "
+                              f"got {getattr(cfg, name)}")
     if not 0 < cfg.k_trunc <= fla.MAX_TRUNCATION:
         raise ConfigError(f"k_trunc must lie in (0, {fla.MAX_TRUNCATION}]")
     if not 0 < cfg.transform_k_trunc <= fla.MAX_TRUNCATION:
@@ -198,9 +205,9 @@ def validate_config(cfg: LabConfig, subcommand: str = "all") -> Lab:
                         ("recon_steps", 14)):      # titchmarsh bumps: 8 dt <= 0.3 * 2T
         if getattr(cfg, name) < least:
             raise ConfigError(f"{name} must be at least {least}")
-    lab = Lab(cfg, stages)   # builds the mask, but neither the bump nor a spectrum
+    lab = Lab(cfg, stages)   # builds the mask, but neither the bump, the table nor a spectrum
     if {"kernel", "transform"} & set(stages):
-        # both build derivative tables on this grid: refuse what derivative_table would
+        # both read the derivative table on this grid: refuse what derivative_table would
         try:
             fla.guard_band(lab.bump(), lab.tau_grid.times)
         except ValueError as exc:
@@ -375,6 +382,12 @@ def _judge_stage(stage: str, measured: dict) -> dict[str, Verdict]:
     return {name: judge(name, measured[name]) for name in CHECKS if CHECKS[name][0] == stage}
 
 
+def _basis_sizes(basis: spc.SpectralBasis, mask: evo.ObservationMask | None = None) -> dict:
+    """The report's sizes of a basis and, if given, a mask."""
+    sizes = {"radial_nodes": basis.grid.n_interior, "modes": basis.k_modes}
+    return sizes if mask is None else {**sizes, "mask_nodes": mask.n_nodes}
+
+
 def _smallest_step(values) -> float:
     """min of values[i] - values[i+1]: positive iff strictly decreasing."""
     return min((a - b for a, b in zip(values, values[1:])), default=math.inf)
@@ -396,7 +409,8 @@ def run_spectrum(lab: Lab, outdir: Path):
     write_csv(outdir / "spectrum.csv", ["k", "mu_k", "bessel_oracle", "rel_err"], table.T)
     worst = float(table[:, 3].max())
     return (_judge_stage("spectrum", {"spectrum_oracle_rel_err": worst}),
-            {"worst_rel_err": worst, "bessel_order": basis.bessel_order})
+            {"worst_rel_err": worst, "bessel_order": basis.bessel_order,
+             "sizes": _basis_sizes(basis)})
 
 
 def measure_hardy(n_interior: int, rng: np.random.Generator) -> dict:
@@ -417,7 +431,9 @@ def run_hardy(lab: Lab, outdir: Path):
     write_csv(outdir / "hardy_pencil.csv", ["n_interior", "infimum"], zip(*m["pencil"]))
     write_csv(outdir / "hardy_sweep.csv", ["stat", "value"],
               [["min_ratio", "mean_ratio"], [m["ratios"].min(), m["ratios"].mean()]])
-    return _judge_stage("hardy", m), {"min_ratio": m["hardy_sweep_bound"], "pencil": m["pencil"]}
+    return _judge_stage("hardy", m), {
+        "min_ratio": m["hardy_sweep_bound"], "pencil": m["pencil"],
+        "sizes": {"radial_nodes": lab.cfg.n_interior, "rayleigh_vectors": len(m["ratios"])}}
 
 
 def measure_evolve(basis: spc.SpectralBasis, c0: np.ndarray, times) -> dict:
@@ -442,27 +458,41 @@ def run_evolve(lab: Lab, outdir: Path):
                        max(1, tg.steps // 100), max(1, mask.n_nodes // 40))
     write_csv(outdir / "trajectory.csv", ["t", "node", "re_u", "im_u"], columns)
     return _judge_stage("evolve", m), {"norm_drift": m["evolution_norm_drift"],
-                                       "reversal_error": m["evolution_time_reversal"]}
+                                       "reversal_error": m["evolution_time_reversal"],
+                                       "sizes": {**_basis_sizes(basis, mask),
+                                                 "time_steps": tg.steps}}
 
 
-def measure_kernel(bump: fla.GevreyBump, t_nodes, tau_nodes, k_trunc: int) -> dict:
-    kernel = fla.build_kernel(bump, t_nodes, tau_nodes, k_trunc)
+def measure_kernel(kernel: fla.FlatnessKernel) -> dict:
     res = fla.kernel_residual(kernel)
     # evaluate only the boundary slices, never the dense kernel
+    initial = kernel.sub_grid(slice(0, 1))[0] - kernel.bump(kernel.tau_nodes)
     boundary = max(float(np.abs(kernel.sub_grid(tau_index=[0, -1])).max()),
-                   float(np.abs(kernel.sub_grid(slice(0, 1))[0] - bump(tau_nodes)).max()))
-    return {"kernel": kernel, "residual": res, "kernel_boundary_exact": boundary,
+                   float(np.abs(initial).max()))
+    return {"residual": res, "kernel_boundary_exact": boundary,
             "kernel_tail_match": res.tail_match_error / max(res.max_residual, 1.0),
             "kernel_residual_ratio": res.max_residual / res.max_kernel}
 
 
+def _kernel(lab: Lab, k_trunc: int, t_count: int) -> fla.FlatnessKernel:
+    """The flatness kernel at k_trunc on t_count t nodes over [-1, 1], reading the run's table."""
+    return fla.FlatnessKernel(lab.bump(), k_trunc, np.linspace(-1.0, 1.0, t_count),
+                              lab.tau_grid.times, lab.table())
+
+
+def _kernel_sizes(kernel: fla.FlatnessKernel) -> dict:
+    return {"t_nodes": len(kernel.t_nodes), "tau_nodes": len(kernel.tau_nodes),
+            "k_trunc": kernel.k_trunc, "table_order": kernel.deriv_table.shape[1] - 1}
+
+
 def run_kernel(lab: Lab, outdir: Path):
-    cfg, tau_nodes = lab.cfg, lab.tau_grid.times
-    t_nodes = np.linspace(-1.0, 1.0, cfg.kernel_t_nodes)
-    m = measure_kernel(lab.bump(), t_nodes, tau_nodes, cfg.k_trunc)
+    cfg = lab.cfg
+    kernel = _kernel(lab, cfg.k_trunc, cfg.kernel_t_nodes)
+    t_nodes, tau_nodes = kernel.t_nodes, kernel.tau_nodes
+    m = measure_kernel(kernel)
     t_rows = slice(None, None, max(1, (len(t_nodes) - 1) // 50))
     tau_cols = slice(None, None, max(1, (len(tau_nodes) - 1) // 128))
-    kernel, res = m["kernel"], m["residual"]
+    res = m["residual"]
     columns = _sampled(t_nodes[t_rows], tau_nodes[tau_cols], kernel.sub_grid(t_rows, tau_cols),
                        1, 1)
     write_csv(outdir / "kernel.csv", ["t", "tau", "re_k", "im_k"], columns)
@@ -474,7 +504,8 @@ def run_kernel(lab: Lab, outdir: Path):
         "control_trace_sup": float(np.abs(fla.control_trace(kernel)).max()),
     })
     return _judge_stage("kernel", m), {"ratio": m["kernel_residual_ratio"],
-                                       "boundary": m["kernel_boundary_exact"]}
+                                       "boundary": m["kernel_boundary_exact"],
+                                       "sizes": _kernel_sizes(kernel)}
 
 
 def measure_transform(basis: spc.SpectralBasis, kernel: fla.FlatnessKernel, tau_grid) -> dict:
@@ -489,12 +520,11 @@ def measure_transform(basis: spc.SpectralBasis, kernel: fla.FlatnessKernel, tau_
 
 
 def run_transform(lab: Lab, outdir: Path):
-    cfg, tau_grid = lab.cfg, lab.tau_grid
-    t_nodes = np.linspace(-1.0, 1.0, cfg.transform_t_nodes)
-    kernel = fla.build_kernel(lab.bump(), t_nodes, tau_grid.times, cfg.transform_k_trunc)
-    m = measure_transform(lab.basis(cfg.lam, cfg.k_modes), kernel, tau_grid)
-    columns = _sampled(range(1, m["profile"].k_modes + 1), t_nodes, m["profile"].values,
-                       1, max(1, (len(t_nodes) - 1) // 200))
+    cfg, basis = lab.cfg, lab.basis(lab.cfg.lam, lab.cfg.k_modes)
+    kernel = _kernel(lab, cfg.transform_k_trunc, cfg.transform_t_nodes)
+    m = measure_transform(basis, kernel, lab.tau_grid)
+    columns = _sampled(range(1, m["profile"].k_modes + 1), kernel.t_nodes, m["profile"].values,
+                       1, max(1, (cfg.transform_t_nodes - 1) // 200))
     write_csv(outdir / "elliptic_profile.csv", ["k", "t", "re_w", "im_w"], columns)
     write_json(outdir / "transform_report.json", {
         "config": lab.config, "k_trunc": cfg.transform_k_trunc,
@@ -502,8 +532,9 @@ def run_transform(lab: Lab, outdir: Path):
         "moment_consistency": m["transform_moment_consistency"],
         "moments_abs": np.abs(m["moments"]).tolist(),
     })
-    return _judge_stage("transform", m), {"residual": m["transform_residual"],
-                                          "moment_consistency": m["transform_moment_consistency"]}
+    return _judge_stage("transform", m), {
+        "residual": m["transform_residual"], "moment_consistency": m["transform_moment_consistency"],
+        "sizes": {**_basis_sizes(basis), **_kernel_sizes(kernel)}}
 
 
 def measure_uniqueness(basis: spc.SpectralBasis, mask: evo.ObservationMask, obs_grid,
@@ -521,8 +552,8 @@ def measure_uniqueness(basis: spc.SpectralBasis, mask: evo.ObservationMask, obs_
 
 def run_uniqueness(lab: Lab, outdir: Path):
     cfg, basis, mask = lab.cfg, lab.basis(lab.cfg.lam, lab.cfg.k_modes), lab.mask
-    m = measure_uniqueness(basis, mask, evo.TimeGrid(cfg.horizon, cfg.obs_time_steps),
-                           lab.tau_grid,
+    obs_grid = evo.TimeGrid(cfg.horizon, cfg.obs_time_steps)
+    m = measure_uniqueness(basis, mask, obs_grid, lab.tau_grid,
                            _complex_normal(np.random.default_rng(cfg.seed), cfg.k_modes))
     obs, ucp, cert = m["observability"], m["ucp"], m["certificate"]
     write_json(outdir / "observability.json", {
@@ -538,7 +569,11 @@ def run_uniqueness(lab: Lab, outdir: Path):
         "bound": cert.bound, "c0_norm": cert.c0_norm,
         "reconstruction_error": cert.reconstruction_error,
     })
-    return _judge_stage("uniqueness", m), {"rank": obs.rank, "ucp_rank": ucp.rank}
+    return _judge_stage("uniqueness", m), {
+        "rank": obs.rank, "ucp_rank": ucp.rank,
+        "sizes": {**_basis_sizes(basis, mask), "obs_time_steps": obs_grid.steps,
+                  "certificate_time_steps": lab.tau_grid.steps,
+                  "ucp_window_nodes": UCP_WINDOW_NODES}}
 
 
 def measure_angular(n_ang: int) -> dict:
@@ -569,7 +604,9 @@ def run_angular(lab: Lab, outdir: Path):
     write_csv(outdir / "blowup.csv", ["r", "discrepancy"], [study.radii, study.discrepancies])
     return _judge_stage("angular", m), {"gamma_defect": m["angular_gamma_identity"],
                                         "oracle_err": m["angular_arc_oracle"],
-                                        "blowup_exponent": study.fitted_exponent}
+                                        "blowup_exponent": study.fitted_exponent,
+                                        "sizes": {"angular_nodes": lab.cfg.n_ang,
+                                                  "spectrum_rows": len(m["rows"])}}
 
 
 def measure_hum(basis: spc.SpectralBasis, mask: evo.ObservationMask, horizon: float,
@@ -601,7 +638,10 @@ def run_hum(lab: Lab, outdir: Path):
                        m["control"].control_samples, 4, max(1, mask.n_nodes // 40))
     write_csv(outdir / "control.csv", ["t", "node", "re_h", "im_h"], columns)
     return _judge_stage("hum", m), {"identity_gap": m["hum_defect_identity"],
-                                    "sigma_min": m["lambda_min"]}
+                                    "sigma_min": m["lambda_min"],
+                                    "sizes": {**_basis_sizes(basis, mask),
+                                              "verify_steps": cfg.hum_verify_steps,
+                                              "sample_times": len(m["times"])}}
 
 
 def _linear_rho(grid: evo.TimeGrid, rho0: float, slope: float) -> inv.VolterraSystem:
@@ -649,8 +689,8 @@ def run_inverse(lab: Lab, outdir: Path):
     id_grid = evo.TimeGrid(cfg.horizon, cfg.inverse_steps)
     f6 = _complex_normal(np.random.default_rng(cfg.seed), 6)
     zr = _complex_normal(np.random.default_rng(cfg.seed + 1), cfg.recon_steps + 1)
-    m = measure_inverse(lab.basis(lam, 6), lab.basis(lam, 1), f6, zr,
-                        recon_grid, id_grid)
+    basis6 = lab.basis(lam, 6)
+    m = measure_inverse(basis6, lab.basis(lam, 1), f6, zr, recon_grid, id_grid)
     recon = m["reconstruction"]
     write_json(outdir / "reconstruction.json", {
         "config": lab.config, "lambda": lam, "recon_dt": recon_grid.dt,
@@ -668,7 +708,9 @@ def run_inverse(lab: Lab, outdir: Path):
     return _judge_stage("inverse-source", m), {
         "roundtrip": m["inverse_roundtrip"], "rel_err": recon.relative_error,
         "id_conv": m["inverse_convolution_identity"], "id_free": m["inverse_free_evolution"],
-        "agreement": m["inverse_reduction_agreement"]}
+        "agreement": m["inverse_reduction_agreement"],
+        "sizes": {**_basis_sizes(basis6), "recon_steps": recon_grid.steps,
+                  "identity_steps": id_grid.steps}}
 
 
 def _random_bump(rng: np.random.Generator, times: np.ndarray, lo: float, hi: float,
@@ -703,7 +745,9 @@ def run_titchmarsh(lab: Lab, outdir: Path):
     m = measure_titchmarsh(cfg.horizon, cfg.recon_steps, np.random.default_rng(cfg.seed))
     write_csv(outdir / "titchmarsh.csv", ["start_a", "start_b", "start_conv", "gap"],
               zip(*m["rows"]))
-    return _judge_stage("titchmarsh", m), {"worst_gap": m["worst_gap"], "dt": m["dt"]}
+    return _judge_stage("titchmarsh", m), {
+        "worst_gap": m["worst_gap"], "dt": m["dt"],
+        "sizes": {"steps": 2 * cfg.recon_steps, "pairs": len(m["rows"])}}
 
 
 _RUNNERS = {

@@ -100,6 +100,13 @@ def derivative_table(bump: GevreyBump, taus: np.ndarray, k_max: int) -> np.ndarr
     sum is not converged (absolute errors up to 2e-3 at tau = 0.064, against
     values below 1e-17) until both sides underflow to exact zeros; the
     kernel multiplies those rows by factors <= 4^k/(2k)!.
+
+    The bits of a column depend on how many orders are requested, through
+    the column blocking of the contour product.  On 1025 tau nodes at T = 1
+    and one BLAS thread, the columns a k_max table shares with the k_max = 33
+    one are equal to them at k_max = 23, 27 and 31-34, and differ in their
+    last bits at 20-22, 24-26, 28-30 and 35-41.  So a table shared by several
+    truncations is built at an order fixed by the configuration alone.
     """
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     t_end = bump.horizon
@@ -208,13 +215,17 @@ def _evaluate(t, table: np.ndarray, k_trunc: int) -> np.ndarray:
 @dataclass
 class FlatnessKernel:
     """The kernel in separable form: t nodes, tau nodes and the derivative
-    table.  Values are produced on demand, in row blocks or on a sub-grid."""
+    table.  Values are produced on demand, in row blocks or on a sub-grid.
+
+    The table has at least k_trunc + 2 columns (orders 0..k_trunc + 1); each
+    consumer reads only the orders it needs, so one table can serve kernels
+    of several truncations."""
 
     bump: GevreyBump
     k_trunc: int
     t_nodes: np.ndarray
     tau_nodes: np.ndarray
-    deriv_table: np.ndarray     # (len(tau_nodes), k_trunc + 2)
+    deriv_table: np.ndarray     # (len(tau_nodes), >= k_trunc + 2)
 
     def sub_grid(self, t_index=slice(None), tau_index=slice(None)) -> np.ndarray:
         """Kernel values on t_nodes[t_index] x tau_nodes[tau_index].  The

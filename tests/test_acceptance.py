@@ -104,7 +104,8 @@ def test_criterion_04_evolution():
 
 def test_criterion_05_kernel():
     bump = bump_default()
-    m = cli.measure_kernel(bump, np.linspace(-1, 1, 201), evo.TimeGrid(1.0, 1024).times, 24)
+    m = cli.measure_kernel(fla.build_kernel(bump, np.linspace(-1, 1, 201),
+                                            evo.TimeGrid(1.0, 1024).times, 24))
     # Cauchy vs exact-recurrence cross-validation, k <= 25
     cross_ok = True
     for tau in (Fraction(1, 5), Fraction(3, 10), Fraction(1, 2), Fraction(7, 10)):

@@ -161,6 +161,20 @@ def test_non_finite_floats_rejected_before_output(tmp_path, capsys, field, templ
     assert not out_root.exists()
 
 
+def test_spectrum_modes_above_n_interior_rejected_before_output(tmp_path, capsys):
+    # the Bessel oracle has 10 zeros, but an 8-node grid has 8 eigenpairs
+    cfg_file = tmp_path / "small.cfg"
+    cfg_file.write_text("n_interior = 8\nspectrum_modes = 10\n")
+    for subcommand in ("spectrum", "all"):
+        out_root = tmp_path / subcommand
+        code = main([subcommand, "--config", str(cfg_file), "--out", str(out_root)])
+        assert code == 2
+        payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert payload["error"] == "invalid_config"
+        assert "spectrum_modes" in payload["message"]
+        assert not out_root.exists()
+
+
 # one node of the default 800-node grid lies in (0.3, 0.3015)
 @pytest.mark.parametrize("text", [
     "obs_time_steps = 1\n",   # 2 observability samples for 8 modes
@@ -377,11 +391,34 @@ def test_default_all_builds_each_shared_object_once(tmp_path, monkeypatch):
                          (evo, "interval_mask"), (fla, "derivative_table")):
         counted(module, name)
     assert run("all", LabConfig(), tmp_path) == 0
-    # spectrum_modes and k_modes at lam, k = 6 and k = 1 at lam = 3/16.  The
-    # kernel (order 25) and transform (order 33) tables stay two: one shared
-    # table would move kernel.csv in its last bits, which waits on ROADMAP item 1
+    # spectrum_modes and k_modes at lam, k = 6 and k = 1 at lam = 3/16; one
+    # derivative table, at order max(k_trunc, transform_k_trunc) + 1, serves
+    # the kernel and transform stages
     assert counts == {"solve_spectrum": 4, "gevrey_bump": 1, "interval_mask": 1,
-                      "derivative_table": 2}
+                      "derivative_table": 1}
+
+
+def test_kernel_and_transform_read_one_table_of_the_config_order(tmp_path, monkeypatch):
+    kernels = {}
+    for stage in ("kernel", "transform"):
+        measure = getattr(cli, f"measure_{stage}")
+
+        def capture(*args, stage=stage, measure=measure):
+            kernels[stage] = next(a for a in args if isinstance(a, fla.FlatnessKernel))
+            return measure(*args)
+        monkeypatch.setattr(cli, f"measure_{stage}", capture)
+        assert run(stage, LabConfig(), tmp_path / stage) == 0
+    cfg = LabConfig()
+    bump = fla.gevrey_bump(cfg.horizon, 2.0)
+    taus = evo.TimeGrid(cfg.horizon, cfg.tau_steps).times
+    # the transform residual is rounding-dominated: it keeps the bits of the
+    # table built at its own order, which the shared order equals by default
+    own = fla.derivative_table(bump, taus, cfg.transform_k_trunc + 1)
+    assert np.array_equal(kernels["transform"].deriv_table, own)
+    # the kernel's own order-(k_trunc + 1) table differs in its last bits only
+    kernel = kernels["kernel"]
+    alone = fla.build_kernel(bump, kernel.t_nodes, taus, cfg.k_trunc).values
+    assert np.abs(kernel.values - alone).max() <= 1e-14 * np.abs(alone).max()
 
 
 def test_validate_config_rules():
@@ -648,6 +685,31 @@ def test_runner_contract_matches_manifest(all_run):
         assert json.loads(json.dumps(report, default=cli._fmt)) == manifest["reports"][stage]
     assert sorted(names) == sorted(manifest["checks"])
     assert summary["checks"] == manifest["checks"]
+
+
+def test_manifest_records_the_sizes_each_stage_used(all_run):
+    _, _, _, manifest = all_run
+    cfg = light_config()
+    basis = {"radial_nodes": cfg.n_interior, "modes": cfg.k_modes}
+    observed = {**basis, "mask_nodes": cli.Lab(cfg, []).mask.n_nodes}
+    table_order = max(cfg.k_trunc, cfg.transform_k_trunc) + 1
+    kernel = {"tau_nodes": cfg.tau_steps + 1, "table_order": table_order}
+    assert {stage: report["sizes"] for stage, report in manifest["reports"].items()} == {
+        "spectrum": {**basis, "modes": cfg.spectrum_modes},
+        "hardy": {"radial_nodes": cfg.n_interior, "rayleigh_vectors": 1000},
+        "evolve": {**observed, "time_steps": cfg.time_steps},
+        "kernel": {**kernel, "t_nodes": cfg.kernel_t_nodes, "k_trunc": cfg.k_trunc},
+        "transform": {**basis, **kernel, "t_nodes": cfg.transform_t_nodes,
+                      "k_trunc": cfg.transform_k_trunc},
+        "uniqueness": {**observed, "obs_time_steps": cfg.obs_time_steps,
+                       "certificate_time_steps": cfg.tau_steps,
+                       "ucp_window_nodes": cli.UCP_WINDOW_NODES},
+        "angular": {"angular_nodes": cfg.n_ang, "spectrum_rows": 32},
+        "hum": {**observed, "verify_steps": cfg.hum_verify_steps, "sample_times": 201},
+        "inverse-source": {"radial_nodes": cfg.n_interior, "modes": 6,
+                           "recon_steps": cfg.recon_steps, "identity_steps": cfg.inverse_steps},
+        "titchmarsh": {"steps": 2 * cfg.recon_steps, "pairs": 20},
+    }
 
 
 def _artifact_digests(outdir: Path) -> dict[str, str]:

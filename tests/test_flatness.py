@@ -191,6 +191,19 @@ def test_derivative_table_matches_exact_recurrence(milli_tau, k_max):
     assert np.all(np.abs(table - exact) <= 1e-8 * np.abs(exact) + floor)
 
 
+@pytest.mark.parametrize("tau", [Fraction(1, 10), Fraction(3, 10), Fraction(1, 2),
+                                 Fraction(9, 10)])
+def test_cauchy_matches_exact_recurrence_at_the_shared_order(tau):
+    # order 33 = max(k_trunc, transform_k_trunc) + 1 at the default config,
+    # the order of the one table the kernel and transform stages read
+    bump = gevrey_bump(1.0, 2.0)
+    k_max = 33
+    table = derivative_table(bump, np.array([float(tau)]), k_max)[0]
+    exact = bump_derivatives_exact(bump, tau, k_max)
+    floor = cauchy_noise_floor(bump, float(tau), k_max)
+    assert np.all(np.abs(table - exact) <= 1e-8 * np.abs(exact) + floor)
+
+
 # Oracles: dense assembly and residual loops over the whole (t, tau) grid.
 
 def dense_kernel_oracle(kernel):
