@@ -194,17 +194,18 @@ def _evaluate(t, table: np.ndarray, k_trunc: int) -> np.ndarray:
     Every kernel-shaped series is summed here, so dense values from any
     caller and any row block are bit-identical.  The table is real, so i^k
     sends even orders to the real part and odd orders to the imaginary
-    part, each with the sign of k mod 4.  The parts are summed in separate
-    contiguous real arrays, each term formed in one reused buffer.  An
-    empty sum (k_trunc = -1) is zero.
+    part, each with the sign of k mod 4, folded into the factor rows.  The
+    parts are summed in separate contiguous real arrays, each term an outer
+    product formed in one reused buffer.  An empty sum (k_trunc = -1) is zero.
     """
     fac = _even_power_factors(t, k_trunc)
+    fac[2::4] *= -1.0
+    fac[3::4] *= -1.0
     shape = (fac.shape[1], table.shape[0])
     parts, term = np.zeros((2, *shape)), np.empty(shape)
     columns = np.ascontiguousarray(table[:, : k_trunc + 1].T)
     for k in range(k_trunc + 1):
-        sign = -1.0 if k % 4 >= 2 else 1.0
-        parts[k % 2] += np.multiply(sign * fac[k, :, None], columns[k], out=term)
+        parts[k % 2] += np.einsum("i,j->ij", fac[k], columns[k], out=term)
     values = np.empty(shape, dtype=complex)
     values.real, values.imag = parts
     if not np.all(np.isfinite(parts)):

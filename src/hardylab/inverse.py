@@ -5,33 +5,32 @@ derivative of each mode factors through the causal operator
 
     (K z)(t) = rho(0) z(t) + integral_0^t rho'(t - s) z(s) ds,
 
-which is lower triangular and Toeplitz (after its first column) on the grid,
-so blocked substitution inverts it whenever rho(0) != 0: solve the left half
-of the unknowns, subtract their effect on the right half with one FFT
-convolution, and recurse down to fixed-size triangles solved densely.  The
+which is lower triangular and Toeplitz (after its first column) on the grid.
+Whenever rho(0) != 0 its inverse is read from the power-series reciprocal of
+that Toeplitz column, built by Newton doubling (two FFT convolutions per
+doubling) and applied by one more convolution, O(n log n) in all.  The
 recovered z is a free evolution with z(0) = -i f, so f = i z(0).  When
 rho(0) = 0 the direct route is rejected; the antiderivative reduction and
 the causal convolution y = rho * v provide the alternate route, and the
 Titchmarsh support check confirms that convolution starts add.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft as sp_fft
-from scipy.linalg import solve_triangular, toeplitz
 
 from .evolution import ModeTrajectory, cumulative_trapezoid
 
 RHO_ZERO_TOL = 1e-14
 SUPPORT_REL_THRESHOLD = 1e-12
-# blocked substitution solves triangles of this many unknowns densely
-VOLTERRA_LEAF = 256
 
 
 @dataclass
 class VolterraSystem:
-    """Time grid plus rho, rho' samples (derivative from its closed form)."""
+    """Time grid plus rho, rho' samples (derivative from its closed form);
+    the samples must not change once `reciprocal` has been read."""
 
     times: np.ndarray
     rho: np.ndarray
@@ -44,6 +43,26 @@ class VolterraSystem:
     @property
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])
+
+    @functools.cached_property
+    def reciprocal(self) -> np.ndarray:
+        """1/col mod z^(n-1), col = [rho(0) + dt rho'(0)/2, dt rho'(1), ..., dt rho'(n-2)]:
+        the first column of the inverse of the operator's Toeplitz part.
+
+        Newton doubling: x = 1/col mod z^m gives col x = 1 + z^m r mod z^(2m) and
+        x - z^m (x r) = 1/col mod z^(2m).  Only x[:len(r)] enters the kept terms
+        of x r; the rest would add large unused products to the last doubling,
+        and FFT rounding, relative to the largest term, would reach the kept ones.
+        """
+        col = self.dt * self.drho[:-1]
+        col[0] = self.rho_at_zero + 0.5 * col[0]
+        x = np.array([1.0 / col[0]])
+        while len(x) < len(col):
+            m, head = len(x), col[: 2 * len(x)]
+            r = _fftconvolve(head, x)[m : len(head)]
+            x = np.concatenate((x, -_fftconvolve(x[: len(r)], r)[: len(r)]))
+        x.setflags(write=False)
+        return x
 
 
 def _fftconvolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -94,7 +113,8 @@ def volterra_invert(sys: VolterraSystem, g: np.ndarray) -> np.ndarray:
     g has shape (n,) or (n, k); each column is an independent right-hand
     side.  Row 0 gives z_0 = g_0 / rho(0); the remaining unknowns satisfy a
     lower-triangular Toeplitz system with diagonal rho(0) + dt rho'(0)/2 and
-    subdiagonals dt rho'(d), solved by blocked substitution.
+    subdiagonals dt rho'(d), solved for all columns by one FFT convolution
+    with its inverse's first column, sys.reciprocal (built once per system).
     """
     if abs(sys.rho_at_zero) <= RHO_ZERO_TOL:
         raise ValueError("rho(0) = 0: second-kind inversion unavailable on this route")
@@ -102,31 +122,10 @@ def volterra_invert(sys: VolterraSystem, g: np.ndarray) -> np.ndarray:
     n = len(g)
     if n != len(sys.times):
         raise ValueError("data does not match the system grid")
-    col = sys.dt * sys.drho[: n - 1]
-    col[0] = sys.rho_at_zero + 0.5 * col[0]
     rhs = g.reshape(n, -1)
-    z = np.empty_like(rhs)
-    z[0] = rhs[0] / sys.rho_at_zero
-    z[1:] = rhs[1:] - 0.5 * sys.dt * np.outer(sys.drho[1:], z[0])
-    leaf = toeplitz(col[:VOLTERRA_LEAF], np.zeros(min(n - 1, VOLTERRA_LEAF)))
-    _toeplitz_substitution(col, leaf, z[1:])
-    return z.reshape(g.shape)
-
-
-def _toeplitz_substitution(col: np.ndarray, leaf: np.ndarray, b: np.ndarray) -> None:
-    """Overwrite b, shape (m, k), with T^{-1} b for the lower-triangular
-    Toeplitz T with first column col; leaf is T's leading dense triangle."""
-    m = len(b)
-    if m <= VOLTERRA_LEAF:
-        b[:] = solve_triangular(leaf[:m, :m], b, lower=True, check_finite=False)
-        return
-    # the left part takes whole leaves, so every leaf starts on a leaf boundary
-    leaves = -(-m // VOLTERRA_LEAF)
-    h = VOLTERRA_LEAF * ((leaves + 1) // 2)
-    _toeplitz_substitution(col, leaf, b[:h])
-    # rows h..m-1 receive sum_{l<h} col[row - l] z_l
-    b[h:] -= _fftconvolve(col[1:m, None], b[:h])[h - 1 : m - 1]
-    _toeplitz_substitution(col, leaf, b[h:])
+    z0 = rhs[0] / sys.rho_at_zero
+    b = rhs[1:] - 0.5 * sys.dt * np.outer(sys.drho[1:], z0)
+    return np.vstack((z0, _fftconvolve(sys.reciprocal[:, None], b)[: n - 1])).reshape(g.shape)
 
 
 @dataclass

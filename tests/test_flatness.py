@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hardylab.flatness import (ROW_BLOCK, _even_power_factors, build_kernel,
+from hardylab.flatness import (ROW_BLOCK, _evaluate, _even_power_factors, build_kernel,
                                bump_derivatives_exact, control_trace, derivative_table,
                                gevrey_bump, guard_band, kernel_residual)
 
@@ -258,6 +258,33 @@ def test_kernel_rows_bit_identical_to_dense_assembly(t_nodes):
         report = kernel_residual(kernel)
         assert (report.max_residual, report.max_kernel, report.max_tail,
                 report.tail_match_error) == residual_oracle(kernel)
+
+
+def broadcast_series_oracle(t, table, k_trunc):
+    """The evaluator's former loop: each term a broadcast product of the signed
+    factor row with the table column, summed in k order into the two parts."""
+    fac = _even_power_factors(t, k_trunc)
+    shape = (fac.shape[1], table.shape[0])
+    parts, term = np.zeros((2, *shape)), np.empty(shape)
+    columns = np.ascontiguousarray(table[:, : k_trunc + 1].T)
+    for k in range(k_trunc + 1):
+        sign = -1.0 if k % 4 >= 2 else 1.0
+        parts[k % 2] += np.multiply(sign * fac[k, :, None], columns[k], out=term)
+    values = np.empty(shape, dtype=complex)
+    values.real, values.imag = parts
+    return values
+
+
+def test_evaluate_bit_identical_to_broadcast_loop():
+    # the table's zero rows near the tau ends give signed zeros in every part
+    table = derivative_table(gevrey_bump(1.0, 2.0), np.linspace(0.0, 1.0, 257), 33)
+    assert np.any(table == 0.0)
+    for nt in (1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 201):
+        t = np.linspace(-1, 1, nt)
+        for k_trunc in (-1, 0, 1, 24, 32):
+            got, oracle = _evaluate(t, table, k_trunc), broadcast_series_oracle(t, table, k_trunc)
+            assert np.array_equal(got, oracle)
+            assert np.array_equal(np.signbit(got.view(float)), np.signbit(oracle.view(float)))
 
 
 @pytest.mark.parametrize("t_index, tau_index", [

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,8 @@ from hardylab.inverse import (VolterraSystem, _fftconvolve, antiderivative_reduc
                               convolve_source, duhamel_identity_residual,
                               free_evolution_check, reconstruct_f,
                               titchmarsh_support, trapezoid_convolution,
-                              volterra_apply, volterra_invert, VOLTERRA_LEAF)
+                              volterra_apply, volterra_invert)
+import hardylab.inverse as inverse
 from hardylab.spectral import RadialGrid, assemble_hardy_operator, solve_spectrum
 
 
@@ -80,10 +83,9 @@ def test_invert_rejects_vanishing_rho0():
             volterra_invert(sys, np.ones(101, dtype=complex))
 
 
-# grid sizes at and around the leaf size and around powers of two, plus any
-# size up to 600
-EDGE_SIZES = sorted({VOLTERRA_LEAF + d for d in (-1, 0, 1, 2)}
-                    | {2**p + d for p in range(2, 10) for d in (-1, 0, 1)})
+# grid sizes whose n - 1 Toeplitz unknowns sit at the Newton doubling
+# boundaries (2^p - 1, 2^p and 2^p + 1 unknowns), plus any size up to 600
+EDGE_SIZES = sorted({2**p + d for p in range(11) for d in (0, 1, 2)} - {1})
 grid_sizes = st.one_of(st.sampled_from(EDGE_SIZES), st.integers(2, 600))
 
 
@@ -145,6 +147,38 @@ def test_invert_apply_roundtrip(case):
     sys, rng = case
     z = random_rhs(rng, len(sys.times))
     assert np.abs(volterra_invert(sys, volterra_apply(sys, z)) - z).max() <= 1e-12 * np.abs(z).max()
+
+
+@pytest.mark.parametrize("rho0, slope, n", [(0.05, 1.0, 1501), (0.02, 1.0, 2049),
+                                             (-0.05, 1.0, 3000), (0.1, -1.0, 2500),
+                                             (0.02, -1.0, 1500)])
+def test_invert_matches_dense_solve_on_strong_resolvents(rho0, slope, n):
+    # rho = rho0 + slope t: the resolvent behaves like exp(-slope t / rho0), up
+    # to exp(50) on [0, 1], so the solution spans many orders of magnitude
+    t = np.linspace(0.0, 1.0, n)
+    sys = VolterraSystem(t, rho0 + slope * t, np.full(n, slope))
+    g = random_rhs(np.random.default_rng(n), n)
+    parts = solve_triangular(dense_volterra_matrix(sys), np.column_stack([g.real, g.imag]),
+                             lower=True)
+    expected = parts[:, 0] + 1j * parts[:, 1]
+    assert np.abs(volterra_invert(sys, g) - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_invert_convolution_count_is_logarithmic(monkeypatch):
+    # two convolutions per Newton doubling of the reciprocal and one to apply
+    # it; a recursive substitution would make hundreds
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return _fftconvolve(a, b)
+
+    monkeypatch.setattr(inverse, "_fftconvolve", counted)
+    n = 40_001
+    sys = make_system(lambda t: 1 + t / 2, lambda t: 0.5, steps=n - 1)
+    z = volterra_invert(sys, np.ones(n, dtype=complex))
+    assert len(calls) <= 2 * math.ceil(math.log2(n)) + 1
+    assert np.abs(volterra_apply(sys, z) - 1.0).max() <= 1e-12
 
 
 def test_reconstruct_zero_source():
