@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hardylab.cli import _one_blas_thread
 from hardylab.elliptic import (CylinderWindow, EllipticProfile, elliptic_residual,
                                moment_trace, transform, ucp_probe,
                                uniqueness_pipeline)
@@ -44,13 +45,28 @@ def test_transform_linearity_and_zero(setup):
 def test_streamed_transform_matches_dense_contraction(setup):
     basis, bump, tau_grid, kernel401 = setup
     traj = free_trajectory(np.array([1.0, -0.5 + 0.25j, 0.1, 0.7j]), basis, tau_grid)
-    # 65 and 129 t nodes end in a one-row block
+    # 65 and 129 t nodes leave a one-row remainder, which joins the block before it
     short = [build_kernel(bump, np.linspace(-1.0, 1.0, nt), tau_grid.times, 24) for nt in (65, 129)]
     for kernel in [kernel401, *short]:
         profile = transform(traj, kernel, basis.eigenvalues)
         dense = ((kernel.values * kernel.tau_weights()) @ traj.coeffs).T
         scale = np.abs(profile.values).max()
         assert np.abs(profile.values - dense).max() <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("nt", [65, 129, 257, 4033])
+def test_transform_with_one_row_remainder_equals_dense_contraction(setup, nt):
+    # at 64m + 1 t nodes the last row joins the block before it; contracted
+    # alone, numpy would sum it with a matrix-vector kernel, in another order
+    # than the dense product.  One BLAS thread, as the CLI runs: with more,
+    # OpenBLAS splits products of different shapes differently
+    basis, bump, tau_grid, _ = setup
+    kernel = build_kernel(bump, np.linspace(-1.0, 1.0, nt), tau_grid.times, 24)
+    traj = free_trajectory(np.array([1.0, -0.5 + 0.25j, 0.1, 0.7j]), basis, tau_grid)
+    with _one_blas_thread():
+        profile = transform(traj, kernel, basis.eigenvalues)
+        dense = (kernel.values * kernel.tau_weights()) @ traj.coeffs
+    assert np.array_equal(profile.values, dense.T)
 
 
 def test_transform_grid_mismatch_rejected(setup):

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hardylab.flatness import (ROW_BLOCK, _evaluate, _even_power_factors, build_kernel,
-                               bump_derivatives_exact, control_trace, derivative_table,
-                               gevrey_bump, guard_band, kernel_residual)
+from hardylab.flatness import (MAX_TRUNCATION, ROW_BLOCK, _evaluate, _even_power_factors,
+                               build_kernel, bump_derivatives_exact, control_trace,
+                               derivative_table, gevrey_bump, guard_band, kernel_residual)
 
 
 def test_bump_normalization_and_closed_form():
@@ -253,6 +253,7 @@ def test_kernel_rows_bit_identical_to_dense_assembly(t_nodes):
         bounds = kernel.row_blocks()
         assert [start for start, _ in bounds[1:]] == [stop for _, stop in bounds[:-1]]
         assert bounds[0][0] == 0 and bounds[-1][1] == len(t_nodes)
+        assert all(stop - start > 1 for start, stop in bounds) or len(t_nodes) == 1
         blocks = [kernel.sub_grid(slice(start, stop)) for start, stop in bounds]
         assert np.array_equal(np.concatenate(blocks), oracle)
         report = kernel_residual(kernel)
@@ -275,16 +276,58 @@ def broadcast_series_oracle(t, table, k_trunc):
     return values
 
 
+def assert_same_bits(got, oracle):
+    assert np.array_equal(got, oracle)
+    assert np.array_equal(np.signbit(got.view(float)), np.signbit(oracle.view(float)))
+
+
+# The evaluator's einsum must add each term's product into the running sum
+# in ascending k, as the loop does.  A platform whose einsum fuses the
+# multiply and the add (FMA), or sums a long k axis in SIMD partial sums,
+# fails these tests; that is a change of bits, not a tolerance to widen.
+
 def test_evaluate_bit_identical_to_broadcast_loop():
-    # the table's zero rows near the tau ends give signed zeros in every part
-    table = derivative_table(gevrey_bump(1.0, 2.0), np.linspace(0.0, 1.0, 257), 33)
+    # the table's zero rows near the tau ends give signed zeros in every part;
+    # narrow tau selections leave einsum few or no output columns, where it
+    # could choose the order axis as its inner loop; t = 1.0 is the
+    # control_trace row, and the truncations cover every residue of k_trunc
+    # mod 4 up to the cap
+    table = derivative_table(gevrey_bump(1.0, 2.0), np.linspace(0.0, 1.0, 257),
+                             MAX_TRUNCATION + 1)
     assert np.any(table == 0.0)
-    for nt in (1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 201):
-        t = np.linspace(-1, 1, nt)
-        for k_trunc in (-1, 0, 1, 24, 32):
-            got, oracle = _evaluate(t, table, k_trunc), broadcast_series_oracle(t, table, k_trunc)
-            assert np.array_equal(got, oracle)
-            assert np.array_equal(np.signbit(got.view(float)), np.signbit(oracle.view(float)))
+    t_grids = [1.0, *(np.linspace(-1, 1, nt) for nt in (1, ROW_BLOCK - 1, ROW_BLOCK,
+                                                        ROW_BLOCK + 1, 201))]
+    for rows in (table, table[[5]], table[[0, -1]], table[:3]):
+        for t in t_grids:
+            for k_trunc in range(-1, MAX_TRUNCATION + 1):
+                assert_same_bits(_evaluate(t, rows, k_trunc),
+                                 broadcast_series_oracle(t, rows, k_trunc))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 2 * ROW_BLOCK + 1), st.integers(1, 40), st.integers(-1, MAX_TRUNCATION),
+       st.integers(0, 2**32 - 1))
+def test_evaluate_bit_identical_to_broadcast_loop_on_random_tables(nt, ntau, k_trunc, seed):
+    # entries of both signs spread over 1e-20..1e4, some exact zeros, at
+    # random t in [-1, 1]
+    rng = np.random.default_rng(seed)
+    table = rng.choice([-1.0, 0.0, 1.0], size=(ntau, k_trunc + 1), p=[0.45, 0.1, 0.45])
+    table *= 10.0 ** rng.uniform(-20.0, 4.0, size=table.shape)
+    t = rng.uniform(-1.0, 1.0, size=nt)
+    assert_same_bits(_evaluate(t, table, k_trunc), broadcast_series_oracle(t, table, k_trunc))
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_table_raises_from_every_evaluation(bad):
+    bump = gevrey_bump(1.0, 2.0)
+    kernel = build_kernel(bump, np.linspace(-1, 1, 9), np.linspace(0.0, 1.0, 33), 6)
+    kernel.deriv_table[16, 3] = bad
+    with pytest.raises(FloatingPointError, match="non-finite"):
+        _evaluate(kernel.t_nodes, kernel.deriv_table, kernel.k_trunc)
+    with pytest.raises(FloatingPointError, match="non-finite"):
+        kernel.sub_grid(slice(2, 5))
+    with pytest.raises(FloatingPointError, match="non-finite"):
+        kernel_residual(kernel)
 
 
 @pytest.mark.parametrize("t_index, tau_index", [
