@@ -113,8 +113,7 @@ def test_missing_config_file_exit_code(tmp_path, capsys):
 
 @pytest.mark.parametrize("text", [
     "dimension_n = 11\n",       # nu = 4.5
-    "lam = -12\n",              # nu = 3.5: zero_count_bound is verified up to 3
-    "spectrum_modes = 25\n",    # J_0.5 has 19 zeros below 60
+    "lam = -12\n",              # nu = 3.5
 ])
 def test_oracle_range_rejected_before_output(tmp_path, capsys, text):
     cfg_file = tmp_path / "bad.cfg"
@@ -124,7 +123,22 @@ def test_oracle_range_rejected_before_output(tmp_path, capsys, text):
     assert code == 2
     payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert payload["error"] == "invalid_config"
+    assert f"nu <= {cli.MAX_BESSEL_ORDER:g}" in payload["message"]
     assert not out_root.exists()
+
+
+@pytest.mark.parametrize("text", [
+    "spectrum_modes = 25\n",    # J_0.5 has 19 zeros below 60, where the oracle once stopped
+    "spectrum_modes = 800\n",   # every mode of the default grid
+])
+def test_spectrum_modes_up_to_n_interior_run(tmp_path, text):
+    cfg_file = tmp_path / "lab.cfg"
+    cfg_file.write_text(text)
+    out_root = tmp_path / "out"
+    code = main(["spectrum", "--check", "--config", str(cfg_file), "--out", str(out_root)])
+    assert code in (0, 1)
+    (run_dir,) = out_root.iterdir()
+    assert (run_dir / "spectrum.csv").exists()
 
 
 @pytest.mark.parametrize("text", [
@@ -256,7 +270,7 @@ def test_shortest_accepted_grids_run_all(tmp_path, field, least):
 
 
 def test_oracle_range_limits_run(tmp_path):
-    # the largest accepted order and mode count both run to completion
+    # the largest accepted order runs to completion
     cfg = light_config(lam=-8.75, spectrum_modes=17)   # nu = 3
     assert run("spectrum", cfg, tmp_path) == 0
 
@@ -483,10 +497,10 @@ def _loaded_scipy_modules(imports: str) -> list[str]:
     return [name for name in json.loads(out.stdout) if name.split(".")[0] == "scipy"]
 
 
-def test_cli_import_loads_no_scipy_beyond_linalg_and_fft():
-    # the import floor of every run: scipy.signal, scipy.optimize or any other
-    # scipy module beyond these two would add to the start-up time
-    assert _loaded_scipy_modules("hardylab.cli") == _loaded_scipy_modules("scipy.linalg, scipy.fft")
+def test_cli_import_loads_no_scipy_beyond_linalg():
+    # the import floor of every run: scipy.fft, scipy.special or any other
+    # scipy module beyond scipy.linalg would add to the start-up time
+    assert _loaded_scipy_modules("hardylab.cli") == _loaded_scipy_modules("scipy.linalg")
 
 
 def test_seed_and_out_flags(tmp_path, monkeypatch):

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_triangular, toeplitz
+from scipy.fft import next_fast_len
 from scipy.signal import fftconvolve
 
 from hardylab.evolution import TimeGrid, duhamel_solve, free_trajectory
 from hardylab.evolution import ModeTrajectory
-from hardylab.inverse import (VolterraSystem, _fftconvolve, antiderivative_reduce,
+from hardylab.inverse import (VolterraSystem, _fftconvolve, _next_fast_len,
+                              antiderivative_reduce,
                               convolve_source, duhamel_identity_residual,
                               free_evolution_check, reconstruct_f,
                               titchmarsh_support, trapezoid_convolution,
@@ -326,6 +328,13 @@ def test_reduction_route_matches_duhamel():
     v = free_trajectory(-1j * f, basis, grid)
     y = convolve_source(rho, v, basis.eigenvalues)
     assert np.abs(y.y.coeffs - u.coeffs).max() <= 1e-12
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_next_fast_len_matches_scipy(real):
+    rng = np.random.default_rng(int(real))
+    for n in [*range(1, 5001), *rng.integers(5001, 400_001, 300).tolist()]:
+        assert _next_fast_len(n, real) == next_fast_len(n, real), n
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 255, 256, 257, 1000, 4097, 10_001, 40_001])
