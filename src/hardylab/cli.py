@@ -18,9 +18,10 @@ configuration (among others a non-finite lam, horizon, mask_a, mask_b or
 eps_list entry, a Bessel order nu = sqrt(lambda_star - lam) above
 MAX_BESSEL_ORDER, spectrum_modes or k_modes above n_interior, an observation
 mask without grid nodes, a horizon below a stage's HORIZON_FLOORS entry, a
-tau grid that flatness.guard_band refuses for kernel and transform, or, for
-uniqueness, a mask whose samples are fewer than the unknowns of its
-observability or UCP map), 3 supercritical
+tau grid that flatness.guard_band refuses for kernel and transform, for
+uniqueness a mask whose samples are fewer than the unknowns of its
+observability or UCP map, or an output root under which the run directory
+cannot be created, checked before any stage runs), 3 supercritical
 coupling, 4 a stage failed on a configuration that passed validation: it
 raised ValueError, RuntimeError (which covers IllPosedTruncationError, a
 failed eigenpair residual and a Gramian that is not positive definite) or
@@ -162,10 +163,7 @@ def validate_config(cfg: LabConfig, subcommand: str = "all") -> Lab:
         raise ConfigError(f"eps_list entries must be finite, got {cfg.eps_list}")
     if cfg.dimension_n < 1 or cfg.dimension_n == 2:
         raise ConfigError(f"dimension_n must be a positive integer != 2, got {cfg.dimension_n}")
-    lam_star = spc.critical_constant(cfg.dimension_n)
-    if cfg.lam >= lam_star:
-        raise SupercriticalCouplingError(cfg.lam, lam_star, cfg.dimension_n)
-    nu = spc.bessel_order(cfg.lam, cfg.dimension_n)
+    nu = spc.bessel_order(cfg.lam, cfg.dimension_n)   # SupercriticalCouplingError: exit 3
     if nu > MAX_BESSEL_ORDER:
         raise ConfigError(f"Bessel order nu = {nu:.6g} exceeds the ceiling "
                           f"nu <= {MAX_BESSEL_ORDER:g}; lower dimension_n or raise lam")
@@ -618,7 +616,7 @@ def measure_hum(basis: spc.SpectralBasis, mask: evo.ObservationMask, horizon: fl
     eigs = gram.eigenvalues
     curve = ctl.defect_curve(gram, u0, ud, eps_list)
     times = np.linspace(0.0, horizon, 201)
-    result = ctl.hum_solve(gram, u0, ud, 1e-3, sample_times=times, basis=basis)
+    result = ctl.hum_solve(gram, u0, ud, 1e-3, sample_times=times)
     forward = ctl.verify_control(result, gram, n_steps=verify_steps)
     return {"curve": curve, "times": times, "control": result, "lambda_min": float(eigs[0]),
             "hum_hermitian": float(np.abs(gram.matrix - gram.matrix.conj().T).max()),
@@ -646,8 +644,7 @@ def run_hum(lab: Lab, outdir: Path):
 
 def _linear_rho(grid: evo.TimeGrid, rho0: float, slope: float) -> inv.VolterraSystem:
     """The Volterra system of rho(t) = rho0 + slope t on the grid."""
-    t = grid.times.copy()
-    return inv.VolterraSystem(t, rho0 + slope * t, np.full_like(t, slope))
+    return inv.VolterraSystem(grid, rho0 + slope * grid.times, np.full_like(grid.times, slope))
 
 
 def measure_inverse(basis6: spc.SpectralBasis, basis1: spc.SpectralBasis, f6: np.ndarray,
@@ -662,7 +659,7 @@ def measure_inverse(basis6: spc.SpectralBasis, basis1: spc.SpectralBasis, f6: np
     f1 = np.array([1.0 + 0.0j])
     traj1 = evo.duhamel_solve(f1, sys1.rho, basis1, id_grid)
     rec1 = inv.reconstruct_f(traj1, sys1, basis1.eigenvalues, f1)
-    free = float(inv.free_evolution_check(rec1.z, basis1.eigenvalues, sys1.dt).max())
+    free = float(inv.free_evolution_check(rec1.z, basis1.eigenvalues, id_grid.dt).max())
     sys_t = _linear_rho(id_grid, 0.0, 1.0)
     rejected = False
     try:
@@ -672,12 +669,12 @@ def measure_inverse(basis6: spc.SpectralBasis, basis1: spc.SpectralBasis, f6: np
     traj_t = evo.duhamel_solve(f1, sys_t.rho, basis1, id_grid)
     w = inv.antiderivative_reduce(traj_t)
     v = evo.free_trajectory(-1j * f1, basis1, id_grid)
-    route4 = inv.convolve_source(evo.cumulative_trapezoid(sys_t.rho, sys_t.dt), v,
+    route4 = inv.convolve_source(evo.cumulative_trapezoid(sys_t.rho, id_grid.dt), v,
                                  basis1.eigenvalues)
     return {"reconstruction": recon, "route4": route4, "inverse_roundtrip": roundtrip,
             "inverse_reconstruction": (math.inf if recon.relative_error is None
                                        else recon.relative_error),
-            "inverse_factorization_identity": rec1.diagnostics["factorization_residual"],
+            "inverse_factorization_identity": rec1.factorization_residual,
             "inverse_convolution_identity": inv.duhamel_identity_residual(traj1, sys1, rec1.z),
             "inverse_free_evolution": free, "inverse_rho0_rejected": rejected,
             "inverse_reduction_agreement": float(np.abs(route4.y.coeffs - w.coeffs).max())}
@@ -854,7 +851,11 @@ def run(subcommand: str, cfg: LabConfig, out_root: Path, check: bool = False) ->
     stamp = datetime.now(timezone.utc).strftime("%Y%m%d-%H%M%S%f")
     outdir = out_root / f"{subcommand}-{stamp}"
     workdir = out_root / f".{outdir.name}.partial"
-    workdir.mkdir(parents=True, exist_ok=False)
+    try:
+        workdir.mkdir(parents=True, exist_ok=False)
+    except OSError as exc:
+        raise ConfigError(f"cannot create the output directory under {out_root}: "
+                          f"{exc.strerror}") from exc
     try:
         with _one_blas_thread() as blas:
             checks = _run_stages(subcommand, lab, workdir, blas)
@@ -901,8 +902,8 @@ def main(argv=None) -> int:
                           "exception": exc.exception, "message": str(exc)}, sort_keys=True))
         return 4
     except ValueError as exc:
-        # only loading and validation raise ValueError here: stage errors
-        # arrive as StageFailure
+        # only loading, validation and creating the run directory raise
+        # ValueError here: stage errors arrive as StageFailure
         print(json.dumps({"error": "invalid_config", "message": str(exc)}, sort_keys=True))
         return 2
 

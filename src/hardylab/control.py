@@ -55,32 +55,22 @@ def _eta_matrix_trapezoid(mus: np.ndarray, horizon: float, n_steps: int) -> np.n
 
 @dataclass
 class Gramian:
-    """Hermitian PSD control Gramian over (0, T) x mask at fixed truncation.
-
-    Its eigendecomposition matrix = V diag(eigenvalues) V^H (ascending) is
-    computed once, here; sigma_min, hum_solve and defect_curve read it.
+    """Hermitian PSD control Gramian over (0, T) x mask at fixed truncation,
+    with the block phi_masked (mask nodes, modes) of eigenfunctions it was
+    built from.  The eigendecomposition matrix = V diag(eigenvalues) V^H
+    (ascending) is computed once, here; hum_solve and defect_curve read it.
     """
 
     matrix: np.ndarray
     mass_masked: np.ndarray
     mode_eigenvalues: np.ndarray
     horizon: float
-    mask: ObservationMask
+    phi_masked: np.ndarray
     eigenvalues: np.ndarray = field(init=False)
     eigenvectors: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.eigenvalues, self.eigenvectors = np.linalg.eigh(self.matrix)
-
-    def sigma_min(self) -> float:
-        """lambda_min(G), the smallest eigenvalue of the Gramian.
-
-        Not a singular value: G = O^H O up to conjugation for the observation
-        map O of initial coefficients onto L^2((0, T) x mask), so this is the
-        square of O's smallest singular value.  The name is kept because
-        artifacts and reports use the key `sigma_min`.
-        """
-        return float(self.eigenvalues[0])
 
 
 def gramian(basis: SpectralBasis, mask: ObservationMask, horizon: float) -> Gramian:
@@ -90,7 +80,7 @@ def gramian(basis: SpectralBasis, mask: ObservationMask, horizon: float) -> Gram
     mass = (phi * mask.weights[:, None]).T @ phi
     mass = 0.5 * (mass + mass.T)
     g = mass * _eta_matrix(basis.eigenvalues, horizon)
-    return Gramian(g, mass, basis.eigenvalues.copy(), horizon, mask)
+    return Gramian(g, mass, basis.eigenvalues.copy(), horizon, phi)
 
 
 @dataclass
@@ -120,13 +110,12 @@ def _penalized(gram: Gramian, u0: ModeState, ud: ModeState, eps: np.ndarray):
 
 
 def hum_solve(gram: Gramian, u0: ModeState, ud: ModeState, eps: float,
-              sample_times: np.ndarray | None = None,
-              basis: SpectralBasis | None = None) -> ControlResult:
+              sample_times: np.ndarray | None = None) -> ControlResult:
     """Solve (G + eps I) q = d and report the closed-form defect and cost.
 
     q is V w from the Gramian's eigendecomposition, refined once against G.
     The control is h(t, x) = i * sum_l q_l e^{i mu_l (t - T)} phi_l(x) on the
-    mask; pass `sample_times` (and the basis) to store physical samples.
+    mask nodes; pass `sample_times` to store its samples there.
     """
     if eps <= 0:
         raise ValueError("penalty eps must be positive")
@@ -138,11 +127,8 @@ def hum_solve(gram: Gramian, u0: ModeState, ud: ModeState, eps: float,
     q = q + v @ ((v.conj().T @ (d - gram.matrix @ q - eps * q)) / (gram.eigenvalues + eps))
     result = ControlResult(q, eps, float(defect[0]), float(cost[0]), d)
     if sample_times is not None:
-        if basis is None:
-            raise ValueError("basis required to sample the control in space")
         phases = np.exp(1j * np.outer(sample_times - gram.horizon, gram.mode_eigenvalues))
-        phi = basis.eigenvectors[gram.mask.node_indices, :]
-        result.control_samples = 1j * (phases * q) @ phi.T
+        result.control_samples = 1j * (phases * q) @ gram.phi_masked.T
     return result
 
 
@@ -158,14 +144,18 @@ def verify_control(result: ControlResult, gram: Gramian, n_steps: int = 200_000)
 
 
 def defect_curve(gram: Gramian, u0: ModeState, ud: ModeState, eps_list) -> list[dict]:
-    """Rows (eps, defect, cost, sigma_min) for a decreasing penalty sweep;
-    every row's sigma_min is the same lambda_min(G) (see Gramian.sigma_min)."""
+    """Rows (eps, defect, cost, sigma_min) for a decreasing penalty sweep.
+
+    Every row's sigma_min is lambda_min(G), not a singular value: G = O^H O up
+    to conjugation for the observation map O of initial coefficients onto
+    L^2((0, T) x mask), so it is the square of O's smallest singular value.
+    The key is kept because artifacts and reports use it."""
     eps_list = list(eps_list)
     if any(e <= 0 for e in eps_list):
         raise ValueError("penalties must be positive")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("penalty sweep must be strictly decreasing")
     _, _, defects, costs = _penalized(gram, u0, ud, np.array(eps_list, dtype=float))
-    smin = gram.sigma_min()
+    smin = float(gram.eigenvalues[0])
     return [{"eps": eps, "defect": float(defect), "cost": float(cost), "sigma_min": smin}
             for eps, defect, cost in zip(eps_list, defects, costs)]

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import IllPosedTruncationError
 from .evolution import (ModeTrajectory, ObservationMask, TimeGrid,
                         free_trajectory, khatri_rao_core, numerical_rank,
-                        observability_matrix, observe, trapezoid_weights)
+                        observability_matrix, observe)
 from .flatness import FlatnessKernel, GevreyBump
 from .spectral import SpectralBasis
 
@@ -54,11 +54,11 @@ def transform(trajectory: ModeTrajectory, kernel: FlatnessKernel,
     The kernel is streamed in row blocks, so the dense (t, tau) array is
     never held at once.
     """
-    if len(trajectory.times) != len(kernel.tau_nodes) or not np.allclose(
-        trajectory.times, kernel.tau_nodes, rtol=0.0, atol=1e-12
+    if trajectory.grid.steps + 1 != len(kernel.tau_nodes) or not np.allclose(
+        trajectory.grid.times, kernel.tau_nodes, rtol=0.0, atol=1e-12
     ):
         raise ValueError("trajectory and kernel do not share the tau grid")
-    w = kernel.tau_weights()
+    w = trajectory.grid.trapezoid_weights()
     values = np.empty((len(kernel.t_nodes), trajectory.coeffs.shape[1]), dtype=complex)
     for start, stop in kernel.row_blocks():
         values[start:stop] = (kernel.sub_grid(slice(start, stop)) * w) @ trajectory.coeffs
@@ -86,9 +86,8 @@ def moment_trace(bump: GevreyBump, trajectory: ModeTrajectory) -> np.ndarray:
     m(mu) = integral psi e^(i mu tau); it also coincides, sum for sum, with
     the transform evaluated at t = -1 where the kernel reduces to psi.
     """
-    times = trajectory.times
-    w = trapezoid_weights(len(times), times[1] - times[0])
-    return (w * bump(times)) @ trajectory.coeffs
+    grid = trajectory.grid
+    return (grid.trapezoid_weights() * bump(grid.times)) @ trajectory.coeffs
 
 
 @dataclass

@@ -40,12 +40,13 @@ def cumulative_trapezoid(values: np.ndarray, dt: float) -> np.ndarray:
 
 @dataclass
 class TimeGrid:
-    """Uniform grid t_j = j*T/steps, j = 0..steps."""
+    """Uniform grid t_j = j*T/steps, j = 0..steps; grids compare equal by
+    (horizon, steps), which fix the samples."""
 
     horizon: float
     steps: int
-    times: np.ndarray = field(init=False)
-    dt: float = field(init=False)
+    times: np.ndarray = field(init=False, compare=False)
+    dt: float = field(init=False, compare=False)
 
     def __post_init__(self):
         if self.horizon <= 0:
@@ -71,10 +72,10 @@ class ModeState:
 
 @dataclass
 class ModeTrajectory:
-    """Coefficients on a time grid; row j is the state at t_j."""
+    """Coefficients on a time grid; row j is the state at grid.times[j]."""
 
-    times: np.ndarray
-    coeffs: np.ndarray  # (len(times), k_modes)
+    grid: TimeGrid
+    coeffs: np.ndarray  # (grid.steps + 1, k_modes)
 
 
 def propagate(state: ModeState, basis: SpectralBasis, t: float) -> ModeState:
@@ -105,7 +106,7 @@ def duhamel_modal_source(g: np.ndarray, mus: np.ndarray, grid: TimeGrid) -> Mode
     pulled = phase.conj() * g
     acc = np.zeros_like(phase)
     np.cumsum(pulled[:-1] + pulled[1:], axis=0, out=acc[1:])
-    return ModeTrajectory(grid.times.copy(), -0.5j * grid.dt * phase * acc)
+    return ModeTrajectory(grid, -0.5j * grid.dt * phase * acc)
 
 
 def duhamel_solve(f_modes: np.ndarray, rho: np.ndarray, basis: SpectralBasis,
@@ -119,7 +120,7 @@ def duhamel_solve(f_modes: np.ndarray, rho: np.ndarray, basis: SpectralBasis,
 def free_trajectory(c0: np.ndarray, basis: SpectralBasis, grid: TimeGrid) -> ModeTrajectory:
     """Source-free flow of an initial state sampled on the grid."""
     phases = np.exp(1j * np.outer(grid.times, basis.eigenvalues))
-    return ModeTrajectory(grid.times.copy(), phases * np.asarray(c0, dtype=complex))
+    return ModeTrajectory(grid, phases * np.asarray(c0, dtype=complex))
 
 
 @dataclass

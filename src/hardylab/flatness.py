@@ -27,8 +27,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .evolution import trapezoid_weights
-
 MAX_TRUNCATION = 40
 MIN_CONTOUR_RADIUS = 1e-3
 # dense kernel values are produced this many t nodes at a time (about 1 MB
@@ -251,9 +249,6 @@ class FlatnessKernel:
     def values(self) -> np.ndarray:
         """The dense (len(t_nodes), len(tau_nodes)) kernel; for small grids."""
         return self.sub_grid()
-
-    def tau_weights(self) -> np.ndarray:
-        return trapezoid_weights(len(self.tau_nodes), self.tau_nodes[1] - self.tau_nodes[0])
 
 
 def build_kernel(bump: GevreyBump, t_nodes: np.ndarray, tau_nodes: np.ndarray,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import ModeTrajectory, cumulative_trapezoid
+from .evolution import ModeTrajectory, TimeGrid, cumulative_trapezoid
 
 RHO_ZERO_TOL = 1e-14
 SUPPORT_REL_THRESHOLD = 1e-12
@@ -28,20 +28,16 @@ SUPPORT_REL_THRESHOLD = 1e-12
 
 @dataclass
 class VolterraSystem:
-    """Time grid plus rho, rho' samples (derivative from its closed form);
+    """rho, rho' sampled on a time grid (derivative from its closed form);
     the samples must not change once `reciprocal` has been read."""
 
-    times: np.ndarray
+    grid: TimeGrid
     rho: np.ndarray
     drho: np.ndarray
 
     @property
     def rho_at_zero(self) -> float:
         return float(self.rho[0])
-
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
 
     @functools.cached_property
     def reciprocal(self) -> np.ndarray:
@@ -53,7 +49,7 @@ class VolterraSystem:
         of x r; the rest would add large unused products to the last doubling,
         and FFT rounding, relative to the largest term, would reach the kept ones.
         """
-        col = self.dt * self.drho[:-1]
+        col = self.grid.dt * self.drho[:-1]
         col[0] = self.rho_at_zero + 0.5 * col[0]
         x = np.array([1.0 / col[0]])
         while len(x) < len(col):
@@ -138,7 +134,7 @@ def trapezoid_convolution(a: np.ndarray, b: np.ndarray, dt: float) -> np.ndarray
 def volterra_apply(sys: VolterraSystem, z: np.ndarray) -> np.ndarray:
     """K z = rho(0) z + trapezoid convolution of rho' with z, z of shape (n,) or (n, k)."""
     z = np.asarray(z)
-    return sys.rho_at_zero * z + trapezoid_convolution(sys.drho, z, sys.dt)
+    return sys.rho_at_zero * z + trapezoid_convolution(sys.drho, z, sys.grid.dt)
 
 
 def volterra_invert(sys: VolterraSystem, g: np.ndarray) -> np.ndarray:
@@ -154,11 +150,11 @@ def volterra_invert(sys: VolterraSystem, g: np.ndarray) -> np.ndarray:
         raise ValueError("rho(0) = 0: second-kind inversion unavailable on this route")
     g = np.asarray(g, dtype=complex)
     n = len(g)
-    if n != len(sys.times):
+    if n != sys.grid.steps + 1:
         raise ValueError("data does not match the system grid")
     rhs = g.reshape(n, -1)
     z0 = rhs[0] / sys.rho_at_zero
-    b = rhs[1:] - 0.5 * sys.dt * np.outer(sys.drho[1:], z0)
+    b = rhs[1:] - 0.5 * sys.grid.dt * np.outer(sys.drho[1:], z0)
     return np.vstack((z0, _fftconvolve(sys.reciprocal[:, None], b)[: n - 1])).reshape(g.shape)
 
 
@@ -167,7 +163,7 @@ class ReconstructionResult:
     f_recovered: np.ndarray
     z: np.ndarray                 # (n_times, k_modes)
     relative_error: float | None  # None for a zero source
-    diagnostics: dict
+    factorization_residual: float  # max |K z - du/dt|
 
 
 def reconstruct_f(trajectory: ModeTrajectory, sys: VolterraSystem, mus: np.ndarray,
@@ -180,9 +176,7 @@ def reconstruct_f(trajectory: ModeTrajectory, sys: VolterraSystem, mus: np.ndarr
     """
     if abs(sys.rho_at_zero) <= RHO_ZERO_TOL:
         raise ValueError("rho(0) = 0: reconstruction requires the nonvanishing route")
-    if len(trajectory.times) != len(sys.times) or not np.allclose(
-        trajectory.times, sys.times, rtol=0.0, atol=1e-12
-    ):
+    if trajectory.grid != sys.grid:
         raise ValueError("trajectory and Volterra system grids differ")
     mus = np.asarray(mus, dtype=float)
     f_true = np.asarray(f_true, dtype=complex)
@@ -193,13 +187,13 @@ def reconstruct_f(trajectory: ModeTrajectory, sys: VolterraSystem, mus: np.ndarr
     rel = float(np.linalg.norm(f_rec - f_true) / scale) if scale else None
     # identity K z = du/dt is structural after the triangular solve
     residual = float(np.abs(volterra_apply(sys, z) - dt_u).max())
-    return ReconstructionResult(f_rec, z, rel, {"factorization_residual": residual})
+    return ReconstructionResult(f_rec, z, rel, residual)
 
 
 def duhamel_identity_residual(trajectory: ModeTrajectory, sys: VolterraSystem,
                               z: np.ndarray) -> float:
     """Max mismatch of u(t) = integral_0^t rho(s) z(t-s, .) ds per mode."""
-    conv = trapezoid_convolution(sys.rho, z, sys.dt)
+    conv = trapezoid_convolution(sys.rho, z, sys.grid.dt)
     return float(np.abs(conv - trajectory.coeffs).max())
 
 
@@ -220,15 +214,13 @@ def antiderivative_reduce(trajectory: ModeTrajectory) -> ModeTrajectory:
     c = trajectory.coeffs
     if np.abs(c[0]).max() > 1e-12 * max(np.abs(c).max(), 1e-300):
         raise ValueError("antiderivative reduction expects u(0) = 0")
-    dt = trajectory.times[1] - trajectory.times[0]
-    return ModeTrajectory(trajectory.times.copy(), cumulative_trapezoid(c, dt))
+    return ModeTrajectory(trajectory.grid, cumulative_trapezoid(c, trajectory.grid.dt))
 
 
 @dataclass
 class ConvolutionSourceResult:
     y: ModeTrajectory
     source_identity_residual: float
-    f_modes: np.ndarray
 
 
 def convolve_source(rho: np.ndarray, v: ModeTrajectory, mus: np.ndarray) -> ConvolutionSourceResult:
@@ -240,7 +232,7 @@ def convolve_source(rho: np.ndarray, v: ModeTrajectory, mus: np.ndarray) -> Conv
     rho = np.asarray(rho, dtype=float)
     if abs(rho[0]) > RHO_ZERO_TOL * max(np.abs(rho).max(), 1e-300):
         raise ValueError("convolution route requires rho(0) = 0")
-    dt = v.times[1] - v.times[0]
+    dt = v.grid.dt
     mus = np.asarray(mus, dtype=float)
     f_modes = 1j * v.coeffs[0, :]
     y = trapezoid_convolution(rho, v.coeffs, dt)
@@ -248,9 +240,7 @@ def convolve_source(rho: np.ndarray, v: ModeTrajectory, mus: np.ndarray) -> Conv
     resid = np.abs(
         1j * ydot + mus[None, :] * y[1:-1] - np.outer(rho[1:-1], f_modes)
     )
-    return ConvolutionSourceResult(
-        ModeTrajectory(v.times.copy(), y), float(resid.max()), f_modes
-    )
+    return ConvolutionSourceResult(ModeTrajectory(v.grid, y), float(resid.max()))
 
 
 @dataclass

@@ -111,8 +111,6 @@ class HardyDiscretization:
     """Symmetric tridiagonal matrix of -d^2/dr^2 - lam_red/r^2, Dirichlet ends."""
 
     grid: RadialGrid
-    lam: float
-    dimension_n: int
     diagonal: np.ndarray
     offdiagonal: np.ndarray
     bessel_order: float
@@ -127,7 +125,7 @@ def assemble_hardy_operator(grid: RadialGrid, lam: float, n: int = 3) -> HardyDi
     h = grid.spacing
     diag = 2.0 / h**2 - lam_red / grid.nodes**2
     off = np.full(grid.n_interior - 1, -1.0 / h**2)
-    return HardyDiscretization(grid, lam, n, diag, off, nu)
+    return HardyDiscretization(grid, diag, off, nu)
 
 
 @dataclass
@@ -140,8 +138,6 @@ class SpectralBasis:
     grid: RadialGrid
     eigenvalues: np.ndarray      # (k_modes,)
     eigenvectors: np.ndarray     # (n_interior, k_modes)
-    lam: float
-    dimension_n: int
     bessel_order: float
 
     @property
@@ -155,7 +151,7 @@ def solve_spectrum(op: HardyDiscretization, k_modes: int) -> SpectralBasis:
     if k_modes > n:
         raise ValueError(f"k_modes = {k_modes} exceeds matrix size {n}")
     vals, vecs = dirichlet_eigenpairs(op.diagonal, op.offdiagonal, op.grid.spacing, k_modes)
-    return SpectralBasis(op.grid, vals, vecs, op.lam, op.dimension_n, op.bessel_order)
+    return SpectralBasis(op.grid, vals, vecs, op.bessel_order)
 
 
 def hardy_rayleigh(grid: RadialGrid, v: np.ndarray) -> float | np.ndarray:

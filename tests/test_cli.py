@@ -489,18 +489,26 @@ def test_load_config_round_trip_every_field(tmp_path, values):
     assert dataclasses.asdict(load_config(str(cfg_file))) == values
 
 
-def _loaded_scipy_modules(imports: str) -> list[str]:
+def _loaded_modules(imports: str, package: str) -> list[str]:
+    """The modules of package loaded, sorted, after importing imports in a fresh interpreter."""
     code = f"import json, sys, {imports}; print(json.dumps(sorted(sys.modules)))"
     src = str(Path(cli.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
-    return [name for name in json.loads(out.stdout) if name.split(".")[0] == "scipy"]
+    return [name for name in json.loads(out.stdout) if name.split(".")[0] == package]
 
 
 def test_cli_import_loads_no_scipy_beyond_linalg():
     # the import floor of every run: scipy.fft, scipy.special or any other
     # scipy module beyond scipy.linalg would add to the start-up time
-    assert _loaded_scipy_modules("hardylab.cli") == _loaded_scipy_modules("scipy.linalg")
+    assert _loaded_modules("hardylab.cli", "scipy") == _loaded_modules("scipy.linalg", "scipy")
+
+
+def test_module_import_loads_only_its_dependencies():
+    # the package re-exports nothing, so importing one module by name loads
+    # that module and what it imports, not the whole package
+    assert _loaded_modules("hardylab.spectral", "hardylab") == [
+        "hardylab", "hardylab.bessel", "hardylab.errors", "hardylab.spectral"]
 
 
 def test_seed_and_out_flags(tmp_path, monkeypatch):
@@ -554,6 +562,24 @@ def test_failing_stage_leaves_no_output_directory(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="stage failed"):
         run("all", light_config(), out_root)
     assert list(out_root.iterdir()) == []
+
+
+def test_output_root_under_a_regular_file_exits_2_before_any_stage(tmp_path, capsys,
+                                                                   monkeypatch):
+    # a root without write permission is not tested: a superuser may write anywhere
+    def refuse(lab, outdir):
+        raise AssertionError("a stage ran")
+
+    monkeypatch.delenv("LAB_OUT", raising=False)
+    monkeypatch.setitem(cli._RUNNERS, "spectrum", refuse)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out_root = blocker / "sub"
+    assert main(["spectrum", "--out", str(out_root)]) == 2
+    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert payload["error"] == "invalid_config" and str(out_root) in payload["message"]
+    assert blocker.is_file() and blocker.read_text() == ""
+    assert list(tmp_path.iterdir()) == [blocker]
 
 
 def test_completed_run_leaves_only_the_stamped_directory(tmp_path):

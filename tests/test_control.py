@@ -111,7 +111,7 @@ def test_hum_defect_bound(gram):
     u0, ud = random_states(8, seed=4)
     eps = 1e-3
     res = hum_solve(gram, u0, ud, eps)
-    smin = gram.sigma_min()
+    smin = gram.eigenvalues[0]
     assert res.defect_predicted <= eps / (eps + smin) * np.linalg.norm(res.target_gap) + 1e-12
 
 
@@ -159,7 +159,7 @@ def test_hum_and_defect_curve_match_cholesky_oracle(lam, k, cantor, i, j, horizo
             assert value == pytest.approx(defect, rel=1e-12)
         for value in (row["cost"], res.cost):
             assert value == pytest.approx(cost, rel=1e-12)
-        assert row["sigma_min"] == gram.sigma_min() == gram.eigenvalues[0]
+        assert row["sigma_min"] == gram.eigenvalues[0]
 
 
 def test_hum_multiplier_within_one_rounding_unit_of_exact_solve(gram):
@@ -184,10 +184,10 @@ def test_hum_multiplier_within_one_rounding_unit_of_exact_solve(gram):
 def test_hum_rejects_gramian_below_minus_eps(gram):
     # a hand-made Gramian with lambda_min = -2 eps: G + eps I is indefinite
     eps = 1e-3
-    shift = gram.sigma_min() + 2 * eps
+    shift = gram.eigenvalues[0] + 2 * eps
     bad = Gramian(gram.matrix - shift * np.eye(8), gram.mass_masked, gram.mode_eigenvalues,
-                  gram.horizon, gram.mask)
-    assert bad.sigma_min() == pytest.approx(-2 * eps, rel=1e-9)
+                  gram.horizon, gram.phi_masked)
+    assert bad.eigenvalues[0] == pytest.approx(-2 * eps, rel=1e-9)
     u0, ud = random_states(8)
     with pytest.raises(RuntimeError, match="not positive definite: assembly fault"):
         hum_solve(bad, u0, ud, eps)
@@ -207,7 +207,17 @@ def test_hum_reads_the_one_eigendecomposition(gram, monkeypatch):
         monkeypatch.setattr(np.linalg, name, refuse)
     defect_curve(gram, u0, ud, (1e-1, 1e-3))
     hum_solve(gram, u0, ud, 1e-3)
-    gram.sigma_min()
+
+
+def test_hum_samples_the_control_on_the_mask_nodes(basis, gram):
+    # h(t, x) = i sum_l q_l e^{i mu_l (t - T)} phi_l(x), phi from the Gramian's own block
+    u0, ud = random_states(8, seed=7)
+    times = np.linspace(0.0, 1.0, 5)
+    res = hum_solve(gram, u0, ud, 1e-3, sample_times=times)
+    phi = basis.eigenvectors[interval_mask(basis.grid, 0.3, 0.6).node_indices]
+    phases = np.exp(1j * np.outer(times - 1.0, basis.eigenvalues))
+    expected = 1j * np.einsum("l,tl,xl->tx", res.multiplier, phases, phi)
+    assert np.abs(res.control_samples - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 def test_hum_rejects_nonpositive_penalty(gram):
@@ -391,4 +401,4 @@ def test_defect_curve_rejects_nondecreasing(gram):
 def test_mask_monotonicity(basis):
     small = gramian(basis, interval_mask(basis.grid, 0.3, 0.6), 1.0)
     large = gramian(basis, interval_mask(basis.grid, 0.25, 0.65), 1.0)
-    assert large.sigma_min() >= small.sigma_min() - 1e-12
+    assert large.eigenvalues[0] >= small.eigenvalues[0] - 1e-12

@@ -49,7 +49,7 @@ def test_streamed_transform_matches_dense_contraction(setup):
     short = [build_kernel(bump, np.linspace(-1.0, 1.0, nt), tau_grid.times, 24) for nt in (65, 129)]
     for kernel in [kernel401, *short]:
         profile = transform(traj, kernel, basis.eigenvalues)
-        dense = ((kernel.values * kernel.tau_weights()) @ traj.coeffs).T
+        dense = ((kernel.values * tau_grid.trapezoid_weights()) @ traj.coeffs).T
         scale = np.abs(profile.values).max()
         assert np.abs(profile.values - dense).max() <= 1e-13 * scale
 
@@ -65,7 +65,7 @@ def test_transform_with_one_row_remainder_equals_dense_contraction(setup, nt):
     traj = free_trajectory(np.array([1.0, -0.5 + 0.25j, 0.1, 0.7j]), basis, tau_grid)
     with _one_blas_thread():
         profile = transform(traj, kernel, basis.eigenvalues)
-        dense = (kernel.values * kernel.tau_weights()) @ traj.coeffs
+        dense = (kernel.values * tau_grid.trapezoid_weights()) @ traj.coeffs
     assert np.array_equal(profile.values, dense.T)
 
 
@@ -88,7 +88,7 @@ def test_transform_at_minus_one_equals_moment_trace(setup):
 def test_zero_frequency_profile_is_affine(setup):
     _, bump, tau_grid, kernel = setup
     # mu = 0 mode: W'' = 0, so the three-point second difference vanishes
-    traj = ModeTrajectory(tau_grid.times.copy(), np.ones((len(tau_grid.times), 1), complex))
+    traj = ModeTrajectory(tau_grid, np.ones((len(tau_grid.times), 1), complex))
     profile = transform(traj, kernel, np.array([0.0]))
     v = profile.values[0]
     dt = profile.t_nodes[1] - profile.t_nodes[0]
@@ -120,7 +120,7 @@ def test_low_truncation_inflates_transform_residual(setup):
 
 def test_moment_trace_zero_frequency_positive(setup):
     _, bump, tau_grid, _ = setup
-    traj = ModeTrajectory(tau_grid.times.copy(), np.ones((len(tau_grid.times), 1), complex))
+    traj = ModeTrajectory(tau_grid, np.ones((len(tau_grid.times), 1), complex))
     m = moment_trace(bump, traj)
     assert m[0].real > 0 and abs(m[0].imag) <= 1e-15
 
@@ -128,9 +128,9 @@ def test_moment_trace_zero_frequency_positive(setup):
 def test_moment_conjugate_symmetry(setup):
     _, bump, tau_grid, _ = setup
     mu = 7.3
-    up = ModeTrajectory(tau_grid.times.copy(),
+    up = ModeTrajectory(tau_grid,
                         np.exp(1j * mu * tau_grid.times)[:, None].astype(complex))
-    dn = ModeTrajectory(tau_grid.times.copy(),
+    dn = ModeTrajectory(tau_grid,
                         np.exp(-1j * mu * tau_grid.times)[:, None].astype(complex))
     m_up = moment_trace(bump, up)[0]
     m_dn = moment_trace(bump, dn)[0]
@@ -194,7 +194,7 @@ def test_ucp_single_time_slice_matches_column_loop():
 def test_ucp_requires_positive_modes():
     basis = make_basis(k=2)
     neg = SpectralBasis(basis.grid, np.array([-1.0, 4.0]), basis.eigenvectors,
-                        basis.lam, 3, basis.bessel_order)
+                        basis.bessel_order)
     window = CylinderWindow(interval_mask(basis.grid, 0.3, 0.6), np.linspace(-1, 1, 9))
     with pytest.raises(ValueError, match="positive"):
         ucp_probe(neg, window)
@@ -225,7 +225,7 @@ def test_uniqueness_pipeline_refuses_degenerate_basis(setup):
         basis.grid,
         np.array([basis.eigenvalues[0], basis.eigenvalues[0]]),
         np.column_stack([basis.eigenvectors[:, 0], basis.eigenvectors[:, 0]]),
-        basis.lam, 3, basis.bessel_order,
+        basis.bessel_order,
     )
     mask = interval_mask(basis.grid, 0.3, 0.6)
     with pytest.raises(IllPosedTruncationError):
@@ -240,7 +240,7 @@ def test_uniqueness_pipeline_refuses_near_singular_basis(setup):
         basis.grid,
         np.array([basis.eigenvalues[0], basis.eigenvalues[0]]),
         np.column_stack([phi[:, 0], phi[:, 0] + 1e-13 * phi[:, 1]]),
-        basis.lam, 3, basis.bessel_order,
+        basis.bessel_order,
     )
     mask = interval_mask(basis.grid, 0.3, 0.6)
     grid = TimeGrid(1.0, 8)

@@ -21,7 +21,7 @@ def synthetic_basis(mus):
     mus = np.asarray(mus, dtype=float)
     vecs = np.zeros((8, len(mus)))
     vecs[: len(mus), :] = np.eye(len(mus))
-    return SpectralBasis(grid, mus, vecs / np.sqrt(grid.spacing), 0.0, 3, 0.5)
+    return SpectralBasis(grid, mus, vecs / np.sqrt(grid.spacing), 0.5)
 
 
 def test_propagate_identity_at_zero_time():
@@ -303,7 +303,7 @@ def test_observability_near_singular_matches_dense_oracle():
     phi = basis.eigenvectors
     near = SpectralBasis(basis.grid, np.array([basis.eigenvalues[0]] * 2),
                          np.column_stack([phi[:, 0], phi[:, 0] + 1e-13 * phi[:, 1]]),
-                         basis.lam, 3, basis.bessel_order)
+                         basis.bessel_order)
     mask = interval_mask(basis.grid, 0.3, 0.6)
     grid = TimeGrid(1.0, 8)
     report = observability_matrix(near, mask, grid)

@@ -27,8 +27,9 @@ def make_basis(k=6, lam=3 / 16, n=400):
 
 def make_system(rho_fn, drho_fn, steps=1000, horizon=1.0):
     """rho and rho' sampled on the grid, one call each (constants broadcast)."""
-    t = TimeGrid(horizon, steps).times
-    return VolterraSystem(t, np.zeros_like(t) + rho_fn(t), np.zeros_like(t) + drho_fn(t))
+    grid = TimeGrid(horizon, steps)
+    t = grid.times
+    return VolterraSystem(grid, np.zeros_like(t) + rho_fn(t), np.zeros_like(t) + drho_fn(t))
 
 
 def test_constant_rho_is_identity():
@@ -42,7 +43,7 @@ def test_exponential_rho_eigenrelation():
     a = 0.7
     sys = make_system(lambda t: np.exp(a * t), lambda t: a * np.exp(a * t), steps=2000)
     out = volterra_apply(sys, np.ones(2001, dtype=complex))
-    expected = np.exp(a * sys.times)
+    expected = np.exp(a * sys.grid.times)
     assert np.abs(out - expected).max() <= 5e-7  # trapezoid O(dt^2)
 
 
@@ -66,13 +67,13 @@ def test_roundtrip_random_data():
 
 def test_invert_constant_rho():
     sys = make_system(lambda t: 2.5, lambda t: 0.0, steps=100)
-    g = np.sin(sys.times).astype(complex)
+    g = np.sin(sys.grid.times).astype(complex)
     assert np.abs(volterra_invert(sys, g) - g / 2.5).max() <= 1e-14
 
 
 def test_invert_recovers_sine():
     sys = make_system(lambda t: 1 + t / 2, lambda t: 0.5, steps=1000)
-    z_true = np.sin(sys.times).astype(complex)
+    z_true = np.sin(sys.grid.times).astype(complex)
     g = volterra_apply(sys, z_true)
     z = volterra_invert(sys, g)
     assert np.abs(z - z_true).max() <= 1e-8
@@ -98,18 +99,18 @@ def volterra_systems(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     rho0 = draw(st.floats(0.5, 3.0)) * draw(st.sampled_from([-1.0, 1.0]))
     drho = draw(st.floats(0.0, 1.0)) * rng.uniform(-1.0, 1.0, n)
-    times = np.linspace(0.0, 1.0, n)
-    rho = rho0 + np.concatenate(([0.0], np.cumsum(drho[1:] + drho[:-1]))) * 0.5 * times[1]
-    return VolterraSystem(times, rho, drho), rng
+    grid = TimeGrid(1.0, n - 1)
+    rho = rho0 + np.concatenate(([0.0], np.cumsum(drho[1:] + drho[:-1]))) * 0.5 * grid.dt
+    return VolterraSystem(grid, rho, drho), rng
 
 
 def dense_volterra_matrix(sys):
     """The discretized K as a dense lower-triangular matrix, row by row:
     rho(0) z_j + dt [rho'_j z_0 / 2 + sum_{0<m<j} rho'_{j-m} z_m + rho'_0 z_j / 2]."""
-    n = len(sys.times)
-    mat = sys.dt * np.tril(toeplitz(sys.drho))
+    n = len(sys.grid.times)
+    mat = sys.grid.dt * np.tril(toeplitz(sys.drho))
     mat[:, 0] *= 0.5
-    mat[np.diag_indices(n)] = sys.rho_at_zero + 0.5 * sys.dt * sys.drho[0]
+    mat[np.diag_indices(n)] = sys.rho_at_zero + 0.5 * sys.grid.dt * sys.drho[0]
     mat[0, 0] = sys.rho_at_zero
     return mat
 
@@ -123,7 +124,7 @@ def random_rhs(rng, n, k=None):
 @given(volterra_systems())
 def test_invert_matches_dense_triangular_solve(case):
     sys, rng = case
-    n = len(sys.times)
+    n = len(sys.grid.times)
     mat = dense_volterra_matrix(sys)
     z_probe = random_rhs(rng, n)
     assert np.abs(mat @ z_probe - volterra_apply(sys, z_probe)).max() <= 1e-12 * n
@@ -136,7 +137,7 @@ def test_invert_matches_dense_triangular_solve(case):
 @given(volterra_systems(), st.integers(1, 6))
 def test_invert_columns_match_single_solves(case, k):
     sys, rng = case
-    g = random_rhs(rng, len(sys.times), k)
+    g = random_rhs(rng, len(sys.grid.times), k)
     z = volterra_invert(sys, g)
     assert z.shape == g.shape
     columns = np.column_stack([volterra_invert(sys, g[:, j]) for j in range(k)])
@@ -147,7 +148,7 @@ def test_invert_columns_match_single_solves(case, k):
 @given(volterra_systems())
 def test_invert_apply_roundtrip(case):
     sys, rng = case
-    z = random_rhs(rng, len(sys.times))
+    z = random_rhs(rng, len(sys.grid.times))
     assert np.abs(volterra_invert(sys, volterra_apply(sys, z)) - z).max() <= 1e-12 * np.abs(z).max()
 
 
@@ -157,8 +158,8 @@ def test_invert_apply_roundtrip(case):
 def test_invert_matches_dense_solve_on_strong_resolvents(rho0, slope, n):
     # rho = rho0 + slope t: the resolvent behaves like exp(-slope t / rho0), up
     # to exp(50) on [0, 1], so the solution spans many orders of magnitude
-    t = np.linspace(0.0, 1.0, n)
-    sys = VolterraSystem(t, rho0 + slope * t, np.full(n, slope))
+    grid = TimeGrid(1.0, n - 1)
+    sys = VolterraSystem(grid, rho0 + slope * grid.times, np.full(n, slope))
     g = random_rhs(np.random.default_rng(n), n)
     parts = solve_triangular(dense_volterra_matrix(sys), np.column_stack([g.real, g.imag]),
                              lower=True)
@@ -202,7 +203,19 @@ def test_reconstruct_six_random_modes_exact_derivative():
     traj = duhamel_solve(f, sys.rho, basis, grid)
     result = reconstruct_f(traj, sys, basis.eigenvalues, f_true=f)
     assert result.relative_error <= 1e-3
-    assert result.diagnostics["factorization_residual"] <= 1e-8
+    assert result.factorization_residual <= 1e-8
+
+
+def test_reconstruct_rejects_a_trajectory_on_another_grid():
+    # grids compare by (horizon, steps); their sample arrays never enter ==
+    assert TimeGrid(1, 10) == TimeGrid(1, 10)
+    assert TimeGrid(1, 10) != TimeGrid(1, 20) and TimeGrid(1, 10) != TimeGrid(2, 10)
+    basis = make_basis(k=1)
+    sys = make_system(lambda t: 1 + t / 2, lambda t: 0.5, steps=1000)
+    f = np.array([1.0 + 0.0j])
+    traj = duhamel_solve(f, np.ones(501), basis, TimeGrid(1, 500))
+    with pytest.raises(ValueError, match="grids differ"):
+        reconstruct_f(traj, sys, basis.eigenvalues, f_true=f)
 
 
 def test_reconstruct_fd_derivative_low_mode():
@@ -212,7 +225,7 @@ def test_reconstruct_fd_derivative_low_mode():
     sys = make_system(lambda t: 1 + t / 2, lambda t: 0.5, steps=1000)
     f = np.array([1.0 - 0.5j])
     c = duhamel_solve(f, sys.rho, basis, grid).coeffs
-    dt = sys.dt
+    dt = sys.grid.dt
     dudt = np.empty_like(c)
     dudt[1:-1] = (c[2:] - c[:-2]) / (2.0 * dt)
     dudt[0] = (-3.0 * c[0] + 4.0 * c[1] - c[2]) / (2.0 * dt)
@@ -229,9 +242,9 @@ def test_identity_chain_resolved_mode():
     f = np.array([1.0 + 0.0j])
     traj = duhamel_solve(f, sys.rho, basis, grid)
     result = reconstruct_f(traj, sys, basis.eigenvalues, f_true=f)
-    assert result.diagnostics["factorization_residual"] <= 1e-8      # K z = du/dt
+    assert result.factorization_residual <= 1e-8      # K z = du/dt
     assert duhamel_identity_residual(traj, sys, result.z) <= 1e-6     # u = rho * z
-    assert free_evolution_check(result.z, basis.eigenvalues, sys.dt).max() <= 1e-4
+    assert free_evolution_check(result.z, basis.eigenvalues, sys.grid.dt).max() <= 1e-4
 
 
 def test_free_evolution_check_orders():
@@ -261,10 +274,11 @@ def test_free_evolution_check_short_grids(steps):
 
 
 def test_antiderivative_reduce():
-    t = TimeGrid(1.0, 100).times
-    zero = ModeTrajectory(t, np.zeros((101, 1), complex))
+    grid = TimeGrid(1.0, 100)
+    t = grid.times
+    zero = ModeTrajectory(grid, np.zeros((101, 1), complex))
     assert np.abs(antiderivative_reduce(zero).coeffs).max() == 0.0
-    linear = ModeTrajectory(t, t[:, None].astype(complex))
+    linear = ModeTrajectory(grid, t[:, None].astype(complex))
     w = antiderivative_reduce(linear)
     assert np.abs(w.coeffs[:, 0] - t**2 / 2).max() <= 1e-15  # trapezoid exact on linear
     dt = t[1] - t[0]
@@ -273,8 +287,7 @@ def test_antiderivative_reduce():
 
 
 def test_antiderivative_requires_zero_start():
-    t = TimeGrid(1.0, 10).times
-    bad = ModeTrajectory(t, np.ones((11, 1), complex))
+    bad = ModeTrajectory(TimeGrid(1.0, 10), np.ones((11, 1), complex))
     with pytest.raises(ValueError, match="u\\(0\\)"):
         antiderivative_reduce(bad)
 
