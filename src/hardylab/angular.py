@@ -77,9 +77,8 @@ def angular_spectrum(prob: AngularProblem, k_count: int) -> AngularBasis:
     n = prob.n_ang
     eigenvalues = np.repeat(vals, 2)[:k_count]
     eigenvectors = np.zeros((2 * n, k_count))
-    for j in range(k_count):
-        arc = j % 2
-        eigenvectors[arc * n : (arc + 1) * n, j] = vecs[:, j // 2]
+    eigenvectors[:n, 0::2] = vecs
+    eigenvectors[n:, 1::2] = vecs[:, : k_count // 2]
     pairs = [(j - 1, j) for j in range(1, k_count, 2)]
     return AngularBasis(eigenvalues, eigenvectors, pairs)
 
@@ -110,9 +109,8 @@ def beta_coefficients(w_on_circle: np.ndarray, psi_columns: np.ndarray,
 class BlowupStudy:
     radii: np.ndarray
     discrepancies: np.ndarray
-    fitted_exponent: float | None
+    fitted_exponent: float | None     # None: a single term, or no discrepancy to fit
     expected_exponent: float | None
-    exact: bool
 
 
 def blowup_profile_check(coeffs, gammas, psi_columns: np.ndarray, spacing: float) -> BlowupStudy:
@@ -141,10 +139,9 @@ def blowup_profile_check(coeffs, gammas, psi_columns: np.ndarray, spacing: float
             resid += scale * np.outer(rho ** gammas[j], psi_columns[:, j])
         discrepancies[i] = np.sqrt(np.sum(resid**2 * w_rho[:, None]) * spacing)
     if len(coeffs) < 2 or np.all(discrepancies == 0.0):
-        return BlowupStudy(radii, discrepancies, None, None, exact=True)
+        return BlowupStudy(radii, discrepancies, None, None)
     slope = np.polyfit(np.log(radii), np.log(discrepancies), 1)[0]
-    return BlowupStudy(radii, discrepancies, float(slope),
-                       float(gammas[1] - gammas[0]), exact=False)
+    return BlowupStudy(radii, discrepancies, float(slope), float(gammas[1] - gammas[0]))
 
 
 def separated_residual(prob: AngularProblem, basis: AngularBasis, k: int, n_radial: int = 61,

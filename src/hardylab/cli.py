@@ -182,10 +182,9 @@ def validate_config(cfg: LabConfig, subcommand: str = "all") -> Lab:
         if not 1 <= getattr(cfg, name) <= cfg.n_interior:
             raise ConfigError(f"{name} must lie in [1, n_interior = {cfg.n_interior}], "
                               f"got {getattr(cfg, name)}")
-    if not 0 < cfg.k_trunc <= fla.MAX_TRUNCATION:
-        raise ConfigError(f"k_trunc must lie in (0, {fla.MAX_TRUNCATION}]")
-    if not 0 < cfg.transform_k_trunc <= fla.MAX_TRUNCATION:
-        raise ConfigError(f"transform_k_trunc must lie in (0, {fla.MAX_TRUNCATION}]")
+    for name in ("k_trunc", "transform_k_trunc"):
+        if not 0 < getattr(cfg, name) <= fla.MAX_TRUNCATION:
+            raise ConfigError(f"{name} must lie in (0, {fla.MAX_TRUNCATION}]")
     if cfg.mask_kind not in ("interval", "cantor"):
         raise ConfigError("mask_kind must be 'interval' or 'cantor'")
     if any(e <= 0 for e in cfg.eps_list):
@@ -259,10 +258,11 @@ def load_config(path: str | None) -> LabConfig:
 # ---------------------------------------------------------------------------
 # artifact helpers
 
-def _fmt(x) -> str:
-    if isinstance(x, (float, np.floating)):
-        return f"{float(x):.17g}"
-    return str(x)
+def _json_default(x):
+    """numpy scalars (np.float64 is a float and never gets here) as the values they hold."""
+    if isinstance(x, np.generic):
+        return x.item()
+    raise TypeError(f"{type(x).__name__} is not JSON serializable")
 
 
 # text csv.writer would quote; write_csv writes fields unquoted
@@ -291,7 +291,7 @@ def write_csv(path: Path, header: list[str], columns) -> None:
 
 def write_json(path: Path, payload: dict) -> None:
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_fmt)
+        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
         fh.write("\n")
 
 

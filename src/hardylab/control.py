@@ -80,7 +80,7 @@ def gramian(basis: SpectralBasis, mask: ObservationMask, horizon: float) -> Gram
     mass = (phi * mask.weights[:, None]).T @ phi
     mass = 0.5 * (mass + mass.T)
     g = mass * _eta_matrix(basis.eigenvalues, horizon)
-    return Gramian(g, mass, basis.eigenvalues.copy(), horizon, phi)
+    return Gramian(g, mass, basis.eigenvalues, horizon, phi)
 
 
 @dataclass

@@ -62,7 +62,7 @@ def transform(trajectory: ModeTrajectory, kernel: FlatnessKernel,
     values = np.empty((len(kernel.t_nodes), trajectory.coeffs.shape[1]), dtype=complex)
     for start, stop in kernel.row_blocks():
         values[start:stop] = (kernel.sub_grid(slice(start, stop)) * w) @ trajectory.coeffs
-    return EllipticProfile(kernel.t_nodes.copy(), values.T, np.asarray(mode_eigenvalues))
+    return EllipticProfile(kernel.t_nodes, values.T, np.asarray(mode_eigenvalues))
 
 
 def elliptic_residual(profile: EllipticProfile) -> tuple[float, np.ndarray]:

@@ -24,13 +24,6 @@ import numpy as np
 from .spectral import RadialGrid, SpectralBasis
 
 
-def trapezoid_weights(n_nodes: int, dt: float) -> np.ndarray:
-    """Composite trapezoid weights on n_nodes uniform nodes spaced dt apart."""
-    w = np.full(n_nodes, dt)
-    w[0] = w[-1] = 0.5 * dt
-    return w
-
-
 def cumulative_trapezoid(values: np.ndarray, dt: float) -> np.ndarray:
     """Running trapezoid integral along axis 0, starting from 0 at the first node."""
     out = np.zeros_like(values)
@@ -57,7 +50,10 @@ class TimeGrid:
         self.times = self.dt * np.arange(self.steps + 1)
 
     def trapezoid_weights(self) -> np.ndarray:
-        return trapezoid_weights(self.steps + 1, self.dt)
+        """Composite trapezoid weights on the steps + 1 nodes."""
+        w = np.full(self.steps + 1, self.dt)
+        w[0] = w[-1] = 0.5 * self.dt
+        return w
 
 
 @dataclass

@@ -172,10 +172,8 @@ def reconstruct_f(trajectory: ModeTrajectory, sys: VolterraSystem, mus: np.ndarr
 
     du/dt comes from the exact mode equation c' = i mu c - i f rho with the
     true source modes, which isolates the Volterra-inversion error from
-    differentiation noise.
+    differentiation noise.  volterra_invert refuses rho(0) = 0.
     """
-    if abs(sys.rho_at_zero) <= RHO_ZERO_TOL:
-        raise ValueError("rho(0) = 0: reconstruction requires the nonvanishing route")
     if trajectory.grid != sys.grid:
         raise ValueError("trajectory and Volterra system grids differ")
     mus = np.asarray(mus, dtype=float)
@@ -262,15 +260,7 @@ def titchmarsh_support(a: np.ndarray, b: np.ndarray, dt: float) -> SupportReport
         idx = np.flatnonzero(np.abs(x) > SUPPORT_REL_THRESHOLD * m)
         return int(idx[0]) if len(idx) else None
 
-    ia, ib = first_alive(a), first_alive(b)
-    conv = _fftconvolve(a, b) * dt
-    ic = first_alive(conv)
-    if ia is None or ib is None:
-        return SupportReport(
-            None if ia is None else ia * dt,
-            None if ib is None else ib * dt,
-            None if ic is None else ic * dt,
-            None,
-        )
-    gap = abs((ic - ia - ib) * dt) if ic is not None else None
-    return SupportReport(ia * dt, ib * dt, None if ic is None else ic * dt, gap)
+    starts = [first_alive(x) for x in (a, b, _fftconvolve(a, b) * dt)]
+    ia, ib, ic = starts
+    gap = None if None in starts else abs((ic - ia - ib) * dt)
+    return SupportReport(*(None if i is None else i * dt for i in starts), gap)

@@ -130,7 +130,7 @@ def test_beta_radius_invariance_for_homogeneous_input(prob0, basis0):
 
 def test_blowup_single_term_exact(prob0, basis0):
     study = blowup_profile_check([1.0], [1.0], basis0.eigenvectors[:, [0]], prob0.spacing)
-    assert study.exact and study.fitted_exponent is None
+    assert study.fitted_exponent is None
     assert np.all(study.discrepancies == 0.0)
 
 

@@ -438,16 +438,47 @@ def test_kernel_and_transform_read_one_table_of_the_config_order(tmp_path, monke
 def test_validate_config_rules():
     with pytest.raises(SupercriticalCouplingError):
         validate_config(light_config(lam=0.25))
-    for bad in (
-        {"dimension_n": 2},
-        {"mask_a": 0.9, "mask_b": 0.2},
-        {"eps_list": (1e-3, 1e-2)},
-        {"k_trunc": 50},
-        {"n_interior": 4},
-        {"inverse_steps": 1},
+    for bad, named in (
+        ({"dimension_n": 2}, "dimension_n"),
+        ({"mask_a": 0.9, "mask_b": 0.2}, "observation mask"),
+        ({"eps_list": (1e-3, 1e-2)}, "eps_list"),
+        ({"k_trunc": 50}, "k_trunc"),
+        ({"n_interior": 4}, "n_interior"),
+        ({"inverse_steps": 1}, "inverse_steps"),
+        ({"n_ang": 63}, "n_ang"),
+        ({"horizon": 0.0}, "horizon"),
+        ({"transform_k_trunc": 0}, "transform_k_trunc"),
+        ({"transform_k_trunc": fla.MAX_TRUNCATION + 1}, "transform_k_trunc"),
+        ({"mask_kind": "annulus"}, "mask_kind"),
+        ({"eps_list": (-1e-3,)}, "eps_list"),
     ):
-        with pytest.raises((ValueError,)):
+        with pytest.raises(cli.ConfigError, match=named):
             validate_config(light_config(**bad))
+
+
+@pytest.mark.parametrize("line, says", [
+    ("n_interior 300", "expected 'key = value'"),
+    ("n_interior = many", "bad value for n_interior: 'many'"),
+])
+def test_malformed_config_line_exit_code(tmp_path, capsys, line, says):
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text(f"# comment line\n{line}\n")
+    out_root = tmp_path / "out"
+    code = main(["spectrum", "--config", str(cfg_file), "--out", str(out_root)])
+    assert code == 2
+    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert payload["error"] == "invalid_config"
+    assert payload["message"] == f"{cfg_file}:2: {says}"
+    assert not out_root.exists()
+
+
+def test_write_json_numpy_scalars(tmp_path):
+    # json.dump hands numpy scalars that are not Python numbers to the default hook
+    path = tmp_path / "scalars.json"
+    cli.write_json(path, {"count": np.int64(3), "ok": np.bool_(True), "x": np.float64(0.1)})
+    assert json.loads(path.read_text()) == {"count": 3, "ok": True, "x": 0.1}
+    with pytest.raises(TypeError):
+        cli.write_json(tmp_path / "other.json", {"path": tmp_path})
 
 
 def test_config_file_round_trip(tmp_path):
@@ -722,7 +753,7 @@ def test_runner_contract_matches_manifest(all_run):
         names += checks
         assert {name: bool(ok) for name, ok in checks.items()} == {
             name: manifest["checks"][name] for name in checks}
-        assert json.loads(json.dumps(report, default=cli._fmt)) == manifest["reports"][stage]
+        assert json.loads(json.dumps(report, default=cli._json_default)) == manifest["reports"][stage]
     assert sorted(names) == sorted(manifest["checks"])
     assert summary["checks"] == manifest["checks"]
 

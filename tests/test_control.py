@@ -10,8 +10,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from hardylab.control import (Gramian, _eta_matrix, _eta_matrix_trapezoid, defect_curve,
                               gramian, hum_solve, verify_control)
-from hardylab.evolution import (ModeState, fat_cantor_mask, interval_mask, propagate,
-                                trapezoid_weights)
+from hardylab.evolution import ModeState, TimeGrid, fat_cantor_mask, interval_mask, propagate
 from hardylab.spectral import RadialGrid, assemble_hardy_operator, solve_spectrum
 
 
@@ -252,7 +251,7 @@ def _time_domain_verify(result, gram, u0, n_steps):
     mus = gram.mode_eigenvalues
     t_end = gram.horizon
     s = np.linspace(0.0, t_end, n_steps + 1)
-    w = trapezoid_weights(n_steps + 1, t_end / n_steps)
+    w = TimeGrid(t_end, n_steps).trapezoid_weights()
     g = _time_domain_source(gram, result.multiplier, s)
     integral = ((np.exp(1j * np.outer(mus, t_end - s)) * g.T) * w).sum(axis=1)
     u_t = np.exp(1j * mus * t_end) * u0.coeffs - 1j * integral
@@ -281,7 +280,7 @@ def _eta_block_sum(mus, horizon, n_steps, block=4096):
     # oracle: the trapezoid sum node by node, one (P w) @ P^H product per
     # block of time nodes, the block sums added pairwise
     times = np.linspace(0.0, horizon, n_steps + 1)
-    weights = trapezoid_weights(n_steps + 1, horizon / n_steps)
+    weights = TimeGrid(horizon, n_steps).trapezoid_weights()
     blocks = []
     for start in range(0, n_steps + 1, block):
         phases = np.exp(1j * np.outer(mus, times[start:start + block]))
