@@ -15,7 +15,8 @@ symmetric tridiagonal matrix with zero diagonal and off-diagonal
 import math
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+
+from .lapack import eigh_tridiagonal
 
 
 def bessel_zeros(nu: float, count: int) -> np.ndarray:
@@ -39,6 +40,5 @@ def bessel_zeros(nu: float, count: int) -> np.ndarray:
     rows = math.ceil(reach + 8.0 * reach ** (1 / 3)) + 10
     k = nu + np.arange(1, rows)
     top = eigh_tridiagonal(np.zeros(rows), 1.0 / np.sqrt(k * (k + 1)), eigvals_only=True,
-                           select="i", select_range=(rows - count, rows - 1),
-                           tol=np.finfo(float).tiny)
+                           select_range=(rows - count, rows - 1), tol=np.finfo(float).tiny)
     return 2.0 / top[::-1]

@@ -1,7 +1,8 @@
 """Batch front end: presets, deterministic runs, CSV/JSON artifacts.
 
 Every subcommand writes its tables plus a manifest (config snapshot, the
-python, numpy and scipy versions and the OpenBLAS libraries pinned to one
+python and numpy versions, the library that computed the tridiagonal
+eigensolves (lapack.LIBRARY) and the OpenBLAS libraries pinned to one
 thread, check booleans, each check's value, comparator and bound from
 CHECKS, each stage's report of measured values and of the sizes it used, its
 wall seconds, sha256 digests) into a stamped directory under --out
@@ -50,7 +51,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import angular as ang
 from . import control as ctl
@@ -58,6 +58,7 @@ from . import elliptic as ell
 from . import evolution as evo
 from . import flatness as fla
 from . import inverse as inv
+from . import lapack
 from . import spectral as spc
 from .errors import SupercriticalCouplingError
 
@@ -761,7 +762,9 @@ _RUNNERS = {
 }
 
 
-# the (getter, setter) symbol pairs of the OpenBLAS builds numpy and scipy ship
+# the (getter, setter) symbol pairs of the OpenBLAS that numpy's wheels ship,
+# of scipy's (loaded only where lapack falls back to scipy.linalg) and of a
+# system OpenBLAS
 _OPENBLAS_SYMBOLS = [(f"{prefix}_get_num_threads{suffix}", f"{prefix}_set_num_threads{suffix}")
                      for prefix in ("scipy_openblas", "openblas") for suffix in ("64_", "")]
 
@@ -828,7 +831,7 @@ def _run_stages(subcommand: str, lab: Lab, outdir: Path,
         "subcommand": subcommand,
         "config": lab.config,
         "versions": {"python": platform.python_version(), "numpy": np.__version__,
-                     "scipy": scipy.__version__, "blas": blas},
+                     "lapack": lapack.LIBRARY, "blas": blas},
         "wall_clock_utc": datetime.now(timezone.utc).isoformat(),
         "elapsed_seconds": time.monotonic() - started,
         "stage_seconds": stage_seconds,

@@ -15,10 +15,10 @@ gracefully (order ~ 2*nu) for singular couplings.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .bessel import bessel_zeros
 from .errors import SupercriticalCouplingError
+from .lapack import eigh_tridiagonal
 
 EIGEN_RESIDUAL_TOL = 1e-10  # relative to ||A||, per eigenpair
 
@@ -89,8 +89,7 @@ def dirichlet_eigenpairs(diagonal: np.ndarray, offdiagonal: np.ndarray, spacing:
     and the first component above 1e-12 * max|v| of each is positive.  Every
     pair must have residual ||A v - mu v|| <= EIGEN_RESIDUAL_TOL ||A|| ||v||.
     """
-    vals, vecs = eigh_tridiagonal(diagonal, offdiagonal, select="i",
-                                  select_range=(0, count - 1))
+    vals, vecs = eigh_tridiagonal(diagonal, offdiagonal, select_range=(0, count - 1))
     # Euclidean-orthonormal -> orthonormal under the spacing-weighted quadrature
     vecs = vecs / np.sqrt(spacing)
     size = np.abs(vecs)
@@ -148,6 +147,8 @@ class SpectralBasis:
 def solve_spectrum(op: HardyDiscretization, k_modes: int) -> SpectralBasis:
     """Lowest k_modes eigenpairs of the tridiagonal discretization."""
     n = op.grid.n_interior
+    if k_modes < 1:
+        raise ValueError(f"count must be >= 1: k_modes = {k_modes}")
     if k_modes > n:
         raise ValueError(f"k_modes = {k_modes} exceeds matrix size {n}")
     vals, vecs = dirichlet_eigenpairs(op.diagonal, op.offdiagonal, op.grid.spacing, k_modes)
@@ -179,7 +180,7 @@ def hardy_pencil_infimum(grid: RadialGrid) -> float:
     r = grid.nodes
     diag = 2.0 * r**2 / h**2
     off = -(r[:-1] * r[1:]) / h**2
-    vals = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0), eigvals_only=True)
+    vals = eigh_tridiagonal(diag, off, select_range=(0, 0), eigvals_only=True)
     return float(vals[0])
 
 

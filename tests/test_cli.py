@@ -16,13 +16,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hardylab import cli
 from hardylab import evolution as evo
 from hardylab import flatness as fla
+from hardylab import lapack
 from hardylab import spectral as spc
 from hardylab.cli import LabConfig, load_config, main, run, validate_config
 from hardylab.errors import IllPosedTruncationError, SupercriticalCouplingError
@@ -529,17 +529,17 @@ def _loaded_modules(imports: str, package: str) -> list[str]:
     return [name for name in json.loads(out.stdout) if name.split(".")[0] == package]
 
 
-def test_cli_import_loads_no_scipy_beyond_linalg():
-    # the import floor of every run: scipy.fft, scipy.special or any other
-    # scipy module beyond scipy.linalg would add to the start-up time
-    assert _loaded_modules("hardylab.cli", "scipy") == _loaded_modules("scipy.linalg", "scipy")
+def test_cli_import_loads_no_scipy():
+    # the import floor of every run: the eigensolves run on numpy's own
+    # LAPACK, and importing scipy.linalg would more than double the start-up
+    assert _loaded_modules("hardylab.cli", "scipy") == []
 
 
 def test_module_import_loads_only_its_dependencies():
     # the package re-exports nothing, so importing one module by name loads
     # that module and what it imports, not the whole package
     assert _loaded_modules("hardylab.spectral", "hardylab") == [
-        "hardylab", "hardylab.bessel", "hardylab.errors", "hardylab.spectral"]
+        "hardylab", "hardylab.bessel", "hardylab.errors", "hardylab.lapack", "hardylab.spectral"]
 
 
 def test_seed_and_out_flags(tmp_path, monkeypatch):
@@ -660,7 +660,7 @@ def test_manifest_keeps_stage_reports_and_times(all_run):
 def test_manifest_records_the_library_versions(tmp_path, all_run):
     _, _, _, manifest = all_run
     assert manifest["versions"] == {"python": platform.python_version(),
-                                    "numpy": np.__version__, "scipy": scipy.__version__,
+                                    "numpy": np.__version__, "lapack": lapack.LIBRARY,
                                     "blas": [name for name, _, _ in cli._openblas_libraries()]}
     # a repeated run under the same versions digests identically
     assert run("all", light_config(), tmp_path) == 0

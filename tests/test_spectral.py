@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
-from hardylab import spectral
+from hardylab import lapack, spectral
 from hardylab.bessel import bessel_zeros
 from hardylab.errors import SupercriticalCouplingError
 from hardylab.spectral import (RadialGrid, assemble_hardy_operator, bessel_order,
@@ -148,7 +148,7 @@ def test_eigenpair_failure_names_the_first_failing_pair(monkeypatch):
     monkeypatch.undo()
 
     def shifted(*a, **kw):
-        vals, vecs = eigh_tridiagonal(*a, **kw)
+        vals, vecs = lapack.eigh_tridiagonal(*a, **kw)
         vals[[4, 2]] += 1.0
         return vals, vecs
 
@@ -167,6 +167,13 @@ def test_k_modes_exceeding_size_rejected():
     op = assemble_hardy_operator(RadialGrid(16), 0.0, 3)
     with pytest.raises(ValueError):
         solve_spectrum(op, 17)
+
+
+@pytest.mark.parametrize("k_modes", [0, -3])
+def test_k_modes_below_one_rejected_by_name(k_modes):
+    op = assemble_hardy_operator(RadialGrid(16), 0.0, 3)
+    with pytest.raises(ValueError, match=f"count must be >= 1: k_modes = {k_modes}"):
+        solve_spectrum(op, k_modes)
 
 
 def test_hardy_quotient_on_parabola():
