@@ -5,7 +5,8 @@ python and numpy versions, the library that computed the tridiagonal
 eigensolves (lapack.LIBRARY) and the OpenBLAS libraries pinned to one
 thread, check booleans, each check's value, comparator and bound from
 CHECKS, each stage's report of measured values and of the sizes it used, its
-wall seconds, sha256 digests) into a stamped directory under --out
+wall seconds and the process's peak RSS after it (not on Windows), sha256
+digests) into a stamped directory under --out
 (overridden by the LAB_OUT environment variable); the directory appears
 under its stamped name only once the manifest is written.  A CSV table is a
 header line, then one line per row with floats as %.17g and other values as
@@ -51,6 +52,11 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
+
+try:
+    import resource
+except ImportError:   # Windows: no ru_maxrss, so no stage_max_rss_mb
+    resource = None
 
 from . import angular as ang
 from . import control as ctl
@@ -413,10 +419,11 @@ def run_spectrum(lab: Lab, outdir: Path):
 
 
 def measure_hardy(n_interior: int, rng: np.random.Generator) -> dict:
-    """Rayleigh quotients of 1000 random vectors, drawn in blocks of 100 rows
-    (the stream of 1000 one-row draws); pencil infima at n/4, n/2 and n nodes."""
+    """Rayleigh quotients of 1000 random vectors, drawn 100 rows at a time into one
+    buffer (the stream of 1000 one-row draws); pencil infima at n/4, n/2 and n nodes."""
     grid = spc.RadialGrid(n_interior)
-    ratios = np.concatenate([spc.hardy_rayleigh(grid, rng.standard_normal((100, n_interior)))
+    draws = np.empty((100, n_interior))
+    ratios = np.concatenate([spc.hardy_rayleigh(grid, rng.standard_normal(out=draws))
                              for _ in range(10)])
     pencil = [(n, spc.hardy_pencil_infimum(spc.RadialGrid(n)))
               for n in (n_interior // 4, n_interior // 2, n_interior)]
@@ -812,7 +819,7 @@ def _run_stages(subcommand: str, lab: Lab, outdir: Path,
     """Run the stages into outdir and write the manifest last; blas names the
     OpenBLAS libraries pinned to one thread for the run."""
     started = time.monotonic()
-    checks, details, reports, stage_seconds = {}, {}, {}, {}
+    checks, details, reports, stage_seconds, stage_rss = {}, {}, {}, {}, {}
     for name in lab.stages:
         stage_started = time.monotonic()
         try:
@@ -820,6 +827,9 @@ def _run_stages(subcommand: str, lab: Lab, outdir: Path,
         except _STAGE_ERRORS as exc:
             raise StageFailure(name, exc) from exc
         stage_seconds[name] = time.monotonic() - stage_started
+        if resource is not None:   # the high-water mark in MiB; macOS counts bytes, Linux KiB
+            stage_rss[name] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / (
+                2**20 if sys.platform == "darwin" else 2**10)
         for key, verdict in verdicts.items():
             checks[key] = bool(verdict)
             details[key] = {**dataclasses.asdict(verdict), "pass": checks[key]}
@@ -835,6 +845,7 @@ def _run_stages(subcommand: str, lab: Lab, outdir: Path,
         "wall_clock_utc": datetime.now(timezone.utc).isoformat(),
         "elapsed_seconds": time.monotonic() - started,
         "stage_seconds": stage_seconds,
+        **({"stage_max_rss_mb": stage_rss} if resource is not None else {}),
         "checks": checks,
         "check_details": details,
         "reports": reports,

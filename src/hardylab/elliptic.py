@@ -28,7 +28,7 @@ from .errors import IllPosedTruncationError
 from .evolution import (ModeTrajectory, ObservationMask, TimeGrid,
                         free_trajectory, khatri_rao_core, numerical_rank,
                         observability_matrix, observe)
-from .flatness import FlatnessKernel, GevreyBump
+from .flatness import ROW_BLOCK, FlatnessKernel, GevreyBump
 from .spectral import SpectralBasis
 
 SIGMA_MIN_FLOOR = 1e-12
@@ -51,8 +51,8 @@ def transform(trajectory: ModeTrajectory, kernel: FlatnessKernel,
               mode_eigenvalues: np.ndarray) -> EllipticProfile:
     """W_k(t_i) = sum_j w_j K(t_i, tau_j) c_k(tau_j), trapezoid in tau.
 
-    The kernel is streamed in row blocks, so the dense (t, tau) array is
-    never held at once.
+    The kernel is streamed in row blocks, each weighted in place, so the
+    dense (t, tau) array is never held at once.
     """
     if trajectory.grid.steps + 1 != len(kernel.tau_nodes) or not np.allclose(
         trajectory.grid.times, kernel.tau_nodes, rtol=0.0, atol=1e-12
@@ -61,7 +61,8 @@ def transform(trajectory: ModeTrajectory, kernel: FlatnessKernel,
     w = trajectory.grid.trapezoid_weights()
     values = np.empty((len(kernel.t_nodes), trajectory.coeffs.shape[1]), dtype=complex)
     for start, stop in kernel.row_blocks():
-        values[start:stop] = (kernel.sub_grid(slice(start, stop)) * w) @ trajectory.coeffs
+        block = kernel.sub_grid(slice(start, stop))
+        values[start:stop] = np.multiply(block, w, out=block) @ trajectory.coeffs
     return EllipticProfile(kernel.t_nodes, values.T, np.asarray(mode_eigenvalues))
 
 
@@ -161,8 +162,10 @@ def uniqueness_pipeline(c0: np.ndarray, basis: SpectralBasis, mask: ObservationM
     Refuses (IllPosedTruncationError) when sigma_min drops below 1e-12.
     """
     c0 = np.asarray(c0, dtype=complex)
-    samples = observe(free_trajectory(c0, basis, obs_grid), mask, basis)
-    weighted = np.sqrt(np.outer(obs_grid.trapezoid_weights(), mask.weights)) * samples
+    weighted = observe(free_trajectory(c0, basis, obs_grid), mask, basis)
+    w_t = obs_grid.trapezoid_weights()
+    for rows in (slice(i, i + ROW_BLOCK) for i in range(0, len(w_t), ROW_BLOCK)):
+        weighted[rows] *= np.sqrt(np.outer(w_t[rows], mask.weights))
     eta = float(np.linalg.norm(weighted))
     report = observability_matrix(basis, mask, obs_grid)
     sigma_min = float(report.singular_values[-1])

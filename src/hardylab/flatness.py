@@ -17,8 +17,9 @@ there, so the principal branch is safe for non-integer sigma.
 
 The kernel is kept in this rank-(K+1) separable form: the t nodes, the tau
 nodes and the derivative table psi^(k)(tau_j).  Dense values are summed on
-demand, a block of t rows at a time, by one evaluator, so every consumer
-sees the same bits without holding the whole (t, tau) array.
+demand, a block of t rows at a time, by one evaluator from operands built
+once per kernel, so every consumer sees the same bits without holding the
+whole (t, tau) array.
 """
 
 import functools
@@ -54,8 +55,11 @@ class GevreyBump:
         return out if out.ndim else float(out)
 
     def eval_complex(self, z: np.ndarray) -> np.ndarray:
-        # no support cutoff: used only on contours strictly inside (0, T)
-        w = z * (self.horizon - z)
+        # no support cutoff: used only on contours strictly inside (0, T).
+        # (T - z) z in this order at every size: numpy swaps the operands of
+        # z * (T - z) from 256 KiB on, and the order changes complex bits
+        w = self.horizon - z
+        w *= z
         return np.exp(self.c_norm - w ** (-self.sigma))
 
 
@@ -99,12 +103,15 @@ def derivative_table(bump: GevreyBump, taus: np.ndarray, k_max: int) -> np.ndarr
     values below 1e-17) until both sides underflow to exact zeros; the
     kernel multiplies those rows by factors <= 4^k/(2k)!.
 
-    The bits of a column depend on how many orders are requested, through
-    the column blocking of the contour product.  On 1025 tau nodes at T = 1
-    and one BLAS thread, the columns a k_max table shares with the k_max = 33
-    one are equal to them at k_max = 23, 27 and 31-34, and differ in their
-    last bits at 20-22, 24-26, 28-30 and 35-41.  So a table shared by several
-    truncations is built at an order fixed by the configuration alone.
+    The contour is sampled ROW_BLOCK tau rows at a time, with bits that do
+    not depend on the block, and summed by one product over all rows: a
+    BLAS product's bits for a row depend on its row count, and those of a
+    column on how many orders are requested, through its column blocking.
+    On 1025 tau nodes at T = 1 and one BLAS thread, the columns a k_max
+    table shares with the k_max = 33 one are equal to them at k_max = 23,
+    27 and 31-34, and differ in their last bits at 20-22, 24-26, 28-30 and
+    35-41.  So a table shared by several truncations is built at an order
+    fixed by the configuration alone.
     """
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     t_end = bump.horizon
@@ -116,8 +123,10 @@ def derivative_table(bump: GevreyBump, taus: np.ndarray, k_max: int) -> np.ndarr
         return table
     theta = 2.0 * np.pi * np.arange(m) / m
     ks = np.arange(k_max + 1)
-    z = taus[interior, None] + r[interior, None] * np.exp(1j * theta)[None, :]
-    vals = bump.eval_complex(z)                       # (n_int, m)
+    centers, radii = taus[interior, None], r[interior, None]
+    vals = np.empty((len(centers), m), dtype=complex)   # (n_int, m)
+    for rows in (slice(i, i + ROW_BLOCK) for i in range(0, len(centers), ROW_BLOCK)):
+        vals[rows] = bump.eval_complex(centers[rows] + radii[rows] * np.exp(1j * theta))
     basis = np.exp(-1j * np.outer(theta, ks))         # (m, k_max+1)
     avg = (vals @ basis) / m
     fact = np.cumprod(np.concatenate(([1.0], np.arange(1.0, k_max + 1))))
@@ -186,25 +195,26 @@ def _even_power_factors(t, k_trunc: int) -> np.ndarray:
     return fac
 
 
-def _evaluate(t, table: np.ndarray, k_trunc: int) -> np.ndarray:
-    """sum_{k=0}^{k_trunc} i^k (t_i+1)^(2k)/(2k)! table[j, k], summed in k order.
+def _evaluate(fac: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """sum_k i^k fac[k, i] columns[k, j], summed in k order, from factor rows
+    fac[k, i] = (t_i+1)^(2k)/(2k)! (_even_power_factors) and table columns
+    columns[k, j] = table[j, k] of the same orders.
 
     Every kernel-shaped series is summed here, so dense values from any
     caller and any row block are bit-identical.  The table is real, so i^k
     sends even orders to the real part and odd orders to the imaginary
-    part, each with the sign of k mod 4, folded into the factor rows.  Each
-    part is one einsum contraction over its orders.  einsum's default loop
-    (optimize=False, no BLAS) adds fac[k, i] * column[k, :] into output row
-    i in ascending k, one multiply and one add per term with no fused
-    multiply-add, so each entry gets the products and sums of the plain
-    loop over orders, which the tests keep as the oracle.  An empty sum
-    (k_trunc = -1) is zero.
+    part, each with the sign of k mod 4, folded into a copy of the factor
+    rows.  Each part is one einsum contraction over its orders, on
+    contiguous operands.  einsum's default loop (optimize=False, no BLAS)
+    adds fac[k, i] * column[k, :] into output row i in ascending k, one
+    multiply and one add per term with no fused multiply-add, so each entry
+    gets the products and sums of the plain loop over orders, which the
+    tests keep as the oracle.  An empty sum (no orders) is zero.
     """
-    fac = _even_power_factors(t, k_trunc)
+    fac, columns = np.array(fac), np.ascontiguousarray(columns)
     fac[2::4] *= -1.0
     fac[3::4] *= -1.0
-    columns = np.ascontiguousarray(table[:, : k_trunc + 1].T)
-    values = np.empty((fac.shape[1], table.shape[0]), dtype=complex)
+    values = np.empty((fac.shape[1], columns.shape[1]), dtype=complex)
     values.real = np.einsum("ki,kj->ij", fac[0::2], columns[0::2])
     values.imag = np.einsum("ki,kj->ij", fac[1::2], columns[1::2])
     if not np.all(np.isfinite(values)):
@@ -219,7 +229,8 @@ class FlatnessKernel:
 
     The table has at least k_trunc + 2 columns (orders 0..k_trunc + 1); each
     consumer reads only the orders it needs, so one table can serve kernels
-    of several truncations."""
+    of several truncations.  The evaluator's operands on the whole grid are
+    built once, on first use, and later edits of the table do not reach them."""
 
     bump: GevreyBump
     k_trunc: int
@@ -231,7 +242,14 @@ class FlatnessKernel:
         """Kernel values on t_nodes[t_index] x tau_nodes[tau_index].  The
         series is summed entry by entry, so each value has the bits of the
         same entry of `values`."""
-        return _evaluate(self.t_nodes[t_index], self.deriv_table[tau_index], self.k_trunc)
+        fac, columns = self._series_operands
+        return _evaluate(fac[:, t_index], columns[: self.k_trunc + 1, tau_index])
+
+    @functools.cached_property
+    def _series_operands(self) -> tuple[np.ndarray, np.ndarray]:
+        """Factor rows (orders 0..k_trunc, all t) and table columns (0..k_trunc + 1)."""
+        return (_even_power_factors(self.t_nodes, self.k_trunc),
+                np.ascontiguousarray(self.deriv_table[:, : self.k_trunc + 2].T))
 
     def row_blocks(self) -> list[tuple[int, int]]:
         """(start, stop) of consecutive ROW_BLOCK-row slices of the t grid.
@@ -287,19 +305,22 @@ def kernel_residual(kernel: FlatnessKernel) -> KernelResidualReport:
     maxima are kept.
     """
     kt = kernel.k_trunc
-    table = kernel.deriv_table
+    fac, columns = kernel._series_operands
     peaks = []   # per row block, in the report's field order
     for start, stop in kernel.row_blocks():
-        t = kernel.t_nodes[start:stop]
-        e_series = _evaluate(t, table[:, 1:], kt - 1)
-        last = 1j**kt * np.multiply.outer(_even_power_factors(t, kt)[kt], table[:, kt + 1])
-        dtau, dtt, tail = e_series + last, 1j * e_series, 1j * last
-        residual = 1j * dtau - dtt
+        # dtau = E + last, dtt = i E, tail = i last (products by i are exact);
+        # the residual's peak is read before its gap to the tail is formed in place
+        e_series = _evaluate(fac[:kt, start:stop], columns[1 : kt + 1])
+        last = 1j**kt * np.multiply.outer(fac[kt, start:stop], columns[kt + 1])
+        residual = 1j * (e_series + last)
+        residual -= np.multiply(e_series, 1j, out=e_series)
+        last *= 1j
         peaks.append([np.abs(residual).max(), np.abs(kernel.sub_grid(slice(start, stop))).max(),
-                      np.abs(residual - tail).max()])
+                      np.abs(np.subtract(residual, last, out=residual)).max()])
     return KernelResidualReport(*map(float, np.max(peaks, axis=0)))
 
 
 def control_trace(kernel: FlatnessKernel) -> np.ndarray:
     """Boundary control v(tau) = K(1, tau) implied by the construction."""
-    return _evaluate(1.0, kernel.deriv_table, kernel.k_trunc)[0]
+    return _evaluate(_even_power_factors(1.0, kernel.k_trunc),
+                     kernel._series_operands[1][: kernel.k_trunc + 1])[0]

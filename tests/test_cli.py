@@ -655,6 +655,32 @@ def test_manifest_keeps_stage_reports_and_times(all_run):
     assert len(manifest["checks"]) == 31
     identity = manifest["check_details"]["hum_defect_identity"]
     assert identity["value"] == manifest["reports"]["hum"]["identity_gap"]
+    if cli.resource is None:
+        assert "stage_max_rss_mb" not in manifest
+        return
+    # each stage's resident-set high-water mark in MiB: a python process with
+    # numpy holds tens of MiB, and the mark never falls from stage to stage
+    assert list(manifest["stage_max_rss_mb"]) == sorted(cli._RUNNERS)
+    marks = [manifest["stage_max_rss_mb"][name] for name in cli._RUNNERS]
+    now = cli.resource.getrusage(cli.resource.RUSAGE_SELF).ru_maxrss
+    now /= 2**20 if sys.platform == "darwin" else 2**10
+    assert 10.0 < marks[0] and marks[-1] <= now < 10_000.0
+    assert marks == sorted(marks)
+
+
+def test_manifest_omits_the_rss_marks_without_resource(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "resource", None)
+    assert run("spectrum", light_config(), tmp_path) == 0
+    manifest = json.loads((find_run_dir(tmp_path, "spectrum") / "manifest.json").read_text())
+    assert "stage_max_rss_mb" not in manifest and list(manifest["stage_seconds"]) == ["spectrum"]
+
+
+def test_hardy_sweep_is_the_stream_of_one_row_draws():
+    n = 64
+    m = cli.measure_hardy(n, np.random.default_rng(3))
+    rng, grid = np.random.default_rng(3), spc.RadialGrid(n)
+    assert m["ratios"].tolist() == [spc.hardy_rayleigh(grid, rng.standard_normal(n))
+                                    for _ in range(1000)]
 
 
 def test_manifest_records_the_library_versions(tmp_path, all_run):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hardylab.cli import LabConfig, _one_blas_thread, validate_config
 from hardylab.flatness import (MAX_TRUNCATION, ROW_BLOCK, _evaluate, _even_power_factors,
                                build_kernel, bump_derivatives_exact, control_trace,
                                derivative_table, gevrey_bump, guard_band, kernel_residual)
@@ -276,6 +277,11 @@ def broadcast_series_oracle(t, table, k_trunc):
     return values
 
 
+def evaluate(t, table, k_trunc):
+    """The evaluator on t and the table's orders 0..k_trunc, its operands built as given."""
+    return _evaluate(_even_power_factors(t, k_trunc), table[:, : k_trunc + 1].T)
+
+
 def assert_same_bits(got, oracle):
     assert np.array_equal(got, oracle)
     assert np.array_equal(np.signbit(got.view(float)), np.signbit(oracle.view(float)))
@@ -300,7 +306,7 @@ def test_evaluate_bit_identical_to_broadcast_loop():
     for rows in (table, table[[5]], table[[0, -1]], table[:3]):
         for t in t_grids:
             for k_trunc in range(-1, MAX_TRUNCATION + 1):
-                assert_same_bits(_evaluate(t, rows, k_trunc),
+                assert_same_bits(evaluate(t, rows, k_trunc),
                                  broadcast_series_oracle(t, rows, k_trunc))
 
 
@@ -314,7 +320,7 @@ def test_evaluate_bit_identical_to_broadcast_loop_on_random_tables(nt, ntau, k_t
     table = rng.choice([-1.0, 0.0, 1.0], size=(ntau, k_trunc + 1), p=[0.45, 0.1, 0.45])
     table *= 10.0 ** rng.uniform(-20.0, 4.0, size=table.shape)
     t = rng.uniform(-1.0, 1.0, size=nt)
-    assert_same_bits(_evaluate(t, table, k_trunc), broadcast_series_oracle(t, table, k_trunc))
+    assert_same_bits(evaluate(t, table, k_trunc), broadcast_series_oracle(t, table, k_trunc))
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
@@ -323,7 +329,7 @@ def test_non_finite_table_raises_from_every_evaluation(bad):
     kernel = build_kernel(bump, np.linspace(-1, 1, 9), np.linspace(0.0, 1.0, 33), 6)
     kernel.deriv_table[16, 3] = bad
     with pytest.raises(FloatingPointError, match="non-finite"):
-        _evaluate(kernel.t_nodes, kernel.deriv_table, kernel.k_trunc)
+        evaluate(kernel.t_nodes, kernel.deriv_table, kernel.k_trunc)
     with pytest.raises(FloatingPointError, match="non-finite"):
         kernel.sub_grid(slice(2, 5))
     with pytest.raises(FloatingPointError, match="non-finite"):
@@ -351,3 +357,48 @@ def test_control_trace_off_grid_matches_on_grid():
     assert on_grid.t_nodes[-1] == 1.0 and 1.0 not in off_grid.t_nodes
     assert np.array_equal(control_trace(on_grid), on_grid.values[-1])
     assert np.array_equal(control_trace(off_grid), control_trace(on_grid))
+
+
+# Contour samples: derivative_table evaluates the bump ROW_BLOCK tau rows at a
+# time.  numpy computes z * (T - z) as (T - z) z for arrays of 256 KiB and
+# more (it swaps the operands to reuse the temporary) and as z (T - z) below,
+# and the two complex products differ in last bits, so eval_complex fixes the
+# order and these tests pin it against the whole-array formula.
+
+def default_contour():
+    """The default run's context, and the interior rows, radii, angles and
+    contour nodes that derivative_table samples for it."""
+    lab = validate_config(LabConfig(), "kernel")
+    bump, taus = lab.bump(), lab.tau_grid.times
+    m = max(256, 4 * lab.table().shape[1])
+    interior = (taus > 0.0) & (taus < bump.horizon) & ~guard_band(bump, taus)
+    r = 0.5 * np.minimum(taus, bump.horizon - taus)
+    theta = 2.0 * np.pi * np.arange(m) / m
+    z = taus[interior, None] + r[interior, None] * np.exp(1j * theta)[None, :]
+    return lab, interior, r, theta, z
+
+
+def whole_array_samples(bump, z):
+    return np.exp(bump.c_norm - np.multiply(bump.horizon - z, z) ** (-bump.sigma))
+
+
+@pytest.mark.parametrize("block", [1, 59, ROW_BLOCK])
+def test_blocked_contour_samples_equal_the_whole_array_formula(block):
+    lab, _, _, _, z = default_contour()
+    assert z.nbytes >= 256 * 1024 > z[:59].nbytes
+    blocked = np.concatenate([lab.bump().eval_complex(z[start:start + block])
+                              for start in range(0, len(z), block)])
+    assert np.array_equal(blocked, whole_array_samples(lab.bump(), z))
+
+
+def test_default_table_equals_the_whole_array_formula():
+    lab, interior, r, theta, z = default_contour()
+    k_max = lab.table().shape[1] - 1
+    ks = np.arange(k_max + 1)
+    fact = np.cumprod(np.concatenate(([1.0], np.arange(1.0, k_max + 1))))
+    expected = np.zeros_like(lab.table())
+    with _one_blas_thread():
+        avg = (whole_array_samples(lab.bump(), z) @ np.exp(-1j * np.outer(theta, ks))) / len(theta)
+        table = derivative_table(lab.bump(), lab.tau_grid.times, k_max)
+    expected[interior] = avg.real * fact[None, :] / r[interior, None] ** ks[None, :]
+    assert np.array_equal(table, expected)
