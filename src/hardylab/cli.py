@@ -42,7 +42,6 @@ import math
 import operator
 import os
 import platform
-import re
 import shutil
 import sys
 import time
@@ -276,6 +275,20 @@ def _json_default(x):
 _QUOTED = (",", '"', "\r", "\n")
 
 
+def _column_cells(col: np.ndarray) -> tuple[str, list]:
+    """The %-format and the cells of one column.  A float64 column that
+    repeats (the t and node columns _sampled builds) is formatted once per
+    distinct bit pattern, so -0.0 stays apart from 0.0, and its cells are
+    those strings; any other column is left to the one %-pass over all cells."""
+    if col.dtype != np.float64:
+        return ("%.17g" if col.dtype.kind == "f" else "%s"), col.tolist()
+    distinct, index = np.unique(col.view(np.uint64), return_inverse=True)
+    if 2 * len(distinct) > len(col):
+        return "%.17g", col.tolist()
+    text = ["%.17g" % v for v in distinct.view(np.float64).tolist()]
+    return "%s", [text[i] for i in index.tolist()]
+
+
 def write_csv(path: Path, header: list[str], columns) -> None:
     """A header line, then one line per row of the columns (one array per
     header name): values of a floating column as %.17g, any other value as
@@ -288,18 +301,22 @@ def write_csv(path: Path, header: list[str], columns) -> None:
         raise ValueError("CSV fields must not hold commas, quotes or line breaks")
     n_rows = len(columns[0]) if columns else 0
     cells = [None] * (n_rows * len(columns))
+    formats = []
     for j, col in enumerate(columns):
-        cells[j::len(columns)] = col.tolist()   # ValueError unless n_rows long
-    row = ",".join("%.17g" if col.dtype.kind == "f" else "%s" for col in columns) + "\r\n"
+        fmt, values = _column_cells(col)
+        cells[j::len(columns)] = values   # ValueError unless n_rows long
+        formats.append(fmt)
+    row = ",".join(formats) + "\r\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         fh.write((row * n_rows) % tuple(cells))
 
 
 def write_json(path: Path, payload: dict) -> None:
+    """payload as indented JSON with sorted keys and a final newline, in one write."""
+    text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _digest(path: Path) -> str:
@@ -658,34 +675,45 @@ def _linear_rho(grid: evo.TimeGrid, rho0: float, slope: float) -> inv.VolterraSy
 def measure_inverse(basis6: spc.SpectralBasis, basis1: spc.SpectralBasis, f6: np.ndarray,
                     zr: np.ndarray, recon_grid: evo.TimeGrid, id_grid: evo.TimeGrid) -> dict:
     """Recovery of f6 and round trip of zr on recon_grid; on id_grid with one mode,
-    the identity chain, the rho(0) = 0 rejection and the two rho(0) = 0 routes."""
+    the identity chain, the rho(0) = 0 rejection and the two rho(0) = 0 routes.
+    Each part drops its long-grid arrays once it has read its numbers."""
     sys6 = _linear_rho(recon_grid, 1.0, 0.5)
-    traj6 = evo.duhamel_solve(f6, sys6.rho, basis6, recon_grid)
-    recon = inv.reconstruct_f(traj6, sys6, basis6.eigenvalues, f6)
+    recon = inv.reconstruct_f(evo.duhamel_solve(f6, sys6.rho, basis6, recon_grid), sys6,
+                              basis6.eigenvalues, f6)
     roundtrip = float(np.abs(inv.volterra_invert(sys6, inv.volterra_apply(sys6, zr)) - zr).max())
-    sys1 = _linear_rho(id_grid, 1.0, 0.5)
     f1 = np.array([1.0 + 0.0j])
-    traj1 = evo.duhamel_solve(f1, sys1.rho, basis1, id_grid)
-    rec1 = inv.reconstruct_f(traj1, sys1, basis1.eigenvalues, f1)
-    free = float(inv.free_evolution_check(rec1.z, basis1.eigenvalues, id_grid.dt).max())
-    sys_t = _linear_rho(id_grid, 0.0, 1.0)
-    rejected = False
-    try:
-        inv.volterra_invert(sys_t, np.ones(len(id_grid.times), dtype=complex))
-    except ValueError:
-        rejected = True
-    traj_t = evo.duhamel_solve(f1, sys_t.rho, basis1, id_grid)
-    w = inv.antiderivative_reduce(traj_t)
-    v = evo.free_trajectory(-1j * f1, basis1, id_grid)
-    route4 = inv.convolve_source(evo.cumulative_trapezoid(sys_t.rho, id_grid.dt), v,
-                                 basis1.eigenvalues)
-    return {"reconstruction": recon, "route4": route4, "inverse_roundtrip": roundtrip,
+    return {"reconstruction": recon, "inverse_roundtrip": roundtrip,
             "inverse_reconstruction": (math.inf if recon.relative_error is None
                                        else recon.relative_error),
-            "inverse_factorization_identity": rec1.factorization_residual,
+            **_identity_chain(basis1, f1, id_grid), **_vanishing_rho_routes(basis1, f1, id_grid)}
+
+
+def _identity_chain(basis1: spc.SpectralBasis, f1: np.ndarray, grid: evo.TimeGrid) -> dict:
+    """K z = du/dt, u = rho * z and z' = i mu z for the recovered z of rho(t) = 1 + t/2."""
+    sys1 = _linear_rho(grid, 1.0, 0.5)
+    traj1 = evo.duhamel_solve(f1, sys1.rho, basis1, grid)
+    rec1 = inv.reconstruct_f(traj1, sys1, basis1.eigenvalues, f1)
+    return {"inverse_factorization_identity": rec1.factorization_residual,
             "inverse_convolution_identity": inv.duhamel_identity_residual(traj1, sys1, rec1.z),
-            "inverse_free_evolution": free, "inverse_rho0_rejected": rejected,
-            "inverse_reduction_agreement": float(np.abs(route4.y.coeffs - w.coeffs).max())}
+            "inverse_free_evolution": float(
+                inv.free_evolution_check(rec1.z, basis1.eigenvalues, grid.dt).max())}
+
+
+def _vanishing_rho_routes(basis1: spc.SpectralBasis, f1: np.ndarray, grid: evo.TimeGrid) -> dict:
+    """For rho(t) = t: the rejected second-kind inversion, and the antiderivative
+    reduction against the convolution route."""
+    sys_t = _linear_rho(grid, 0.0, 1.0)
+    rejected = False
+    try:
+        inv.volterra_invert(sys_t, np.ones(len(grid.times), dtype=complex))
+    except ValueError:
+        rejected = True
+    w = inv.antiderivative_reduce(evo.duhamel_solve(f1, sys_t.rho, basis1, grid))
+    route4 = inv.convolve_source(evo.cumulative_trapezoid(sys_t.rho, grid.dt),
+                                 evo.free_trajectory(-1j * f1, basis1, grid), basis1.eigenvalues)
+    return {"inverse_rho0_rejected": rejected,
+            "inverse_reduction_agreement": float(np.abs(route4.y.coeffs - w.coeffs).max()),
+            "source_identity_residual": route4.source_identity_residual}
 
 
 def run_inverse(lab: Lab, outdir: Path):
@@ -708,7 +736,7 @@ def run_inverse(lab: Lab, outdir: Path):
         "free_evolution_residual": m["inverse_free_evolution"],
         "rho0_zero_rejected": m["inverse_rho0_rejected"],
         "reduction_route_agreement": m["inverse_reduction_agreement"],
-        "source_identity_residual": m["route4"].source_identity_residual,
+        "source_identity_residual": m["source_identity_residual"],
     })
     return _judge_stage("inverse-source", m), {
         "roundtrip": m["inverse_roundtrip"], "rel_err": recon.relative_error,
@@ -776,12 +804,24 @@ _OPENBLAS_SYMBOLS = [(f"{prefix}_get_num_threads{suffix}", f"{prefix}_set_num_th
                      for prefix in ("scipy_openblas", "openblas") for suffix in ("64_", "")]
 
 
+def _openblas_paths(maps: str) -> list[str]:
+    """The distinct OpenBLAS paths in a /proc/<pid>/maps text, sorted: the path
+    field, the sixth and last, which may hold spaces, of each line naming one."""
+    paths = set()
+    for line in maps.splitlines():
+        if "openblas" in line:   # the other fields are numbers and flags
+            fields = line.split(maxsplit=5)
+            if len(fields) == 6 and ".so" in fields[5]:
+                paths.add(fields[5])
+    return sorted(paths)
+
+
 def _openblas_libraries() -> list[tuple[str, Callable[[], int], Callable[[int], None]]]:
     """(file name, thread-count getter, setter) of each OpenBLAS mapped into
     this process; none without /proc."""
     try:
         with open("/proc/self/maps") as fh:
-            paths = sorted(set(re.findall(r"/\S*openblas\S*\.so\S*", fh.read())))
+            paths = _openblas_paths(fh.read())
     except OSError:
         return []
     found = []

@@ -86,7 +86,9 @@ def duhamel_modal_source(g: np.ndarray, mus: np.ndarray, grid: TimeGrid) -> Mode
     g has shape (steps+1, k).  With the step phase P = exp(i mu dt), row j is
     the composite trapezoid value -i P^j sum_{i<j} h/2 (e_i + e_{i+1}),
     e_i = P^-i g_i, taken as one cumulative sum; the phases have unit
-    modulus, so no factor overflows however long the grid.
+    modulus, so no factor overflows however long the grid.  The products and
+    the sum are formed in buffers already held, so at most three (steps+1, k)
+    complex arrays are live besides g.
     """
     if g.shape[0] != grid.steps + 1:
         raise ValueError("source samples do not match the time grid")
@@ -98,11 +100,19 @@ def duhamel_modal_source(g: np.ndarray, mus: np.ndarray, grid: TimeGrid) -> Mode
     big = 134217729.0 * x             # 2^27 + 1: x_hi keeps 26 bits
     x_hi = big - (big - x)
     j = np.arange(grid.steps + 1, dtype=float)[:, None]
-    phase = np.exp(1j * (j * x_hi)) * np.exp(1j * (j * (x - x_hi)))
-    pulled = phase.conj() * g
+    phase = 1j * (j * x_hi)
+    np.exp(phase, out=phase)
+    low = 1j * (j * (x - x_hi))
+    phase *= np.exp(low, out=low)
+    del low
+    pulled = phase.conj()
+    pulled *= g
     acc = np.zeros_like(phase)
-    np.cumsum(pulled[:-1] + pulled[1:], axis=0, out=acc[1:])
-    return ModeTrajectory(grid, -0.5j * grid.dt * phase * acc)
+    np.add(pulled[:-1], pulled[1:], out=acc[1:])
+    np.cumsum(acc[1:], axis=0, out=acc[1:])
+    np.multiply(-0.5j * grid.dt, phase, out=phase)
+    phase *= acc
+    return ModeTrajectory(grid, phase)
 
 
 def duhamel_solve(f_modes: np.ndarray, rho: np.ndarray, basis: SpectralBasis,

@@ -13,6 +13,11 @@ recovered z is a free evolution with z(0) = -i f, so f = i z(0).  When
 rho(0) = 0 the direct route is rejected; the antiderivative reduction and
 the causal convolution y = rho * v provide the alternate route, and the
 Titchmarsh support check confirms that convolution starts add.
+
+On long grids (tens of thousands of steps) the chain works in place: the
+reciprocal fills one preallocated array, and the convolution's corrections
+and the solve's right-hand side go into buffers already held, with the same
+operations in the same order as whole-array expressions, so the bits match.
 """
 
 import functools
@@ -51,11 +56,13 @@ class VolterraSystem:
         """
         col = self.grid.dt * self.drho[:-1]
         col[0] = self.rho_at_zero + 0.5 * col[0]
-        x = np.array([1.0 / col[0]])
-        while len(x) < len(col):
-            m, head = len(x), col[: 2 * len(x)]
-            r = _fftconvolve(head, x)[m : len(head)]
-            x = np.concatenate((x, -_fftconvolve(x[: len(r)], r)[: len(r)]))
+        x = np.empty(len(col))   # filled in place, x[:m] known
+        x[0], m = 1.0 / col[0], 1
+        while m < len(col):
+            head = col[: 2 * m]
+            r = _fftconvolve(head, x[:m])[m : len(head)]
+            np.negative(_fftconvolve(x[: len(r)], r)[: len(r)], out=x[m : m + len(r)])
+            m += len(r)
         x.setflags(write=False)
         return x
 
@@ -98,15 +105,24 @@ def _fftconvolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     inputs, padded to the next fast length), from numpy.fft, so the bits match.
     Where it can, a transform writes into an array already allocated: at the
     lengths of long time grids (80,190 for 40,001 samples) a fresh output
-    costs about what numpy's complex FFT loses to scipy's.
+    costs about what numpy's complex FFT loses to scipy's.  On the complex
+    path the product forms in the spectrum of the operand of the result's
+    shape and is inverted there, so no product array is allocated; it is always
+    spectrum(a) * spectrum(b), the order scipy computes, since complex
+    products under FMA differ in their last bits when the factors swap.
     """
     if len(a) == 1 or len(b) == 1:
         return a * b
     n = len(a) + len(b) - 1
     if np.iscomplexobj(a) or np.iscomplexobj(b):
         size = _next_fast_len(n, False)
-        product = _spectrum(a, size) * _spectrum(b, size)
-        full = np.fft.ifft(product, axis=0, out=product)
+        if a.shape[1:] == np.broadcast_shapes(a.shape[1:], b.shape[1:]):
+            full = _spectrum(a, size)
+            full *= _spectrum(b, size)
+        else:
+            full = _spectrum(b, size)
+            np.multiply(_spectrum(a, size), full, out=full)
+        np.fft.ifft(full, axis=0, out=full)
     else:
         size = _next_fast_len(n, True)
         full = np.fft.irfft(np.fft.rfft(a, size, axis=0) * np.fft.rfft(b, size, axis=0),
@@ -125,8 +141,10 @@ def trapezoid_convolution(a: np.ndarray, b: np.ndarray, dt: float) -> np.ndarray
         raise ValueError("convolution inputs must share the grid")
     if np.ndim(b) == 2:
         a = a[:, None]
-    full = _fftconvolve(a, b)[:n]
-    out = dt * (full - 0.5 * a * b[0] - 0.5 * a[0] * b)
+    full = _fftconvolve(a, b)[:n]   # the corrections go into the transform buffer
+    full -= 0.5 * a * b[0]
+    full -= 0.5 * a[0] * b
+    out = dt * full
     out[0] = 0.0
     return out
 
@@ -145,6 +163,8 @@ def volterra_invert(sys: VolterraSystem, g: np.ndarray) -> np.ndarray:
     lower-triangular Toeplitz system with diagonal rho(0) + dt rho'(0)/2 and
     subdiagonals dt rho'(d), solved for all columns by one FFT convolution
     with its inverse's first column, sys.reciprocal (built once per system).
+    Rows 1.. of the solution hold the right-hand side until the convolution
+    replaces it.
     """
     if abs(sys.rho_at_zero) <= RHO_ZERO_TOL:
         raise ValueError("rho(0) = 0: second-kind inversion unavailable on this route")
@@ -153,9 +173,13 @@ def volterra_invert(sys: VolterraSystem, g: np.ndarray) -> np.ndarray:
     if n != sys.grid.steps + 1:
         raise ValueError("data does not match the system grid")
     rhs = g.reshape(n, -1)
-    z0 = rhs[0] / sys.rho_at_zero
-    b = rhs[1:] - 0.5 * sys.grid.dt * np.outer(sys.drho[1:], z0)
-    return np.vstack((z0, _fftconvolve(sys.reciprocal[:, None], b)[: n - 1])).reshape(g.shape)
+    z = np.empty(rhs.shape, dtype=complex)
+    z[0] = rhs[0] / sys.rho_at_zero
+    b = np.outer(sys.drho[1:], z[0], out=z[1:])   # the right-hand side of rows 1.. in place
+    np.multiply(0.5 * sys.grid.dt, b, out=b)
+    np.subtract(rhs[1:], b, out=b)
+    b[...] = _fftconvolve(sys.reciprocal[:, None], b)[: n - 1]
+    return z.reshape(g.shape)
 
 
 @dataclass

@@ -743,6 +743,18 @@ def test_openblas_threads_restored_after_a_stage_fails(tmp_path, monkeypatch,
     assert _blas_threads(openblas_at_two_threads) == [2] * len(openblas_at_two_threads)
 
 
+def test_openblas_paths_are_whole_path_fields_spaces_included():
+    maps = ("7f00-7f10 r--p 00000000 fe:00 12   /opt/my libs/libopenblas64_.so.0\n"
+            "7f10-7f20 r-xp 00001000 fe:00 12   /opt/my libs/libopenblas64_.so.0\n"
+            "7f20-7f30 r--p 00000000 fe:00 13   /usr/lib/libscipy_openblas-ab12.so\n"
+            "7f30-7f40 rw-p 00000000 00:00 0 \n"
+            "7f40-7f50 r--p 00000000 fe:00 14   /usr/lib/libm.so.6\n"
+            "7f50-7f60 r--p 00000000 fe:00 15   /data/openblas notes.txt\n"
+            "7ffd-7ffe rw-p 00000000 00:00 0    [stack]\n")
+    assert cli._openblas_paths(maps) == ["/opt/my libs/libopenblas64_.so.0",
+                                         "/usr/lib/libscipy_openblas-ab12.so"]
+
+
 def test_manifest_names_no_blas_when_none_is_found(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_openblas_libraries", lambda: [])
     assert run("titchmarsh", light_config(), tmp_path) == 0

@@ -50,13 +50,42 @@ _TEXT = st.text(st.characters(min_codepoint=32, max_codepoint=126, blacklist_cha
                 min_size=1, max_size=12)
 
 
+# bit patterns of 0.0, -0.0 and NaNs of several signs and payloads: values
+# that compare equal, or unordered, but must each keep their own text
+_SPECIAL_BITS = [0x0000000000000000, 0x8000000000000000, 0x7FF8000000000000,
+                 0x7FF8000000000001, 0xFFF8000000000000, 0x7FF4000000000000]
+
+
+def _bits(x: float) -> int:
+    return int(np.float64(x).view(np.uint64))
+
+
+@st.composite
+def repeated_floats(draw, n_rows: int) -> np.ndarray:
+    """A float64 column of at most four distinct bit patterns, repeated (as
+    _sampled's x column), tiled (as its y column) or in any order."""
+    pool = draw(st.lists(st.one_of(st.sampled_from(_SPECIAL_BITS), _FLOATS.map(_bits)),
+                         min_size=1, max_size=4))
+    reps = -(-n_rows // len(pool))
+    picks = draw(st.sampled_from([
+        np.repeat(np.arange(len(pool)), reps)[:n_rows],
+        np.tile(np.arange(len(pool)), reps)[:n_rows],
+        np.array(draw(st.lists(st.integers(0, len(pool) - 1), min_size=n_rows,
+                               max_size=n_rows)), dtype=int)]))
+    return np.array(pool, dtype=np.uint64)[picks].view(np.float64)
+
+
 @st.composite
 def tables(draw):
     n_rows = draw(st.integers(0, 12))
-    kinds = draw(st.lists(st.sampled_from(["float", "int", "text"]), min_size=1, max_size=5))
+    kinds = draw(st.lists(st.sampled_from(["float", "int", "text", "repeated"]),
+                          min_size=1, max_size=5))
     header = [f"c{j}" for j in range(len(kinds))]
     columns = []
     for kind in kinds:
+        if kind == "repeated":
+            columns.append(draw(repeated_floats(n_rows)))
+            continue
         values = draw(st.lists({"float": _FLOATS, "int": _INTS, "text": _TEXT}[kind],
                                min_size=n_rows, max_size=n_rows))
         # call sites pass numpy arrays and plain lists
@@ -88,6 +117,18 @@ def test_write_csv_text_format(tmp_path):
     body = written(tmp_path, cli.write_csv, ["k", "x", "s"],
                    [[1, 2], [0.1, -0.0], np.array(["min", "max"])])
     assert body == b"k,x,s\r\n1,0.10000000000000001,min\r\n2,-0,max\r\n"
+
+
+def test_repeated_float_column_is_formatted_once_per_bit_pattern(tmp_path):
+    nans = np.array([0x7FF8000000000000, 0xFFF8000000000001], dtype=np.uint64).view(np.float64)
+    col = np.repeat([0.0, -0.0, nans[0], nans[1], 0.5], 3)
+    fmt, cells = cli._column_cells(col)
+    assert fmt == "%s" and cells == ["0"] * 3 + ["-0"] * 3 + ["nan"] * 6 + ["0.5"] * 3
+    assert cli._column_cells(np.array([0.0, -0.0, 1.0])) == ("%.17g", [0.0, -0.0, 1.0])
+    header = ["t", "x"]
+    columns = [col, np.arange(15.0)]
+    assert (written(tmp_path, cli.write_csv, header, columns)
+            == written(tmp_path, row_writer_oracle, header, list(zip(*columns))))
 
 
 @pytest.mark.parametrize("header, columns", [

@@ -355,3 +355,21 @@ def test_fat_cantor_short_interval_rejected():
 def test_modal_source_grid_mismatch_rejected():
     with pytest.raises(ValueError):
         duhamel_modal_source(np.zeros((5, 2)), np.array([1.0, 2.0]), TimeGrid(1.0, 10))
+
+
+@pytest.mark.parametrize("steps, k", [(299, 1), (299, 6), (40_000, 1), (4000, 6)])
+def test_in_place_duhamel_has_the_bits_of_the_whole_array_expression(steps, k):
+    grid = TimeGrid(1.0, steps)
+    rng = np.random.default_rng(steps + k)
+    g = rng.standard_normal((steps + 1, k)) + 1j * rng.standard_normal((steps + 1, k))
+    mus = np.linspace(3.0, 2500.0, k)
+    x = mus * grid.dt
+    big = 134217729.0 * x
+    x_hi = big - (big - x)
+    j = np.arange(steps + 1, dtype=float)[:, None]
+    phase = np.exp(1j * (j * x_hi)) * np.exp(1j * (j * (x - x_hi)))
+    pulled = phase.conj() * g
+    acc = np.zeros_like(phase)
+    np.cumsum(pulled[:-1] + pulled[1:], axis=0, out=acc[1:])
+    assert np.array_equal(duhamel_modal_source(g, mus, grid).coeffs,
+                          -0.5j * grid.dt * phase * acc)

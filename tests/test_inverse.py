@@ -351,7 +351,7 @@ def test_next_fast_len_matches_scipy(real):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 255, 256, 257, 1000, 4097, 10_001, 40_001])
-@pytest.mark.parametrize("kinds", ["rr", "rc", "cc"])
+@pytest.mark.parametrize("kinds", ["rr", "rc", "cr", "cc"])
 def test_fftconvolve_bit_identical_to_scipy(n, kinds):
     rng = np.random.default_rng(n)
     a, b = rng.standard_normal(n), rng.standard_normal(n)
@@ -369,6 +369,50 @@ def test_fftconvolve_axis0_broadcast_bit_identical_to_scipy(m, h, k):
     b = rng.standard_normal((h, k)) + 1j * rng.standard_normal((h, k))
     assert np.array_equal(_fftconvolve(col, b), fftconvolve(col, b, axes=0))
     assert np.array_equal(_fftconvolve(col, b.real), fftconvolve(col, b.real, axes=0))
+    # a complex column: the product forms in b's spectrum, still as spectrum(a) * spectrum(b)
+    ccol = col + 1j * rng.standard_normal((m, 1))
+    assert np.array_equal(_fftconvolve(ccol, b), fftconvolve(ccol, b, axes=0))
+    assert np.array_equal(_fftconvolve(b, ccol), fftconvolve(b, ccol, axes=0))
+
+
+def concatenating_reciprocal(sys: VolterraSystem) -> np.ndarray:
+    """The Newton doubling that grew x by concatenation at every step."""
+    col = sys.grid.dt * sys.drho[:-1]
+    col[0] = sys.rho_at_zero + 0.5 * col[0]
+    x = np.array([1.0 / col[0]])
+    while len(x) < len(col):
+        m, head = len(x), col[: 2 * len(x)]
+        r = _fftconvolve(head, x)[m : len(head)]
+        x = np.concatenate((x, -_fftconvolve(x[: len(r)], r)[: len(r)]))
+    return x
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 1000, 40_000])
+def test_reciprocal_in_one_array_has_the_bits_of_the_concatenating_loop(length):
+    sys = make_system(lambda t: 1 + t / 2 + np.sin(3 * t), lambda t: 0.5 + 3 * np.cos(3 * t),
+                      steps=length)
+    assert len(sys.reciprocal) == length
+    assert np.array_equal(sys.reciprocal, concatenating_reciprocal(sys))
+
+
+@pytest.mark.parametrize("n, k", [(300, 1), (300, 6), (40_001, 1), (4001, 6), (4001, 0)])
+def test_in_place_solves_have_the_bits_of_the_whole_array_expressions(n, k):
+    # 40,001 and (4001, 6) rows are past numpy's 256 KiB temporary elision
+    # threshold, 300 rows below it; k = 0 stands for a 1-D right-hand side
+    sys = make_system(lambda t: 1 + t / 2, lambda t: 0.5, steps=n - 1)
+    rng = np.random.default_rng(n + k)
+    shape = (n, k) if k else (n,)
+    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    rhs = g.reshape(n, -1)
+    z0 = rhs[0] / sys.rho_at_zero
+    b = rhs[1:] - 0.5 * sys.grid.dt * np.outer(sys.drho[1:], z0)
+    z = np.vstack((z0, _fftconvolve(sys.reciprocal[:, None], b)[: n - 1])).reshape(g.shape)
+    assert np.array_equal(volterra_invert(sys, g), z)
+    a = sys.drho[:, None] if k else sys.drho
+    full = _fftconvolve(a, g)[:n]
+    conv = sys.grid.dt * (full - 0.5 * a * g[0] - 0.5 * a[0] * g)
+    conv[0] = 0.0
+    assert np.array_equal(trapezoid_convolution(sys.drho, g, sys.grid.dt), conv)
 
 
 @settings(max_examples=40, deadline=None)
