@@ -2,38 +2,36 @@
 
 Every subcommand writes its tables plus a manifest (config snapshot, the
 python and numpy versions, the library that computed the tridiagonal
-eigensolves (lapack.LIBRARY) and the OpenBLAS libraries pinned to one
-thread, check booleans, each check's value, comparator and bound from
-CHECKS, each stage's report of measured values and of the sizes it used, its
-wall seconds and the process's peak RSS after it (not on Windows), sha256
-digests) into a stamped directory under --out
-(overridden by the LAB_OUT environment variable); the directory appears
-under its stamped name only once the manifest is written.  A CSV table is a
-header line, then one line per row with floats as %.17g and other values as
-str, comma-separated and unquoted, every line ending in CRLF.  The stages run
-with every loaded OpenBLAS on one thread, so bodies of the CSV/JSON
-artifacts are functions of config and seed only, not of the core count, and
-repeated runs digest identically.
+eigensolves (lapack.LIBRARY) and the OpenBLAS libraries that
+lapack.one_blas_thread pinned to one thread, check booleans, each check's
+value, comparator and bound from CHECKS, each stage's report of measured
+values and of the sizes it used, its wall seconds and the process's peak
+RSS after it (not on Windows), sha256 digests) into a stamped directory
+under --out (overridden by the LAB_OUT environment variable); the
+directory appears under its stamped name only once the manifest is
+written.  A CSV table is a header line, then one line per row with floats
+as %.17g and other values as str, comma-separated and unquoted, every line
+ending in CRLF.  The stages run with the OpenBLAS that lapack computes with
+on one thread, so bodies of the CSV/JSON artifacts are functions of config
+and seed only, not of the core count, and repeated runs digest identically.
 
 Exit codes: 0 success, 1 tolerance breach under --check, 2 invalid
 configuration (among others a non-finite lam, horizon, mask_a, mask_b or
 eps_list entry, a Bessel order nu = sqrt(lambda_star - lam) above
 MAX_BESSEL_ORDER, spectrum_modes or k_modes above n_interior, an observation
-mask without grid nodes, a horizon below a stage's HORIZON_FLOORS entry, a
-tau grid that flatness.guard_band refuses for kernel and transform, for
-uniqueness a mask whose samples are fewer than the unknowns of its
-observability or UCP map, or an output root under which the run directory
-cannot be created, checked before any stage runs), 3 supercritical
-coupling, 4 a stage failed on a configuration that passed validation: it
-raised ValueError, RuntimeError (which covers IllPosedTruncationError, a
-failed eigenpair residual and a Gramian that is not positive definite) or
-FloatingPointError.  The stage_failure payload names the stage and the
-exception class, and no output directory is left.
+mask without grid nodes, a horizon below a stage's HORIZON_FLOORS entry, for
+kernel and transform a horizon whose bump constant overflows (above 1.34e154)
+or a tau grid that flatness.guard_band refuses, for uniqueness a mask whose
+samples are fewer than the unknowns of its observability or UCP map, or an
+output root under which the run directory cannot be created, checked before
+any stage runs), 3 supercritical coupling, 4 a stage failed on a configuration
+that passed validation: it raised ValueError, RuntimeError (which covers
+IllPosedTruncationError, a failed eigenpair residual and a Gramian that is not
+positive definite) or FloatingPointError.  The stage_failure payload names the
+stage and the exception class, and no output directory is left.
 """
 
 import argparse
-import contextlib
-import ctypes
 import dataclasses
 import functools
 import hashlib
@@ -45,7 +43,6 @@ import platform
 import shutil
 import sys
 import time
-from collections.abc import Callable
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -797,83 +794,25 @@ _RUNNERS = {
 }
 
 
-# the (getter, setter) symbol pairs of the OpenBLAS that numpy's wheels ship,
-# of scipy's (loaded only where lapack falls back to scipy.linalg) and of a
-# system OpenBLAS
-_OPENBLAS_SYMBOLS = [(f"{prefix}_get_num_threads{suffix}", f"{prefix}_set_num_threads{suffix}")
-                     for prefix in ("scipy_openblas", "openblas") for suffix in ("64_", "")]
-
-
-def _openblas_paths(maps: str) -> list[str]:
-    """The distinct OpenBLAS paths in a /proc/<pid>/maps text, sorted: the path
-    field, the sixth and last, which may hold spaces, of each line naming one."""
-    paths = set()
-    for line in maps.splitlines():
-        if "openblas" in line:   # the other fields are numbers and flags
-            fields = line.split(maxsplit=5)
-            if len(fields) == 6 and ".so" in fields[5]:
-                paths.add(fields[5])
-    return sorted(paths)
-
-
-def _openblas_libraries() -> list[tuple[str, Callable[[], int], Callable[[int], None]]]:
-    """(file name, thread-count getter, setter) of each OpenBLAS mapped into
-    this process; none without /proc."""
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = _openblas_paths(fh.read())
-    except OSError:
-        return []
-    found = []
-    for path in paths:
-        lib = ctypes.CDLL(path)   # already loaded: the same handle, no second copy
-        for get_name, set_name in _OPENBLAS_SYMBOLS:
-            if hasattr(lib, get_name) and hasattr(lib, set_name):
-                getter, setter = getattr(lib, get_name), getattr(lib, set_name)
-                getter.argtypes, getter.restype = [], ctypes.c_int
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                found.append((Path(path).name, getter, setter))
-                break
-    return found
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the body with every loaded OpenBLAS on one thread; yield their file
-    names.  The lab's products are too small to gain from more threads, whose
-    workers busy-wait on a second core and whose split reductions change last
-    bits with the core count.  The previous counts come back on exit."""
-    libraries = _openblas_libraries()
-    previous = [getter() for _, getter, _ in libraries]
-    try:
-        for _, _, setter in libraries:
-            setter(1)
-        yield [name for name, _, _ in libraries]
-    finally:
-        for (_, _, setter), count in zip(libraries, previous):
-            setter(count)
-
-
-def _run_stages(subcommand: str, lab: Lab, outdir: Path,
-                blas: list[str]) -> dict[str, bool]:
-    """Run the stages into outdir and write the manifest last; blas names the
-    OpenBLAS libraries pinned to one thread for the run."""
+def _run_stages(subcommand: str, lab: Lab, outdir: Path) -> dict[str, bool]:
+    """Run the stages into outdir with OpenBLAS on one thread, then write the manifest."""
     started = time.monotonic()
     checks, details, reports, stage_seconds, stage_rss = {}, {}, {}, {}, {}
-    for name in lab.stages:
-        stage_started = time.monotonic()
-        try:
-            verdicts, rep = _RUNNERS[name](lab, outdir)
-        except _STAGE_ERRORS as exc:
-            raise StageFailure(name, exc) from exc
-        stage_seconds[name] = time.monotonic() - stage_started
-        if resource is not None:   # the high-water mark in MiB; macOS counts bytes, Linux KiB
-            stage_rss[name] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / (
-                2**20 if sys.platform == "darwin" else 2**10)
-        for key, verdict in verdicts.items():
-            checks[key] = bool(verdict)
-            details[key] = {**dataclasses.asdict(verdict), "pass": checks[key]}
-        reports[name] = rep
+    with lapack.one_blas_thread() as blas:
+        for name in lab.stages:
+            stage_started = time.monotonic()
+            try:
+                verdicts, rep = _RUNNERS[name](lab, outdir)
+            except _STAGE_ERRORS as exc:
+                raise StageFailure(name, exc) from exc
+            stage_seconds[name] = time.monotonic() - stage_started
+            if resource is not None:   # the high-water mark in MiB; macOS counts bytes, Linux KiB
+                stage_rss[name] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / (
+                    2**20 if sys.platform == "darwin" else 2**10)
+            for key, verdict in verdicts.items():
+                checks[key] = bool(verdict)
+                details[key] = {**dataclasses.asdict(verdict), "pass": checks[key]}
+            reports[name] = rep
     digests = {p.name: _digest(p) for p in sorted(outdir.iterdir())
                if p.suffix in (".csv", ".json")}
     manifest = {
@@ -911,8 +850,7 @@ def run(subcommand: str, cfg: LabConfig, out_root: Path, check: bool = False) ->
         raise ConfigError(f"cannot create the output directory under {out_root}: "
                           f"{exc.strerror}") from exc
     try:
-        with _one_blas_thread() as blas:
-            checks = _run_stages(subcommand, lab, workdir, blas)
+        checks = _run_stages(subcommand, lab, workdir)
         workdir.rename(outdir)
     except BaseException:
         shutil.rmtree(workdir, ignore_errors=True)

@@ -67,7 +67,10 @@ def gevrey_bump(horizon: float, sigma: float = 2.0) -> GevreyBump:
         raise ValueError("horizon must be positive")
     if sigma < 1:
         raise ValueError("sigma must be >= 1")
-    c = (4.0 / horizon**2) ** sigma
+    try:
+        c = (4.0 / horizon**2) ** sigma
+    except (OverflowError, ZeroDivisionError) as exc:   # T^2 or 4/T^2 leaves float64
+        raise ValueError(f"the bump constant (4/T^2)^sigma overflows at T = {horizon:g}") from exc
     return GevreyBump(horizon, sigma, c)
 
 

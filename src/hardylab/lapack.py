@@ -10,9 +10,12 @@ Windows, whose GetProcAddress searches no dependent DLL, and with numpy
 built on Accelerate) this module runs scipy.linalg.eigh_tridiagonal itself.
 
 LIBRARY names what computes the eigenpairs: the file name of the LAPACK
-library, or "scipy.linalg <version>" where scipy does.
+library, or "scipy.linalg <version>" where scipy does.  one_blas_thread()
+pins to one thread the OpenBLAS reached through the same handle and, where
+scipy runs the eigensolves, also the one scipy's LAPACK extension reaches.
 """
 
+import contextlib
 import ctypes
 import operator
 import os
@@ -24,16 +27,29 @@ _INT = ctypes.POINTER(ctypes.c_int64)
 _DOUBLE = ctypes.POINTER(ctypes.c_double)
 _ARRAY = ctypes.c_void_p   # the address of a contiguous float64 or int64 array
 
+# the (getter, setter) thread-count symbol pairs of the OpenBLAS that numpy's
+# wheels ship, of scipy's and of a system OpenBLAS
+_THREAD_SYMBOLS = [(f"{prefix}_get_num_threads{suffix}", f"{prefix}_set_num_threads{suffix}")
+                   for prefix in ("scipy_openblas", "openblas") for suffix in ("64_", "")]
+
 
 class _DlInfo(ctypes.Structure):
     _fields_ = [("dli_fname", ctypes.c_char_p), ("dli_fbase", ctypes.c_void_p),
                 ("dli_sname", ctypes.c_char_p), ("dli_saddr", ctypes.c_void_p)]
 
 
-def _numpy_lapack():
-    """(dstebz, dstein, library file name) from the LAPACK numpy links;
-    OSError or AttributeError where they cannot be reached."""
-    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+def _file_name(function) -> str:
+    """The file name of the library that defines a ctypes function."""
+    info, dladdr = _DlInfo(), ctypes.CDLL(None).dladdr
+    dladdr.argtypes, dladdr.restype = [ctypes.c_void_p, ctypes.POINTER(_DlInfo)], ctypes.c_int
+    if not dladdr(ctypes.cast(function, ctypes.c_void_p), ctypes.byref(info)):
+        raise OSError(f"dladdr names no library for {function.__name__}")
+    return Path(os.fsdecode(info.dli_fname)).name
+
+
+def _numpy_lapack(lib: ctypes.CDLL):
+    """(dstebz, dstein, library file name) from the LAPACK that numpy's handle
+    lib reaches; OSError or AttributeError where they cannot be reached."""
     stebz, stein = lib.scipy_dstebz_64_, lib.scipy_dstein_64_
     # RANGE, ORDER, N, VL, VU, IL, IU, ABSTOL, D, E, M, NSPLIT, W, IBLOCK,
     # ISPLIT, WORK, IWORK, INFO, then the lengths of the two characters
@@ -43,21 +59,49 @@ def _numpy_lapack():
     # N, D, E, M, W, IBLOCK, ISPLIT, Z, LDZ, WORK, IWORK, IFAIL, INFO
     stein.argtypes = [_INT, *[_ARRAY] * 2, _INT, *[_ARRAY] * 4, _INT, *[_ARRAY] * 3, _INT]
     stebz.restype = stein.restype = None
-    info = _DlInfo()
-    dladdr = ctypes.CDLL(None).dladdr
-    dladdr.argtypes, dladdr.restype = [ctypes.c_void_p, ctypes.POINTER(_DlInfo)], ctypes.c_int
-    if not dladdr(ctypes.cast(stebz, ctypes.c_void_p), ctypes.byref(info)):
-        raise OSError("dladdr names no library for scipy_dstebz_64_")
-    return stebz, stein, Path(os.fsdecode(info.dli_fname)).name
+    return stebz, stein, _file_name(stebz)
 
 
+def _openblas(lib: ctypes.CDLL) -> dict:
+    """{file name: (thread-count getter, setter)} of the OpenBLAS lib reaches, if any."""
+    for get_name, set_name in _THREAD_SYMBOLS:
+        if hasattr(lib, get_name) and hasattr(lib, set_name):
+            getter, setter = getattr(lib, get_name), getattr(lib, set_name)
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            return {_file_name(getter): (getter, setter)}
+    return {}
+
+
+_BLAS = {}   # the thread controls of each OpenBLAS the handles below reach, by file name
 try:
-    _STEBZ, _STEIN, LIBRARY = _numpy_lapack()
+    _lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    _BLAS.update(_openblas(_lib))
+    _STEBZ, _STEIN, LIBRARY = _numpy_lapack(_lib)
     _scipy_eigh_tridiagonal = None
 except (OSError, AttributeError):
     import scipy
+    from scipy.linalg import _flapack
     from scipy.linalg import eigh_tridiagonal as _scipy_eigh_tridiagonal
     LIBRARY = f"scipy.linalg {scipy.__version__}"
+    with contextlib.suppress(OSError):
+        _BLAS.update(_openblas(ctypes.CDLL(_flapack.__file__)))
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the body with the OpenBLAS this module computes with on one thread;
+    yield their file names, and restore the previous counts on exit.  More
+    threads only busy-wait on a second core for the lab's small products, and
+    their split reductions change last bits with the core count."""
+    previous = [getter() for getter, _ in _BLAS.values()]
+    try:
+        for _, setter in _BLAS.values():
+            setter(1)
+        yield list(_BLAS)
+    finally:
+        for (_, setter), count in zip(_BLAS.values(), previous):
+            setter(count)
 
 
 def _check_info(info: ctypes.c_int64, routine: str) -> None:

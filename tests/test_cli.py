@@ -368,6 +368,18 @@ def test_long_horizon_with_the_default_tau_grid_runs(tmp_path, subcommand):
                tmp_path) == 0
 
 
+@pytest.mark.parametrize("subcommand", ["kernel", "transform", "all"])
+def test_horizon_too_large_for_the_bump_rejected_before_output(tmp_path, capsys, subcommand):
+    # 1e300**2 overflows float64, so the bump constant (4/T^2)^sigma cannot be formed
+    cfg_file = tmp_path / "huge.cfg"
+    cfg_file.write_text("horizon = 1e300\n")
+    out_root = tmp_path / "out"
+    assert main([subcommand, "--config", str(cfg_file), "--out", str(out_root)]) == 2
+    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert payload["error"] == "invalid_config" and "bump constant" in payload["message"]
+    assert not out_root.exists()
+
+
 def test_guard_band_applies_only_to_the_stages_that_build_a_kernel(tmp_path):
     cfg = light_config(horizon=30.0, tau_steps=16384)
     for subcommand in ("spectrum", "hardy", "evolve", "uniqueness", "angular", "hum",
@@ -687,7 +699,7 @@ def test_manifest_records_the_library_versions(tmp_path, all_run):
     _, _, _, manifest = all_run
     assert manifest["versions"] == {"python": platform.python_version(),
                                     "numpy": np.__version__, "lapack": lapack.LIBRARY,
-                                    "blas": [name for name, _, _ in cli._openblas_libraries()]}
+                                    "blas": list(lapack._BLAS)}
     # a repeated run under the same versions digests identically
     assert run("all", light_config(), tmp_path) == 0
     again = json.loads((find_run_dir(tmp_path, "all") / "manifest.json").read_text())
@@ -697,20 +709,20 @@ def test_manifest_records_the_library_versions(tmp_path, all_run):
 
 @pytest.fixture
 def openblas_at_two_threads():
-    """Every loaded OpenBLAS at two threads for the test, then as before."""
-    libraries = cli._openblas_libraries()
-    if not libraries:
-        pytest.skip("no OpenBLAS library is loaded")
-    before = [getter() for _, getter, _ in libraries]
-    for _, _, setter in libraries:
+    """Each OpenBLAS that lapack pins at two threads for the test, then as before."""
+    controls = list(lapack._BLAS.values())
+    if not controls:
+        pytest.skip("lapack reaches no OpenBLAS")
+    before = [getter() for getter, _ in controls]
+    for _, setter in controls:
         setter(2)
-    yield libraries
-    for (_, _, setter), count in zip(libraries, before):
+    yield controls
+    for (_, setter), count in zip(controls, before):
         setter(count)
 
 
-def _blas_threads(libraries) -> list[int]:
-    return [getter() for _, getter, _ in libraries]
+def _blas_threads(controls) -> list[int]:
+    return [getter() for getter, _ in controls]
 
 
 def test_stages_run_on_one_openblas_thread(tmp_path, monkeypatch, openblas_at_two_threads):
@@ -725,7 +737,7 @@ def test_stages_run_on_one_openblas_thread(tmp_path, monkeypatch, openblas_at_tw
     assert seen == [[1] * len(openblas_at_two_threads)]
     assert _blas_threads(openblas_at_two_threads) == [2] * len(openblas_at_two_threads)
     manifest = json.loads((find_run_dir(tmp_path, "spectrum") / "manifest.json").read_text())
-    assert manifest["versions"]["blas"] == [name for name, _, _ in openblas_at_two_threads]
+    assert manifest["versions"]["blas"] == list(lapack._BLAS)
 
 
 def test_openblas_threads_restored_after_a_stage_fails(tmp_path, monkeypatch,
@@ -743,20 +755,8 @@ def test_openblas_threads_restored_after_a_stage_fails(tmp_path, monkeypatch,
     assert _blas_threads(openblas_at_two_threads) == [2] * len(openblas_at_two_threads)
 
 
-def test_openblas_paths_are_whole_path_fields_spaces_included():
-    maps = ("7f00-7f10 r--p 00000000 fe:00 12   /opt/my libs/libopenblas64_.so.0\n"
-            "7f10-7f20 r-xp 00001000 fe:00 12   /opt/my libs/libopenblas64_.so.0\n"
-            "7f20-7f30 r--p 00000000 fe:00 13   /usr/lib/libscipy_openblas-ab12.so\n"
-            "7f30-7f40 rw-p 00000000 00:00 0 \n"
-            "7f40-7f50 r--p 00000000 fe:00 14   /usr/lib/libm.so.6\n"
-            "7f50-7f60 r--p 00000000 fe:00 15   /data/openblas notes.txt\n"
-            "7ffd-7ffe rw-p 00000000 00:00 0    [stack]\n")
-    assert cli._openblas_paths(maps) == ["/opt/my libs/libopenblas64_.so.0",
-                                         "/usr/lib/libscipy_openblas-ab12.so"]
-
-
 def test_manifest_names_no_blas_when_none_is_found(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "_openblas_libraries", lambda: [])
+    monkeypatch.setattr(lapack, "_BLAS", {})
     assert run("titchmarsh", light_config(), tmp_path) == 0
     manifest = json.loads((find_run_dir(tmp_path, "titchmarsh") / "manifest.json").read_text())
     assert manifest["versions"]["blas"] == []

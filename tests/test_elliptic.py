@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from hardylab.cli import _one_blas_thread
 from hardylab.elliptic import (CylinderWindow, EllipticProfile, elliptic_residual,
                                moment_trace, transform, ucp_probe,
                                uniqueness_pipeline)
@@ -10,6 +9,7 @@ from hardylab.evolution import (TimeGrid, free_trajectory, interval_mask,
                                 observability_matrix)
 from hardylab.evolution import ModeTrajectory
 from hardylab.flatness import build_kernel, gevrey_bump
+from hardylab.lapack import one_blas_thread
 from hardylab.spectral import RadialGrid, SpectralBasis, assemble_hardy_operator, solve_spectrum
 
 
@@ -63,7 +63,7 @@ def test_transform_with_one_row_remainder_equals_dense_contraction(setup, nt):
     basis, bump, tau_grid, _ = setup
     kernel = build_kernel(bump, np.linspace(-1.0, 1.0, nt), tau_grid.times, 24)
     traj = free_trajectory(np.array([1.0, -0.5 + 0.25j, 0.1, 0.7j]), basis, tau_grid)
-    with _one_blas_thread():
+    with one_blas_thread():
         profile = transform(traj, kernel, basis.eigenvalues)
         dense = (kernel.values * tau_grid.trapezoid_weights()) @ traj.coeffs
     assert np.array_equal(profile.values, dense.T)

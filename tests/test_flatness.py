@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hardylab.cli import LabConfig, _one_blas_thread, validate_config
+from hardylab.cli import LabConfig, validate_config
 from hardylab.flatness import (MAX_TRUNCATION, ROW_BLOCK, _evaluate, _even_power_factors,
                                build_kernel, control_trace, derivative_table, gevrey_bump,
                                guard_band, kernel_residual)
+from hardylab.lapack import one_blas_thread
 
 from flatness_oracle import bump_derivatives_exact
 
@@ -26,6 +27,9 @@ def test_bump_validation():
         gevrey_bump(0.0, 2.0)
     with pytest.raises(ValueError):
         gevrey_bump(1.0, 0.5)
+    for horizon in (1e300, 1e-200):   # T^2 overflows, or 4/T^2 divides by zero
+        with pytest.raises(ValueError, match="bump constant"):
+            gevrey_bump(horizon, 2.0)
 
 
 def test_cauchy_zeroth_derivative_matches_direct():
@@ -399,7 +403,7 @@ def test_default_table_equals_the_whole_array_formula():
     ks = np.arange(k_max + 1)
     fact = np.cumprod(np.concatenate(([1.0], np.arange(1.0, k_max + 1))))
     expected = np.zeros_like(lab.table())
-    with _one_blas_thread():
+    with one_blas_thread():
         avg = (whole_array_samples(lab.bump(), z) @ np.exp(-1j * np.outer(theta, ks))) / len(theta)
         table = derivative_table(lab.bump(), lab.tau_grid.times, k_max)
     expected[interior] = avg.real * fact[None, :] / r[interior, None] ** ks[None, :]

@@ -112,13 +112,14 @@ from hardylab import lapack
 
 cases = json.loads(sys.argv[1])
 out = {}
-for i, (d, e, select_range, eigvals_only, tol) in enumerate(cases):
-    r = lapack.eigh_tridiagonal(np.array(d), np.array(e), select_range=select_range,
-                                eigvals_only=eigvals_only, tol=tol)
-    for j, a in enumerate((r,) if eigvals_only else r):
-        out[f"{i}.{j}"] = a
+with lapack.one_blas_thread() as blas:
+    for i, (d, e, select_range, eigvals_only, tol) in enumerate(cases):
+        r = lapack.eigh_tridiagonal(np.array(d), np.array(e), select_range=select_range,
+                                    eigvals_only=eigvals_only, tol=tol)
+        for j, a in enumerate((r,) if eigvals_only else r):
+            out[f"{i}.{j}"] = a
 np.savez(sys.argv[2], **out)
-print(lapack.LIBRARY)
+print(json.dumps([lapack.LIBRARY, blas]))
 """
 
 
@@ -133,11 +134,23 @@ def test_fallback_to_scipy_returns_the_same_arrays(tmp_path):
     proc = subprocess.run([sys.executable, "-c", FALLBACK, json.dumps(cases),
                            str(tmp_path / "out.npz")], capture_output=True, text=True,
                           check=True, env={**os.environ, "PYTHONPATH": src})
-    assert proc.stdout.strip() == f"scipy.linalg {scipy.__version__}"
-    assert lapack.LIBRARY != proc.stdout.strip()   # this process reached numpy's LAPACK
+    # without ctypes no OpenBLAS is reached, and the pinning still runs its body
+    library, blas = json.loads(proc.stdout)
+    assert library == f"scipy.linalg {scipy.__version__}" and blas == []
+    assert lapack.LIBRARY != library   # this process reached numpy's LAPACK
     fallback = np.load(tmp_path / "out.npz")
     for i, (cd, ce, select_range, eigvals_only, tol) in enumerate(cases):
         r = lapack.eigh_tridiagonal(np.array(cd), np.array(ce), select_range=select_range,
                                     eigvals_only=eigvals_only, tol=tol)
         for j, a in enumerate((r,) if eigvals_only else r):
             assert np.array_equal(fallback[f"{i}.{j}"], a)
+
+
+def test_pins_the_openblas_that_runs_the_eigensolves():
+    if lapack._scipy_eigh_tridiagonal is not None:
+        pytest.skip("numpy's LAPACK is not reachable")
+    (getter, _), = lapack._BLAS.values()
+    before = getter()
+    with lapack.one_blas_thread() as blas:
+        assert blas == [lapack.LIBRARY] and getter() == 1
+    assert getter() == before
