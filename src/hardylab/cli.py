@@ -20,8 +20,8 @@ configuration (among others a non-finite lam, horizon, mask_a, mask_b or
 eps_list entry, a Bessel order nu = sqrt(lambda_star - lam) above
 MAX_BESSEL_ORDER, spectrum_modes or k_modes above n_interior, an observation
 mask without grid nodes, a horizon below a stage's HORIZON_FLOORS entry, for
-kernel and transform a horizon whose bump constant overflows (above 1.34e154)
-or a tau grid that flatness.guard_band refuses, for uniqueness a mask whose
+kernel and transform a horizon outside flatness.HORIZON_RANGE or a tau grid
+that flatness.contour_radii refuses, for uniqueness a mask whose
 samples are fewer than the unknowns of its observability or UCP map, or an
 output root under which the run directory cannot be created, checked before
 any stage runs), 3 supercritical coupling, 4 a stage failed on a configuration
@@ -112,13 +112,10 @@ class LabConfig:
     seed: int = 0
 
 
-# the least horizon of each stage that cannot run at every positive one.  The
-# kernel's Cauchy sums sample the sigma = 2 bump up to exp(5.76 / T^4) (at
-# tau = T/2) and scale the samples by k!/r^k, so for some k_trunc <=
-# MAX_TRUNCATION they overflow at T = 0.325 and below (0.3125 and below at
-# k_trunc = 24).  The titchmarsh bumps are up to 0.6 T wide and must start in
-# [0.05, 0.9 T - width].
-HORIZON_FLOORS = {"kernel": 1 / 3, "transform": 1 / 3, "titchmarsh": 1 / 6}
+# the least horizon of each stage that builds no flatness bump (flatness.HORIZON_RANGE
+# bounds those that do) and cannot run at every positive one.  The titchmarsh bumps are
+# up to 0.6 T wide and must start in [0.05, 0.9 T - width].
+HORIZON_FLOORS = {"titchmarsh": 1 / 6}
 
 # the largest Bessel order nu = sqrt(lambda_star - lam) a run accepts: the
 # range the tests and the benchmark cover.  bessel_zeros has no ceiling, the
@@ -135,7 +132,7 @@ UCP_WINDOW_NODES = 33
 
 class Lab:
     """What the stages of one run share, each built once: the config, its snapshot, the
-    stages, the radial and tau grids and the mask, and on first call the sigma = 2 bump,
+    stages, the radial and tau grids and the mask, and on first call the flatness bump,
     its Cauchy derivative table on the tau grid and the basis of each exact (lam, k),
     never sliced from a larger k's basis, whose first eigenpairs differ in their last
     bits.  The table serves both flatness truncations at the order the config asks of
@@ -150,7 +147,7 @@ class Lab:
                          else evo.fat_cantor_mask(grid, (cfg.mask_a, cfg.mask_b)))
         except ValueError as exc:
             raise ConfigError(f"observation mask: {exc}") from exc
-        self.bump = functools.cache(lambda: fla.gevrey_bump(cfg.horizon, 2.0))
+        self.bump = functools.cache(lambda: fla.gevrey_bump(cfg.horizon))
         self.table = functools.cache(lambda: fla.derivative_table(
             self.bump(), self.tau_grid.times, max(cfg.k_trunc, cfg.transform_k_trunc) + 1))
         self.basis = functools.cache(lambda lam, k: spc.solve_spectrum(
@@ -206,11 +203,11 @@ def validate_config(cfg: LabConfig, subcommand: str = "all") -> Lab:
             raise ConfigError(f"{name} must be at least {least}")
     lab = Lab(cfg, stages)   # builds the mask, but neither the bump, the table nor a spectrum
     if {"kernel", "transform"} & set(stages):
-        # both read the derivative table on this grid: refuse what derivative_table would
+        # both read the bump's derivative table on this grid: refuse what it would
         try:
-            fla.guard_band(lab.bump(), lab.tau_grid.times)
+            fla.contour_radii(lab.bump(), lab.tau_grid.times)
         except ValueError as exc:
-            raise ConfigError(f"tau grid of horizon {cfg.horizon:g} and tau_steps "
+            raise ConfigError(f"flatness bump at horizon {cfg.horizon!r} and tau_steps "
                               f"{cfg.tau_steps}: {exc}") from exc
     if "uniqueness" in stages:
         # its observability maps sample each mask node at steps + 1 times (on the

@@ -8,16 +8,17 @@ turns each Schrodinger mode into a profile W_k(t) obeying W_k'' = mu_k W_k
 on (-1, 1) up to the kernel's truncation defect.  All checks live in mode
 space, where the radial basis diagonalizes the operator exactly; trapezoid
 quadrature is spectrally accurate because the integrands vanish to all
-orders at tau = 0, T.  The transform sums the kernel a block of t rows at a
-time and contracts each block at once, so its memory does not grow with the
-number of t nodes.
+orders at tau = 0, T.  The transform sums the kernel in the t row blocks of
+flatness.row_blocks and contracts each block at once, so its memory does not
+grow with the number of t nodes.
 
 The observation and unique-continuation maps are held as the Khatri-Rao
 factors of evolution.khatri_rao_core, never as (samples, modes) matrices:
 their singular values, and the certificate's reconstruction, come from a
 core of at most k^2 rows.  The certificate works on the observation map
 alone: the kernel and the transform are built and checked by their own CLI
-stages, not again here.
+stages, not again here.  It weights its samples in place by that map's
+sqrt(w_t) row and sqrt(w_x) column factors.
 """
 
 from dataclasses import dataclass
@@ -28,7 +29,7 @@ from .errors import IllPosedTruncationError
 from .evolution import (ModeTrajectory, ObservationMask, TimeGrid,
                         free_trajectory, khatri_rao_core, numerical_rank,
                         observability_matrix, observe)
-from .flatness import ROW_BLOCK, FlatnessKernel, GevreyBump
+from .flatness import FlatnessKernel, GevreyBump, row_blocks
 from .spectral import SpectralBasis
 
 SIGMA_MIN_FLOOR = 1e-12
@@ -60,7 +61,7 @@ def transform(trajectory: ModeTrajectory, kernel: FlatnessKernel,
         raise ValueError("trajectory and kernel do not share the tau grid")
     w = trajectory.grid.trapezoid_weights()
     values = np.empty((len(kernel.t_nodes), trajectory.coeffs.shape[1]), dtype=complex)
-    for start, stop in kernel.row_blocks():
+    for start, stop in row_blocks(len(kernel.t_nodes)):
         block = kernel.sub_grid(slice(start, stop))
         values[start:stop] = np.multiply(block, w, out=block) @ trajectory.coeffs
     return EllipticProfile(kernel.t_nodes, values.T, np.asarray(mode_eigenvalues))
@@ -163,9 +164,8 @@ def uniqueness_pipeline(c0: np.ndarray, basis: SpectralBasis, mask: ObservationM
     """
     c0 = np.asarray(c0, dtype=complex)
     weighted = observe(free_trajectory(c0, basis, obs_grid), mask, basis)
-    w_t = obs_grid.trapezoid_weights()
-    for rows in (slice(i, i + ROW_BLOCK) for i in range(0, len(w_t), ROW_BLOCK)):
-        weighted[rows] *= np.sqrt(np.outer(w_t[rows], mask.weights))
+    weighted *= np.sqrt(obs_grid.trapezoid_weights())[:, None]
+    weighted *= np.sqrt(mask.weights)
     eta = float(np.linalg.norm(weighted))
     report = observability_matrix(basis, mask, obs_grid)
     sigma_min = float(report.singular_values[-1])

@@ -9,29 +9,35 @@ Truncation leaves the single telescoping defect
 i^(K+1) psi^(K+1)(tau) (t+1)^(2K) / (2K)!, which doubles as an exact
 residual oracle.  psi is the normalized bump
 
-    psi(tau) = exp(c_T - (tau (T - tau))^-sigma),   c_T = (4/T^2)^sigma,
+    psi(tau) = exp(c_T - (tau (T - tau))^-2),   c_T = (4/T^2)^2,
 
-whose derivatives are produced by trapezoid Cauchy integrals on circles of
-radius min(tau, T-tau)/2; the product tau(T-tau) keeps a positive real part
-there, so the principal branch is safe for non-integer sigma.
+the Gevrey bump of exponent sigma = 2 on horizons in HORIZON_RANGE, whose
+derivatives are produced by trapezoid Cauchy integrals on circles of radius
+min(tau, T-tau)/2.  Their contours are sampled in row_blocks, as are kernel values.
 
 The kernel is kept in this rank-(K+1) separable form: the t nodes, the tau
 nodes and the derivative table psi^(k)(tau_j).  Dense values are summed on
-demand, a block of t rows at a time, by one evaluator from operands built
+demand, in row_blocks of t rows, by one evaluator from operands built
 once per kernel, so every consumer sees the same bits without holding the
 whole (t, tau) array.
 """
 
 import functools
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 MAX_TRUNCATION = 40
 MIN_CONTOUR_RADIUS = 1e-3
-# dense kernel values are produced this many t nodes at a time (about 1 MB
-# of complex values at 1025 tau nodes)
+# sums over a grid run this many rows at a time: contour samples and dense
+# kernel values (about 1 MB of complex values at 1025 tau nodes)
 ROW_BLOCK = 64
+# horizons with finite derivative tables.  Below, some order's sum of k!/r^k
+# times samples up to exp(5.76 / T^4) overflows (measured: T <= 0.325).  Above,
+# the contour around T/2 (radius T/4) passes z = T/2 +- iT/4, where
+# (T - z) z = 5T^2/16, and its square for the power -2, 25T^4/256, overflows.
+HORIZON_RANGE = (1 / 3, 4.0 * (sys.float_info.max / 25.0) ** 0.25)
 
 
 @dataclass
@@ -39,7 +45,6 @@ class GevreyBump:
     """Compactly supported bump on (0, T), normalized to peak value 1."""
 
     horizon: float
-    sigma: float
     c_norm: float
 
     def __call__(self, tau):
@@ -47,10 +52,9 @@ class GevreyBump:
         out = np.zeros_like(tau)
         inside = (tau > 0.0) & (tau < self.horizon)
         w = tau[inside] * (self.horizon - tau[inside])
-        # w^-sigma may overflow right at the support edge; exp then
-        # underflows to the correct 0
+        # w^-2 may overflow at the support edge; exp then underflows to the correct 0
         with np.errstate(over="ignore"):
-            out[inside] = np.exp(self.c_norm - w ** (-self.sigma))
+            out[inside] = np.exp(self.c_norm - w ** -2.0)
         return out if out.ndim else float(out)
 
     def eval_complex(self, z: np.ndarray) -> np.ndarray:
@@ -59,80 +63,82 @@ class GevreyBump:
         # z * (T - z) from 256 KiB on, and the order changes complex bits
         w = self.horizon - z
         w *= z
-        return np.exp(self.c_norm - w ** (-self.sigma))
+        return np.exp(self.c_norm - w ** -2.0)
 
 
-def gevrey_bump(horizon: float, sigma: float = 2.0) -> GevreyBump:
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    if sigma < 1:
-        raise ValueError("sigma must be >= 1")
-    try:
-        c = (4.0 / horizon**2) ** sigma
-    except (OverflowError, ZeroDivisionError) as exc:   # T^2 or 4/T^2 leaves float64
-        raise ValueError(f"the bump constant (4/T^2)^sigma overflows at T = {horizon:g}") from exc
-    return GevreyBump(horizon, sigma, c)
+def gevrey_bump(horizon: float) -> GevreyBump:
+    if not HORIZON_RANGE[0] <= horizon <= HORIZON_RANGE[1]:
+        raise ValueError(f"horizon {horizon!r} outside the bump's range {HORIZON_RANGE}")
+    return GevreyBump(horizon, (4.0 / horizon**2) ** 2.0)
 
 
-def guard_band(bump: GevreyBump, taus: np.ndarray) -> np.ndarray:
-    """Mask of the interior taus whose contour radius min(tau, T-tau)/2 is
-    below MIN_CONTOUR_RADIUS; derivative_table leaves their rows zero.
+def row_blocks(n: int) -> list[tuple[int, int]]:
+    """(start, stop) of consecutive ROW_BLOCK-row slices of n rows.
 
-    Raises ValueError unless the bump (and hence every derivative reachable
-    in float64) has underflowed to zero at each of them.
-    """
+    A one-row remainder joins the block before it: numpy contracts a
+    single row with a matrix-vector kernel, which sums in another order
+    than the matrix product of the other blocks."""
+    starts = list(range(0, n, ROW_BLOCK))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return list(zip(starts, [*starts[1:], n]))
+
+
+def contour_radii(bump: GevreyBump, taus: np.ndarray) -> np.ndarray:
+    """Radii min(tau, T-tau)/2 of derivative_table's contours, drawn where at
+    least MIN_CONTOUR_RADIUS; the other rows are zero.  Raises ValueError
+    unless the bump (and with it every derivative) has underflowed to zero at
+    each tau of (0, T) with a smaller radius: the guard band."""
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
-    t_end = bump.horizon
-    r = 0.5 * np.minimum(taus, t_end - taus)
-    tight = (taus > 0.0) & (taus < t_end) & (r < MIN_CONTOUR_RADIUS)
-    if np.any(tight):
+    r = 0.5 * np.minimum(taus, bump.horizon - taus)
+    band = (r > 0.0) & (r < MIN_CONTOUR_RADIUS)
+    if np.any(band):
         with np.errstate(over="ignore"):
-            expo = bump.c_norm - (taus[tight] * (t_end - taus[tight])) ** (-bump.sigma)
+            expo = bump.c_norm - (taus[band] * (bump.horizon - taus[band])) ** -2.0
         if np.any(expo > -1000.0):
             raise ValueError("tau too close to the support endpoints (radius < 1e-3)")
-    return tight
+    return r
 
 
 def derivative_table(bump: GevreyBump, taus: np.ndarray, k_max: int) -> np.ndarray:
-    """Derivative rows psi^(k)(tau_j); endpoints and exterior points are 0.
+    """Derivative rows psi^(k)(tau_j), zero where contour_radii draws no contour.
 
-    Interior points need radius r = min(tau, T-tau)/2 >= 1e-3.  The contour
-    has max(256, 4*(k_max+1)) nodes, which keeps aliasing out of the top
-    orders.  Accuracy: at T = 1 and k_max <= 25 the rows reach the rounding
-    floor of the contour sum, 1e-8 |exact| + 1e-13 peak k!/r^k, only for tau
-    in [0.066, 0.934].  Within about 0.065 of either support end the 256-node
-    sum is not converged (absolute errors up to 2e-3 at tau = 0.064, against
-    values below 1e-17) until both sides underflow to exact zeros; the
-    kernel multiplies those rows by factors <= 4^k/(2k)!.
+    The contour has max(256, 4*(k_max+1)) nodes, which keeps aliasing out of
+    the top orders.  Accuracy: at T = 1 and k_max <= 25 the rows reach the
+    rounding floor of the contour sum, 1e-8 |exact| + 1e-13 peak k!/r^k,
+    only for tau in [0.066, 0.934].  Within about 0.065 of either support
+    end the 256-node sum is not converged (absolute errors up to 2e-3 at
+    tau = 0.064, against values below 1e-17) until both sides underflow to
+    exact zeros; the kernel multiplies those rows by factors <= 4^k/(2k)!.
 
-    The contour is sampled ROW_BLOCK tau rows at a time, with bits that do
-    not depend on the block, and summed by one product over all rows: a
-    BLAS product's bits for a row depend on its row count, and those of a
-    column on how many orders are requested, through its column blocking.
-    On 1025 tau nodes at T = 1 and one BLAS thread, the columns a k_max
-    table shares with the k_max = 33 one are equal to them at k_max = 23,
-    27 and 31-34, and differ in their last bits at 20-22, 24-26, 28-30 and
-    35-41.  So a table shared by several truncations is built at an order
-    fixed by the configuration alone.
+    The contour is sampled in row blocks, with bits that do not depend on
+    the block, and summed by one product over all rows: a BLAS product's
+    bits for a row depend on its row count, and those of a column on how
+    many orders are requested, through its column blocking.  On 1025 tau
+    nodes at T = 1 and one BLAS thread, the columns a k_max table shares
+    with the k_max = 33 one are equal to them at k_max = 23, 27 and 31-34,
+    and differ in their last bits at 20-22, 24-26, 28-30 and 35-41.  So a
+    table shared by several truncations is built at an order fixed by the
+    configuration alone.
     """
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
-    t_end = bump.horizon
+    r = contour_radii(bump, taus)
+    interior = r >= MIN_CONTOUR_RADIUS
     m = max(256, 4 * (k_max + 1))
-    interior = (taus > 0.0) & (taus < t_end) & ~guard_band(bump, taus)
-    r = 0.5 * np.minimum(taus, t_end - taus)
-    table = np.zeros((len(taus), k_max + 1))
-    if not np.any(interior):
-        return table
     theta = 2.0 * np.pi * np.arange(m) / m
     ks = np.arange(k_max + 1)
     centers, radii = taus[interior, None], r[interior, None]
     vals = np.empty((len(centers), m), dtype=complex)   # (n_int, m)
-    for rows in (slice(i, i + ROW_BLOCK) for i in range(0, len(centers), ROW_BLOCK)):
-        vals[rows] = bump.eval_complex(centers[rows] + radii[rows] * np.exp(1j * theta))
+    for start, stop in row_blocks(len(centers)):
+        vals[start:stop] = bump.eval_complex(centers[start:stop]
+                                             + radii[start:stop] * np.exp(1j * theta))
     basis = np.exp(-1j * np.outer(theta, ks))         # (m, k_max+1)
     avg = (vals @ basis) / m
     fact = np.cumprod(np.concatenate(([1.0], np.arange(1.0, k_max + 1))))
-    table[interior] = avg.real * fact[None, :] / r[interior, None] ** ks[None, :]
+    table = np.zeros((len(taus), k_max + 1))
+    # r^k overflows from r = DBL_MAX^(1/k) on, and its entries divide to exact zeros
+    with np.errstate(over="ignore"):
+        table[interior] = avg.real * fact[None, :] / radii ** ks[None, :]
     return table
 
 
@@ -202,18 +208,6 @@ class FlatnessKernel:
         return (_even_power_factors(self.t_nodes, self.k_trunc),
                 np.ascontiguousarray(self.deriv_table[:, : self.k_trunc + 2].T))
 
-    def row_blocks(self) -> list[tuple[int, int]]:
-        """(start, stop) of consecutive ROW_BLOCK-row slices of the t grid.
-
-        A one-row remainder joins the block before it: numpy contracts a
-        single row with a matrix-vector kernel, which sums in another order
-        than the matrix product of the other blocks."""
-        n = len(self.t_nodes)
-        starts = list(range(0, n, ROW_BLOCK))
-        if len(starts) > 1 and n - starts[-1] == 1:
-            starts.pop()
-        return list(zip(starts, [*starts[1:], n]))
-
     @functools.cached_property
     def values(self) -> np.ndarray:
         """The dense (len(t_nodes), len(tau_nodes)) kernel; for small grids."""
@@ -258,7 +252,7 @@ def kernel_residual(kernel: FlatnessKernel) -> KernelResidualReport:
     kt = kernel.k_trunc
     fac, columns = kernel._series_operands
     peaks = []   # per row block, in the report's field order
-    for start, stop in kernel.row_blocks():
+    for start, stop in row_blocks(len(kernel.t_nodes)):
         # dtau = E + last, dtt = i E, tail = i last (products by i are exact);
         # the residual's peak is read before its gap to the tail is formed in place
         e_series = _evaluate(fac[:kt, start:stop], columns[1 : kt + 1])

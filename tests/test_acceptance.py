@@ -52,7 +52,7 @@ def basis800(lam: float, k: int) -> spc.SpectralBasis:
 
 @lru_cache(maxsize=None)
 def bump_default() -> fla.GevreyBump:
-    return fla.gevrey_bump(1.0, 2.0)
+    return fla.gevrey_bump(1.0)
 
 
 def test_criterion_01_spectrum_oracle():

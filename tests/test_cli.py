@@ -12,6 +12,7 @@ import os
 import platform
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -279,7 +280,7 @@ def test_shortest_inverse_grid_runs(tmp_path):
     assert run("inverse-source", light_config(inverse_steps=2), tmp_path) == 0
 
 
-_KERNEL_FLOOR = cli.HORIZON_FLOORS["kernel"]
+_KERNEL_FLOOR, _KERNEL_CEILING = fla.HORIZON_RANGE
 _TITCHMARSH_FLOOR = cli.HORIZON_FLOORS["titchmarsh"]
 
 
@@ -350,7 +351,7 @@ def test_tau_grid_validation_agrees_with_derivative_table(horizon, tau_steps, re
     taus = np.linspace(0.0, horizon, tau_steps + 1)
     near_ends = taus[np.minimum(taus, horizon - taus) < 0.01]   # holds the guard band
     try:
-        fla.derivative_table(fla.gevrey_bump(horizon, 2.0), near_ends, 0)
+        fla.derivative_table(fla.gevrey_bump(horizon), near_ends, 0)
         table_raises = False
     except ValueError:
         table_raises = True
@@ -370,14 +371,40 @@ def test_long_horizon_with_the_default_tau_grid_runs(tmp_path, subcommand):
 
 @pytest.mark.parametrize("subcommand", ["kernel", "transform", "all"])
 def test_horizon_too_large_for_the_bump_rejected_before_output(tmp_path, capsys, subcommand):
-    # 1e300**2 overflows float64, so the bump constant (4/T^2)^sigma cannot be formed
-    cfg_file = tmp_path / "huge.cfg"
-    cfg_file.write_text("horizon = 1e300\n")
-    out_root = tmp_path / "out"
-    assert main([subcommand, "--config", str(cfg_file), "--out", str(out_root)]) == 2
-    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    assert payload["error"] == "invalid_config" and "bump constant" in payload["message"]
-    assert not out_root.exists()
+    # above the ceiling the contour's samples overflow; 1e300**2 overflows float64
+    for horizon in (math.nextafter(_KERNEL_CEILING, math.inf), 1e100, 1e153, 1e300):
+        cfg_file = tmp_path / "huge.cfg"
+        cfg_file.write_text(f"horizon = {horizon!r}\n")
+        out_root = tmp_path / "out"
+        assert main([subcommand, "--config", str(cfg_file), "--out", str(out_root)]) == 2
+        payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert payload["error"] == "invalid_config" and "bump's range" in payload["message"]
+        assert not out_root.exists()
+
+
+@pytest.mark.parametrize("subcommand", ["kernel", "transform"])
+@pytest.mark.parametrize("horizon", [1e10, _KERNEL_CEILING])
+def test_long_horizon_runs_without_numpy_warnings(tmp_path, subcommand, horizon):
+    # r^k in derivative_table overflows from T = 4 DBL_MAX^(1/33) = 8.8e9 on
+    # at the default table order 33
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(subcommand, light_config(horizon=horizon), tmp_path) == 0
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.floats(math.log10(_KERNEL_FLOOR / 10), math.log10(_KERNEL_CEILING * 10)),
+       st.sampled_from([2, 16, 1024]))
+def test_validated_horizon_gives_a_finite_table(log_horizon, tau_steps):
+    # a horizon that validation accepts runs: the largest table any truncation
+    # reads is finite
+    cfg = LabConfig(horizon=10.0**log_horizon, tau_steps=tau_steps)
+    try:
+        lab = validate_config(cfg, "kernel")
+    except cli.ConfigError:
+        return
+    table = fla.derivative_table(lab.bump(), lab.tau_grid.times, fla.MAX_TRUNCATION + 1)
+    assert np.all(np.isfinite(table))
 
 
 def test_guard_band_applies_only_to_the_stages_that_build_a_kernel(tmp_path):
@@ -435,7 +462,7 @@ def test_kernel_and_transform_read_one_table_of_the_config_order(tmp_path, monke
         monkeypatch.setattr(cli, f"measure_{stage}", capture)
         assert run(stage, LabConfig(), tmp_path / stage) == 0
     cfg = LabConfig()
-    bump = fla.gevrey_bump(cfg.horizon, 2.0)
+    bump = fla.gevrey_bump(cfg.horizon)
     taus = evo.TimeGrid(cfg.horizon, cfg.tau_steps).times
     # the transform residual is rounding-dominated: it keeps the bits of the
     # table built at its own order, which the shared order equals by default

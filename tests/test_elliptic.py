@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from hardylab.cli import LabConfig, _complex_normal, validate_config
 from hardylab.elliptic import (CylinderWindow, EllipticProfile, elliptic_residual,
                                moment_trace, transform, ucp_probe,
                                uniqueness_pipeline)
 from hardylab.errors import IllPosedTruncationError
 from hardylab.evolution import (TimeGrid, free_trajectory, interval_mask,
-                                observability_matrix)
+                                observability_matrix, observe)
 from hardylab.evolution import ModeTrajectory
 from hardylab.flatness import build_kernel, gevrey_bump
 from hardylab.lapack import one_blas_thread
@@ -21,7 +22,7 @@ def make_basis(n=300, lam=3 / 16, k=4):
 @pytest.fixture(scope="module")
 def setup():
     basis = make_basis()
-    bump = gevrey_bump(1.0, 2.0)
+    bump = gevrey_bump(1.0)
     tau_grid = TimeGrid(1.0, 512)
     t_nodes = np.linspace(-1.0, 1.0, 401)
     kernel = build_kernel(bump, t_nodes, tau_grid.times, 24)
@@ -248,3 +249,30 @@ def test_uniqueness_pipeline_refuses_near_singular_basis(setup):
     assert 0.0 < sigma_min < 1e-12
     with pytest.raises(IllPosedTruncationError):
         uniqueness_pipeline(np.array([1.0, 1.0]), near, mask, grid)
+
+
+def outer_weighted_certificate(c0, basis, mask, grid):
+    """eta and reconstruction error of samples weighted by sqrt(outer(w_t, w_x))."""
+    samples = observe(free_trajectory(c0, basis, grid), mask, basis)
+    weighted = samples * np.sqrt(np.outer(grid.trapezoid_weights(), mask.weights))
+    recovered = observability_matrix(basis, mask, grid).least_squares(weighted)
+    return float(np.linalg.norm(weighted)), float(np.linalg.norm(recovered - c0))
+
+
+@pytest.mark.parametrize("overrides", [{}, {"tau_steps": 1000, "horizon": 0.7}])
+def test_certificate_weighting_matches_the_outer_product_oracle(overrides):
+    # the certificate weights rows by sqrt(w_t) and columns by sqrt(w_x); the
+    # product rounds apart from sqrt(w_t w_x) on a few weights (the end rows,
+    # w_t = dt/2), which leaves the default certificate's bits but moves eta
+    # by an ulp at 1000 steps
+    cfg = LabConfig(**overrides)
+    lab = validate_config(cfg, "uniqueness")
+    basis = lab.basis(cfg.lam, cfg.k_modes)
+    c0 = _complex_normal(np.random.default_rng(cfg.seed), cfg.k_modes)
+    with one_blas_thread():
+        cert = uniqueness_pipeline(c0, basis, lab.mask, lab.tau_grid)
+        eta, error = outer_weighted_certificate(c0, basis, lab.mask, lab.tau_grid)
+    if not overrides:
+        assert (cert.eta, cert.reconstruction_error) == (eta, error)
+    assert abs(cert.eta - eta) <= 4 * np.spacing(eta)
+    assert max(cert.reconstruction_error, error) <= 1e-13

@@ -7,40 +7,40 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hardylab.cli import LabConfig, validate_config
-from hardylab.flatness import (MAX_TRUNCATION, ROW_BLOCK, _evaluate, _even_power_factors,
-                               build_kernel, control_trace, derivative_table, gevrey_bump,
-                               guard_band, kernel_residual)
+from hardylab.flatness import (HORIZON_RANGE, MAX_TRUNCATION, MIN_CONTOUR_RADIUS, ROW_BLOCK,
+                               _evaluate, _even_power_factors, build_kernel, contour_radii,
+                               control_trace, derivative_table, gevrey_bump, kernel_residual,
+                               row_blocks)
 from hardylab.lapack import one_blas_thread
 
 from flatness_oracle import bump_derivatives_exact
 
 
 def test_bump_normalization_and_closed_form():
-    bump = gevrey_bump(1.0, 2.0)
+    bump = gevrey_bump(1.0)
     assert bump(0.5) == pytest.approx(1.0, abs=1e-15)
     assert bump(0.25) == pytest.approx(math.exp(16.0 - 256.0 / 9.0), rel=1e-14)
     assert bump(0.0) == 0.0 and bump(1.0) == 0.0 and bump(-0.3) == 0.0 and bump(1.7) == 0.0
 
 
 def test_bump_validation():
-    with pytest.raises(ValueError):
-        gevrey_bump(0.0, 2.0)
-    with pytest.raises(ValueError):
-        gevrey_bump(1.0, 0.5)
-    for horizon in (1e300, 1e-200):   # T^2 overflows, or 4/T^2 divides by zero
-        with pytest.raises(ValueError, match="bump constant"):
-            gevrey_bump(horizon, 2.0)
+    low, high = HORIZON_RANGE
+    assert gevrey_bump(low).horizon == low and gevrey_bump(high).horizon == high
+    for horizon in (0.0, math.nextafter(low, 0.0), math.nextafter(high, math.inf),
+                    1e300, 1e-200, math.nan):
+        with pytest.raises(ValueError, match="bump's range"):
+            gevrey_bump(horizon)
 
 
 def test_cauchy_zeroth_derivative_matches_direct():
-    bump = gevrey_bump(1.0, 2.0)
+    bump = gevrey_bump(1.0)
     for tau in (0.2, 0.5, 0.77):
         table = derivative_table(bump, np.array([tau]), 4)[0]
         assert table[0] == pytest.approx(bump(tau), abs=1e-12)
 
 
 def test_cauchy_first_derivative_vanishes_at_center():
-    bump = gevrey_bump(1.0, 2.0)
+    bump = gevrey_bump(1.0)
     table = derivative_table(bump, np.array([0.5]), 6)[0]
     scale = abs(derivative_table(bump, np.array([0.4]), 1)[0, 1])
     assert abs(table[1]) <= 1e-12 * max(scale, 1.0)
@@ -49,32 +49,35 @@ def test_cauchy_first_derivative_vanishes_at_center():
 def test_cauchy_rejects_endpoint_neighborhood():
     # wide horizon: the bump is still representable where the contour radius
     # guard trips, so the request must be refused rather than zeroed
-    bump = gevrey_bump(100.0, 2.0)
+    bump = gevrey_bump(100.0)
     with pytest.raises(ValueError, match="radius"):
         derivative_table(bump, np.array([1.5e-3]), 3)
 
 
 def test_guard_band_marks_the_rows_derivative_table_zeroes():
-    bump = gevrey_bump(1.0, 2.0)
+    bump = gevrey_bump(1.0)
     taus = np.array([-0.5, 0.0, 5e-4, 1.9e-3, 2e-3, 0.5, 1.0 - 1e-3, 1.0, 1.5])
-    assert guard_band(bump, taus).tolist() == [False, False, True, True, False, False,
-                                               True, False, False]
-    assert np.all(derivative_table(bump, taus, 3)[guard_band(bump, taus)] == 0.0)
+    r = contour_radii(bump, taus)
+    assert (r >= MIN_CONTOUR_RADIUS).tolist() == [False, False, False, False, True, True,
+                                                  False, False, False]
+    band = (r > 0.0) & (r < MIN_CONTOUR_RADIUS)
+    assert band.tolist() == [False, False, True, True, False, False, True, False, False]
+    assert np.all(derivative_table(bump, taus, 3)[r < MIN_CONTOUR_RADIUS] == 0.0)
     with pytest.raises(ValueError, match="radius"):
-        guard_band(gevrey_bump(100.0, 2.0), [1.5e-3])
+        contour_radii(gevrey_bump(100.0), [1.5e-3])
 
 
 def test_cauchy_underflowed_edge_band_is_zero():
     # at T = 1 the bump underflows to exact zero well inside the guard band,
     # so fine kernel grids get zero rows there instead of a rejection
-    bump = gevrey_bump(1.0, 2.0)
+    bump = gevrey_bump(1.0)
     table = derivative_table(bump, np.array([1e-3]), 5)[0]
     assert np.all(table == 0.0)
     assert bump(1e-3) == 0.0
 
 
 def test_cauchy_matches_exact_recurrence_low_order():
-    bump = gevrey_bump(1.0, 2.0)
+    bump = gevrey_bump(1.0)
     cau = derivative_table(bump, np.array([0.3]), 3)[0]
     exact = bump_derivatives_exact(bump, Fraction(3, 10), 3)
     assert abs(cau[3] - exact[3]) <= 1e-8 * abs(exact[3])
@@ -96,7 +99,7 @@ def test_cauchy_matches_exact_recurrence_high_order(tau):
     # 1e-8 relative agreement wherever the value is representable; entries
     # that are exactly zero (odd orders at T/2) or below the float64 contour
     # noise (psi(0.1) ~ 1e-47) are compared against that floor instead
-    bump = gevrey_bump(1.0, 2.0)
+    bump = gevrey_bump(1.0)
     k_max = 25
     cau = derivative_table(bump, np.array([float(tau)]), k_max)[0]
     exact = bump_derivatives_exact(bump, tau, k_max)
@@ -105,14 +108,8 @@ def test_cauchy_matches_exact_recurrence_high_order(tau):
         assert abs(cau[k] - exact[k]) <= 1e-8 * abs(exact[k]) + floor[k]
 
 
-def test_recurrence_requires_integer_sigma():
-    bump = gevrey_bump(1.0, 2.5)
-    with pytest.raises(ValueError, match="integer"):
-        bump_derivatives_exact(bump, Fraction(1, 2), 3)
-
-
 def test_kernel_boundary_values():
-    bump = gevrey_bump(1.0, 2.0)
+    bump = gevrey_bump(1.0)
     taus = np.linspace(0.0, 1.0, 65)
     kernel = build_kernel(bump, np.linspace(-1, 1, 33), taus, 12)
     # K(-1, tau) = psi(tau): only the k = 0 term survives
@@ -124,7 +121,7 @@ def test_kernel_boundary_values():
 
 def test_kernel_flat_time_datum_at_left_edge():
     # only even powers of (t+1): dK/dt(-1, tau) = 0, so K grows quadratically
-    bump = gevrey_bump(1.0, 2.0)
+    bump = gevrey_bump(1.0)
     taus = np.linspace(0.0, 1.0, 33)
     kernel = build_kernel(bump, np.array([-1.0, -1.0 + 1e-6]), taus, 12)
     diff = np.abs(kernel.values[1] - kernel.values[0]).max()
@@ -132,7 +129,7 @@ def test_kernel_flat_time_datum_at_left_edge():
 
 
 def test_kernel_truncation_zero_gives_bump_trace():
-    bump = gevrey_bump(1.0, 2.0)
+    bump = gevrey_bump(1.0)
     taus = np.linspace(0.0, 1.0, 33)
     kernel = build_kernel(bump, np.linspace(-1, 1, 9), taus, 0)
     trace = control_trace(kernel)
@@ -140,13 +137,13 @@ def test_kernel_truncation_zero_gives_bump_trace():
 
 
 def test_kernel_truncation_cap():
-    bump = gevrey_bump(1.0, 2.0)
+    bump = gevrey_bump(1.0)
     with pytest.raises(ValueError, match="cap"):
         build_kernel(bump, np.array([0.0]), np.array([0.0, 0.5, 1.0]), 41)
 
 
 def test_truncation_difference_bounded_by_tail():
-    bump = gevrey_bump(1.0, 2.0)
+    bump = gevrey_bump(1.0)
     taus = np.linspace(0.0, 1.0, 257)
     k24 = build_kernel(bump, np.array([1.0]), taus, 24)
     k28 = build_kernel(bump, np.array([1.0]), taus, 28)
@@ -158,7 +155,7 @@ def test_truncation_difference_bounded_by_tail():
 
 
 def test_residual_matches_telescoping_tail():
-    bump = gevrey_bump(1.0, 2.0)
+    bump = gevrey_bump(1.0)
     taus = np.linspace(0.0, 1.0, 257)
     kernel = build_kernel(bump, np.linspace(-1, 1, 65), taus, 24)
     report = kernel_residual(kernel)
@@ -166,7 +163,7 @@ def test_residual_matches_telescoping_tail():
 
 
 def test_residual_drops_with_truncation_order():
-    bump = gevrey_bump(1.0, 2.0)
+    bump = gevrey_bump(1.0)
     taus = np.linspace(0.0, 1.0, 257)
     t_nodes = np.linspace(-1, 1, 33)
     r24 = kernel_residual(build_kernel(bump, t_nodes, taus, 24)).max_residual
@@ -175,7 +172,7 @@ def test_residual_drops_with_truncation_order():
 
 
 def test_control_trace_endpoints_zero_and_finite():
-    bump = gevrey_bump(1.0, 2.0)
+    bump = gevrey_bump(1.0)
     taus = np.linspace(0.0, 1.0, 129)
     kernel = build_kernel(bump, np.linspace(-1, 1, 17), taus, 24)
     trace = control_trace(kernel)
@@ -190,7 +187,7 @@ def test_derivative_table_matches_exact_recurrence(milli_tau, k_max):
     # random tau on the span of the fixed-tau test, with its tolerance; within
     # about 0.065 of the support ends the contour sum misses even that floor
     # (its values there are below 1e-17 and never reach the kernel's scale)
-    bump = gevrey_bump(1.0, 2.0)
+    bump = gevrey_bump(1.0)
     tau = Fraction(milli_tau, 1000)
     table = derivative_table(bump, np.array([float(tau)]), k_max)[0]
     exact = bump_derivatives_exact(bump, tau, k_max)
@@ -203,7 +200,7 @@ def test_derivative_table_matches_exact_recurrence(milli_tau, k_max):
 def test_cauchy_matches_exact_recurrence_at_the_shared_order(tau):
     # order 33 = max(k_trunc, transform_k_trunc) + 1 at the default config,
     # the order of the one table the kernel and transform stages read
-    bump = gevrey_bump(1.0, 2.0)
+    bump = gevrey_bump(1.0)
     k_max = 33
     table = derivative_table(bump, np.array([float(tau)]), k_max)[0]
     exact = bump_derivatives_exact(bump, tau, k_max)
@@ -251,13 +248,13 @@ _T_GRIDS["off-grid"] = np.linspace(-0.95, 0.9, ROW_BLOCK + 7)
 @pytest.mark.parametrize("t_nodes", _T_GRIDS.values(), ids=_T_GRIDS.keys())
 def test_kernel_rows_bit_identical_to_dense_assembly(t_nodes):
     # the last term of each truncation covers every residue of K mod 4
-    bump = gevrey_bump(1.0, 2.0)
+    bump = gevrey_bump(1.0)
     taus = np.linspace(0.0, 1.0, 257)
     for k_trunc in (0, 1, 2, 3, 24, 40):
         kernel = build_kernel(bump, t_nodes, taus, k_trunc)
         oracle = dense_kernel_oracle(kernel)
         assert np.array_equal(kernel.values, oracle)
-        bounds = kernel.row_blocks()
+        bounds = row_blocks(len(t_nodes))
         assert [start for start, _ in bounds[1:]] == [stop for _, stop in bounds[:-1]]
         assert bounds[0][0] == 0 and bounds[-1][1] == len(t_nodes)
         assert all(stop - start > 1 for start, stop in bounds) or len(t_nodes) == 1
@@ -304,7 +301,7 @@ def test_evaluate_bit_identical_to_broadcast_loop():
     # could choose the order axis as its inner loop; t = 1.0 is the
     # control_trace row, and the truncations cover every residue of k_trunc
     # mod 4 up to the cap
-    table = derivative_table(gevrey_bump(1.0, 2.0), np.linspace(0.0, 1.0, 257),
+    table = derivative_table(gevrey_bump(1.0), np.linspace(0.0, 1.0, 257),
                              MAX_TRUNCATION + 1)
     assert np.any(table == 0.0)
     t_grids = [1.0, *(np.linspace(-1, 1, nt) for nt in (1, ROW_BLOCK - 1, ROW_BLOCK,
@@ -331,7 +328,7 @@ def test_evaluate_bit_identical_to_broadcast_loop_on_random_tables(nt, ntau, k_t
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 def test_non_finite_table_raises_from_every_evaluation(bad):
-    bump = gevrey_bump(1.0, 2.0)
+    bump = gevrey_bump(1.0)
     kernel = build_kernel(bump, np.linspace(-1, 1, 9), np.linspace(0.0, 1.0, 33), 6)
     kernel.deriv_table[16, 3] = bad
     with pytest.raises(FloatingPointError, match="non-finite"):
@@ -349,14 +346,14 @@ def test_non_finite_table_raises_from_every_evaluation(bad):
     ([3, 0, 200], [256, 1, 128]),
 ])
 def test_kernel_sub_grid_bit_identical_to_values(t_index, tau_index):
-    bump = gevrey_bump(1.0, 2.0)
+    bump = gevrey_bump(1.0)
     kernel = build_kernel(bump, np.linspace(-1, 1, 201), np.linspace(0.0, 1.0, 257), 24)
     expected = kernel.values[t_index][:, tau_index]
     assert np.array_equal(kernel.sub_grid(t_index, tau_index), expected)
 
 
 def test_control_trace_off_grid_matches_on_grid():
-    bump = gevrey_bump(1.0, 2.0)
+    bump = gevrey_bump(1.0)
     taus = np.linspace(0.0, 1.0, 129)
     on_grid = build_kernel(bump, np.linspace(-1, 1, 17), taus, 24)
     off_grid = build_kernel(bump, np.linspace(-1, 0.9, 17), taus, 24)
@@ -365,11 +362,12 @@ def test_control_trace_off_grid_matches_on_grid():
     assert np.array_equal(control_trace(off_grid), control_trace(on_grid))
 
 
-# Contour samples: derivative_table evaluates the bump ROW_BLOCK tau rows at a
-# time.  numpy computes z * (T - z) as (T - z) z for arrays of 256 KiB and
-# more (it swaps the operands to reuse the temporary) and as z (T - z) below,
-# and the two complex products differ in last bits, so eval_complex fixes the
-# order and these tests pin it against the whole-array formula.
+# Contour samples: derivative_table evaluates the bump in the tau row blocks of
+# row_blocks, of up to ROW_BLOCK + 1 rows.  numpy computes z * (T - z) as
+# (T - z) z for arrays of 256 KiB and more (it swaps the operands to reuse the
+# temporary) and as z (T - z) below, and the two complex products differ in
+# last bits, so eval_complex fixes the order and these tests pin it against
+# the whole-array formula.
 
 def default_contour():
     """The default run's context, and the interior rows, radii, angles and
@@ -377,18 +375,18 @@ def default_contour():
     lab = validate_config(LabConfig(), "kernel")
     bump, taus = lab.bump(), lab.tau_grid.times
     m = max(256, 4 * lab.table().shape[1])
-    interior = (taus > 0.0) & (taus < bump.horizon) & ~guard_band(bump, taus)
     r = 0.5 * np.minimum(taus, bump.horizon - taus)
+    interior = r >= MIN_CONTOUR_RADIUS
     theta = 2.0 * np.pi * np.arange(m) / m
     z = taus[interior, None] + r[interior, None] * np.exp(1j * theta)[None, :]
     return lab, interior, r, theta, z
 
 
 def whole_array_samples(bump, z):
-    return np.exp(bump.c_norm - np.multiply(bump.horizon - z, z) ** (-bump.sigma))
+    return np.exp(bump.c_norm - np.multiply(bump.horizon - z, z) ** -2.0)
 
 
-@pytest.mark.parametrize("block", [1, 59, ROW_BLOCK])
+@pytest.mark.parametrize("block", [1, 59, ROW_BLOCK, ROW_BLOCK + 1])
 def test_blocked_contour_samples_equal_the_whole_array_formula(block):
     lab, _, _, _, z = default_contour()
     assert z.nbytes >= 256 * 1024 > z[:59].nbytes
