@@ -16,6 +16,7 @@ import numpy as np
 from .spectral import dirichlet_eigenpairs, tridiagonal_apply
 
 ANGULAR_CRITICAL = 0.25  # critical coupling of the arc problem
+CIRCLE_DIMENSION = 2     # the N of gamma (gamma + N - 2) = mu: the arc operator is the circle's
 
 
 @dataclass
@@ -25,7 +26,6 @@ class AngularProblem:
 
     lam: float
     n_ang: int
-    dimension_N: int = 2
     spacing: float = field(init=False)
     angles: np.ndarray = field(init=False)
     diagonal: np.ndarray = field(init=False)
@@ -59,12 +59,7 @@ class AngularBasis:
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray      # (2 * n_ang, count)
-    multiplicity_pairs: list[tuple[int, int]]
-
-    @property
-    def count(self) -> int:
-        return len(self.eigenvalues)
+    eigenvectors: np.ndarray      # (2 * n_ang, k_count)
 
 
 def angular_spectrum(prob: AngularProblem, k_count: int) -> AngularBasis:
@@ -79,8 +74,7 @@ def angular_spectrum(prob: AngularProblem, k_count: int) -> AngularBasis:
     eigenvectors = np.zeros((2 * n, k_count))
     eigenvectors[:n, 0::2] = vecs
     eigenvectors[n:, 1::2] = vecs[:, : k_count // 2]
-    pairs = [(j - 1, j) for j in range(1, k_count, 2)]
-    return AngularBasis(eigenvalues, eigenvectors, pairs)
+    return AngularBasis(eigenvalues, eigenvectors)
 
 
 def gamma_exponent(mu: float, dimension_N: int) -> float:
@@ -150,7 +144,7 @@ def separated_residual(prob: AngularProblem, basis: AngularBasis, k: int, n_radi
     annulus 0.2 < r < 0.8, radial derivatives by central differences and the
     angular part by the discrete arc operator."""
     mu = basis.eigenvalues[k]
-    gamma = gamma_exponent(mu, prob.dimension_N) if gamma_override is None else gamma_override
+    gamma = gamma_exponent(mu, CIRCLE_DIMENSION) if gamma_override is None else gamma_override
     psi = basis.eigenvectors[:, k]
     n = prob.n_ang
     a_psi = np.concatenate([

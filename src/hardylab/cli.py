@@ -17,17 +17,18 @@ and seed only, not of the core count, and repeated runs digest identically.
 
 Exit codes: 0 success, 1 tolerance breach under --check, 2 invalid
 configuration (among others a non-finite lam, horizon, mask_a, mask_b or
-eps_list entry, a Bessel order nu = sqrt(lambda_star - lam) above
-MAX_BESSEL_ORDER, spectrum_modes or k_modes above n_interior, an observation
-mask without grid nodes, a horizon below a stage's HORIZON_FLOORS entry, for
-kernel and transform a horizon outside flatness.HORIZON_RANGE or a tau grid
-that flatness.contour_radii refuses, for uniqueness a mask whose
-samples are fewer than the unknowns of its observability or UCP map, or an
-output root under which the run directory cannot be created, checked before
-any stage runs), 3 supercritical coupling, 4 a stage failed on a configuration
-that passed validation: it raised ValueError, RuntimeError (which covers
-IllPosedTruncationError, a failed eigenpair residual and a Gramian that is not
-positive definite) or FloatingPointError.  The stage_failure payload names the
+eps_list entry, an eps_list of fewer than two penalties, a Bessel order
+nu = sqrt(lambda_star - lam) above MAX_BESSEL_ORDER, spectrum_modes or k_modes
+above n_interior, an observation mask without grid nodes, for titchmarsh a
+horizon below TITCHMARSH_HORIZON_FLOOR, for kernel and transform a horizon
+outside flatness.HORIZON_RANGE or a tau grid that flatness.contour_radii
+refuses, for uniqueness a mask whose samples are fewer than the unknowns of
+its observability or UCP map, or an output root under which the run
+directory cannot be created, checked before any stage runs), 3 supercritical
+coupling, 4 a stage failed on a configuration that passed validation: it
+raised ValueError, RuntimeError (which covers IllPosedTruncationError, a
+failed eigenpair residual and a Gramian that is not positive definite) or
+FloatingPointError.  The stage_failure payload names the
 stage and the exception class, and no output directory is left.
 """
 
@@ -62,7 +63,6 @@ from . import flatness as fla
 from . import inverse as inv
 from . import lapack
 from . import spectral as spc
-from .errors import SupercriticalCouplingError
 
 ARTIFACT_VERSION = "0.1.0"
 
@@ -112,10 +112,10 @@ class LabConfig:
     seed: int = 0
 
 
-# the least horizon of each stage that builds no flatness bump (flatness.HORIZON_RANGE
-# bounds those that do) and cannot run at every positive one.  The titchmarsh bumps are
-# up to 0.6 T wide and must start in [0.05, 0.9 T - width].
-HORIZON_FLOORS = {"titchmarsh": 1 / 6}
+# the least horizon of the titchmarsh stage, the one stage that builds no flatness bump
+# (flatness.HORIZON_RANGE bounds those that do) and cannot run at every positive one:
+# its bumps are up to 0.6 T wide and must start in [0.05, 0.9 T - width].
+TITCHMARSH_HORIZON_FLOOR = 1 / 6
 
 # the largest Bessel order nu = sqrt(lambda_star - lam) a run accepts: the
 # range the tests and the benchmark cover.  bessel_zeros has no ceiling, the
@@ -174,10 +174,9 @@ def validate_config(cfg: LabConfig, subcommand: str = "all") -> Lab:
     if cfg.horizon <= 0:
         raise ConfigError("horizon must be positive")
     stages = list(_RUNNERS) if subcommand == "all" else [subcommand]
-    for stage in stages:
-        if cfg.horizon < HORIZON_FLOORS.get(stage, 0.0):
-            raise ConfigError(f"horizon must be at least {HORIZON_FLOORS[stage]:.6g} "
-                              f"for the {stage} stage, got {cfg.horizon:g}")
+    if "titchmarsh" in stages and cfg.horizon < TITCHMARSH_HORIZON_FLOOR:
+        raise ConfigError(f"horizon must be at least {TITCHMARSH_HORIZON_FLOOR:.6g} "
+                          f"for the titchmarsh stage, got {cfg.horizon:g}")
     for name in ("spectrum_modes", "k_modes"):
         if not 1 <= getattr(cfg, name) <= cfg.n_interior:
             raise ConfigError(f"{name} must lie in [1, n_interior = {cfg.n_interior}], "
@@ -187,6 +186,8 @@ def validate_config(cfg: LabConfig, subcommand: str = "all") -> Lab:
             raise ConfigError(f"{name} must lie in (0, {fla.MAX_TRUNCATION}]")
     if cfg.mask_kind not in ("interval", "cantor"):
         raise ConfigError("mask_kind must be 'interval' or 'cantor'")
+    if len(cfg.eps_list) < 2:   # the hum checks compare successive penalties
+        raise ConfigError(f"eps_list needs at least two penalties, got {cfg.eps_list}")
     if any(e <= 0 for e in cfg.eps_list):
         raise ConfigError("eps_list entries must be positive")
     if any(b >= a for a, b in zip(cfg.eps_list, cfg.eps_list[1:])):
@@ -223,7 +224,7 @@ def validate_config(cfg: LabConfig, subcommand: str = "all") -> Lab:
     return lab
 
 
-_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(LabConfig)}
+_FIELD_NAMES = {f.name for f in dataclasses.fields(LabConfig)}
 
 
 def load_config(path: str | None) -> LabConfig:
@@ -242,7 +243,7 @@ def load_config(path: str | None) -> LabConfig:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (s.strip() for s in line.split("=", 1))
-        if key not in _FIELD_TYPES:
+        if key not in _FIELD_NAMES:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         try:
             if key == "eps_list":
@@ -404,8 +405,8 @@ def _basis_sizes(basis: spc.SpectralBasis, mask: evo.ObservationMask | None = No
 
 
 def _smallest_step(values) -> float:
-    """min of values[i] - values[i+1]: positive iff strictly decreasing."""
-    return min((a - b for a, b in zip(values, values[1:])), default=math.inf)
+    """min of values[i] - values[i+1] over two values or more: positive iff strictly decreasing."""
+    return min(a - b for a, b in zip(values, values[1:]))
 
 
 def _exponent_error(study: ang.BlowupStudy) -> float:
@@ -602,12 +603,12 @@ def measure_angular(n_ang: int) -> dict:
         solved.append((prob, basis))
         mu1.append(basis.eigenvalues[0])
         for k, mu in enumerate(basis.eigenvalues, 1):
-            rows.append((lam, k, mu, ang.gamma_exponent(mu, prob.dimension_N)))
+            rows.append((lam, k, mu, ang.gamma_exponent(mu, ang.CIRCLE_DIMENSION)))
     prob0, basis0 = solved[0]      # the sweep starts at lam = 0
     arcvals = basis0.eigenvalues[::2][:4]
     study = ang.blowup_profile_check([1.0, 0.5], [1.0, 2.0], basis0.eigenvectors[:, [0, 2]],
                                      prob0.spacing)
-    gamma_defect = max(abs(g * (g + prob.dimension_N - 2) - mu) for _, _, mu, g in rows)
+    gamma_defect = max(abs(g * (g + ang.CIRCLE_DIMENSION - 2) - mu) for _, _, mu, g in rows)
     oracle_err = float(max(abs(v - (j + 1) ** 2) / (j + 1) ** 2 for j, v in enumerate(arcvals)))
     return {"rows": rows, "study": study, "angular_gamma_identity": gamma_defect,
             "angular_arc_oracle": oracle_err, "angular_monotone_in_lam": _smallest_step(mu1),
@@ -877,7 +878,7 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg.seed = args.seed
         return run(args.subcommand, cfg, out_root, check=args.check)
-    except SupercriticalCouplingError as exc:
+    except spc.SupercriticalCouplingError as exc:
         print(json.dumps({
             "error": "supercritical_coupling",
             "lambda": exc.lam,

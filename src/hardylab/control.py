@@ -88,7 +88,6 @@ class ControlResult:
     multiplier: np.ndarray
     eps: float
     defect_predicted: float
-    cost: float
     target_gap: np.ndarray        # d = u_d - free flow of u_0 at T
     control_samples: np.ndarray | None = None
 
@@ -111,7 +110,7 @@ def _penalized(gram: Gramian, u0: ModeState, ud: ModeState, eps: np.ndarray):
 
 def hum_solve(gram: Gramian, u0: ModeState, ud: ModeState, eps: float,
               sample_times: np.ndarray | None = None) -> ControlResult:
-    """Solve (G + eps I) q = d and report the closed-form defect and cost.
+    """Solve (G + eps I) q = d and report the closed-form defect.
 
     q is V w from the Gramian's eigendecomposition, refined once against G.
     The control is h(t, x) = i * sum_l q_l e^{i mu_l (t - T)} phi_l(x) on the
@@ -119,20 +118,20 @@ def hum_solve(gram: Gramian, u0: ModeState, ud: ModeState, eps: float,
     """
     if eps <= 0:
         raise ValueError("penalty eps must be positive")
-    d, w, defect, cost = _penalized(gram, u0, ud, np.array([eps]))
+    d, w, defect, _ = _penalized(gram, u0, ud, np.array([eps]))
     v = gram.eigenvectors
     q = v @ w[:, 0]
     # one refinement step against G itself: V is orthonormal only to a few
     # ulps, which would leave q several times less accurate than a Cholesky solve
     q = q + v @ ((v.conj().T @ (d - gram.matrix @ q - eps * q)) / (gram.eigenvalues + eps))
-    result = ControlResult(q, eps, float(defect[0]), float(cost[0]), d)
+    result = ControlResult(q, eps, float(defect[0]), d)
     if sample_times is not None:
         phases = np.exp(1j * np.outer(sample_times - gram.horizon, gram.mode_eigenvalues))
         result.control_samples = 1j * (phases * q) @ gram.phi_masked.T
     return result
 
 
-def verify_control(result: ControlResult, gram: Gramian, n_steps: int = 200_000) -> float:
+def verify_control(result: ControlResult, gram: Gramian, n_steps: int) -> float:
     """Terminal defect ||u(T) - u_d|| of the controlled flow under the
     n_steps trapezoid rule, as ||(Mw o eta_dt) q - d||; it agrees with the
     predicted defect up to the quadrature error of eta_dt."""

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IllPosedTruncationError
 from .evolution import (ModeTrajectory, ObservationMask, TimeGrid,
                         free_trajectory, khatri_rao_core, numerical_rank,
                         observability_matrix, observe)
@@ -33,6 +32,10 @@ from .flatness import FlatnessKernel, GevreyBump, row_blocks
 from .spectral import SpectralBasis
 
 SIGMA_MIN_FLOOR = 1e-12
+
+
+class IllPosedTruncationError(RuntimeError):
+    """Least-squares certificate refused: sigma_min below the trust floor."""
 
 
 @dataclass

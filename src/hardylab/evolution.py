@@ -138,7 +138,6 @@ class ObservationMask:
     weights: np.ndarray
     intervals: list[tuple[float, float]]
     analytic_measure: float
-    unit_measure_limit: float | None = None
     depth: int | None = None
 
     @property
@@ -165,7 +164,7 @@ def interval_mask(grid: RadialGrid, a: float, b: float) -> ObservationMask:
     )
 
 
-def fat_cantor_mask(grid: RadialGrid, base_interval: tuple[float, float] = (0.0, 1.0)) -> ObservationMask:
+def fat_cantor_mask(grid: RadialGrid, base_interval: tuple[float, float]) -> ObservationMask:
     """Positive-measure nowhere-dense mask by the middle-removal construction.
 
     Stage k removes an open middle piece of length L * 4^-(k+1) from each of
@@ -202,7 +201,6 @@ def fat_cantor_mask(grid: RadialGrid, base_interval: tuple[float, float] = (0.0,
         weights=grid.weights[idx],
         intervals=list(zip(lo.tolist(), hi.tolist())),
         analytic_measure=analytic,
-        unit_measure_limit=0.5,
         depth=depth,
     )
 

@@ -17,10 +17,22 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bessel import bessel_zeros
-from .errors import SupercriticalCouplingError
 from .lapack import eigh_tridiagonal
 
 EIGEN_RESIDUAL_TOL = 1e-10  # relative to ||A||, per eigenpair
+
+
+class SupercriticalCouplingError(ValueError):
+    """Coupling at or above the critical Hardy constant (n-2)^2/4."""
+
+    def __init__(self, lam: float, lam_star: float, n: int):
+        self.lam = lam
+        self.lam_star = lam_star
+        self.dimension = n
+        super().__init__(
+            f"coupling {lam} is not subcritical: requires lambda < "
+            f"lambda_star({n}) = {lam_star}"
+        )
 
 
 def critical_constant(n: int) -> float:
@@ -115,7 +127,7 @@ class HardyDiscretization:
     bessel_order: float
 
 
-def assemble_hardy_operator(grid: RadialGrid, lam: float, n: int = 3) -> HardyDiscretization:
+def assemble_hardy_operator(grid: RadialGrid, lam: float, n: int) -> HardyDiscretization:
     """Three-point discretization of the reduced radial operator."""
     if grid.n_interior < 8:
         raise ValueError("grid too small: need at least 8 interior nodes")

@@ -26,7 +26,7 @@ from hardylab import flatness as fla
 from hardylab import lapack
 from hardylab import spectral as spc
 from hardylab.cli import LabConfig, load_config, main, run, validate_config
-from hardylab.errors import IllPosedTruncationError, SupercriticalCouplingError
+from hardylab.elliptic import IllPosedTruncationError
 
 
 def light_config(**overrides) -> LabConfig:
@@ -176,6 +176,18 @@ def test_non_finite_floats_rejected_before_output(tmp_path, capsys, field, templ
     assert not out_root.exists()
 
 
+def test_one_penalty_rejected_before_output(tmp_path, capsys):
+    # the hum checks compare successive penalties, so one penalty leaves them no value
+    cfg_file = tmp_path / "one.cfg"
+    cfg_file.write_text("eps_list = 1e-3\n")
+    out_root = tmp_path / "out"
+    assert main(["hum", "--config", str(cfg_file), "--out", str(out_root)]) == 2
+    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert payload["error"] == "invalid_config"
+    assert "eps_list" in payload["message"]
+    assert not out_root.exists()
+
+
 def test_spectrum_modes_above_n_interior_rejected_before_output(tmp_path, capsys):
     # the Bessel oracle has 10 zeros, but an 8-node grid has 8 eigenpairs
     cfg_file = tmp_path / "small.cfg"
@@ -281,7 +293,7 @@ def test_shortest_inverse_grid_runs(tmp_path):
 
 
 _KERNEL_FLOOR, _KERNEL_CEILING = fla.HORIZON_RANGE
-_TITCHMARSH_FLOOR = cli.HORIZON_FLOORS["titchmarsh"]
+_TITCHMARSH_FLOOR = cli.TITCHMARSH_HORIZON_FLOOR
 
 
 @pytest.mark.parametrize("subcommand, horizon", [
@@ -475,7 +487,7 @@ def test_kernel_and_transform_read_one_table_of_the_config_order(tmp_path, monke
 
 
 def test_validate_config_rules():
-    with pytest.raises(SupercriticalCouplingError):
+    with pytest.raises(spc.SupercriticalCouplingError):
         validate_config(light_config(lam=0.25))
     for bad, named in (
         ({"dimension_n": 2}, "dimension_n"),
@@ -578,7 +590,7 @@ def test_module_import_loads_only_its_dependencies():
     # the package re-exports nothing, so importing one module by name loads
     # that module and what it imports, not the whole package
     assert _loaded_modules("hardylab.spectral", "hardylab") == [
-        "hardylab", "hardylab.bessel", "hardylab.errors", "hardylab.lapack", "hardylab.spectral"]
+        "hardylab", "hardylab.bessel", "hardylab.lapack", "hardylab.spectral"]
 
 
 def test_seed_and_out_flags(tmp_path, monkeypatch):
@@ -683,6 +695,22 @@ def all_run(tmp_path_factory):
     summary = json.loads(printed.getvalue().splitlines()[-1])
     manifest = json.loads((Path(summary["outdir"]) / "manifest.json").read_text())
     return code, returned, summary, manifest
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not RFC 8259 JSON")
+
+
+def test_all_writes_strict_json(tmp_path, all_run):
+    # json.dumps writes inf and nan as the tokens Infinity and NaN, which
+    # strict parsers reject; no artifact of the default or the light run holds one
+    _, _, summary, _ = all_run
+    assert run("all", LabConfig(), tmp_path) == 0
+    for outdir in (find_run_dir(tmp_path, "all"), Path(summary["outdir"])):
+        paths = sorted(outdir.glob("*.json"))
+        assert outdir / "manifest.json" in paths
+        for path in paths:
+            json.loads(path.read_text(), parse_constant=_reject_constant)
 
 
 def test_manifest_keeps_stage_reports_and_times(all_run):

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from hardylab.cli import LabConfig, _complex_normal, validate_config
-from hardylab.elliptic import (CylinderWindow, EllipticProfile, elliptic_residual,
-                               moment_trace, transform, ucp_probe,
+from hardylab.elliptic import (CylinderWindow, EllipticProfile, IllPosedTruncationError,
+                               elliptic_residual, moment_trace, transform, ucp_probe,
                                uniqueness_pipeline)
-from hardylab.errors import IllPosedTruncationError
 from hardylab.evolution import (TimeGrid, free_trajectory, interval_mask,
                                 observability_matrix, observe)
 from hardylab.evolution import ModeTrajectory

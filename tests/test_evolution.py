@@ -290,7 +290,6 @@ def test_fat_cantor_construction():
     assert all(hi <= 3 / 8 + 1e-15 or lo >= 5 / 8 - 1e-15 for lo, hi in mask.intervals), kept_after_one
     # geometric series: limiting measure 1/2, depth-d analytic value
     depth = mask.depth
-    assert mask.unit_measure_limit == 0.5
     assert mask.analytic_measure == pytest.approx(0.5 + 2.0 ** (-(depth + 1)), abs=1e-15)
     # grid-realized measure close to the analytic one
     assert abs(mask.realized_measure() - mask.analytic_measure) <= 2 * grid.spacing * depth

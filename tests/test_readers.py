@@ -1,0 +1,55 @@
+"""Every member the package defines has a reader.
+
+A dataclass field, property or method of a class in src/hardylab whose
+name is never read as an attribute, by the package itself, by the benchmark
+in perfbench/ or by the acceptance criteria, holds a value that no run looks
+at: it is dropped, not kept for a reader that does not exist.  Dunder
+methods are called by the language and are exempt.  Reads are matched by
+name alone, so a member that shares its name with one that is read passes.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "hardylab"
+READERS = [*sorted(PACKAGE.glob("*.py")), *sorted((ROOT / "perfbench").glob("*.py")),
+           ROOT / "tests" / "test_acceptance.py"]
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    """Decorated @dataclass or @dataclass(...)."""
+    return any(getattr(deco.func if isinstance(deco, ast.Call) else deco, "id", None) == "dataclass"
+               for deco in cls.decorator_list)
+
+
+def defined_members(path: Path) -> list[tuple[str, str]]:
+    """('module.Class.member', member) for the fields of each dataclass and
+    the properties and methods of each class in path, dunders left out."""
+    members = []
+    for cls in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, ast.FunctionDef):
+                name = node.name
+            elif (isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+                  and _is_dataclass(cls)):
+                name = node.target.id
+            else:
+                continue
+            if not (name.startswith("__") and name.endswith("__")):
+                members.append((f"{path.stem}.{cls.name}.{name}", name))
+    return members
+
+
+def attributes_read(path: Path) -> set[str]:
+    return {node.attr for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_member_is_read():
+    read = set().union(*map(attributes_read, READERS))
+    unread = [member for path in sorted(PACKAGE.glob("*.py"))
+              for member, name in defined_members(path) if name not in read]
+    assert unread == []

@@ -6,11 +6,10 @@ from scipy.linalg import eigh_tridiagonal
 
 from hardylab import lapack, spectral
 from hardylab.bessel import bessel_zeros
-from hardylab.errors import SupercriticalCouplingError
-from hardylab.spectral import (RadialGrid, assemble_hardy_operator, bessel_order,
-                               critical_constant, dirichlet_eigenpairs, hardy_pencil_infimum,
-                               hardy_rayleigh, solve_spectrum, tridiagonal_apply,
-                               tridiagonal_norm)
+from hardylab.spectral import (RadialGrid, SupercriticalCouplingError, assemble_hardy_operator,
+                               bessel_order, critical_constant, dirichlet_eigenpairs,
+                               hardy_pencil_infimum, hardy_rayleigh, solve_spectrum,
+                               tridiagonal_apply, tridiagonal_norm)
 
 
 def make_basis(n, lam, k, dim=3):
