@@ -25,10 +25,9 @@ outside flatness.HORIZON_RANGE or a tau grid that flatness.contour_radii
 refuses, for uniqueness a mask whose samples are fewer than the unknowns of
 its observability or UCP map, or an output root under which the run
 directory cannot be created, checked before any stage runs), 3 supercritical
-coupling, 4 a stage failed on a configuration that passed validation: it
-raised ValueError, RuntimeError (which covers IllPosedTruncationError, a
-failed eigenpair residual and a Gramian that is not positive definite) or
-FloatingPointError.  The stage_failure payload names the
+coupling, 4 a stage raised on a configuration that passed validation.  Every
+JSON file is RFC 8259 JSON, which has no inf or nan: a stage whose artifact,
+check value or report holds one fails.  The stage_failure payload names the
 stage and the exception class, and no output directory is left.
 """
 
@@ -72,16 +71,12 @@ class ConfigError(ValueError):
 
 
 class StageFailure(Exception):
-    """A stage raised one of _STAGE_ERRORS on a configuration that passed validation."""
+    """A stage raised on a configuration that passed validation."""
 
     def __init__(self, stage: str, error: Exception):
         self.stage = stage
         self.exception = type(error).__name__
         super().__init__(str(error))
-
-
-# failures a stage can raise on a validated configuration; they exit 4
-_STAGE_ERRORS = (ValueError, RuntimeError, FloatingPointError)
 
 
 @dataclass
@@ -308,8 +303,9 @@ def write_csv(path: Path, header: list[str], columns) -> None:
 
 
 def write_json(path: Path, payload: dict) -> None:
-    """payload as indented JSON with sorted keys and a final newline, in one write."""
-    text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default)
+    """payload as indented JSON with sorted keys and a final newline, in one write;
+    ValueError on a non-finite float, which RFC 8259 JSON cannot hold."""
+    text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default, allow_nan=False)
     with open(path, "w") as fh:
         fh.write(text + "\n")
 
@@ -361,14 +357,14 @@ CHECKS = {  # name: (stage, comparator, bound)
     "angular_gamma_identity": ("angular", "<=", 1e-12),
     "angular_arc_oracle": ("angular", "<=", 5e-3),
     "angular_monotone_in_lam": ("angular", ">", 0.0),     # smallest drop of mu_1 as lam grows
-    "angular_blowup_exponent": ("angular", "<=", 0.1),    # relative error, inf if none fitted
+    "angular_blowup_exponent": ("angular", "<=", 0.1),    # relative error; no fit fails the stage
     "hum_hermitian": ("hum", "<=", 1e-14),
     "hum_psd": ("hum", ">=", -1e-14),                     # lambda_min / max(lambda_max, 1)
     "hum_defect_identity": ("hum", "<=", 1e-6),
     "hum_defect_decreasing": ("hum", ">", 0.0),           # smallest drop along eps_list
     "hum_cost_nondecreasing": ("hum", ">=", -1e-12),      # smallest rise along eps_list
     "inverse_roundtrip": ("inverse-source", "<=", 1e-10),
-    "inverse_reconstruction": ("inverse-source", "<=", 1e-3),  # inf for a zero source
+    "inverse_reconstruction": ("inverse-source", "<=", 1e-3),  # a zero source fails the stage
     "inverse_factorization_identity": ("inverse-source", "<=", 1e-8),
     "inverse_convolution_identity": ("inverse-source", "<=", 1e-6),
     "inverse_free_evolution": ("inverse-source", "<=", 1e-4),
@@ -801,7 +797,10 @@ def _run_stages(subcommand: str, lab: Lab, outdir: Path) -> dict[str, bool]:
             stage_started = time.monotonic()
             try:
                 verdicts, rep = _RUNNERS[name](lab, outdir)
-            except _STAGE_ERRORS as exc:
+                # a non-finite value fails its stage here, not the manifest's write
+                json.dumps([[v.value for v in verdicts.values()], rep], allow_nan=False,
+                           default=_json_default)
+            except Exception as exc:
                 raise StageFailure(name, exc) from exc
             stage_seconds[name] = time.monotonic() - stage_started
             if resource is not None:   # the high-water mark in MiB; macOS counts bytes, Linux KiB

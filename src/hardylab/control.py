@@ -3,14 +3,16 @@
 The control acts through the indicator of the observation set; in the
 spectral basis the reachable increment of a multiplier vector q is G q with
 
-    G_jl = Mw_jl * eta(mu_j - mu_l, T),    eta(d, T) = (e^(i d T) - 1)/(i d),
+    G_jl = Mw_jl * eta(mu_j - mu_l, T),    eta(d, T) = T e^(iy) sin(y)/y,
 
-where Mw is the mask-restricted mass matrix of the eigenfunctions.  The
-penalized problem (G + eps I) q = d has the closed-form terminal defect
-eps (G + eps I)^{-1} d; the control cost is q^H G q exactly.  Both are read
-from the one eigendecomposition G = V diag(lam) V^H: with dh = V^H d and
-w = dh / (lam + eps), q = V w, the defect is eps ||w|| and the squared cost
-is sum lam |w|^2, for any number of penalties.
+where y = d T/2 (the form of (e^(i d T) - 1)/(i d) without a cancelling
+difference; sin(y)/y = 1 at y = 0) and Mw is the mask-restricted mass matrix
+of the eigenfunctions.  The penalized problem (G + eps I) q = d has the
+closed-form terminal defect eps (G + eps I)^{-1} d; the control cost is
+q^H G q exactly.  Both are read from the one eigendecomposition
+G = V diag(lam) V^H: with dh = V^H d and w = dh / (lam + eps), q = V w, the
+defect is eps ||w|| and the squared cost is sum lam |w|^2, for any number of
+penalties.
 
 verify_control checks the defect without the closed form of eta: the
 trapezoid rule for the controlled Duhamel integral, reordered, gives
@@ -28,13 +30,8 @@ from .spectral import SpectralBasis
 
 
 def _eta_matrix(mus: np.ndarray, horizon: float) -> np.ndarray:
-    d = np.subtract.outer(mus, mus)
-    small = np.abs(d) * horizon < 1e-8
-    safe = np.where(small, 1.0, d)
-    eta = (np.exp(1j * d * horizon) - 1.0) / (1j * safe)
-    # second-order Taylor keeps the Hermitian structure through d -> 0
-    taylor = horizon * (1.0 + 0.5j * d * horizon)
-    return np.where(small, taylor, eta)
+    y = 0.5 * np.subtract.outer(mus, mus) * horizon
+    return horizon * np.exp(1j * y) * np.divide(np.sin(y), y, out=np.ones_like(y), where=y != 0)
 
 
 def _eta_matrix_trapezoid(mus: np.ndarray, horizon: float, n_steps: int) -> np.ndarray:
@@ -47,10 +44,8 @@ def _eta_matrix_trapezoid(mus: np.ndarray, horizon: float, n_steps: int) -> np.n
     dt = horizon / n_steps
     theta = np.subtract.outer(mus, mus)
     x, y = 0.5 * theta * dt, 0.5 * theta * horizon
-    zero = x == 0
-    eta = dt * np.sin(y) / np.tan(np.where(zero, 1.0, x)) * np.exp(1j * y)
-    eta[zero] = horizon
-    return eta
+    return np.divide(dt * np.sin(y), np.tan(x), out=np.full_like(y, horizon),
+                     where=x != 0) * np.exp(1j * y)
 
 
 @dataclass

@@ -404,6 +404,20 @@ def test_long_horizon_runs_without_numpy_warnings(tmp_path, subcommand, horizon)
         assert run(subcommand, light_config(horizon=horizon), tmp_path) == 0
 
 
+def test_hum_at_a_huge_horizon_runs_without_numpy_warnings(tmp_path):
+    # the Gramian's eta never forms horizon**2, which overflows here
+    cfg_file = tmp_path / "huge.cfg"
+    cfg_file.write_text("horizon = 1e200\n")
+    out_root = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["hum", "--config", str(cfg_file), "--out", str(out_root)]) == 0
+    paths = sorted(find_run_dir(out_root, "hum").glob("*.json"))
+    assert paths
+    for path in paths:
+        json.loads(path.read_text(), parse_constant=_reject_constant)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.floats(math.log10(_KERNEL_FLOOR / 10), math.log10(_KERNEL_CEILING * 10)),
        st.sampled_from([2, 16, 1024]))
@@ -634,15 +648,63 @@ def test_check_flag_fails_on_breach(tmp_path):
     assert manifest["checks"]["kernel_boundary_exact"] is True
 
 
-def test_failing_stage_leaves_no_output_directory(tmp_path, monkeypatch):
+def test_failing_stage_leaves_no_output_directory(tmp_path, capsys, monkeypatch):
     def broken(cfg, outdir):
         (outdir / "partial.csv").write_text("t\n")
-        raise OSError("stage failed")   # not a numerical failure: it propagates
+        raise OSError("stage failed")   # not a numerical failure: it fails the stage too
 
     monkeypatch.setitem(cli._RUNNERS, "hardy", broken)
     out_root = tmp_path / "out"
-    with pytest.raises(OSError, match="stage failed"):
-        run("all", light_config(), out_root)
+    assert main(["all", "--out", str(out_root)]) == 4
+    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert payload == {"error": "stage_failure", "stage": "hardy", "exception": "OSError",
+                       "message": "stage failed"}
+    assert list(out_root.iterdir()) == []
+
+
+def test_promoted_runtime_warning_exits_4(tmp_path, capsys, monkeypatch):
+    def overflowing(lab, outdir):
+        return {}, {"value": np.exp(np.float64(1000.0))}
+
+    monkeypatch.setitem(cli._RUNNERS, "titchmarsh", overflowing)
+    out_root = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["titchmarsh", "--out", str(out_root)]) == 4
+    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert payload["stage"] == "titchmarsh" and payload["exception"] == "RuntimeWarning"
+    assert list(out_root.iterdir()) == []
+
+
+@pytest.mark.parametrize("horizon, token", [(1e105, "inf"), (1e200, "nan")])
+def test_non_finite_values_fail_their_stage_before_the_manifest(tmp_path, capsys, horizon,
+                                                                token):
+    # the Duhamel-Volterra chain overflows at these validated horizons, and
+    # RFC 8259 JSON has no token for what it then reports
+    cfg_file = tmp_path / "huge.cfg"
+    cfg_file.write_text(f"horizon = {horizon!r}\n")
+    out_root = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = main(["inverse-source", "--config", str(cfg_file), "--out", str(out_root)])
+    assert code == 4
+    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert payload["stage"] == "inverse-source" and payload["exception"] == "ValueError"
+    assert payload["message"].endswith(f"not JSON compliant: {token}")
+    assert list(out_root.iterdir()) == []
+
+
+@pytest.mark.parametrize("value, report", [(math.inf, 0.5), (1.0, math.nan)])
+def test_non_finite_check_value_or_report_fails_its_stage(tmp_path, capsys, monkeypatch,
+                                                          value, report):
+    def non_finite(lab, outdir):
+        return {"titchmarsh_additivity": cli.judge("titchmarsh_additivity", value)}, {"gap": report}
+
+    monkeypatch.setitem(cli._RUNNERS, "titchmarsh", non_finite)
+    out_root = tmp_path / "out"
+    assert main(["titchmarsh", "--out", str(out_root)]) == 4
+    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert payload["stage"] == "titchmarsh" and "not JSON compliant" in payload["message"]
     assert list(out_root.iterdir()) == []
 
 

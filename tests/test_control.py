@@ -1,5 +1,6 @@
 import ast
 import inspect
+import warnings
 
 import mpmath
 import numpy as np
@@ -366,6 +367,44 @@ def test_sampled_eta_converges_at_second_order(basis):
     e1 = np.abs(_eta_matrix_trapezoid(basis.eigenvalues, 1.0, 2000) - exact).max()
     e2 = np.abs(_eta_matrix_trapezoid(basis.eigenvalues, 1.0, 4000) - exact).max()
     assert e1 / e2 == pytest.approx(4.0, rel=0.05)
+
+
+def _eta_mp(mus, horizon):
+    # oracle: (e^{i d T} - 1)/(i d) at 40 digits from the exact differences of
+    # the double eigenvalues, T where d = 0
+    with mpmath.workdps(40):
+        t = mpmath.mpf(horizon)
+        out = np.empty((len(mus), len(mus)), dtype=complex)
+        for k, mu_k in enumerate(mus):
+            for l, mu_l in enumerate(mus):
+                d = mpmath.mpf(mu_k) - mpmath.mpf(mu_l)
+                out[k, l] = complex(t if d == 0 else (mpmath.expj(d * t) - 1) / (1j * d))
+    return out
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.24])
+@pytest.mark.parametrize("horizon", [1e-9, 1e-3, 1.0, 50.0])
+def test_eta_matches_extended_precision(lam, horizon):
+    # e^{idT} - 1 cancels where |d| T is small: relative 1e-9 at T = 1e-9
+    mus = make_basis(n=800, lam=lam, k=16).eigenvalues
+    ref = _eta_mp(mus, horizon)
+    assert np.abs(_eta_matrix(mus, horizon) - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+def test_eta_near_degenerate_pair():
+    mus = np.array([2.0, 2.0 + 1e-7, 7.5])
+    ref = _eta_mp(mus, 1.0)
+    assert np.abs(_eta_matrix(mus, 1.0) - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("horizon", [1e-9, 0.7, 50.0, 1e200])
+def test_eta_diagonal_is_horizon_and_gramian_exactly_hermitian(basis, horizon):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        eta = _eta_matrix(basis.eigenvalues, horizon)
+        m = gramian(basis, interval_mask(basis.grid, 0.3, 0.6), horizon).matrix
+    assert np.all(np.diag(eta) == horizon)
+    assert np.array_equal(m, m.conj().T)
 
 
 def test_defect_curve_monotonicity(gram):
