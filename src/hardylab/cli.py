@@ -9,7 +9,8 @@ values and of the sizes it used, its wall seconds and the process's peak
 RSS after it (not on Windows), sha256 digests) into a stamped directory
 under --out (overridden by the LAB_OUT environment variable); the
 directory appears under its stamped name only once the manifest is
-written.  A CSV table is a header line, then one line per row with floats
+written.  Only the manifest holds the config and each check and report
+value.  A CSV table is a header line, then one line per row with floats
 as %.17g and other values as str, comma-separated and unquoted, every line
 ending in CRLF.  The stages run with the OpenBLAS that lapack computes with
 on one thread, so bodies of the CSV/JSON artifacts are functions of config
@@ -63,7 +64,7 @@ from . import inverse as inv
 from . import lapack
 from . import spectral as spc
 
-ARTIFACT_VERSION = "0.1.0"
+ARTIFACT_VERSION = "0.2.0"
 
 
 class ConfigError(ValueError):
@@ -126,15 +127,15 @@ UCP_WINDOW_NODES = 33
 
 
 class Lab:
-    """What the stages of one run share, each built once: the config, its snapshot, the
-    stages, the radial and tau grids and the mask, and on first call the flatness bump,
-    its Cauchy derivative table on the tau grid and the basis of each exact (lam, k),
-    never sliced from a larger k's basis, whose first eigenpairs differ in their last
-    bits.  The table serves both flatness truncations at the order the config asks of
-    either, never at one that depends on the stages run: its bits depend on the order."""
+    """What the stages of one run share, each built once: the config, the stages, the
+    radial and tau grids and the mask, and on first call the flatness bump, its Cauchy
+    derivative table on the tau grid and the basis of each exact (lam, k), never sliced
+    from a larger k's basis, whose first eigenpairs differ in their last bits.  The
+    table serves both flatness truncations at the order the config asks of either,
+    never at one that depends on the stages run: its bits depend on the order."""
 
     def __init__(self, cfg: LabConfig, stages: list[str]):
-        self.cfg, self.config, self.stages = cfg, dataclasses.asdict(cfg), stages
+        self.cfg, self.stages = cfg, stages
         self.grid = grid = spc.RadialGrid(cfg.n_interior)
         self.tau_grid = evo.TimeGrid(cfg.horizon, cfg.tau_steps)
         try:
@@ -302,9 +303,19 @@ def write_csv(path: Path, header: list[str], columns) -> None:
         fh.write((row * n_rows) % tuple(cells))
 
 
+def _refuse_non_finite(value, path: str = "") -> None:
+    """ValueError '<path>/<key> is nan' (or inf) at the first non-finite float, keys sorted."""
+    if isinstance(value, (float, np.floating)) and not math.isfinite(value):
+        raise ValueError(f"{path} is {float(value)}")
+    for key, item in (sorted(value.items()) if isinstance(value, dict) else
+                      enumerate(value) if isinstance(value, (list, tuple)) else ()):
+        _refuse_non_finite(item, f"{path}/{key}" if path else str(key))
+
+
 def write_json(path: Path, payload: dict) -> None:
     """payload as indented JSON with sorted keys and a final newline, in one write;
-    ValueError on a non-finite float, which RFC 8259 JSON cannot hold."""
+    ValueError naming the file and key of a non-finite float, which JSON cannot hold."""
+    _refuse_non_finite(payload, path.name)   # allow_nan=False below is only a backstop
     text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default, allow_nan=False)
     with open(path, "w") as fh:
         fh.write(text + "\n")
@@ -511,12 +522,9 @@ def run_kernel(lab: Lab, outdir: Path):
                        1, 1)
     write_csv(outdir / "kernel.csv", ["t", "tau", "re_k", "im_k"], columns)
     write_json(outdir / "kernel_residual.json", {
-        "config": lab.config, "k_trunc": cfg.k_trunc,
         "max_residual": res.max_residual, "max_kernel": res.max_kernel,
-        "residual_over_max_kernel": m["kernel_residual_ratio"],
-        "tail_match_error": res.tail_match_error, "boundary_defect": m["kernel_boundary_exact"],
-        "control_trace_sup": float(np.abs(fla.control_trace(kernel)).max()),
-    })
+        "tail_match_error": res.tail_match_error,
+        "control_trace_sup": float(np.abs(fla.control_trace(kernel)).max())})
     return _judge_stage("kernel", m), {"ratio": m["kernel_residual_ratio"],
                                        "boundary": m["kernel_boundary_exact"],
                                        "sizes": _kernel_sizes(kernel)}
@@ -541,11 +549,7 @@ def run_transform(lab: Lab, outdir: Path):
                        1, max(1, (cfg.transform_t_nodes - 1) // 200))
     write_csv(outdir / "elliptic_profile.csv", ["k", "t", "re_w", "im_w"], columns)
     write_json(outdir / "transform_report.json", {
-        "config": lab.config, "k_trunc": cfg.transform_k_trunc,
-        "residual": m["transform_residual"], "per_mode": m["per_mode"].tolist(),
-        "moment_consistency": m["transform_moment_consistency"],
-        "moments_abs": np.abs(m["moments"]).tolist(),
-    })
+        "per_mode": m["per_mode"].tolist(), "moments_abs": np.abs(m["moments"]).tolist()})
     return _judge_stage("transform", m), {
         "residual": m["transform_residual"], "moment_consistency": m["transform_moment_consistency"],
         "sizes": {**_basis_sizes(basis), **_kernel_sizes(kernel)}}
@@ -571,18 +575,11 @@ def run_uniqueness(lab: Lab, outdir: Path):
                            _complex_normal(np.random.default_rng(cfg.seed), cfg.k_modes))
     obs, ucp, cert = m["observability"], m["ucp"], m["certificate"]
     write_json(outdir / "observability.json", {
-        "config": lab.config,
-        "mask": {"kind": mask.kind, "intervals": mask.intervals,
-                 "n_nodes": mask.n_nodes, "measure": mask.realized_measure()},
-        "singular_values": obs.singular_values.tolist(), "rank": obs.rank,
-        "ucp_singular_values": ucp.singular_values.tolist(), "ucp_rank": ucp.rank,
-        "ucp_condition": ucp.condition,
-    })
+        "mask": {"kind": mask.kind, "intervals": mask.intervals, "measure": mask.realized_measure()},
+        "singular_values": obs.singular_values.tolist(),
+        "ucp_singular_values": ucp.singular_values.tolist(), "ucp_condition": ucp.condition})
     write_json(outdir / "certificate.json", {
-        "config": lab.config, "eta": cert.eta, "sigma_min": cert.sigma_min,
-        "bound": cert.bound, "c0_norm": cert.c0_norm,
-        "reconstruction_error": cert.reconstruction_error,
-    })
+        "eta": cert.eta, "sigma_min": cert.sigma_min, "bound": cert.bound, "c0_norm": cert.c0_norm})
     return _judge_stage("uniqueness", m), {
         "rank": obs.rank, "ucp_rank": ucp.rank,
         "sizes": {**_basis_sizes(basis, mask), "obs_time_steps": obs_grid.steps,
@@ -717,18 +714,10 @@ def run_inverse(lab: Lab, outdir: Path):
     m = measure_inverse(basis6, lab.basis(lam, 1), f6, zr, recon_grid, id_grid)
     recon = m["reconstruction"]
     write_json(outdir / "reconstruction.json", {
-        "config": lab.config, "lambda": lam, "recon_dt": recon_grid.dt,
+        "lambda": lam, "recon_dt": recon_grid.dt, "identity_dt": id_grid.dt,
         "f_true": [[c.real, c.imag] for c in f6],
         "f_recovered": [[c.real, c.imag] for c in recon.f_recovered],
-        "relative_error": recon.relative_error, "volterra_roundtrip": m["inverse_roundtrip"],
-        "identity_dt": id_grid.dt,
-        "factorization_identity": m["inverse_factorization_identity"],
-        "convolution_identity": m["inverse_convolution_identity"],
-        "free_evolution_residual": m["inverse_free_evolution"],
-        "rho0_zero_rejected": m["inverse_rho0_rejected"],
-        "reduction_route_agreement": m["inverse_reduction_agreement"],
-        "source_identity_residual": m["source_identity_residual"],
-    })
+        "source_identity_residual": m["source_identity_residual"]})
     return _judge_stage("inverse-source", m), {
         "roundtrip": m["inverse_roundtrip"], "rel_err": recon.relative_error,
         "id_conv": m["inverse_convolution_identity"], "id_free": m["inverse_free_evolution"],
@@ -797,9 +786,11 @@ def _run_stages(subcommand: str, lab: Lab, outdir: Path) -> dict[str, bool]:
             stage_started = time.monotonic()
             try:
                 verdicts, rep = _RUNNERS[name](lab, outdir)
-                # a non-finite value fails its stage here, not the manifest's write
-                json.dumps([[v.value for v in verdicts.values()], rep], allow_nan=False,
-                           default=_json_default)
+                # a non-finite or unserializable value fails its stage here, by name, not
+                # the manifest's write; allow_nan=False is only a backstop to the walk
+                recorded = {"check": {key: v.value for key, v in verdicts.items()}, "report": rep}
+                _refuse_non_finite(recorded)
+                json.dumps(recorded, allow_nan=False, default=_json_default)
             except Exception as exc:
                 raise StageFailure(name, exc) from exc
             stage_seconds[name] = time.monotonic() - stage_started
@@ -815,7 +806,7 @@ def _run_stages(subcommand: str, lab: Lab, outdir: Path) -> dict[str, bool]:
     manifest = {
         "artifact_version": ARTIFACT_VERSION,
         "subcommand": subcommand,
-        "config": lab.config,
+        "config": dataclasses.asdict(lab.cfg),
         "versions": {"python": platform.python_version(), "numpy": np.__version__,
                      "lapack": lapack.LIBRARY, "blas": blas},
         "wall_clock_utc": datetime.now(timezone.utc).isoformat(),

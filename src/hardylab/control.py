@@ -81,7 +81,6 @@ def gramian(basis: SpectralBasis, mask: ObservationMask, horizon: float) -> Gram
 @dataclass
 class ControlResult:
     multiplier: np.ndarray
-    eps: float
     defect_predicted: float
     target_gap: np.ndarray        # d = u_d - free flow of u_0 at T
     control_samples: np.ndarray | None = None
@@ -119,7 +118,7 @@ def hum_solve(gram: Gramian, u0: ModeState, ud: ModeState, eps: float,
     # one refinement step against G itself: V is orthonormal only to a few
     # ulps, which would leave q several times less accurate than a Cholesky solve
     q = q + v @ ((v.conj().T @ (d - gram.matrix @ q - eps * q)) / (gram.eigenvalues + eps))
-    result = ControlResult(q, eps, float(defect[0]), d)
+    result = ControlResult(q, float(defect[0]), d)
     if sample_times is not None:
         phases = np.exp(1j * np.outer(sample_times - gram.horizon, gram.mode_eigenvalues))
         result.control_samples = 1j * (phases * q) @ gram.phi_masked.T

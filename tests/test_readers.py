@@ -5,7 +5,9 @@ name is never read as an attribute, by the package itself, by the benchmark
 in perfbench/ or by the acceptance criteria, holds a value that no run looks
 at: it is dropped, not kept for a reader that does not exist.  Dunder
 methods are called by the language and are exempt.  Reads are matched by
-name alone, so a member that shares its name with one that is read passes.
+name alone, so a member that shares its name with one that is read passes;
+a read off numpy's finfo(...) or iinfo(...) (np.finfo(float).eps) reads
+numpy's member, not the package's, and is not counted.
 """
 
 import ast
@@ -43,9 +45,16 @@ def defined_members(path: Path) -> list[tuple[str, str]]:
     return members
 
 
+def _is_type_info(node: ast.expr) -> bool:
+    """A call of finfo or iinfo, by bare name or as an attribute (np.finfo(...))."""
+    func = getattr(node, "func", None)
+    return getattr(func, "attr", getattr(func, "id", None)) in ("finfo", "iinfo")
+
+
 def attributes_read(path: Path) -> set[str]:
     return {node.attr for node in ast.walk(ast.parse(path.read_text()))
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and not _is_type_info(node.value)}
 
 
 def test_every_member_is_read():
