@@ -17,6 +17,7 @@ from .spectral import dirichlet_eigenpairs, tridiagonal_apply
 
 ANGULAR_CRITICAL = 0.25  # critical coupling of the arc problem
 CIRCLE_DIMENSION = 2     # the N of gamma (gamma + N - 2) = mu: the arc operator is the circle's
+MIN_ARC_NODES = 64       # the least arc grid AngularProblem accepts
 
 
 @dataclass
@@ -37,8 +38,8 @@ class AngularProblem:
                 f"coupling {self.lam} not subcritical for the arc problem "
                 f"(requires lam < {ANGULAR_CRITICAL})"
             )
-        if self.n_ang < 64:
-            raise ValueError("need at least 64 interior arc nodes")
+        if self.n_ang < MIN_ARC_NODES:
+            raise ValueError(f"need at least {MIN_ARC_NODES} interior arc nodes")
         self.spacing = np.pi / (self.n_ang + 1)
         self.angles = self.spacing * np.arange(1, self.n_ang + 1)
         h2 = self.spacing**2

@@ -1,4 +1,4 @@
-"""Batch front end: presets, deterministic runs, CSV/JSON artifacts.
+"""Batch front end: deterministic runs, CSV/JSON artifacts.
 
 Every subcommand writes its tables plus a manifest (config snapshot, the
 python and numpy versions, the library that computed the tridiagonal
@@ -7,9 +7,8 @@ lapack.one_blas_thread pinned to one thread, check booleans, each check's
 value, comparator and bound from CHECKS, each stage's report of measured
 values and of the sizes it used, its wall seconds and the process's peak
 RSS after it (not on Windows), sha256 digests) into a stamped directory
-under --out (overridden by the LAB_OUT environment variable); the
-directory appears under its stamped name only once the manifest is
-written.  Only the manifest holds the config and each check and report
+under --out, which appears under its stamped name only once the manifest
+is written.  Only the manifest holds the config and each check and report
 value.  A CSV table is a header line, then one line per row with floats
 as %.17g and other values as str, comma-separated and unquoted, every line
 ending in CRLF.  The stages run with the OpenBLAS that lapack computes with
@@ -20,16 +19,15 @@ Exit codes: 0 success, 1 tolerance breach under --check, 2 invalid
 configuration (among others a non-finite lam, horizon, mask_a, mask_b or
 eps_list entry, an eps_list of fewer than two penalties, a Bessel order
 nu = sqrt(lambda_star - lam) above MAX_BESSEL_ORDER, spectrum_modes or k_modes
-above n_interior, an observation mask without grid nodes, for titchmarsh a
-horizon below TITCHMARSH_HORIZON_FLOOR, for kernel and transform a horizon
-outside flatness.HORIZON_RANGE or a tau grid that flatness.contour_radii
-refuses, for uniqueness a mask whose samples are fewer than the unknowns of
-its observability or UCP map, or an output root under which the run
-directory cannot be created, checked before any stage runs), 3 supercritical
-coupling, 4 a stage raised on a configuration that passed validation.  Every
-JSON file is RFC 8259 JSON, which has no inf or nan: a stage whose artifact,
-check value or report holds one fails.  The stage_failure payload names the
-stage and the exception class, and no output directory is left.
+above n_interior, an observation mask without grid nodes, for kernel and
+transform a horizon outside flatness.HORIZON_RANGE or a tau grid that
+flatness.contour_radii refuses, for uniqueness a mask whose samples are fewer
+than the unknowns of its observability or UCP map, or an output root under
+which the run directory cannot be created, checked before any stage runs), 3
+supercritical coupling, 4 a stage raised on a configuration that passed
+validation.  Every JSON file is RFC 8259 JSON, which has no inf or nan: a stage
+whose artifact, check value or report holds one fails.  The stage_failure
+payload names the stage and the exception class; no output directory is left.
 """
 
 import argparse
@@ -39,7 +37,6 @@ import hashlib
 import json
 import math
 import operator
-import os
 import platform
 import shutil
 import sys
@@ -108,11 +105,6 @@ class LabConfig:
     seed: int = 0
 
 
-# the least horizon of the titchmarsh stage, the one stage that builds no flatness bump
-# (flatness.HORIZON_RANGE bounds those that do) and cannot run at every positive one:
-# its bumps are up to 0.6 T wide and must start in [0.05, 0.9 T - width].
-TITCHMARSH_HORIZON_FLOOR = 1 / 6
-
 # the largest Bessel order nu = sqrt(lambda_star - lam) a run accepts: the
 # range the tests and the benchmark cover.  bessel_zeros has no ceiling, the
 # stages do.  Measured with none: the mask (0.05, 0.1) exits 1 at nu = 10 but
@@ -163,16 +155,13 @@ def validate_config(cfg: LabConfig, subcommand: str = "all") -> Lab:
     if nu > MAX_BESSEL_ORDER:
         raise ConfigError(f"Bessel order nu = {nu:.6g} exceeds the ceiling "
                           f"nu <= {MAX_BESSEL_ORDER:g}; lower dimension_n or raise lam")
-    if cfg.n_interior < 8:
-        raise ConfigError("n_interior must be at least 8")
-    if cfg.n_ang < 64:
-        raise ConfigError("n_ang must be at least 64")
+    if cfg.n_interior < spc.MIN_INTERIOR_NODES:
+        raise ConfigError(f"n_interior must be at least {spc.MIN_INTERIOR_NODES}")
+    if cfg.n_ang < ang.MIN_ARC_NODES:
+        raise ConfigError(f"n_ang must be at least {ang.MIN_ARC_NODES}")
     if cfg.horizon <= 0:
         raise ConfigError("horizon must be positive")
     stages = list(_RUNNERS) if subcommand == "all" else [subcommand]
-    if "titchmarsh" in stages and cfg.horizon < TITCHMARSH_HORIZON_FLOOR:
-        raise ConfigError(f"horizon must be at least {TITCHMARSH_HORIZON_FLOOR:.6g} "
-                          f"for the titchmarsh stage, got {cfg.horizon:g}")
     for name in ("spectrum_modes", "k_modes"):
         if not 1 <= getattr(cfg, name) <= cfg.n_interior:
             raise ConfigError(f"{name} must lie in [1, n_interior = {cfg.n_interior}], "
@@ -740,12 +729,13 @@ def _random_bump(rng: np.random.Generator, times: np.ndarray, lo: float, hi: flo
 
 
 def measure_titchmarsh(horizon: float, steps: int, rng: np.random.Generator) -> dict:
-    """Support additivity of 20 pairs of random bumps on 2 * steps steps over (0, 2 horizon)."""
+    """Support additivity of 20 pairs of random bumps on 2 * steps steps over (0, 2 horizon).
+    Every length scales with horizon: at a power of two the rows are horizon times those at 1."""
     grid = evo.TimeGrid(2.0 * horizon, 2 * steps)
     rows = []
     for _ in range(20):
-        a = _random_bump(rng, grid.times, 0.05, 0.9 * horizon, 8 * grid.dt)
-        b = _random_bump(rng, grid.times, 0.05, 0.9 * horizon, 8 * grid.dt)
+        a = _random_bump(rng, grid.times, 0.05 * horizon, 0.9 * horizon, 8 * grid.dt)
+        b = _random_bump(rng, grid.times, 0.05 * horizon, 0.9 * horizon, 8 * grid.dt)
         rep = inv.titchmarsh_support(a, b, grid.dt)
         rows.append((rep.start_a, rep.start_b, rep.start_convolution, rep.additivity_gap))
     worst = max([0.0] + [row[3] for row in rows])
@@ -857,17 +847,16 @@ def main(argv=None) -> int:
     )
     parser.add_argument("subcommand", choices=(*_RUNNERS, "all"))
     parser.add_argument("--config", default=None, help="key = value configuration file")
-    parser.add_argument("--out", default="out", help="output root (env LAB_OUT overrides)")
+    parser.add_argument("--out", default="out", help="output root")
     parser.add_argument("--seed", type=int, default=None, help="RNG seed override")
     parser.add_argument("--check", action="store_true",
                         help="exit nonzero on any tolerance breach")
     args = parser.parse_args(argv)
-    out_root = Path(os.environ.get("LAB_OUT", args.out))
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg.seed = args.seed
-        return run(args.subcommand, cfg, out_root, check=args.check)
+        return run(args.subcommand, cfg, Path(args.out), check=args.check)
     except spc.SupercriticalCouplingError as exc:
         print(json.dumps({
             "error": "supercritical_coupling",

@@ -20,6 +20,7 @@ from .bessel import bessel_zeros
 from .lapack import eigh_tridiagonal
 
 EIGEN_RESIDUAL_TOL = 1e-10  # relative to ||A||, per eigenpair
+MIN_INTERIOR_NODES = 8      # the least radial grid assemble_hardy_operator accepts
 
 
 class SupercriticalCouplingError(ValueError):
@@ -129,8 +130,8 @@ class HardyDiscretization:
 
 def assemble_hardy_operator(grid: RadialGrid, lam: float, n: int) -> HardyDiscretization:
     """Three-point discretization of the reduced radial operator."""
-    if grid.n_interior < 8:
-        raise ValueError("grid too small: need at least 8 interior nodes")
+    if grid.n_interior < MIN_INTERIOR_NODES:
+        raise ValueError(f"grid too small: need at least {MIN_INTERIOR_NODES} interior nodes")
     nu = bessel_order(lam, n)  # validates subcriticality
     lam_red = reduced_coupling(lam, n)
     h = grid.spacing

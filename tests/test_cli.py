@@ -308,7 +308,6 @@ def test_inverse_convolution_identity_converges_in_the_steps_at_horizon_3(tmp_pa
 
 
 _KERNEL_FLOOR, _KERNEL_CEILING = fla.HORIZON_RANGE
-_TITCHMARSH_FLOOR = cli.TITCHMARSH_HORIZON_FLOOR
 
 
 @pytest.mark.parametrize("subcommand, horizon", [
@@ -316,8 +315,6 @@ _TITCHMARSH_FLOOR = cli.TITCHMARSH_HORIZON_FLOOR
     ("kernel", 0.3),              # the Cauchy sums overflow at truncation 24
     ("transform", math.nextafter(_KERNEL_FLOOR, 0.0)),
     ("all", math.nextafter(_KERNEL_FLOOR, 0.0)),
-    ("titchmarsh", math.nextafter(_TITCHMARSH_FLOOR, 0.0)),
-    ("titchmarsh", 0.16),         # a wide bump leaves no room for its start
 ])
 def test_short_horizon_rejected_before_output(tmp_path, capsys, subcommand, horizon):
     cfg_file = tmp_path / "short.cfg"
@@ -335,7 +332,7 @@ def test_short_horizon_rejected_before_output(tmp_path, capsys, subcommand, hori
     # the largest truncation overflows first, so the floor is run at it
     ("kernel", {"horizon": _KERNEL_FLOOR, "k_trunc": fla.MAX_TRUNCATION}),
     ("transform", {"horizon": _KERNEL_FLOOR, "transform_k_trunc": fla.MAX_TRUNCATION}),
-    ("titchmarsh", {"horizon": _TITCHMARSH_FLOOR}),
+    ("titchmarsh", {"horizon": 1e-9}),   # its bumps scale with the horizon: no floor
     ("uniqueness", {"horizon": 0.05}),   # builds no kernel: no floor
 ])
 def test_horizon_at_floor_runs(tmp_path, subcommand, overrides):
@@ -345,10 +342,47 @@ def test_horizon_at_floor_runs(tmp_path, subcommand, overrides):
 def test_horizon_floor_applies_to_the_stages_run():
     short = light_config(horizon=0.05)
     for subcommand in ("spectrum", "hardy", "evolve", "uniqueness", "angular", "hum",
-                       "inverse-source"):
+                       "inverse-source", "titchmarsh"):
         validate_config(short, subcommand)
     with pytest.raises(cli.ConfigError, match="horizon"):
         validate_config(short)   # one argument: every stage, as 'all'
+
+
+def _titchmarsh_table(tmp_path, horizon: float) -> tuple[np.ndarray, float]:
+    """titchmarsh.csv of a light run at horizon as floats, and its additivity value."""
+    out_root = tmp_path / repr(horizon)
+    assert run("titchmarsh", light_config(horizon=horizon), out_root) == 0
+    outdir = find_run_dir(out_root, "titchmarsh")
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    rows = read_rows(outdir / "titchmarsh.csv")
+    assert rows[0] == ["start_a", "start_b", "start_conv", "gap"]
+    return (np.array(rows[1:], dtype=float),
+            manifest["check_details"]["titchmarsh_additivity"]["value"])
+
+
+@pytest.mark.parametrize("horizon", [0.125, 0.5, 1024.0])
+def test_titchmarsh_table_scales_exactly_with_a_power_of_two_horizon(tmp_path, horizon):
+    # every length of the stage is a multiple of the horizon: the bumps' starts
+    # and widths, the 2T grid and the convolution's support
+    table1, additivity1 = _titchmarsh_table(tmp_path, 1.0)
+    table, additivity = _titchmarsh_table(tmp_path, horizon)
+    assert np.array_equal(table, horizon * table1)
+    assert additivity == additivity1
+
+
+@pytest.mark.parametrize("horizon", [1e-9, 1e300])
+def test_titchmarsh_check_passes_at_extreme_horizons(tmp_path, horizon):
+    cfg_file = tmp_path / "horizon.cfg"
+    cfg_file.write_text(f"horizon = {horizon!r}\n")
+    out_root = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["titchmarsh", "--check", "--config", str(cfg_file),
+                     "--out", str(out_root)]) == 0
+    paths = sorted(find_run_dir(out_root, "titchmarsh").glob("*.json"))
+    assert paths
+    for path in paths:
+        json.loads(path.read_text(), parse_constant=_reject_constant)
 
 
 # at horizon 30 the bump has not underflowed at the first tau node of 16384
@@ -622,12 +656,13 @@ def test_module_import_loads_only_its_dependencies():
 
 
 def test_seed_and_out_flags(tmp_path, monkeypatch):
+    # --out is the one way to name the output root: no environment variable overrides it
     env_root = tmp_path / "env_root"
     monkeypatch.setenv("LAB_OUT", str(env_root))
-    code = main(["titchmarsh", "--out", str(tmp_path / "ignored"), "--seed", "3"])
+    code = main(["titchmarsh", "--out", str(tmp_path / "out"), "--seed", "3"])
     assert code == 0
-    assert env_root.exists()  # LAB_OUT overrides --out
-    outdir = find_run_dir(env_root, "titchmarsh")
+    assert not env_root.exists()
+    outdir = find_run_dir(tmp_path / "out", "titchmarsh")
     manifest = json.loads((outdir / "manifest.json").read_text())
     assert manifest["config"]["seed"] == 3
 
@@ -730,7 +765,6 @@ def test_output_root_under_a_regular_file_exits_2_before_any_stage(tmp_path, cap
     def refuse(lab, outdir):
         raise AssertionError("a stage ran")
 
-    monkeypatch.delenv("LAB_OUT", raising=False)
     monkeypatch.setitem(cli._RUNNERS, "spectrum", refuse)
     blocker = tmp_path / "file"
     blocker.write_text("")
@@ -931,7 +965,6 @@ def test_uniqueness_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
     runs = []
     for threads in ("1", "2"):
         env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
-        env.pop("LAB_OUT", None)
         out = subprocess.run([sys.executable, "-m", "hardylab", "uniqueness",
                               "--out", str(tmp_path / threads)],
                              capture_output=True, text=True, check=True, env=env)
