@@ -21,7 +21,8 @@ eps_list entry, an eps_list of fewer than two penalties, a Bessel order
 nu = sqrt(lambda_star - lam) above MAX_BESSEL_ORDER, spectrum_modes or k_modes
 above n_interior, an observation mask without grid nodes, for kernel and
 transform a horizon outside flatness.HORIZON_RANGE or a tau grid that
-flatness.contour_radii refuses, for uniqueness a mask whose samples are fewer
+flatness.contour_radii refuses, for titchmarsh an infinite 2 * horizon or a
+subnormal step horizon / recon_steps, for uniqueness a mask whose samples are fewer
 than the unknowns of its observability or UCP map, or an output root under
 which the run directory cannot be created, checked before any stage runs), 3
 supercritical coupling, 4 a stage raised on a configuration that passed
@@ -187,6 +188,11 @@ def validate_config(cfg: LabConfig, subcommand: str = "all") -> Lab:
                         ("recon_steps", 14)):      # titchmarsh bumps: 8 dt <= 0.3 * 2T
         if getattr(cfg, name) < least:
             raise ConfigError(f"{name} must be at least {least}")
+    if "titchmarsh" in stages and not (math.isfinite(2.0 * cfg.horizon)
+                                       and cfg.horizon / cfg.recon_steps >= sys.float_info.min):
+        # its grid spans 2 horizon in steps of horizon / recon_steps: both must be normal floats
+        raise ConfigError(f"titchmarsh needs a finite 2 * horizon and a normal step horizon / "
+                          f"recon_steps, got horizon {cfg.horizon!r}")
     lab = Lab(cfg, stages)   # builds the mask, but neither the bump, the table nor a spectrum
     if {"kernel", "transform"} & set(stages):
         # both read the bump's derivative table on this grid: refuse what it would

@@ -14,6 +14,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -65,35 +66,6 @@ def test_spectrum_run_writes_csv(tmp_path):
     assert "spectrum.csv" in manifest["digests"]
 
 
-def test_supercritical_coupling_exit_code(tmp_path, capsys):
-    cfg_file = tmp_path / "bad.cfg"
-    cfg_file.write_text("lam = 0.3\n")
-    code = main(["spectrum", "--config", str(cfg_file), "--out", str(tmp_path)])
-    assert code == 3
-    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    assert payload["error"] == "supercritical_coupling"
-    assert payload["lambda_star"] == 0.25
-
-
-def test_invalid_config_exit_code(tmp_path, capsys):
-    cfg_file = tmp_path / "bad.cfg"
-    cfg_file.write_text("no_such_key = 1\n")
-    code = main(["spectrum", "--config", str(cfg_file), "--out", str(tmp_path)])
-    assert code == 2
-    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    assert payload["error"] == "invalid_config"
-
-
-@pytest.mark.parametrize("key", ["tol_eigen_residual", "tol_oracle_rel"])
-def test_removed_tolerance_keys_are_unknown(tmp_path, capsys, key):
-    cfg_file = tmp_path / "old.cfg"
-    cfg_file.write_text(f"{key} = 1e-3\n")
-    code = main(["spectrum", "--config", str(cfg_file), "--out", str(tmp_path / "out")])
-    assert code == 2
-    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    assert f"unknown key {key!r}" in payload["message"]
-
-
 def test_every_config_field_is_read():
     # a LabConfig field that cli.py never reads as cfg.<field> configures nothing
     tree = ast.parse(Path(cli.__file__).read_text())
@@ -103,124 +75,209 @@ def test_every_config_field_is_read():
     assert {f.name for f in dataclasses.fields(LabConfig)} - read == set()
 
 
-def test_missing_config_file_exit_code(tmp_path, capsys):
-    out_root = tmp_path / "out"
-    code = main(["spectrum", "--config", str(tmp_path / "absent.cfg"), "--out", str(out_root)])
-    assert code == 2
-    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    assert payload["error"] == "invalid_config"
-    assert not out_root.exists()
+# ---------------------------------------------------------------------------
+# the exit-code contract: one table of probes and one test body that runs them
+
+class Probe(NamedTuple):
+    """`hardylab <subcommand> --check --config <a file holding config, or none if None> <argv>`
+    exits code, and prints a message holding expect (exits 2 to 4: a fragment only the probed
+    rule writes) or fails exactly the checks in expect (exits 0 and 1).  case is the id of the
+    test node that runs the row: a test name, then [parameters] if it has any."""
+
+    case: str
+    subcommand: str
+    config: str | None
+    code: int
+    expect: str | set | frozenset = frozenset()
+    argv: tuple = ()
 
 
-@pytest.mark.parametrize("text", [
-    "dimension_n = 11\n",       # nu = 4.5
-    "lam = -12\n",              # nu = 3.5
-])
-def test_oracle_range_rejected_before_output(tmp_path, capsys, text):
-    cfg_file = tmp_path / "bad.cfg"
-    cfg_file.write_text(text)
-    out_root = tmp_path / "out"
-    code = main(["spectrum", "--config", str(cfg_file), "--out", str(out_root)])
-    assert code == 2
-    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    assert payload["error"] == "invalid_config"
-    assert f"nu <= {cli.MAX_BESSEL_ORDER:g}" in payload["message"]
-    assert not out_root.exists()
+_KERNEL_FLOOR, _KERNEL_CEILING = fla.HORIZON_RANGE
+_BELOW_FLOOR = math.nextafter(_KERNEL_FLOOR, 0.0)
+_NARROW_MASK = "mask_a = 0.3\nmask_b = 0.3015\n"   # one node of the default 800-node grid
+_INVERSE_IDENTITIES = {"inverse_factorization_identity", "inverse_convolution_identity",
+                       "inverse_free_evolution", "inverse_reduction_agreement", "inverse_roundtrip"}
+_HUM_QUADRATURE = {"hum_defect_identity", "hum_defect_decreasing"}   # ROADMAP item 3
 
-
-@pytest.mark.parametrize("text", [
-    "spectrum_modes = 25\n",    # J_0.5 has 19 zeros below 60, where the oracle once stopped
-    "spectrum_modes = 800\n",   # every mode of the default grid
-])
-def test_spectrum_modes_up_to_n_interior_run(tmp_path, text):
-    cfg_file = tmp_path / "lab.cfg"
-    cfg_file.write_text(text)
-    out_root = tmp_path / "out"
-    code = main(["spectrum", "--check", "--config", str(cfg_file), "--out", str(out_root)])
-    assert code in (0, 1)
-    (run_dir,) = out_root.iterdir()
-    assert (run_dir / "spectrum.csv").exists()
-
-
-@pytest.mark.parametrize("text", [
-    "mask_a = 0.0\nmask_b = 0.001\n",                        # no node in (0, 0.001)
-    "mask_kind = cantor\nmask_a = 0.5\nmask_b = 0.504\n",    # base under 4 spacings
-])
-@pytest.mark.parametrize("stage", ["uniqueness", "hum", "evolve"])
-def test_empty_mask_rejected_before_output(tmp_path, capsys, text, stage):
-    cfg_file = tmp_path / "bad.cfg"
-    cfg_file.write_text(text)
-    out_root = tmp_path / "out"
-    code = main([stage, "--config", str(cfg_file), "--out", str(out_root)])
-    assert code == 2
-    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    assert payload["error"] == "invalid_config"
-    assert "mask" in payload["message"]
-    assert not out_root.exists()
-
-
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-@pytest.mark.parametrize("field, template", [
-    ("lam", "{}"), ("horizon", "{}"), ("mask_a", "{}"), ("mask_b", "{}"),
-    ("eps_list", "1e-1, {}"), ("eps_list", "{}, 1e-1"),
-])
-def test_non_finite_floats_rejected_before_output(tmp_path, capsys, field, template, value):
-    cfg_file = tmp_path / "bad.cfg"
-    cfg_file.write_text(f"{field} = {template.format(value)}\n")
-    out_root = tmp_path / "out"
-    code = main(["all", "--config", str(cfg_file), "--out", str(out_root)])
-    assert code == 2
-    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    assert payload["error"] == "invalid_config"
-    assert field in payload["message"]
-    assert not out_root.exists()
-
-
-def test_one_penalty_rejected_before_output(tmp_path, capsys):
+PROBES = [
+    Probe("test_supercritical_coupling_exit_code", "spectrum", "lam = 0.3\n", 3,
+          "lambda_star(3) = 0.25"),
+    Probe("test_invalid_config_exit_code", "spectrum", "no_such_key = 1\n", 2,
+          "unknown key 'no_such_key'"),
+    *(Probe(f"test_removed_tolerance_keys_are_unknown[{key}]", "spectrum", f"{key} = 1e-3\n", 2,
+            f"unknown key {key!r}") for key in ("tol_eigen_residual", "tol_oracle_rel")),
+    Probe("test_missing_config_file_exit_code", "spectrum", None, 2, "cannot read"),
+    *(Probe(f"test_malformed_config_line_exit_code[{line}-{says}]", "spectrum",
+            f"# comment line\n{line}\n", 2, f":2: {says}")
+      for line, says in (("n_interior 300", "expected 'key = value'"),
+                         ("n_interior = many", "bad value for n_interior: 'many'"))),
+    *(Probe(f"test_oracle_range_rejected_before_output[{text}]", "spectrum", text, 2,
+            f"nu <= {cli.MAX_BESSEL_ORDER:g}") for text in ("dimension_n = 11\n", "lam = -12\n")),
+    # the three-point scheme's error grows with the mode number: on the default
+    # grid 88 modes pass and 89 to 800 fail (J_0.5 has 19 zeros below 60)
+    *(Probe(f"test_spectrum_modes_up_to_n_interior_run[{text}]", "spectrum", text, code, failing)
+      for text, code, failing in (("spectrum_modes = 25\n", 0, set()),
+                                  ("spectrum_modes = 88\n", 0, set()),
+                                  ("spectrum_modes = 89\n", 1, {"spectrum_oracle_rel_err"}),
+                                  ("spectrum_modes = 800\n", 1, {"spectrum_oracle_rel_err"}))),
+    *(Probe("test_spectrum_modes_above_n_interior_rejected_before_output", stage,
+            "n_interior = 8\nspectrum_modes = 10\n", 2, "spectrum_modes must lie in [1,")
+      for stage in ("spectrum", "all")),
+    *(Probe(f"test_empty_mask_rejected_before_output[{stage}-{text}]", stage, text, 2, says)
+      for stage in ("uniqueness", "hum", "evolve") for text, says in (
+          ("mask_a = 0.0\nmask_b = 0.001\n", "interval contains no grid nodes"),
+          ("mask_kind = cantor\nmask_a = 0.5\nmask_b = 0.504\n", "shorter than 4 grid spacings"))),
+    # hum and evolve sample the mask at their own sizes
+    *(Probe(f"test_mask_too_narrow_for_uniqueness_rejected_before_output[{text}]", stage,
+            _NARROW_MASK + text, code, says if code else set())
+      for text, says in (("obs_time_steps = 1\n", "fewer samples than k_modes = 8"),
+                         ("k_modes = 40\n", "fewer samples than k_modes = 40"),
+                         ("k_modes = 20\n", "fewer samples than 2 k_modes = 40"))
+      for stage, code in (("uniqueness", 2), ("all", 2), ("hum", 0), ("evolve", 0))),
+    *(Probe(f"test_non_finite_floats_rejected_before_output[{field}-{template}-{value}]", "all",
+            f"{field} = {template.format(value)}\n", 2,
+            "eps_list entries must be finite" if field == "eps_list" else f"{field} must be finite")
+      for field, template in (("lam", "{}"), ("horizon", "{}"), ("mask_a", "{}"),
+                              ("mask_b", "{}"), ("eps_list", "1e-1, {}"), ("eps_list", "{}, 1e-1"))
+      for value in ("nan", "inf", "-inf")),
     # the hum checks compare successive penalties, so one penalty leaves them no value
-    cfg_file = tmp_path / "one.cfg"
-    cfg_file.write_text("eps_list = 1e-3\n")
-    out_root = tmp_path / "out"
-    assert main(["hum", "--config", str(cfg_file), "--out", str(out_root)]) == 2
-    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    assert payload["error"] == "invalid_config"
-    assert "eps_list" in payload["message"]
-    assert not out_root.exists()
+    Probe("test_one_penalty_rejected_before_output", "hum", "eps_list = 1e-3\n", 2,
+          "eps_list needs at least two penalties"),
+    *(Probe(f"test_short_grids_rejected_before_output[{field} = {value}\n]", "all",
+            f"{field} = {value}\n", 2, f"{field} must be {least}")
+      for field, value, least in (
+          ("transform_t_nodes", 1, "at least 3"), ("transform_t_nodes", 2, "at least 3"),
+          ("tau_steps", 1, "at least 2"), ("recon_steps", 13, "at least 14"),
+          ("kernel_t_nodes", 0, "at least 2"), ("kernel_t_nodes", 1, "at least 2"),
+          ("seed", -1, "non-negative"))),
+    Probe("test_negative_seed_flag_rejected_before_output", "all", "", 2,
+          "seed must be non-negative", ("--seed", "-1")),
+    Probe("test_validate_config_rules", "all", "lam = 0.25\n", 3, "is not subcritical"),
+    *(Probe("test_validate_config_rules", "all", text, 2, says) for text, says in (
+        ("dimension_n = 2\n", "dimension_n must be a positive integer != 2"),
+        ("mask_a = 0.9\nmask_b = 0.2\n", "observation mask: invalid interval"),
+        ("eps_list = 1e-3, 1e-2\n", "eps_list must be strictly decreasing"),
+        ("eps_list = -1e-3\n", "eps_list needs at least two penalties"),
+        ("eps_list = 1e-1, -1e-3\n", "eps_list entries must be positive"),
+        ("k_trunc = 50\n", "k_trunc must lie in (0, "),
+        ("transform_k_trunc = 0\n", "transform_k_trunc must lie in (0, "),
+        (f"transform_k_trunc = {fla.MAX_TRUNCATION + 1}\n", "transform_k_trunc must lie in (0, "),
+        ("n_interior = 4\n", "n_interior must be at least"),
+        ("n_ang = 63\n", "n_ang must be at least"),
+        ("inverse_steps = 1\n", "inverse_steps must be at least 2"),
+        ("horizon = 0.0\n", "horizon must be positive"),
+        ("mask_kind = annulus\n", "mask_kind must be 'interval' or 'cantor'"))),
+    # kernel and transform: a horizon outside flatness.HORIZON_RANGE (at 0.3 the
+    # Cauchy sums overflow at truncation 24; 1e300**2 overflows float64)
+    *(Probe(f"test_short_horizon_rejected_before_output[{stage}-{horizon!r}]", stage,
+            f"horizon = {horizon!r}\n", 2, "outside the bump's range")
+      for stage, horizon in (("kernel", _BELOW_FLOOR), ("kernel", 0.3),
+                             ("transform", _BELOW_FLOOR), ("all", _BELOW_FLOOR))),
+    *(Probe(f"test_horizon_too_large_for_the_bump_rejected_before_output[{stage}]", stage,
+            f"horizon = {horizon!r}\n", 2, "outside the bump's range")
+      for stage in ("kernel", "transform", "all")
+      for horizon in (math.nextafter(_KERNEL_CEILING, math.inf), 1e100, 1e153, 1e300)),
+    # at horizon 30 the bump has not underflowed at the first tau node of 16384 steps
+    # (1.8e-3), nor at the second of 32768, yet both lie in derivative_table's guard band
+    *(Probe(f"test_tau_grid_in_the_guard_band_rejected_before_output[{tau_steps}-{stage}]",
+            stage, f"horizon = 30\ntau_steps = {tau_steps}\n", 2, "too close to the support")
+      for tau_steps in (16384, 32768) for stage in ("kernel", "transform", "all")),
+    # titchmarsh runs from a normal step horizon / recon_steps to a finite 2 * horizon
+    *(Probe(f"test_titchmarsh_check_passes_at_extreme_horizons[{horizon!r}]", "titchmarsh",
+            f"horizon = {horizon!r}\n", 0)
+      for horizon in (1e-9, 1e300, math.nextafter(2.0**1023, 0.0))),
+    *(Probe(f"test_titchmarsh_horizon_outside_its_range_rejected_before_output[{horizon!r}]",
+            "titchmarsh", f"horizon = {horizon!r}\n", 2, "recon_steps, got horizon")
+      for horizon in (2.0**1023, 1e-311, 5e-324)),
+    # the Gramian never forms horizon**2, and the other stages read it only as a time
+    Probe("test_hum_at_a_huge_horizon_runs_without_numpy_warnings", "hum", "horizon = 1e200\n",
+          1, _HUM_QUADRATURE),
+    *(Probe(f"test_stages_run_at_horizon_1e300[{stage}]", stage, "horizon = 1e300\n", code, failing)
+      for stage, code, failing in (("evolve", 0, set()), ("uniqueness", 0, set()),
+                                   ("hum", 1, _HUM_QUADRATURE))),
+    # at the default 10,000 steps the convolution identity's O(dt^2) error crosses its
+    # bound near horizon 2.30021 (20,000 steps pass at 3); at 1e100 every identity fails
+    *(Probe(f"test_inverse_source_check_at_long_horizons[{text}]", "inverse-source", text, code,
+            failing) for text, code, failing in (
+                ("horizon = 2.3\n", 0, set()),
+                ("horizon = 2.31\n", 1, {"inverse_convolution_identity"}),
+                ("horizon = 3\ninverse_steps = 20000\n", 0, set()),
+                ("horizon = 10\n", 1, {"inverse_convolution_identity", "inverse_free_evolution"}),
+                ("horizon = 1e100\n", 1, _INVERSE_IDENTITIES))),
+    # past it the Duhamel-Volterra chain overflows, and RFC 8259 JSON has no token
+    # for what it then reports: the refusal names the file, the key and the value
+    *(Probe(f"test_non_finite_values_fail_their_stage_before_the_manifest[{horizon!r}]",
+            "inverse-source", f"horizon = {horizon!r}\n", 4,
+            "reconstruction.json/source_identity_residual is nan") for horizon in (1e105, 1e200)),
+]
+
+_ERRORS = {2: "invalid_config", 3: "supercritical_coupling", 4: "stage_failure"}
 
 
-def test_spectrum_modes_above_n_interior_rejected_before_output(tmp_path, capsys):
-    # the Bessel oracle has 10 zeros, but an 8-node grid has 8 eigenpairs
-    cfg_file = tmp_path / "small.cfg"
-    cfg_file.write_text("n_interior = 8\nspectrum_modes = 10\n")
-    for subcommand in ("spectrum", "all"):
-        out_root = tmp_path / subcommand
-        code = main([subcommand, "--config", str(cfg_file), "--out", str(out_root)])
-        assert code == 2
-        payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-        assert payload["error"] == "invalid_config"
-        assert "spectrum_modes" in payload["message"]
-        assert not out_root.exists()
+def _reject_constant(name):
+    raise ValueError(f"{name} is not RFC 8259 JSON")
 
 
-# one node of the default 800-node grid lies in (0.3, 0.3015)
-@pytest.mark.parametrize("text", [
-    "obs_time_steps = 1\n",   # 2 observability samples for 8 modes
-    "k_modes = 40\n",         # 33 observability samples for 40 modes
-    "k_modes = 20\n",         # 33 UCP window samples for 40 unknowns
-])
-def test_mask_too_narrow_for_uniqueness_rejected_before_output(tmp_path, capsys, text):
-    cfg_file = tmp_path / "narrow.cfg"
-    cfg_file.write_text("mask_a = 0.3\nmask_b = 0.3015\n" + text)
-    for subcommand in ("uniqueness", "all"):
-        out_root = tmp_path / subcommand
-        code = main([subcommand, "--config", str(cfg_file), "--out", str(out_root)])
-        assert code == 2
-        payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-        assert payload["error"] == "invalid_config"
-        assert "mask" in payload["message"]
-        assert not out_root.exists()
-    for subcommand in ("hum", "evolve"):   # they sample the mask at their own sizes
-        assert main([subcommand, "--config", str(cfg_file), "--out", str(tmp_path)]) == 0
+def _main(root: Path, probe: Probe) -> int:
+    root.mkdir()
+    if probe.config is not None:
+        (root / "probe.cfg").write_text(probe.config)
+    with warnings.catch_warnings():
+        # an exit-4 row probes an overflow, so only there does numpy's warning stay one
+        warnings.simplefilter("ignore" if probe.code == 4 else "error", RuntimeWarning)
+        return main([probe.subcommand, "--check", "--config", str(root / "probe.cfg"),
+                     "--out", str(root / "out"), *probe.argv])
+
+
+def _probe_test(cases: dict[str, list[Probe]]):
+    """A test with one node per case, which runs its rows; unparametrized if its case is."""
+    def test(tmp_path, capsys, probes):
+        for i, probe in enumerate(probes):
+            code, out_root = _main(tmp_path / str(i), probe), tmp_path / str(i) / "out"
+            printed = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+            assert code == probe.code, printed
+            if code >= 2:
+                assert printed["error"] == _ERRORS[code] and probe.expect in printed["message"]
+                assert (list(out_root.iterdir()) == []) if code == 4 else not out_root.exists()
+                continue
+            assert {name for name, ok in printed["checks"].items() if not ok} == probe.expect
+            paths = sorted(Path(printed["outdir"]).glob("*.json"))
+            assert Path(printed["outdir"]) / "manifest.json" in paths
+            for path in paths:
+                json.loads(path.read_text(), parse_constant=_reject_constant)
+    if list(cases) == [""]:
+        return lambda tmp_path, capsys: test(tmp_path, capsys, cases[""])
+    return pytest.mark.parametrize("probes", list(cases.values()), ids=list(cases))(test)
+
+
+# one test per name in the case ids, so a probe that was once its own test keeps its id
+_CASES = {}   # test name: {parameters: rows}
+for _probe in PROBES:
+    _name, _, _params = _probe.case.partition("[")
+    _CASES.setdefault(_name, {}).setdefault(_params.removesuffix("]"), []).append(_probe)
+globals().update({name: _probe_test(cases) for name, cases in _CASES.items()})
+
+
+def test_every_config_rule_is_reached_by_a_probe(tmp_path, monkeypatch):
+    # each raise ConfigError of load_config and validate_config is an exit-2 row's
+    reached = set()
+
+    class Traced(cli.ConfigError):
+        def __init__(self, message):
+            super().__init__(message)
+            reached.add(sys._getframe(1).f_lineno)
+
+    monkeypatch.setattr(cli, "ConfigError", Traced)
+    for i, probe in enumerate(p for p in PROBES if p.code == 2):
+        _main(tmp_path / str(i), probe)
+    tree = ast.parse(Path(cli.__file__).read_text())
+    sites = [node for func in tree.body if isinstance(func, ast.FunctionDef)
+             and func.name in ("load_config", "validate_config") for node in ast.walk(func)
+             if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+             and getattr(node.exc.func, "id", None) == "ConfigError"]
+    assert sites
+    assert [node.lineno for node in sites
+            if not reached & set(range(node.lineno, node.end_lineno + 1))] == []
 
 
 def test_stage_value_error_exits_4(tmp_path, capsys, monkeypatch):
@@ -254,27 +311,6 @@ def test_stage_numerical_error_exits_4(tmp_path, capsys, monkeypatch, error):
     assert list(out_root.iterdir()) == []
 
 
-@pytest.mark.parametrize("text", [
-    "transform_t_nodes = 1\n",   # IndexError in the elliptic residual
-    "transform_t_nodes = 2\n",   # no interior node for the second difference
-    "tau_steps = 1\n",           # zero kernel: the residual ratio divides by 0
-    "recon_steps = 13\n",        # titchmarsh bumps 8 dt wide exceed 0.3 of 2T
-    "kernel_t_nodes = 0\n",      # the kernel residual reduces an empty array
-    "kernel_t_nodes = 1\n",      # t = -1 alone: the residual ratio reads exactly 0
-    "seed = -1\n",               # numpy rejects negative seeds
-])
-def test_short_grids_rejected_before_output(tmp_path, capsys, text):
-    cfg_file = tmp_path / "bad.cfg"
-    cfg_file.write_text(text)
-    out_root = tmp_path / "out"
-    code = main(["all", "--config", str(cfg_file), "--out", str(out_root)])
-    assert code == 2
-    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    assert payload["error"] == "invalid_config"
-    assert text.split(" =")[0] in payload["message"]
-    assert not out_root.exists()
-
-
 @pytest.mark.parametrize("field, least", [
     ("transform_t_nodes", 3), ("tau_steps", 2), ("recon_steps", 14), ("kernel_t_nodes", 2),
 ])
@@ -305,27 +341,6 @@ def test_inverse_convolution_identity_converges_in_the_steps_at_horizon_3(tmp_pa
         values.append(manifest["check_details"]["inverse_convolution_identity"]["value"])
     assert code == 0 and all(manifest["checks"].values())
     assert values[0] >= 3.5 * values[1]
-
-
-_KERNEL_FLOOR, _KERNEL_CEILING = fla.HORIZON_RANGE
-
-
-@pytest.mark.parametrize("subcommand, horizon", [
-    ("kernel", math.nextafter(_KERNEL_FLOOR, 0.0)),
-    ("kernel", 0.3),              # the Cauchy sums overflow at truncation 24
-    ("transform", math.nextafter(_KERNEL_FLOOR, 0.0)),
-    ("all", math.nextafter(_KERNEL_FLOOR, 0.0)),
-])
-def test_short_horizon_rejected_before_output(tmp_path, capsys, subcommand, horizon):
-    cfg_file = tmp_path / "short.cfg"
-    cfg_file.write_text(f"horizon = {horizon!r}\n")
-    out_root = tmp_path / "out"
-    code = main([subcommand, "--config", str(cfg_file), "--out", str(out_root)])
-    assert code == 2
-    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    assert payload["error"] == "invalid_config"
-    assert "horizon" in payload["message"]
-    assert not out_root.exists()
 
 
 @pytest.mark.parametrize("subcommand, overrides", [
@@ -370,39 +385,6 @@ def test_titchmarsh_table_scales_exactly_with_a_power_of_two_horizon(tmp_path, h
     assert additivity == additivity1
 
 
-@pytest.mark.parametrize("horizon", [1e-9, 1e300])
-def test_titchmarsh_check_passes_at_extreme_horizons(tmp_path, horizon):
-    cfg_file = tmp_path / "horizon.cfg"
-    cfg_file.write_text(f"horizon = {horizon!r}\n")
-    out_root = tmp_path / "out"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        assert main(["titchmarsh", "--check", "--config", str(cfg_file),
-                     "--out", str(out_root)]) == 0
-    paths = sorted(find_run_dir(out_root, "titchmarsh").glob("*.json"))
-    assert paths
-    for path in paths:
-        json.loads(path.read_text(), parse_constant=_reject_constant)
-
-
-# at horizon 30 the bump has not underflowed at the first tau node of 16384
-# steps (1.8e-3), nor at the second of 32768, yet both lie in the contour
-# guard band of derivative_table
-@pytest.mark.parametrize("subcommand", ["kernel", "transform", "all"])
-@pytest.mark.parametrize("tau_steps", [16384, 32768])
-def test_tau_grid_in_the_guard_band_rejected_before_output(tmp_path, capsys, subcommand,
-                                                           tau_steps):
-    cfg_file = tmp_path / "long.cfg"
-    cfg_file.write_text(f"horizon = 30\ntau_steps = {tau_steps}\n")
-    out_root = tmp_path / "out"
-    code = main([subcommand, "--config", str(cfg_file), "--out", str(out_root)])
-    assert code == 2
-    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    assert payload["error"] == "invalid_config"
-    assert "tau_steps" in payload["message"] and "radius" in payload["message"]
-    assert not out_root.exists()
-
-
 @pytest.mark.parametrize("horizon, tau_steps, rejected", [
     (30.0, 16384, True), (30.0, 32768, True), (30.0, 1024, False), (20.0, 16384, False),
     (1.0, 65536, False),   # the bump has underflowed at every guard-band node
@@ -430,19 +412,6 @@ def test_long_horizon_with_the_default_tau_grid_runs(tmp_path, subcommand):
                tmp_path) == 0
 
 
-@pytest.mark.parametrize("subcommand", ["kernel", "transform", "all"])
-def test_horizon_too_large_for_the_bump_rejected_before_output(tmp_path, capsys, subcommand):
-    # above the ceiling the contour's samples overflow; 1e300**2 overflows float64
-    for horizon in (math.nextafter(_KERNEL_CEILING, math.inf), 1e100, 1e153, 1e300):
-        cfg_file = tmp_path / "huge.cfg"
-        cfg_file.write_text(f"horizon = {horizon!r}\n")
-        out_root = tmp_path / "out"
-        assert main([subcommand, "--config", str(cfg_file), "--out", str(out_root)]) == 2
-        payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-        assert payload["error"] == "invalid_config" and "bump's range" in payload["message"]
-        assert not out_root.exists()
-
-
 @pytest.mark.parametrize("subcommand", ["kernel", "transform"])
 @pytest.mark.parametrize("horizon", [1e10, _KERNEL_CEILING])
 def test_long_horizon_runs_without_numpy_warnings(tmp_path, subcommand, horizon):
@@ -451,20 +420,6 @@ def test_long_horizon_runs_without_numpy_warnings(tmp_path, subcommand, horizon)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert run(subcommand, light_config(horizon=horizon), tmp_path) == 0
-
-
-def test_hum_at_a_huge_horizon_runs_without_numpy_warnings(tmp_path):
-    # the Gramian's eta never forms horizon**2, which overflows here
-    cfg_file = tmp_path / "huge.cfg"
-    cfg_file.write_text("horizon = 1e200\n")
-    out_root = tmp_path / "out"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        assert main(["hum", "--config", str(cfg_file), "--out", str(out_root)]) == 0
-    paths = sorted(find_run_dir(out_root, "hum").glob("*.json"))
-    assert paths
-    for path in paths:
-        json.loads(path.read_text(), parse_constant=_reject_constant)
 
 
 @settings(max_examples=50, deadline=None)
@@ -546,43 +501,6 @@ def test_kernel_and_transform_read_one_table_of_the_config_order(tmp_path, monke
     kernel = kernels["kernel"]
     alone = fla.build_kernel(bump, kernel.t_nodes, taus, cfg.k_trunc).values
     assert np.abs(kernel.values - alone).max() <= 1e-14 * np.abs(alone).max()
-
-
-def test_validate_config_rules():
-    with pytest.raises(spc.SupercriticalCouplingError):
-        validate_config(light_config(lam=0.25))
-    for bad, named in (
-        ({"dimension_n": 2}, "dimension_n"),
-        ({"mask_a": 0.9, "mask_b": 0.2}, "observation mask"),
-        ({"eps_list": (1e-3, 1e-2)}, "eps_list"),
-        ({"k_trunc": 50}, "k_trunc"),
-        ({"n_interior": 4}, "n_interior"),
-        ({"inverse_steps": 1}, "inverse_steps"),
-        ({"n_ang": 63}, "n_ang"),
-        ({"horizon": 0.0}, "horizon"),
-        ({"transform_k_trunc": 0}, "transform_k_trunc"),
-        ({"transform_k_trunc": fla.MAX_TRUNCATION + 1}, "transform_k_trunc"),
-        ({"mask_kind": "annulus"}, "mask_kind"),
-        ({"eps_list": (-1e-3,)}, "eps_list"),
-    ):
-        with pytest.raises(cli.ConfigError, match=named):
-            validate_config(light_config(**bad))
-
-
-@pytest.mark.parametrize("line, says", [
-    ("n_interior 300", "expected 'key = value'"),
-    ("n_interior = many", "bad value for n_interior: 'many'"),
-])
-def test_malformed_config_line_exit_code(tmp_path, capsys, line, says):
-    cfg_file = tmp_path / "bad.cfg"
-    cfg_file.write_text(f"# comment line\n{line}\n")
-    out_root = tmp_path / "out"
-    code = main(["spectrum", "--config", str(cfg_file), "--out", str(out_root)])
-    assert code == 2
-    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    assert payload["error"] == "invalid_config"
-    assert payload["message"] == f"{cfg_file}:2: {says}"
-    assert not out_root.exists()
 
 
 def test_write_json_numpy_scalars(tmp_path):
@@ -667,14 +585,6 @@ def test_seed_and_out_flags(tmp_path, monkeypatch):
     assert manifest["config"]["seed"] == 3
 
 
-def test_negative_seed_flag_rejected_before_output(tmp_path, capsys):
-    out_root = tmp_path / "out"
-    assert main(["all", "--out", str(out_root), "--seed", "-1"]) == 2
-    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    assert payload["error"] == "invalid_config" and "seed" in payload["message"]
-    assert not out_root.exists()
-
-
 def test_determinism_of_csv_bodies(tmp_path):
     cfg = light_config()
     for sub in ("spectrum", "titchmarsh", "hum"):
@@ -722,24 +632,6 @@ def test_promoted_runtime_warning_exits_4(tmp_path, capsys, monkeypatch):
         assert main(["titchmarsh", "--out", str(out_root)]) == 4
     payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert payload["stage"] == "titchmarsh" and payload["exception"] == "RuntimeWarning"
-    assert list(out_root.iterdir()) == []
-
-
-@pytest.mark.parametrize("horizon", [1e105, 1e200])
-def test_non_finite_values_fail_their_stage_before_the_manifest(tmp_path, capsys, horizon):
-    # the Duhamel-Volterra chain overflows at these validated horizons, and
-    # RFC 8259 JSON has no token for what it then reports; the refusal names
-    # the file, the key and the value
-    cfg_file = tmp_path / "huge.cfg"
-    cfg_file.write_text(f"horizon = {horizon!r}\n")
-    out_root = tmp_path / "out"
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        code = main(["inverse-source", "--config", str(cfg_file), "--out", str(out_root)])
-    assert code == 4
-    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    assert payload["stage"] == "inverse-source" and payload["exception"] == "ValueError"
-    assert payload["message"] == "reconstruction.json/source_identity_residual is nan"
     assert list(out_root.iterdir()) == []
 
 
@@ -807,10 +699,6 @@ def all_run(tmp_path_factory):
     summary = json.loads(printed.getvalue().splitlines()[-1])
     manifest = json.loads((Path(summary["outdir"]) / "manifest.json").read_text())
     return code, returned, summary, manifest
-
-
-def _reject_constant(name):
-    raise ValueError(f"{name} is not RFC 8259 JSON")
 
 
 def test_all_writes_strict_json(tmp_path, all_run):
