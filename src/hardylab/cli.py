@@ -20,9 +20,10 @@ configuration (among others a non-finite lam, horizon, mask_a, mask_b or
 eps_list entry, an eps_list of fewer than two penalties, a Bessel order
 nu = sqrt(lambda_star - lam) above MAX_BESSEL_ORDER, spectrum_modes or k_modes
 above n_interior, an observation mask without grid nodes, for kernel and
-transform a horizon outside flatness.HORIZON_RANGE or a tau grid that
-flatness.contour_radii refuses, for titchmarsh an infinite 2 * horizon or a
-subnormal step horizon / recon_steps, for uniqueness a mask whose samples are fewer
+transform a horizon outside flatness.HORIZON_RANGE, for the stages that form
+exp(i mu t) up to the horizon a horizon whose product with the radial operator's
+infinity norm overflows, for titchmarsh an infinite 2 * horizon or a subnormal
+step horizon / recon_steps, for uniqueness a mask whose samples are fewer
 than the unknowns of its observability or UCP map, or an output root under
 which the run directory cannot be created, checked before any stage runs), 3
 supercritical coupling, 4 a stage raised on a configuration that passed
@@ -118,6 +119,9 @@ MAX_BESSEL_ORDER = 3.0
 # t nodes of the uniqueness stage's UCP window on [-1, 1]
 UCP_WINDOW_NODES = 33
 
+# the coupling of the inverse-source stage's spectra
+INVERSE_LAM = 3.0 / 16.0
+
 
 class Lab:
     """What the stages of one run share, each built once: the config, the stages, the
@@ -195,12 +199,19 @@ def validate_config(cfg: LabConfig, subcommand: str = "all") -> Lab:
                           f"recon_steps, got horizon {cfg.horizon!r}")
     lab = Lab(cfg, stages)   # builds the mask, but neither the bump, the table nor a spectrum
     if {"kernel", "transform"} & set(stages):
-        # both read the bump's derivative table on this grid: refuse what it would
-        try:
-            fla.contour_radii(lab.bump(), lab.tau_grid.times)
+        try:   # both read the bump's derivative table
+            lab.bump()
         except ValueError as exc:
-            raise ConfigError(f"flatness bump at horizon {cfg.horizon!r} and tau_steps "
-                              f"{cfg.tau_steps}: {exc}") from exc
+            raise ConfigError(f"flatness: {exc}") from exc
+    if {"evolve", "transform", "uniqueness", "hum", "inverse-source"} & set(stages):
+        # these form the phases exp(i mu t) for t up to the horizon.  Every eigenvalue mu
+        # of a stage's operator has |mu| <= its infinity norm, which falls as the coupling
+        # rises, so mu t stays finite if horizon times the norm at the least coupling does
+        op = spc.assemble_hardy_operator(lab.grid, min(cfg.lam, INVERSE_LAM), cfg.dimension_n)
+        norm = spc.tridiagonal_norm(op.diagonal, op.offdiagonal)
+        if not math.isfinite(cfg.horizon * norm):
+            raise ConfigError(f"horizon {cfg.horizon!r} times the eigenvalue bound {norm:.6g} "
+                              f"overflows the phases exp(i mu t)")
     if "uniqueness" in stages:
         # its observability maps sample each mask node at steps + 1 times (on the
         # obs_time_steps and tau_steps grids), its UCP map at UCP_WINDOW_NODES times
@@ -700,7 +711,7 @@ def _vanishing_rho_routes(basis1: spc.SpectralBasis, f1: np.ndarray, grid: evo.T
 
 
 def run_inverse(lab: Lab, outdir: Path):
-    cfg, lam = lab.cfg, 3.0 / 16.0
+    cfg, lam = lab.cfg, INVERSE_LAM
     recon_grid = evo.TimeGrid(cfg.horizon, cfg.recon_steps)
     id_grid = evo.TimeGrid(cfg.horizon, cfg.inverse_steps)
     f6 = _complex_normal(np.random.default_rng(cfg.seed), 6)

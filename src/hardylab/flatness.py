@@ -7,13 +7,14 @@ K(-1, tau) = psi(tau) and K(., 0) = K(., T) = 0, via the even flat ansatz
 
 Truncation leaves the single telescoping defect
 i^(K+1) psi^(K+1)(tau) (t+1)^(2K) / (2K)!, which doubles as an exact
-residual oracle.  psi is the normalized bump
+residual oracle.  psi is one normalized bump at every horizon,
 
-    psi(tau) = exp(c_T - (tau (T - tau))^-2),   c_T = (4/T^2)^2,
+    psi(tau) = psi_1(tau / T),   psi_1(s) = exp(C_NORM - (s (1 - s))^-2),
 
 the Gevrey bump of exponent sigma = 2 on horizons in HORIZON_RANGE, whose
-derivatives are produced by trapezoid Cauchy integrals on circles of radius
-min(tau, T-tau)/2.  Their contours are sampled in row_blocks, as are kernel values.
+derivatives psi^(k) = T^-k psi_1^(k)(tau / T) are produced by trapezoid
+Cauchy integrals on circles of radius min(tau, T-tau)/2.  Their contours are
+sampled in row_blocks, as are kernel values.
 
 The kernel is kept in this rank-(K+1) separable form: the t nodes, the tau
 nodes and the derivative table psi^(k)(tau_j).  Dense values are summed on
@@ -29,47 +30,50 @@ from dataclasses import dataclass
 import numpy as np
 
 MAX_TRUNCATION = 40
-MIN_CONTOUR_RADIUS = 1e-3
+MIN_CONTOUR_RADIUS = 1e-3   # in units of the horizon
+C_NORM = 16.0               # 4^sigma = (s (1 - s))^-sigma at s = 1/2, where psi_1 = 1
 # sums over a grid run this many rows at a time: contour samples and dense
 # kernel values (about 1 MB of complex values at 1025 tau nodes)
 ROW_BLOCK = 64
-# horizons with finite derivative tables.  Below, some order's sum of k!/r^k
-# times samples up to exp(5.76 / T^4) overflows (measured: T <= 0.325).  Above,
-# the contour around T/2 (radius T/4) passes z = T/2 +- iT/4, where
-# (T - z) z = 5T^2/16, and its square for the power -2, 25T^4/256, overflows.
-HORIZON_RANGE = (1 / 3, 4.0 * (sys.float_info.max / 25.0) ** 0.25)
+# horizons with finite derivative tables.  In units of T every contour is the one
+# at T = 1, and T enters only through r^k.  Below the floor the least radius drawn,
+# MIN_CONTOUR_RADIUS * T, to the top order MAX_TRUNCATION + 1 underflows and its row
+# divides 0 / 0; above it no entry passes 1e287 (T^-41 times 7e85).  No ceiling.
+HORIZON_RANGE = ((sys.float_info.min * sys.float_info.epsilon) ** (1 / (MAX_TRUNCATION + 1))
+                 / MIN_CONTOUR_RADIUS, sys.float_info.max)
 
 
 @dataclass
 class GevreyBump:
-    """Compactly supported bump on (0, T), normalized to peak value 1."""
+    """Compactly supported bump psi_1(tau / T) on (0, T), normalized to peak value 1."""
 
     horizon: float
-    c_norm: float
 
     def __call__(self, tau):
-        tau = np.asarray(tau, dtype=float)
-        out = np.zeros_like(tau)
-        inside = (tau > 0.0) & (tau < self.horizon)
-        w = tau[inside] * (self.horizon - tau[inside])
+        s = np.asarray(tau, dtype=float) / self.horizon
+        out = np.zeros_like(s)
+        inside = (s > 0.0) & (s < 1.0)
+        w = s[inside] * (1.0 - s[inside])
         # w^-2 may overflow at the support edge; exp then underflows to the correct 0
         with np.errstate(over="ignore"):
-            out[inside] = np.exp(self.c_norm - w ** -2.0)
+            out[inside] = np.exp(C_NORM - w ** -2.0)
         return out if out.ndim else float(out)
 
     def eval_complex(self, z: np.ndarray) -> np.ndarray:
-        # no support cutoff: used only on contours strictly inside (0, T).
-        # (T - z) z in this order at every size: numpy swaps the operands of
-        # z * (T - z) from 256 KiB on, and the order changes complex bits
-        w = self.horizon - z
-        w *= z
-        return np.exp(self.c_norm - w ** -2.0)
+        # no support cutoff: used only on contours strictly inside (0, T).  s = z / T as
+        # a product by 1 / T: exact at powers of two, a tenth of a complex division's cost.
+        # (1 - s) s in this order at every size: numpy swaps the operands of s * (1 - s)
+        # from 256 KiB on, and the order changes complex bits
+        s = z * (1.0 / self.horizon)
+        w = 1.0 - s
+        w *= s
+        return np.exp(C_NORM - w ** -2.0)
 
 
 def gevrey_bump(horizon: float) -> GevreyBump:
     if not HORIZON_RANGE[0] <= horizon <= HORIZON_RANGE[1]:
         raise ValueError(f"horizon {horizon!r} outside the bump's range {HORIZON_RANGE}")
-    return GevreyBump(horizon, (4.0 / horizon**2) ** 2.0)
+    return GevreyBump(horizon)
 
 
 def row_blocks(n: int) -> list[tuple[int, int]]:
@@ -86,30 +90,24 @@ def row_blocks(n: int) -> list[tuple[int, int]]:
 
 def contour_radii(bump: GevreyBump, taus: np.ndarray) -> np.ndarray:
     """Radii min(tau, T-tau)/2 of derivative_table's contours, drawn where at
-    least MIN_CONTOUR_RADIUS; the other rows are zero.  Raises ValueError
-    unless the bump (and with it every derivative) has underflowed to zero at
-    each tau of (0, T) with a smaller radius: the guard band."""
+    least MIN_CONTOUR_RADIUS * T; the other rows are zero.  Within (0, T) those
+    rows hold s = tau/T or 1 - s below 2e-3, where psi_1 <= exp(16 - 2.5e5) and
+    every derivative the table holds lies below the least subnormal."""
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
-    r = 0.5 * np.minimum(taus, bump.horizon - taus)
-    band = (r > 0.0) & (r < MIN_CONTOUR_RADIUS)
-    if np.any(band):
-        with np.errstate(over="ignore"):
-            expo = bump.c_norm - (taus[band] * (bump.horizon - taus[band])) ** -2.0
-        if np.any(expo > -1000.0):
-            raise ValueError("tau too close to the support endpoints (radius < 1e-3)")
-    return r
+    return 0.5 * np.minimum(taus, bump.horizon - taus)
 
 
 def derivative_table(bump: GevreyBump, taus: np.ndarray, k_max: int) -> np.ndarray:
     """Derivative rows psi^(k)(tau_j), zero where contour_radii draws no contour.
 
     The contour has max(256, 4*(k_max+1)) nodes, which keeps aliasing out of
-    the top orders.  Accuracy: at T = 1 and k_max <= 25 the rows reach the
-    rounding floor of the contour sum, 1e-8 |exact| + 1e-13 peak k!/r^k,
-    only for tau in [0.066, 0.934].  Within about 0.065 of either support
-    end the 256-node sum is not converged (absolute errors up to 2e-3 at
-    tau = 0.064, against values below 1e-17) until both sides underflow to
-    exact zeros; the kernel multiplies those rows by factors <= 4^k/(2k)!.
+    the top orders.  Accuracy, measured at T = 1 (every horizon has the same
+    contours in units of T): at k_max <= 25 the rows reach the rounding
+    floor of the contour sum, 1e-8 |exact| + 1e-13 peak k!/r^k, only for
+    tau/T in [0.066, 0.934].  Within about 0.065 T of either support end the
+    256-node sum is not converged (absolute errors up to 2e-3 at tau = 0.064,
+    against values below 1e-17) until both sides underflow to exact zeros;
+    the kernel multiplies those rows by factors <= 4^k/(2k)!.
 
     The contour is sampled in row blocks, with bits that do not depend on
     the block, and summed by one product over all rows: a BLAS product's
@@ -123,7 +121,7 @@ def derivative_table(bump: GevreyBump, taus: np.ndarray, k_max: int) -> np.ndarr
     """
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     r = contour_radii(bump, taus)
-    interior = r >= MIN_CONTOUR_RADIUS
+    interior = r >= MIN_CONTOUR_RADIUS * bump.horizon
     m = max(256, 4 * (k_max + 1))
     theta = 2.0 * np.pi * np.arange(m) / m
     ks = np.arange(k_max + 1)

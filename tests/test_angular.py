@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from hardylab.angular import (AngularProblem, angular_spectrum, beta_coefficients,
-                              blowup_profile_check, gamma_exponent,
-                              separated_residual)
+                              blowup_profile_check, gamma_exponent)
+
+from angular_oracle import separated_residual
 
 
 @pytest.fixture(scope="module")

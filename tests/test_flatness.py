@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -7,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hardylab.cli import LabConfig, validate_config
-from hardylab.flatness import (HORIZON_RANGE, MAX_TRUNCATION, MIN_CONTOUR_RADIUS, ROW_BLOCK,
-                               _evaluate, _even_power_factors, build_kernel, contour_radii,
-                               control_trace, derivative_table, gevrey_bump, kernel_residual,
-                               row_blocks)
+from hardylab.flatness import (C_NORM, HORIZON_RANGE, MAX_TRUNCATION, MIN_CONTOUR_RADIUS,
+                               ROW_BLOCK, _evaluate, _even_power_factors, build_kernel,
+                               contour_radii, control_trace, derivative_table, gevrey_bump,
+                               kernel_residual, row_blocks)
 from hardylab.lapack import one_blas_thread
 
-from flatness_oracle import bump_derivatives_exact
+from flatness_oracle import bump_derivatives_exact, derivative_factors_exact, log_bump
 
 
 def test_bump_normalization_and_closed_form():
@@ -21,13 +22,17 @@ def test_bump_normalization_and_closed_form():
     assert bump(0.5) == pytest.approx(1.0, abs=1e-15)
     assert bump(0.25) == pytest.approx(math.exp(16.0 - 256.0 / 9.0), rel=1e-14)
     assert bump(0.0) == 0.0 and bump(1.0) == 0.0 and bump(-0.3) == 0.0 and bump(1.7) == 0.0
+    # one shape at every horizon: psi_T(tau) = psi_1(tau / T)
+    taus = np.linspace(-0.25, 1.25, 97)
+    for horizon in (2.0**-16, 0.5, 4.0, 2.0**1000):
+        assert np.array_equal(gevrey_bump(horizon)(horizon * taus), bump(taus))
 
 
 def test_bump_validation():
     low, high = HORIZON_RANGE
     assert gevrey_bump(low).horizon == low and gevrey_bump(high).horizon == high
     for horizon in (0.0, math.nextafter(low, 0.0), math.nextafter(high, math.inf),
-                    1e300, 1e-200, math.nan):
+                    1e-200, math.nan):
         with pytest.raises(ValueError, match="bump's range"):
             gevrey_bump(horizon)
 
@@ -46,25 +51,24 @@ def test_cauchy_first_derivative_vanishes_at_center():
     assert abs(table[1]) <= 1e-12 * max(scale, 1.0)
 
 
-def test_cauchy_rejects_endpoint_neighborhood():
-    # wide horizon: the bump is still representable where the contour radius
-    # guard trips, so the request must be refused rather than zeroed
-    bump = gevrey_bump(100.0)
-    with pytest.raises(ValueError, match="radius"):
-        derivative_table(bump, np.array([1.5e-3]), 3)
-
-
 def test_guard_band_marks_the_rows_derivative_table_zeroes():
-    bump = gevrey_bump(1.0)
-    taus = np.array([-0.5, 0.0, 5e-4, 1.9e-3, 2e-3, 0.5, 1.0 - 1e-3, 1.0, 1.5])
-    r = contour_radii(bump, taus)
-    assert (r >= MIN_CONTOUR_RADIUS).tolist() == [False, False, False, False, True, True,
-                                                  False, False, False]
-    band = (r > 0.0) & (r < MIN_CONTOUR_RADIUS)
-    assert band.tolist() == [False, False, True, True, False, False, True, False, False]
-    assert np.all(derivative_table(bump, taus, 3)[r < MIN_CONTOUR_RADIUS] == 0.0)
-    with pytest.raises(ValueError, match="radius"):
-        contour_radii(gevrey_bump(100.0), [1.5e-3])
+    s = [-0.5, 0.0, 5e-4, 1.9e-3, 2e-3, 0.5, 1.0 - 1e-3, 1.0, 1.5]
+    least = math.log(sys.float_info.min * sys.float_info.epsilon)
+    for horizon in (HORIZON_RANGE[0], 1.0, 3.0, 100.0, 1e300):
+        bump = gevrey_bump(horizon)
+        taus = horizon * np.array(s)
+        r = contour_radii(bump, taus)
+        drawn = r >= MIN_CONTOUR_RADIUS * horizon
+        assert drawn.tolist() == [False, False, False, False, True, True, False, False, False]
+        band = (r > 0.0) & ~drawn
+        assert band.tolist() == [False, False, True, True, False, False, True, False, False]
+        assert np.all(derivative_table(bump, taus, MAX_TRUNCATION + 1)[~drawn] == 0.0)
+        # the band's rows are zeros, not lost values: there every |psi^(k)| = |R_k| psi
+        # lies below the least subnormal, compared in exact logs
+        for tau in (Fraction(horizon) * Fraction(x) for x, inside in zip(s, band) if inside):
+            log_psi = log_bump(bump, tau)
+            for r_k in derivative_factors_exact(bump, tau, 8):
+                assert math.log(abs(r_k.numerator)) - math.log(r_k.denominator) + log_psi < least
 
 
 def test_cauchy_underflowed_edge_band_is_zero():
@@ -74,6 +78,24 @@ def test_cauchy_underflowed_edge_band_is_zero():
     table = derivative_table(bump, np.array([1e-3]), 5)[0]
     assert np.all(table == 0.0)
     assert bump(1e-3) == 0.0
+
+
+@pytest.mark.parametrize("horizon", [2.0, 1024.0, 0.5, 4.0])
+def test_derivative_table_scales_with_the_horizon(horizon):
+    # psi_T^(k)(T s) = T^-k psi_1^(k)(s): at a power-of-two horizon the contours,
+    # their samples and their sums are those at T = 1 scaled exactly, so the
+    # table is the horizon-1 table times T^-k wherever neither is subnormal
+    s = np.linspace(0.0, 1.0, 1025)
+    k_max = 33
+    with one_blas_thread():
+        table1 = derivative_table(gevrey_bump(1.0), s, k_max)
+        table = derivative_table(gevrey_bump(horizon), horizon * s, k_max)
+    expected = table1 * horizon ** -np.arange(k_max + 1.0)
+    differ = table != expected
+    if horizon in (2.0, 1024.0):
+        assert not differ.any()
+    tiny = sys.float_info.min
+    assert np.all((np.abs(table[differ]) < tiny) | (np.abs(expected[differ]) < tiny))
 
 
 def test_cauchy_matches_exact_recurrence_low_order():
@@ -182,13 +204,14 @@ def test_control_trace_endpoints_zero_and_finite():
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(100, 900), st.integers(0, 25))
-def test_derivative_table_matches_exact_recurrence(milli_tau, k_max):
-    # random tau on the span of the fixed-tau test, with its tolerance; within
-    # about 0.065 of the support ends the contour sum misses even that floor
+@given(st.integers(100, 900), st.integers(0, 25),
+       st.sampled_from([1.0, 2.0**-10, 0.5, 3.0, 1000.0]))
+def test_derivative_table_matches_exact_recurrence(milli_tau, k_max, horizon):
+    # random tau/T on the span of the fixed-tau test, with its tolerance; within
+    # about 0.065 T of the support ends the contour sum misses even that floor
     # (its values there are below 1e-17 and never reach the kernel's scale)
-    bump = gevrey_bump(1.0)
-    tau = Fraction(milli_tau, 1000)
+    bump = gevrey_bump(horizon)
+    tau = Fraction(horizon) * Fraction(milli_tau, 1000)
     table = derivative_table(bump, np.array([float(tau)]), k_max)[0]
     exact = bump_derivatives_exact(bump, tau, k_max)
     floor = cauchy_noise_floor(bump, float(tau), k_max)
@@ -376,14 +399,15 @@ def default_contour():
     bump, taus = lab.bump(), lab.tau_grid.times
     m = max(256, 4 * lab.table().shape[1])
     r = 0.5 * np.minimum(taus, bump.horizon - taus)
-    interior = r >= MIN_CONTOUR_RADIUS
+    interior = r >= MIN_CONTOUR_RADIUS * bump.horizon
     theta = 2.0 * np.pi * np.arange(m) / m
     z = taus[interior, None] + r[interior, None] * np.exp(1j * theta)[None, :]
     return lab, interior, r, theta, z
 
 
 def whole_array_samples(bump, z):
-    return np.exp(bump.c_norm - np.multiply(bump.horizon - z, z) ** -2.0)
+    s = z / bump.horizon
+    return np.exp(C_NORM - np.multiply(1.0 - s, s) ** -2.0)
 
 
 @pytest.mark.parametrize("block", [1, 59, ROW_BLOCK, ROW_BLOCK + 1])

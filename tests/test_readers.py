@@ -1,4 +1,4 @@
-"""Every member the package defines has a reader.
+"""Every member and public function the package defines has a reader.
 
 A dataclass field, property or method of a class in src/hardylab whose
 name is never read as an attribute, by the package itself, by the benchmark
@@ -8,6 +8,12 @@ methods are called by the language and are exempt.  Reads are matched by
 name alone, so a member that shares its name with one that is read passes;
 a read off numpy's finfo(...) or iinfo(...) (np.finfo(float).eps) reads
 numpy's member, not the package's, and is not counted.
+
+The same holds for a public module-level function, which is read by
+attribute (fla.derivative_table), by bare name (a call, or a value in a
+table) or by name in a from-import.  The benchmark's spans wrap every
+public function of their modules by reflection, which reads none of them.
+A function only the tests call moves to a tests oracle module.
 """
 
 import ast
@@ -55,6 +61,29 @@ def attributes_read(path: Path) -> set[str]:
     return {node.attr for node in ast.walk(ast.parse(path.read_text()))
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
             and not _is_type_info(node.value)}
+
+
+def defined_functions(path: Path) -> list[tuple[str, str]]:
+    """('module.function', function) for each public module-level function of path."""
+    return [(f"{path.stem}.{node.name}", node.name) for node in ast.parse(path.read_text()).body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+
+
+def names_read(path: Path) -> set[str]:
+    """The attributes read in path, the bare names it loads and the names it imports."""
+    tree = ast.parse(path.read_text())
+    loaded = {node.id for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    return attributes_read(path) | loaded | imported
+
+
+def test_every_public_function_is_read():
+    read = set().union(*map(names_read, READERS))
+    unread = [function for path in sorted(PACKAGE.glob("*.py"))
+              for function, name in defined_functions(path) if name not in read]
+    assert unread == []
 
 
 def test_every_member_is_read():
