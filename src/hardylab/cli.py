@@ -1,34 +1,21 @@
 """Batch front end: deterministic runs, CSV/JSON artifacts.
 
-Every subcommand writes its tables plus a manifest (config snapshot, the
-python and numpy versions, the library that computed the tridiagonal
-eigensolves (lapack.LIBRARY) and the OpenBLAS libraries that
-lapack.one_blas_thread pinned to one thread, check booleans, each check's
-value, comparator and bound from CHECKS, each stage's report of measured
-values and of the sizes it used, its wall seconds and the process's peak
-RSS after it (not on Windows), sha256 digests) into a stamped directory
-under --out, which appears under its stamped name only once the manifest
-is written.  Only the manifest holds the config and each check and report
-value.  A CSV table is a header line, then one line per row with floats
-as %.17g and other values as str, comma-separated and unquoted, every line
-ending in CRLF.  The stages run with the OpenBLAS that lapack computes with
-on one thread, so bodies of the CSV/JSON artifacts are functions of config
-and seed only, not of the core count, and repeated runs digest identically.
+Every subcommand writes its tables and a manifest, the one home of the config and
+of each check and report value (with the library versions, each stage's seconds
+and peak RSS, sha256 digests), into a directory under --out that takes its
+stamped name only once the manifest is written.  A CSV line holds floats as
+%.17g and other values as str, unquoted, and ends in CRLF.  The stages run with
+the OpenBLAS that lapack computes with on one thread, so the artifacts are
+functions of config and seed only, and repeated runs digest identically.
 
 Exit codes: 0 success, 1 tolerance breach under --check, 2 invalid
-configuration (among others a non-finite lam, horizon, mask_a, mask_b or
-eps_list entry, an eps_list of fewer than two penalties, a Bessel order
-nu = sqrt(lambda_star - lam) above MAX_BESSEL_ORDER, spectrum_modes or k_modes
-above n_interior, an observation mask without grid nodes, for kernel and
-transform a horizon outside flatness.HORIZON_RANGE, for the stages that form
-exp(i mu t) up to the horizon a horizon whose product with the radial operator's
-infinity norm overflows, for titchmarsh an infinite 2 * horizon or a subnormal
-step horizon / recon_steps, for uniqueness a mask whose samples are fewer
-than the unknowns of its observability or UCP map, or an output root under
-which the run directory cannot be created, checked before any stage runs), 3
-supercritical coupling, 4 a stage raised on a configuration that passed
-validation.  Every JSON file is RFC 8259 JSON, which has no inf or nan: a stage
-whose artifact, check value or report holds one fails.  The stage_failure
+configuration (a refusal of load_config, of validate_config, which refuses a
+field only if a stage of the subcommand reads it and applies each such stage's
+cross-field rules at the coupling it solves, or an output root under which the
+run directory cannot be created; all before any stage runs), 3 supercritical
+coupling at a coupling a stage solves, 4 a stage raised on a configuration that
+passed validation.  Every JSON file is RFC 8259 JSON, which has no inf or nan: a
+stage whose artifact, check value or report holds one fails.  The stage_failure
 payload names the stage and the exception class; no output directory is left.
 """
 
@@ -46,6 +33,7 @@ import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -107,12 +95,9 @@ class LabConfig:
     seed: int = 0
 
 
-# the largest Bessel order nu = sqrt(lambda_star - lam) a run accepts: the
-# range the tests and the benchmark cover.  bessel_zeros has no ceiling, the
-# stages do.  Measured with none: the mask (0.05, 0.1) exits 1 at nu = 10 but
-# 4 at nu = 14.2 (lam = -200: uniqueness refuses its certificate, sigma_min
-# 6.8e-13), the default mask 1 at nu = 100 but 4 at nu = 316 (lam = -1e5),
-# and lam = -1e300 would need 1e150 rows of the recurrence matrix.
+# the largest Bessel order nu = sqrt(lambda_star - lam) a run accepts, the range the tests
+# and the benchmark cover.  Measured with none: uniqueness refuses its certificate at nu =
+# 14.2 with the mask (0.05, 0.1); lam = -1e300 would need 1e150 rows of the recurrence matrix.
 MAX_BESSEL_ORDER = 3.0
 
 
@@ -124,109 +109,126 @@ INVERSE_LAM = 3.0 / 16.0
 
 
 class Lab:
-    """What the stages of one run share, each built once: the config, the stages, the
-    radial and tau grids and the mask, and on first call the flatness bump, its Cauchy
-    derivative table on the tau grid and the basis of each exact (lam, k), never sliced
-    from a larger k's basis, whose first eigenpairs differ in their last bits.  The
-    table serves both flatness truncations at the order the config asks of either,
-    never at one that depends on the stages run: its bits depend on the order."""
+    """What the stages of one run share, each built once on first use, so a stage reads only
+    the fields of what it uses: the config, the stages, the radial and tau grids, the mask,
+    the flatness bump, its Cauchy derivative table on the tau grid (at the order both
+    truncations ask, whichever stages run: its bits depend on the order) and the basis of
+    each exact (lam, k), never sliced from a larger k's, whose last bits differ."""
+
+    grid = functools.cached_property(lambda self: spc.RadialGrid(self.cfg.n_interior))
+    tau_grid = functools.cached_property(
+        lambda self: evo.TimeGrid(self.cfg.horizon, self.cfg.tau_steps))
+    mask = functools.cached_property(lambda self: evo.interval_mask(
+        self.grid, self.cfg.mask_a, self.cfg.mask_b) if self.cfg.mask_kind == "interval" else
+        evo.fat_cantor_mask(self.grid, (self.cfg.mask_a, self.cfg.mask_b)))
 
     def __init__(self, cfg: LabConfig, stages: list[str]):
         self.cfg, self.stages = cfg, stages
-        self.grid = grid = spc.RadialGrid(cfg.n_interior)
-        self.tau_grid = evo.TimeGrid(cfg.horizon, cfg.tau_steps)
-        try:
-            self.mask = (evo.interval_mask(grid, cfg.mask_a, cfg.mask_b) if cfg.mask_kind == "interval"
-                         else evo.fat_cantor_mask(grid, (cfg.mask_a, cfg.mask_b)))
-        except ValueError as exc:
-            raise ConfigError(f"observation mask: {exc}") from exc
         self.bump = functools.cache(lambda: fla.gevrey_bump(cfg.horizon))
         self.table = functools.cache(lambda: fla.derivative_table(
             self.bump(), self.tau_grid.times, max(cfg.k_trunc, cfg.transform_k_trunc) + 1))
         self.basis = functools.cache(lambda lam, k: spc.solve_spectrum(
-            spc.assemble_hardy_operator(grid, lam, cfg.dimension_n), k))
+            spc.assemble_hardy_operator(self.grid, lam, cfg.dimension_n), k))
+
+
+# single-field rules, in the order applied: (field, test(value, cfg), what a refusal says)
+_FIELD_RULES = [
+    *((name, lambda v, cfg: math.isfinite(v), "must be finite")
+      for name in ("lam", "horizon", "mask_a", "mask_b")),
+    ("eps_list", lambda v, cfg: all(map(math.isfinite, v)), "entries must be finite"),
+    ("dimension_n", lambda v, cfg: v >= 1 and v != 2, "must be a positive integer != 2"),
+    *((name, lambda v, cfg, least=least: v >= least, f"must be at least {least}")
+      for name, least in (("n_interior", spc.MIN_INTERIOR_NODES), ("n_ang", ang.MIN_ARC_NODES),
+                          ("time_steps", 1), ("obs_time_steps", 1), ("hum_verify_steps", 1),
+                          ("tau_steps", 2),          # one step leaves a zero kernel
+                          ("kernel_t_nodes", 2),     # t = -1 alone: a residual of exactly 0
+                          ("inverse_steps", 2),      # the rho(0) = 0 route: centered differences
+                          ("transform_t_nodes", 3),  # the elliptic residual: 3-point differences
+                          ("recon_steps", 14))),     # titchmarsh bumps: 8 dt <= 0.3 * 2T
+    ("horizon", lambda v, cfg: v > 0, "must be positive"),
+    *((name, lambda v, cfg: 1 <= v <= cfg.n_interior, "must lie in [1, n_interior]")
+      for name in ("spectrum_modes", "k_modes")),
+    *((name, lambda v, cfg: 0 < v <= fla.MAX_TRUNCATION, f"must lie in (0, {fla.MAX_TRUNCATION}]")
+      for name in ("k_trunc", "transform_k_trunc")),
+    ("mask_kind", lambda v, cfg: v in ("interval", "cantor"), "must be 'interval' or 'cantor'"),
+    # the hum checks compare successive penalties
+    ("eps_list", lambda v, cfg: len(v) >= 2, "needs at least two penalties"),
+    ("eps_list", lambda v, cfg: all(e > 0 for e in v), "entries must be positive"),
+    ("eps_list", lambda v, cfg: _smallest_step(v) > 0, "must be strictly decreasing"),
+    ("seed", lambda v, cfg: v >= 0, "must be non-negative"),
+]
+
+
+# cross-field rules: rule(lab, lam) at the coupling lam its stage solves (None if none)
+def _bessel_order(lab: Lab, lam: float) -> None:
+    nu = spc.bessel_order(lam, lab.cfg.dimension_n)   # SupercriticalCouplingError: exit 3
+    if nu > MAX_BESSEL_ORDER:
+        raise ConfigError(f"Bessel order nu = {nu:.6g} at the coupling {lam:g} exceeds the "
+                          f"ceiling nu <= {MAX_BESSEL_ORDER:g}")
+
+
+def _phase_ceiling(lab: Lab, lam: float) -> None:
+    # the stage forms the phases exp(i mu t) for t up to the horizon.  Every eigenvalue mu of
+    # its operator has |mu| <= its infinity norm, so mu t stays finite if horizon times it does
+    op = spc.assemble_hardy_operator(lab.grid, lam, lab.cfg.dimension_n)
+    norm = spc.tridiagonal_norm(op.diagonal, op.offdiagonal)
+    if not math.isfinite(lab.cfg.horizon * norm):
+        raise ConfigError(f"horizon {lab.cfg.horizon!r} times the eigenvalue bound {norm:.6g} "
+                          f"overflows the phases exp(i mu t)")
+
+
+def _chain_ceiling(lab: Lab, lam: float) -> None:
+    if lab.cfg.horizon > inv.HORIZON_CEILING:
+        raise ConfigError(f"horizon {lab.cfg.horizon!r} exceeds the Duhamel-Volterra chain's "
+                          f"ceiling inverse.HORIZON_CEILING = {inv.HORIZON_CEILING:.6g}")
+
+
+def _built(what: str, build):
+    """The rule that builds a shared object of the Lab, refusing the config on its ValueError."""
+    def rule(lab: Lab, lam: float) -> None:
+        try:
+            build(lab)
+        except ValueError as exc:
+            raise ConfigError(f"{what}: {exc}") from exc
+    return rule
+
+
+_BUMP_RANGE = _built("flatness", lambda lab: lab.bump())
+_MASK_NODES = _built("observation mask", lambda lab: lab.mask)
+
+
+def _mask_samples(lab: Lab, lam: float) -> None:
+    # the observability maps sample each mask node at steps + 1 times (on the
+    # obs_time_steps and tau_steps grids), the UCP map at UCP_WINDOW_NODES times
+    cfg, nodes = lab.cfg, lab.mask.n_nodes
+    for times, unknowns, name in ((min(cfg.obs_time_steps, cfg.tau_steps) + 1, cfg.k_modes,
+                                   "k_modes"), (UCP_WINDOW_NODES, 2 * cfg.k_modes, "2 k_modes")):
+        if times * nodes < unknowns:
+            raise ConfigError(f"observation mask: {nodes} node(s) at {times} times give fewer "
+                              f"samples than {name} = {unknowns}")
+
+
+def _titchmarsh_step(lab: Lab, lam: float) -> None:
+    # its grid spans 2 horizon in steps of horizon / recon_steps: both must be normal floats
+    horizon = lab.cfg.horizon
+    if not (math.isfinite(2.0 * horizon) and horizon / lab.cfg.recon_steps >= sys.float_info.min):
+        raise ConfigError(f"titchmarsh needs a finite 2 * horizon and a normal step horizon / "
+                          f"recon_steps, got horizon {horizon!r}")
 
 
 def validate_config(cfg: LabConfig, subcommand: str = "all") -> Lab:
-    """Reject cfg, before any output, if a stage of subcommand cannot run it; else its Lab."""
-    for name in ("lam", "horizon", "mask_a", "mask_b"):
-        if not math.isfinite(getattr(cfg, name)):
-            raise ConfigError(f"{name} must be finite, got {getattr(cfg, name)}")
-    if not all(map(math.isfinite, cfg.eps_list)):
-        raise ConfigError(f"eps_list entries must be finite, got {cfg.eps_list}")
-    if cfg.dimension_n < 1 or cfg.dimension_n == 2:
-        raise ConfigError(f"dimension_n must be a positive integer != 2, got {cfg.dimension_n}")
-    nu = spc.bessel_order(cfg.lam, cfg.dimension_n)   # SupercriticalCouplingError: exit 3
-    if nu > MAX_BESSEL_ORDER:
-        raise ConfigError(f"Bessel order nu = {nu:.6g} exceeds the ceiling "
-                          f"nu <= {MAX_BESSEL_ORDER:g}; lower dimension_n or raise lam")
-    if cfg.n_interior < spc.MIN_INTERIOR_NODES:
-        raise ConfigError(f"n_interior must be at least {spc.MIN_INTERIOR_NODES}")
-    if cfg.n_ang < ang.MIN_ARC_NODES:
-        raise ConfigError(f"n_ang must be at least {ang.MIN_ARC_NODES}")
-    if cfg.horizon <= 0:
-        raise ConfigError("horizon must be positive")
-    stages = list(_RUNNERS) if subcommand == "all" else [subcommand]
-    for name in ("spectrum_modes", "k_modes"):
-        if not 1 <= getattr(cfg, name) <= cfg.n_interior:
-            raise ConfigError(f"{name} must lie in [1, n_interior = {cfg.n_interior}], "
-                              f"got {getattr(cfg, name)}")
-    for name in ("k_trunc", "transform_k_trunc"):
-        if not 0 < getattr(cfg, name) <= fla.MAX_TRUNCATION:
-            raise ConfigError(f"{name} must lie in (0, {fla.MAX_TRUNCATION}]")
-    if cfg.mask_kind not in ("interval", "cantor"):
-        raise ConfigError("mask_kind must be 'interval' or 'cantor'")
-    if len(cfg.eps_list) < 2:   # the hum checks compare successive penalties
-        raise ConfigError(f"eps_list needs at least two penalties, got {cfg.eps_list}")
-    if any(e <= 0 for e in cfg.eps_list):
-        raise ConfigError("eps_list entries must be positive")
-    if any(b >= a for a, b in zip(cfg.eps_list, cfg.eps_list[1:])):
-        raise ConfigError("eps_list must be strictly decreasing")
-    if cfg.seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {cfg.seed}")
-    for name, least in (("time_steps", 1), ("obs_time_steps", 1), ("hum_verify_steps", 1),
-                        ("tau_steps", 2),          # one step leaves a zero kernel
-                        ("kernel_t_nodes", 2),     # t = -1 alone: a residual of exactly 0
-                        ("inverse_steps", 2),      # the rho(0) = 0 route: centered differences
-                        ("transform_t_nodes", 3),  # the elliptic residual: 3-point differences
-                        ("recon_steps", 14)):      # titchmarsh bumps: 8 dt <= 0.3 * 2T
-        if getattr(cfg, name) < least:
-            raise ConfigError(f"{name} must be at least {least}")
-    if "titchmarsh" in stages and not (math.isfinite(2.0 * cfg.horizon)
-                                       and cfg.horizon / cfg.recon_steps >= sys.float_info.min):
-        # its grid spans 2 horizon in steps of horizon / recon_steps: both must be normal floats
-        raise ConfigError(f"titchmarsh needs a finite 2 * horizon and a normal step horizon / "
-                          f"recon_steps, got horizon {cfg.horizon!r}")
-    lab = Lab(cfg, stages)   # builds the mask, but neither the bump, the table nor a spectrum
-    if {"kernel", "transform"} & set(stages):
-        try:   # both read the bump's derivative table
-            lab.bump()
-        except ValueError as exc:
-            raise ConfigError(f"flatness: {exc}") from exc
-    if {"evolve", "transform", "uniqueness", "hum", "inverse-source"} & set(stages):
-        # these form the phases exp(i mu t) for t up to the horizon.  Every eigenvalue mu
-        # of a stage's operator has |mu| <= its infinity norm, which falls as the coupling
-        # rises, so mu t stays finite if horizon times the norm at the least coupling does
-        op = spc.assemble_hardy_operator(lab.grid, min(cfg.lam, INVERSE_LAM), cfg.dimension_n)
-        norm = spc.tridiagonal_norm(op.diagonal, op.offdiagonal)
-        if not math.isfinite(cfg.horizon * norm):
-            raise ConfigError(f"horizon {cfg.horizon!r} times the eigenvalue bound {norm:.6g} "
-                              f"overflows the phases exp(i mu t)")
-    if "uniqueness" in stages:
-        # its observability maps sample each mask node at steps + 1 times (on the
-        # obs_time_steps and tau_steps grids), its UCP map at UCP_WINDOW_NODES times
-        steps = min(cfg.obs_time_steps, cfg.tau_steps)
-        if (steps + 1) * lab.mask.n_nodes < cfg.k_modes:
-            raise ConfigError(f"observation mask: {lab.mask.n_nodes} node(s) at {steps + 1} "
-                              f"times give fewer samples than k_modes = {cfg.k_modes}")
-        if UCP_WINDOW_NODES * lab.mask.n_nodes < 2 * cfg.k_modes:
-            raise ConfigError(f"observation mask: {lab.mask.n_nodes} node(s) at the "
-                              f"{UCP_WINDOW_NODES} times of the UCP window give fewer "
-                              f"samples than 2 k_modes = {2 * cfg.k_modes}")
+    """Reject cfg, before any output, on a field a stage of subcommand reads, else return its
+    Lab: each rule of a field read, then each stage's rules, which build only what they check."""
+    lab = Lab(cfg, list(_STAGES) if subcommand == "all" else [subcommand])
+    stages = [_STAGES[name] for name in lab.stages]
+    reads = set().union(*(stage.reads for stage in stages))
+    for name, test, refusal in _FIELD_RULES:
+        if name in reads and not test(getattr(cfg, name), cfg):
+            raise ConfigError(f"{name} {refusal}, got {getattr(cfg, name)!r}")
+    for stage in stages:
+        for rule in stage.rules:
+            rule(lab, stage.coupling and stage.coupling(cfg))
     return lab
-
-
-_FIELD_NAMES = {f.name for f in dataclasses.fields(LabConfig)}
 
 
 def load_config(path: str | None) -> LabConfig:
@@ -245,7 +247,7 @@ def load_config(path: str | None) -> LabConfig:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (s.strip() for s in line.split("=", 1))
-        if key not in _FIELD_NAMES:
+        if key not in {f.name for f in dataclasses.fields(cfg)}:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         try:
             if key == "eps_list":
@@ -523,10 +525,9 @@ def run_kernel(lab: Lab, outdir: Path):
     m = measure_kernel(kernel)
     t_rows = slice(None, None, max(1, (len(t_nodes) - 1) // 50))
     tau_cols = slice(None, None, max(1, (len(tau_nodes) - 1) // 128))
+    write_csv(outdir / "kernel.csv", ["t", "tau", "re_k", "im_k"], _sampled(
+        t_nodes[t_rows], tau_nodes[tau_cols], kernel.sub_grid(t_rows, tau_cols), 1, 1))
     res = m["residual"]
-    columns = _sampled(t_nodes[t_rows], tau_nodes[tau_cols], kernel.sub_grid(t_rows, tau_cols),
-                       1, 1)
-    write_csv(outdir / "kernel.csv", ["t", "tau", "re_k", "im_k"], columns)
     write_json(outdir / "kernel_residual.json", {
         "max_residual": res.max_residual, "max_kernel": res.max_kernel,
         "tail_match_error": res.tail_match_error,
@@ -770,18 +771,35 @@ def run_titchmarsh(lab: Lab, outdir: Path):
         "sizes": {"steps": 2 * cfg.recon_steps, "pairs": len(m["rows"])}}
 
 
-_RUNNERS = {
-    "spectrum": run_spectrum,
-    "hardy": run_hardy,
-    "evolve": run_evolve,
-    "kernel": run_kernel,
-    "transform": run_transform,
-    "uniqueness": run_uniqueness,
-    "angular": run_angular,
-    "hum": run_hum,
-    "inverse-source": run_inverse,
-    "titchmarsh": run_titchmarsh,
-}
+class _Stage(NamedTuple):
+    runner: object      # (lab, outdir) -> (checks, report)
+    reads: frozenset    # the LabConfig fields its run reads, through the Lab or not
+    coupling: object    # cfg -> the coupling it solves, None if it solves none
+    rules: tuple        # its cross-field rules, each called as rule(lab, coupling)
+
+
+_BASIS, _MASK = "dimension_n n_interior", "mask_kind mask_a mask_b"   # read by a basis, a mask
+# the coupling of the stages that solve at lam, and the rules of those that form exp(i mu t)
+_LAM, _PHASES = operator.attrgetter("lam"), (_bessel_order, _phase_ceiling)
+_STAGES = {name: _Stage(runner, frozenset(reads.split()), coupling, tuple(rules))
+           for name, runner, reads, coupling, *rules in (   # in the order 'all' runs them
+    ("spectrum", run_spectrum, f"{_BASIS} lam spectrum_modes", _LAM, _bessel_order),
+    ("hardy", run_hardy, "n_interior seed", None),
+    ("evolve", run_evolve, f"{_BASIS} {_MASK} horizon k_modes lam seed time_steps", _LAM,
+     *_PHASES, _MASK_NODES),
+    ("kernel", run_kernel, "horizon k_trunc kernel_t_nodes tau_steps transform_k_trunc", None,
+     _BUMP_RANGE),
+    ("transform", run_transform, f"{_BASIS} horizon k_modes k_trunc lam tau_steps "
+     "transform_k_trunc transform_t_nodes", _LAM, *_PHASES, _BUMP_RANGE),
+    ("uniqueness", run_uniqueness, f"{_BASIS} {_MASK} horizon k_modes lam obs_time_steps seed "
+     "tau_steps", _LAM, *_PHASES, _MASK_NODES, _mask_samples),
+    ("angular", run_angular, "n_ang", None),
+    ("hum", run_hum, f"{_BASIS} {_MASK} eps_list horizon hum_verify_steps k_modes lam seed", _LAM,
+     *_PHASES, _MASK_NODES),
+    ("inverse-source", run_inverse, f"{_BASIS} horizon inverse_steps recon_steps seed",
+     lambda cfg: INVERSE_LAM, *_PHASES, _chain_ceiling),
+    ("titchmarsh", run_titchmarsh, "horizon recon_steps seed", None, _titchmarsh_step))}
+_RUNNERS = {name: stage.runner for name, stage in _STAGES.items()}
 
 
 def _run_stages(subcommand: str, lab: Lab, outdir: Path) -> dict[str, bool]:
@@ -810,31 +828,22 @@ def _run_stages(subcommand: str, lab: Lab, outdir: Path) -> dict[str, bool]:
             reports[name] = rep
     digests = {p.name: _digest(p) for p in sorted(outdir.iterdir())
                if p.suffix in (".csv", ".json")}
-    manifest = {
-        "artifact_version": ARTIFACT_VERSION,
-        "subcommand": subcommand,
+    write_json(outdir / "manifest.json", {
+        "artifact_version": ARTIFACT_VERSION, "subcommand": subcommand,
         "config": dataclasses.asdict(lab.cfg),
         "versions": {"python": platform.python_version(), "numpy": np.__version__,
                      "lapack": lapack.LIBRARY, "blas": blas},
         "wall_clock_utc": datetime.now(timezone.utc).isoformat(),
-        "elapsed_seconds": time.monotonic() - started,
-        "stage_seconds": stage_seconds,
+        "elapsed_seconds": time.monotonic() - started, "stage_seconds": stage_seconds,
         **({"stage_max_rss_mb": stage_rss} if resource is not None else {}),
-        "checks": checks,
-        "check_details": details,
-        "reports": reports,
-        "digests": digests,
-    }
-    write_json(outdir / "manifest.json", manifest)
+        "checks": checks, "check_details": details, "reports": reports, "digests": digests})
     return checks
 
 
 def run(subcommand: str, cfg: LabConfig, out_root: Path, check: bool = False) -> int:
-    """Execute one subcommand (or 'all'), write artifacts + manifest.
-
-    The stages write into a hidden sibling directory, which takes the stamped
-    name only once the manifest is written; if a stage raises, it is removed.
-    """
+    """Execute one subcommand (or 'all'), write artifacts + manifest.  The stages write into
+    a hidden sibling directory, which takes the stamped name only once the manifest is
+    written; if a stage raises, it is removed."""
     lab = validate_config(cfg, subcommand)
     stamp = datetime.now(timezone.utc).strftime("%Y%m%d-%H%M%S%f")
     outdir = out_root / f"{subcommand}-{stamp}"
@@ -851,17 +860,13 @@ def run(subcommand: str, cfg: LabConfig, out_root: Path, check: bool = False) ->
         shutil.rmtree(workdir, ignore_errors=True)
         raise
     print(json.dumps({"outdir": str(outdir), "checks": checks}, sort_keys=True))
-    if check and not all(checks.values()):
-        return 1
-    return 0
+    return int(check and not all(checks.values()))
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="hardylab",
-        description="Numerical laboratory for the singular Schrodinger operator "
-                    "with an inverse-square potential",
-    )
+    parser = argparse.ArgumentParser(prog="hardylab", description="Numerical laboratory for the "
+                                     "singular Schrodinger operator with an inverse-square "
+                                     "potential")
     parser.add_argument("subcommand", choices=(*_RUNNERS, "all"))
     parser.add_argument("--config", default=None, help="key = value configuration file")
     parser.add_argument("--out", default="out", help="output root")
@@ -875,21 +880,16 @@ def main(argv=None) -> int:
             cfg.seed = args.seed
         return run(args.subcommand, cfg, Path(args.out), check=args.check)
     except spc.SupercriticalCouplingError as exc:
-        print(json.dumps({
-            "error": "supercritical_coupling",
-            "lambda": exc.lam,
-            "lambda_star": exc.lam_star,
-            "dimension": exc.dimension,
-            "message": str(exc),
-        }, sort_keys=True))
+        print(json.dumps({"error": "supercritical_coupling", "lambda": exc.lam,
+                          "lambda_star": exc.lam_star, "dimension": exc.dimension,
+                          "message": str(exc)}, sort_keys=True))
         return 3
     except StageFailure as exc:
         print(json.dumps({"error": "stage_failure", "stage": exc.stage,
                           "exception": exc.exception, "message": str(exc)}, sort_keys=True))
         return 4
     except ValueError as exc:
-        # only loading, validation and creating the run directory raise
-        # ValueError here: stage errors arrive as StageFailure
+        # only loading, validation and creating the run directory raise ValueError here
         print(json.dumps({"error": "invalid_config", "message": str(exc)}, sort_keys=True))
         return 2
 

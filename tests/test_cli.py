@@ -10,6 +10,7 @@ import math
 import operator
 import os
 import platform
+import re
 import subprocess
 import sys
 import warnings
@@ -24,6 +25,7 @@ from hypothesis import strategies as st
 from hardylab import cli
 from hardylab import evolution as evo
 from hardylab import flatness as fla
+from hardylab import inverse as inv
 from hardylab import lapack
 from hardylab import spectral as spc
 from hardylab.cli import LabConfig, load_config, main, run, validate_config
@@ -66,13 +68,47 @@ def test_spectrum_run_writes_csv(tmp_path):
     assert "spectrum.csv" in manifest["digests"]
 
 
+_FIELDS = {f.name for f in dataclasses.fields(LabConfig)}
+
+
 def test_every_config_field_is_read():
-    # a LabConfig field that cli.py never reads as cfg.<field> configures nothing
-    tree = ast.parse(Path(cli.__file__).read_text())
-    read = {node.attr for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
-            and isinstance(node.value, ast.Name) and node.value.id == "cfg"}
-    assert {f.name for f in dataclasses.fields(LabConfig)} - read == set()
+    # a LabConfig field that no stage reads configures nothing; the records of what
+    # each stage reads are checked against its runs by test_stage_records_name_the_fields_read
+    assert set().union(*(stage.reads for stage in cli._STAGES.values())) == _FIELDS
+
+
+def test_readme_config_table_names_the_stages_that_read_each_field():
+    # the last column of each field's row in the README's configuration table
+    readme = Path(cli.__file__).resolve().parents[2] / "README.md"
+    rows = {}
+    for line in readme.read_text().splitlines():
+        cells = line.strip().strip("|").split("|")
+        if line.startswith("| `") and cells[0].strip().strip("`") in _FIELDS:
+            rows[cells[0].strip().strip("`")] = set(re.findall(r"`([\w-]+)`", cells[-1]))
+    assert rows == {field: {name for name, stage in cli._STAGES.items() if field in stage.reads}
+                    for field in _FIELDS}
+
+
+class _Recording(LabConfig):
+    """A LabConfig that records the name of each field read from it."""
+
+    def __getattribute__(self, name):
+        if name in _FIELDS:
+            object.__getattribute__(self, "read").add(name)
+        return object.__getattribute__(self, name)
+
+
+@pytest.mark.parametrize("stage", list(cli._STAGES))
+def test_stage_records_name_the_fields_read(tmp_path, stage):
+    # the fields a stage's record lists are those its run reads, through the Lab or
+    # directly, and validation of that stage alone reads none besides them
+    cfg = _Recording(**dataclasses.asdict(light_config()))
+    cfg.read = set()
+    validate_config(cfg, stage)
+    validated, cfg.read = cfg.read, set()
+    with lapack.one_blas_thread():   # on a Lab that validation has not built into
+        cli._RUNNERS[stage](cli.Lab(cfg, [stage]), tmp_path)
+    assert validated <= cli._STAGES[stage].reads == cfg.read
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +116,7 @@ def test_every_config_field_is_read():
 
 class Probe(NamedTuple):
     """`hardylab <subcommand> --check --config <a file holding config, or none if None> <argv>`
-    exits code, and prints a message holding expect (exits 2 to 4: a fragment only the probed
+    exits code, and prints a message holding expect (exits 2 and 3: a fragment only the probed
     rule writes) or fails exactly the checks in expect (exits 0 and 1).  case is the id of the
     test node that runs the row: a test name, then [parameters] if it has any."""
 
@@ -94,16 +130,21 @@ class Probe(NamedTuple):
 
 _KERNEL_FLOOR = fla.HORIZON_RANGE[0]
 _BELOW_FLOOR = math.nextafter(_KERNEL_FLOOR, 0.0)
-# the largest horizon whose phases exp(i mu t) validation accepts at the default
-# config: DBL_MAX over the infinity norm of the radial operator at lam = 0, the
-# least coupling a default run solves
-_DEFAULT_OPERATOR = spc.assemble_hardy_operator(spc.RadialGrid(LabConfig().n_interior), 0.0, 3)
-_PHASE_CEILING = sys.float_info.max / spc.tridiagonal_norm(_DEFAULT_OPERATOR.diagonal,
-                                                           _DEFAULT_OPERATOR.offdiagonal)
+
+
+def _phase_ceiling(lam: float) -> float:
+    """The largest horizon whose phases exp(i mu t) validation accepts for a stage that
+    solves at lam on the default grid: DBL_MAX over the radial operator's infinity norm."""
+    op = spc.assemble_hardy_operator(spc.RadialGrid(LabConfig().n_interior), lam, 3)
+    return sys.float_info.max / spc.tridiagonal_norm(op.diagonal, op.offdiagonal)
+
+
+_PHASE_CEILING = _phase_ceiling(0.0)   # at the default lam, the least coupling 'all' solves
 _NARROW_MASK = "mask_a = 0.3\nmask_b = 0.3015\n"   # one node of the default 800-node grid
 _INVERSE_IDENTITIES = {"inverse_factorization_identity", "inverse_convolution_identity",
                        "inverse_free_evolution", "inverse_reduction_agreement", "inverse_roundtrip"}
 _HUM_QUADRATURE = {"hum_defect_identity", "hum_defect_decreasing"}   # ROADMAP item 3
+_NODELESS_MASK = "mask_a = 0.9999\nmask_b = 0.99995\n"   # no node of the default grid
 
 PROBES = [
     Probe("test_supercritical_coupling_exit_code", "spectrum", "lam = 0.3\n", 3,
@@ -119,6 +160,11 @@ PROBES = [
                          ("n_interior = many", "bad value for n_interior: 'many'"))),
     *(Probe(f"test_oracle_range_rejected_before_output[{text}]", "spectrum", text, 2,
             f"nu <= {cli.MAX_BESSEL_ORDER:g}") for text in ("dimension_n = 11\n", "lam = -12\n")),
+    # each stage's coupling rules apply at the coupling it solves: inverse-source solves at
+    # INVERSE_LAM = 3/16, where dimension 11 gives nu = 4.48, whatever lam is (nu = 2.87 at 12)
+    *(Probe(f"test_oracle_range_at_the_coupling_each_stage_solves[{stage}]", stage,
+            "dimension_n = 11\nlam = 12\n", 2, "Bessel order nu = 4.47912 at the coupling 0.1875")
+      for stage in ("inverse-source", "all")),
     # the three-point scheme's error grows with the mode number: on the default
     # grid 88 modes pass and 89 to 800 fail (J_0.5 has 19 zeros below 60)
     *(Probe(f"test_spectrum_modes_up_to_n_interior_run[{text}]", "spectrum", text, code, failing)
@@ -154,6 +200,8 @@ PROBES = [
       for field, value, least in (
           ("transform_t_nodes", 1, "at least 3"), ("transform_t_nodes", 2, "at least 3"),
           ("tau_steps", 1, "at least 2"), ("recon_steps", 13, "at least 14"),
+          ("time_steps", 0, "at least 1"), ("obs_time_steps", 0, "at least 1"),
+          ("hum_verify_steps", 0, "at least 1"),
           ("kernel_t_nodes", 0, "at least 2"), ("kernel_t_nodes", 1, "at least 2"),
           ("seed", -1, "non-negative"))),
     Probe("test_negative_seed_flag_rejected_before_output", "all", "", 2,
@@ -173,6 +221,21 @@ PROBES = [
         ("inverse_steps = 1\n", "inverse_steps must be at least 2"),
         ("horizon = 0.0\n", "horizon must be positive"),
         ("mask_kind = annulus\n", "mask_kind must be 'interval' or 'cantor'"))),
+    # a stage is refused only on the fields it reads: hardy, angular, titchmarsh and kernel
+    # read neither lam, k_modes nor the mask, and run as at the default config
+    *(Probe(f"test_stages_run_on_fields_they_do_not_read[{stage}-{text}]", stage, text, code,
+            failing) for text, stages in (
+                ("lam = 1.0\n", ("hardy", "angular", "titchmarsh", "kernel")),
+                ("k_modes = 5000\n", ("hardy",)), (_NODELESS_MASK, ("kernel",)))
+      for stage, code, failing in (
+          ("hardy", 1, {"hardy_pencil_in_range"}), ("angular", 0, set()), ("titchmarsh", 0, set()),
+          ("kernel", 1, {"kernel_residual_ratio"})) if stage in stages),
+    *(Probe(f"test_stages_reading_a_field_refuse_it[{stage}-{text}]", stage, text, code, says)
+      for stage, text, code, says in (
+          ("spectrum", "lam = 1.0\n", 3, "lambda_star(3) = 0.25"),
+          ("all", "lam = 1.0\n", 3, "lambda_star(3) = 0.25"),
+          ("all", "k_modes = 5000\n", 2, "k_modes must lie in [1, n_interior], got 5000"),
+          ("all", _NODELESS_MASK, 2, "observation mask: interval contains no grid nodes"))),
     # kernel and transform: a horizon below flatness.HORIZON_RANGE, where the smallest
     # contour radius raised to the table's top order underflows
     *(Probe(f"test_short_horizon_rejected_before_output[{stage}-{_BELOW_FLOOR!r}]", stage,
@@ -194,21 +257,18 @@ PROBES = [
     # the kernel forms no phase: every finite horizon runs
     *(Probe(f"test_kernel_check_passes_at_long_horizons[{horizon!r}]", "kernel",
             f"horizon = {horizon!r}\n", 0) for horizon in (1e300, sys.float_info.max)),
-    # the stages that form exp(i mu t) run up to the phase ceiling and refuse past it;
-    # transform's tau grid no longer resolves the phases there, and inverse-source's
-    # Duhamel-Volterra chain has overflowed from 1e105 on
+    # the stages that form exp(i mu t) run up to the phase ceiling of the coupling they
+    # solve and refuse past it; transform's tau grid no longer resolves the phases there
     *(Probe(f"test_stages_run_at_the_phase_ceiling[{stage}]", stage,
             f"horizon = {_PHASE_CEILING!r}\n", code, failing)
       for stage, code, failing in (
           ("evolve", 0, set()), ("uniqueness", 0, set()), ("hum", 1, _HUM_QUADRATURE),
-          ("transform", 1, {"transform_residual", "transform_moment_consistency"}),
-          ("inverse-source", 4, "reconstruction.json/f_recovered/1/0 is nan"))),
-    # (titchmarsh refuses DBL_MAX first in all)
+          ("transform", 1, {"transform_residual", "transform_moment_consistency"}))),
     *(Probe(f"test_horizon_past_the_phase_ceiling_rejected_before_output[{stage}]", stage,
             f"horizon = {horizon!r}\n", 2, "overflows the phases exp(i mu t)")
       for stage in ("evolve", "transform", "uniqueness", "hum", "inverse-source", "all")
-      for horizon in (math.nextafter(_PHASE_CEILING, math.inf), sys.float_info.max)
-      if stage != "all" or horizon < sys.float_info.max),
+      for horizon in (math.nextafter(_phase_ceiling(cli.INVERSE_LAM if stage == "inverse-source"
+                                                    else 0.0), math.inf), sys.float_info.max)),
     # titchmarsh runs from a normal step horizon / recon_steps to a finite 2 * horizon
     *(Probe(f"test_titchmarsh_check_passes_at_extreme_horizons[{horizon!r}]", "titchmarsh",
             f"horizon = {horizon!r}\n", 0)
@@ -223,22 +283,25 @@ PROBES = [
       for stage, code, failing in (("evolve", 0, set()), ("uniqueness", 0, set()),
                                    ("hum", 1, _HUM_QUADRATURE))),
     # at the default 10,000 steps the convolution identity's O(dt^2) error crosses its
-    # bound near horizon 2.30021 (20,000 steps pass at 3); at 1e100 every identity fails
+    # bound near horizon 2.30021 (20,000 steps pass at 3); from 1e100 to the Duhamel-Volterra
+    # chain's ceiling every identity fails
     *(Probe(f"test_inverse_source_check_at_long_horizons[{text}]", "inverse-source", text, code,
             failing) for text, code, failing in (
                 ("horizon = 2.3\n", 0, set()),
                 ("horizon = 2.31\n", 1, {"inverse_convolution_identity"}),
                 ("horizon = 3\ninverse_steps = 20000\n", 0, set()),
                 ("horizon = 10\n", 1, {"inverse_convolution_identity", "inverse_free_evolution"}),
-                ("horizon = 1e100\n", 1, _INVERSE_IDENTITIES))),
-    # past it the Duhamel-Volterra chain overflows, and RFC 8259 JSON has no token
-    # for what it then reports: the refusal names the file, the key and the value
-    *(Probe(f"test_non_finite_values_fail_their_stage_before_the_manifest[{horizon!r}]",
-            "inverse-source", f"horizon = {horizon!r}\n", 4,
-            "reconstruction.json/source_identity_residual is nan") for horizon in (1e105, 1e200)),
+                ("horizon = 1e100\n", 1, _INVERSE_IDENTITIES),
+                (f"horizon = {inv.HORIZON_CEILING!r}\n", 1, _INVERSE_IDENTITIES))),
+    # past the ceiling the chain's T^3 intermediate would overflow (from about 3.4e103);
+    # the phase ceiling of inverse-source's coupling lies above the default one
+    *(Probe(f"test_horizon_past_the_chain_ceiling_rejected_before_output[{horizon!r}]",
+            "inverse-source", f"horizon = {horizon!r}\n", 2, "inverse.HORIZON_CEILING")
+      for horizon in (math.nextafter(inv.HORIZON_CEILING, math.inf), 1e105, 1e200,
+                      _PHASE_CEILING)),
 ]
 
-_ERRORS = {2: "invalid_config", 3: "supercritical_coupling", 4: "stage_failure"}
+_ERRORS = {2: "invalid_config", 3: "supercritical_coupling"}
 
 
 def _reject_constant(name):
@@ -250,8 +313,7 @@ def _main(root: Path, probe: Probe) -> int:
     if probe.config is not None:
         (root / "probe.cfg").write_text(probe.config)
     with warnings.catch_warnings():
-        # an exit-4 row probes an overflow, so only there does numpy's warning stay one
-        warnings.simplefilter("ignore" if probe.code == 4 else "error", RuntimeWarning)
+        warnings.simplefilter("error", RuntimeWarning)
         return main([probe.subcommand, "--check", "--config", str(root / "probe.cfg"),
                      "--out", str(root / "out"), *probe.argv])
 
@@ -265,7 +327,7 @@ def _probe_test(cases: dict[str, list[Probe]]):
             assert code == probe.code, printed
             if code >= 2:
                 assert printed["error"] == _ERRORS[code] and probe.expect in printed["message"]
-                assert (list(out_root.iterdir()) == []) if code == 4 else not out_root.exists()
+                assert not out_root.exists()
                 continue
             assert {name for name, ok in printed["checks"].items() if not ok} == probe.expect
             paths = sorted(Path(printed["outdir"]).glob("*.json"))
@@ -286,25 +348,29 @@ globals().update({name: _probe_test(cases) for name, cases in _CASES.items()})
 
 
 def test_every_config_rule_is_reached_by_a_probe(tmp_path, monkeypatch):
-    # each raise ConfigError of load_config and validate_config is an exit-2 row's
-    reached = set()
+    # each raise ConfigError of cli.py but run's (the output root, which has its own test)
+    # and each single-field rule of validate_config is an exit-2 row's
+    reached, messages = set(), []
 
     class Traced(cli.ConfigError):
         def __init__(self, message):
             super().__init__(message)
             reached.add(sys._getframe(1).f_lineno)
+            messages.append(message)
 
     monkeypatch.setattr(cli, "ConfigError", Traced)
     for i, probe in enumerate(p for p in PROBES if p.code == 2):
         _main(tmp_path / str(i), probe)
     tree = ast.parse(Path(cli.__file__).read_text())
-    sites = [node for func in tree.body if isinstance(func, ast.FunctionDef)
-             and func.name in ("load_config", "validate_config") for node in ast.walk(func)
+    sites = [node for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+             and func.name != "run" for node in ast.walk(func)
              if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
              and getattr(node.exc.func, "id", None) == "ConfigError"]
-    assert sites
+    assert len(sites) > 10
     assert [node.lineno for node in sites
             if not reached & set(range(node.lineno, node.end_lineno + 1))] == []
+    assert [(name, refusal) for name, _, refusal in cli._FIELD_RULES
+            if not any(m.startswith(f"{name} {refusal}, got ") for m in messages)] == []
 
 
 def test_stage_value_error_exits_4(tmp_path, capsys, monkeypatch):
