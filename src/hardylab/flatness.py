@@ -81,7 +81,8 @@ def row_blocks(n: int) -> list[tuple[int, int]]:
 
     A one-row remainder joins the block before it: numpy contracts a
     single row with a matrix-vector kernel, which sums in another order
-    than the matrix product of the other blocks."""
+    than the matrix product of the other blocks.  derivative_table's
+    contour product relies on this too."""
     starts = list(range(0, n, ROW_BLOCK))
     if len(starts) > 1 and n - starts[-1] == 1:
         starts.pop()
@@ -109,34 +110,38 @@ def derivative_table(bump: GevreyBump, taus: np.ndarray, k_max: int) -> np.ndarr
     against values below 1e-17) until both sides underflow to exact zeros;
     the kernel multiplies those rows by factors <= 4^k/(2k)!.
 
-    The contour is sampled in row blocks, with bits that do not depend on
-    the block, and summed by one product over all rows: a BLAS product's
-    bits for a row depend on its row count, and those of a column on how
-    many orders are requested, through its column blocking.  On 1025 tau
-    nodes at T = 1 and one BLAS thread, the columns a k_max table shares
-    with the k_max = 33 one are equal to them at k_max = 23, 27 and 31-34,
-    and differ in their last bits at 20-22, 24-26, 28-30 and 35-41.  So a
-    table shared by several truncations is built at an order fixed by the
-    configuration alone.
+    The contour is taken one row_blocks block of interior rows at a time:
+    each block is sampled, averaged against the Fourier basis in one product
+    and written into its table rows before the next, so besides the table
+    the call holds the radii, the interior row index and one block's arrays.
+    The table has the bits of one product over all interior rows: the tests
+    pin this at horizons 0.7 to 1000, k_max 5 to 41 and last blocks of 2 to
+    65 rows, on one BLAS thread and on the default count.  A column's bits
+    do depend on how many orders are requested, through the product's
+    column blocking.  On 1025 tau nodes at
+    T = 1 and one BLAS thread, the columns a k_max table shares with the
+    k_max = 33 one are equal to them at k_max = 23, 27 and 31-34, and differ
+    in their last bits at 20-22, 24-26, 28-30 and 35-41.  So a table shared
+    by several truncations is built at an order fixed by the configuration
+    alone.
     """
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     r = contour_radii(bump, taus)
-    interior = r >= MIN_CONTOUR_RADIUS * bump.horizon
+    rows = np.flatnonzero(r >= MIN_CONTOUR_RADIUS * bump.horizon)
     m = max(256, 4 * (k_max + 1))
     theta = 2.0 * np.pi * np.arange(m) / m
     ks = np.arange(k_max + 1)
-    centers, radii = taus[interior, None], r[interior, None]
-    vals = np.empty((len(centers), m), dtype=complex)   # (n_int, m)
-    for start, stop in row_blocks(len(centers)):
-        vals[start:stop] = bump.eval_complex(centers[start:stop]
-                                             + radii[start:stop] * np.exp(1j * theta))
+    circle = np.exp(1j * theta)
     basis = np.exp(-1j * np.outer(theta, ks))         # (m, k_max+1)
-    avg = (vals @ basis) / m
     fact = np.cumprod(np.concatenate(([1.0], np.arange(1.0, k_max + 1))))
     table = np.zeros((len(taus), k_max + 1))
-    # r^k overflows from r = DBL_MAX^(1/k) on, and its entries divide to exact zeros
-    with np.errstate(over="ignore"):
-        table[interior] = avg.real * fact[None, :] / radii ** ks[None, :]
+    for start, stop in row_blocks(len(rows)):
+        block = rows[start:stop]
+        radii = r[block, None]
+        avg = (bump.eval_complex(taus[block, None] + radii * circle) @ basis) / m
+        # r^k overflows from r = DBL_MAX^(1/k) on, and its entries divide to exact zeros
+        with np.errstate(over="ignore"):
+            table[block] = avg.real * fact[None, :] / radii ** ks[None, :]
     return table
 
 

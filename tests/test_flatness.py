@@ -1,3 +1,4 @@
+import contextlib
 import math
 import sys
 from fractions import Fraction
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hardylab.cli import LabConfig, validate_config
+from hardylab.evolution import TimeGrid
 from hardylab.flatness import (C_NORM, HORIZON_RANGE, MAX_TRUNCATION, MIN_CONTOUR_RADIUS,
                                ROW_BLOCK, _evaluate, _even_power_factors, build_kernel,
                                contour_radii, control_trace, derivative_table, gevrey_bump,
@@ -390,19 +392,21 @@ def test_control_trace_off_grid_matches_on_grid():
 # (T - z) z for arrays of 256 KiB and more (it swaps the operands to reuse the
 # temporary) and as z (T - z) below, and the two complex products differ in
 # last bits, so eval_complex fixes the order and these tests pin it against
-# the whole-array formula.
+# the whole-array formula.  Each block is then contracted with the Fourier
+# basis in a product of its own; the table is pinned against the one product
+# over all interior rows, on one BLAS thread and on the process's default
+# count, so a BLAS whose bits for a row depend on the product's row count
+# fails here.
 
-def default_contour():
-    """The default run's context, and the interior rows, radii, angles and
-    contour nodes that derivative_table samples for it."""
-    lab = validate_config(LabConfig(), "kernel")
-    bump, taus = lab.bump(), lab.tau_grid.times
-    m = max(256, 4 * lab.table().shape[1])
+def contour(bump, taus, k_max):
+    """The interior rows, radii, angles and contour nodes that derivative_table
+    samples for the orders 0..k_max on taus."""
+    m = max(256, 4 * (k_max + 1))
     r = 0.5 * np.minimum(taus, bump.horizon - taus)
     interior = r >= MIN_CONTOUR_RADIUS * bump.horizon
     theta = 2.0 * np.pi * np.arange(m) / m
     z = taus[interior, None] + r[interior, None] * np.exp(1j * theta)[None, :]
-    return lab, interior, r, theta, z
+    return interior, r, theta, z
 
 
 def whole_array_samples(bump, z):
@@ -412,21 +416,30 @@ def whole_array_samples(bump, z):
 
 @pytest.mark.parametrize("block", [1, 59, ROW_BLOCK, ROW_BLOCK + 1])
 def test_blocked_contour_samples_equal_the_whole_array_formula(block):
-    lab, _, _, _, z = default_contour()
+    lab = validate_config(LabConfig(), "kernel")
+    z = contour(lab.bump(), lab.tau_grid.times, lab.table().shape[1] - 1)[-1]
     assert z.nbytes >= 256 * 1024 > z[:59].nbytes
     blocked = np.concatenate([lab.bump().eval_complex(z[start:start + block])
                               for start in range(0, len(z), block)])
     assert np.array_equal(blocked, whole_array_samples(lab.bump(), z))
 
 
-def test_default_table_equals_the_whole_array_formula():
-    lab, interior, r, theta, z = default_contour()
-    k_max = lab.table().shape[1] - 1
+# tau steps with 66-69 interior rows (last blocks of 2-5 rows), 129-131 (a
+# one-row remainder joined to the block before it, then 2 and 3 rows), the
+# default 1024 steps (1019 rows) and 4097 steps (4080 rows)
+@pytest.mark.parametrize("blas", [one_blas_thread, contextlib.nullcontext],
+                         ids=["one_blas_thread", "default_blas_threads"])
+@pytest.mark.parametrize("k_max", [5, 25, 33, 41])
+@pytest.mark.parametrize("tau_steps", [67, 68, 69, 70, 130, 131, 132, 1024, 4097])
+@pytest.mark.parametrize("horizon", [0.7, 1.0, 3.0, 1000.0])
+def test_default_table_equals_the_whole_array_formula(horizon, tau_steps, k_max, blas):
+    bump, taus = gevrey_bump(horizon), TimeGrid(horizon, tau_steps).times
+    interior, r, theta, z = contour(bump, taus, k_max)
     ks = np.arange(k_max + 1)
     fact = np.cumprod(np.concatenate(([1.0], np.arange(1.0, k_max + 1))))
-    expected = np.zeros_like(lab.table())
-    with one_blas_thread():
-        avg = (whole_array_samples(lab.bump(), z) @ np.exp(-1j * np.outer(theta, ks))) / len(theta)
-        table = derivative_table(lab.bump(), lab.tau_grid.times, k_max)
+    expected = np.zeros((len(taus), k_max + 1))
+    with blas():
+        avg = (whole_array_samples(bump, z) @ np.exp(-1j * np.outer(theta, ks))) / len(theta)
+        table = derivative_table(bump, taus, k_max)
     expected[interior] = avg.real * fact[None, :] / r[interior, None] ** ks[None, :]
     assert np.array_equal(table, expected)
