@@ -112,8 +112,9 @@ class Lab:
     """What the stages of one run share, each built once on first use, so a stage reads only
     the fields of what it uses: the config, the stages, the radial and tau grids, the mask,
     the flatness bump, its Cauchy derivative table on the tau grid (at the order both
-    truncations ask, whichever stages run: its bits depend on the order) and the basis of
-    each exact (lam, k), never sliced from a larger k's, whose last bits differ."""
+    truncations ask, whichever stages run: its bits depend on the order), the operator of
+    each coupling and the basis of each exact (lam, k), never sliced from a larger k's,
+    whose last bits differ."""
 
     grid = functools.cached_property(lambda self: spc.RadialGrid(self.cfg.n_interior))
     tau_grid = functools.cached_property(
@@ -127,8 +128,9 @@ class Lab:
         self.bump = functools.cache(lambda: fla.gevrey_bump(cfg.horizon))
         self.table = functools.cache(lambda: fla.derivative_table(
             self.bump(), self.tau_grid.times, max(cfg.k_trunc, cfg.transform_k_trunc) + 1))
-        self.basis = functools.cache(lambda lam, k: spc.solve_spectrum(
-            spc.assemble_hardy_operator(self.grid, lam, cfg.dimension_n), k))
+        self.operator = functools.cache(
+            lambda lam: spc.assemble_hardy_operator(self.grid, lam, cfg.dimension_n))
+        self.basis = functools.cache(lambda lam, k: spc.solve_spectrum(self.operator(lam), k))
 
 
 # single-field rules, in the order applied: (field, test(value, cfg), what a refusal says)
@@ -170,7 +172,7 @@ def _bessel_order(lab: Lab, lam: float) -> None:
 def _phase_ceiling(lab: Lab, lam: float) -> None:
     # the stage forms the phases exp(i mu t) for t up to the horizon.  Every eigenvalue mu of
     # its operator has |mu| <= its infinity norm, so mu t stays finite if horizon times it does
-    op = spc.assemble_hardy_operator(lab.grid, lam, lab.cfg.dimension_n)
+    op = lab.operator(lam)
     norm = spc.tridiagonal_norm(op.diagonal, op.offdiagonal)
     if not math.isfinite(lab.cfg.horizon * norm):
         raise ConfigError(f"horizon {lab.cfg.horizon!r} times the eigenvalue bound {norm:.6g} "
@@ -351,66 +353,19 @@ def _sampled(xs, ys, values: np.ndarray, x_stride: int, y_stride: int) -> list[n
 
 # ---------------------------------------------------------------------------
 # checks: each bounds one quantity its stage measures, which absorbs any
-# dependence on the configuration
+# dependence on the configuration.  A check is defined once, on its stage's
+# record in _STAGES, as name: (comparator, bound); CHECKS is the view of them all
 
 _COMPARATORS = {
     "<=": operator.le, ">=": operator.ge, "<": operator.lt, ">": operator.gt, "==": operator.eq,
     "open_interval": lambda value, bound: bound[0] < value < bound[1],
 }
 
-CHECKS = {  # name: (stage, comparator, bound)
-    "spectrum_oracle_rel_err": ("spectrum", "<=", 1e-2),  # worst rel. error vs the Bessel oracle
-    "hardy_sweep_bound": ("hardy", ">=", 0.25 - 1e-10),   # least of 1000 Rayleigh quotients
-    "hardy_pencil_decreasing": ("hardy", ">", 0.0),       # smallest drop, n/4 to n/2 to n nodes
-    "hardy_pencil_in_range": ("hardy", "open_interval", (0.25, 0.30)),
-    "evolution_norm_drift": ("evolve", "<=", 1e-12),
-    "evolution_time_reversal": ("evolve", "<=", 1e-12),
-    "kernel_boundary_exact": ("kernel", "<=", 1e-12),
-    "kernel_tail_match": ("kernel", "<=", 1e-8),          # over max(max residual, 1)
-    "kernel_residual_ratio": ("kernel", "<=", 1e-6),
-    "transform_residual": ("transform", "<=", 1e-5),
-    "transform_moment_consistency": ("transform", "<=", 1e-12),
-    "observability_full_rank": ("uniqueness", "==", 0),   # rank deficit, k_modes - rank
-    "ucp_full_rank": ("uniqueness", "==", 0),             # rank deficit, 2 k_modes - rank
-    "uniqueness_reconstruction": ("uniqueness", "<=", 1e-8),
-    "angular_gamma_identity": ("angular", "<=", 1e-12),
-    "angular_arc_oracle": ("angular", "<=", 5e-3),
-    "angular_monotone_in_lam": ("angular", ">", 0.0),     # smallest drop of mu_1 as lam grows
-    "angular_blowup_exponent": ("angular", "<=", 0.1),    # relative error; no fit fails the stage
-    "hum_hermitian": ("hum", "<=", 1e-14),
-    "hum_psd": ("hum", ">=", -1e-14),                     # lambda_min / max(lambda_max, 1)
-    "hum_defect_identity": ("hum", "<=", 1e-6),
-    "hum_defect_decreasing": ("hum", ">", 0.0),           # smallest drop along eps_list
-    "hum_cost_nondecreasing": ("hum", ">=", -1e-12),      # smallest rise along eps_list
-    "inverse_roundtrip": ("inverse-source", "<=", 1e-10),
-    "inverse_reconstruction": ("inverse-source", "<=", 1e-3),  # a zero source fails the stage
-    "inverse_factorization_identity": ("inverse-source", "<=", 1e-8),
-    "inverse_convolution_identity": ("inverse-source", "<=", 1e-6),
-    "inverse_free_evolution": ("inverse-source", "<=", 1e-4),
-    "inverse_rho0_rejected": ("inverse-source", "==", True),
-    "inverse_reduction_agreement": ("inverse-source", "<=", 1e-6),
-    "titchmarsh_additivity": ("titchmarsh", "<=", 2.0),   # worst gap in units of dt
-}
 
-
-@dataclass(frozen=True)
-class Verdict:
-    """A measured value against its CHECKS entry; true when the check passes."""
-
-    value: float | int | bool
-    comparator: str
-    bound: float | int | bool | tuple
-
-    def __bool__(self) -> bool:
-        return bool(_COMPARATORS[self.comparator](self.value, self.bound))
-
-
-def judge(name: str, value) -> Verdict:
-    return Verdict(value, *CHECKS[name][1:])
-
-
-def _judge_stage(stage: str, measured: dict) -> dict[str, Verdict]:
-    return {name: judge(name, measured[name]) for name in CHECKS if CHECKS[name][0] == stage}
+def judge(name: str, value) -> bool:
+    """True when value passes the check name."""
+    _, comparator, bound = CHECKS[name]
+    return bool(_COMPARATORS[comparator](value, bound))
 
 
 def _basis_sizes(basis: spc.SpectralBasis, mask: evo.ObservationMask | None = None) -> dict:
@@ -432,7 +387,8 @@ def _exponent_error(study: ang.BlowupStudy) -> float:
 # ---------------------------------------------------------------------------
 # stages: measure_<stage> maps explicit inputs to the checked quantities (keyed
 # by check name) and what the artifacts need; run_<stage> takes the inputs
-# from the run's Lab, writes the artifacts and returns (checks, report)
+# from the run's Lab, writes the artifacts and returns (measured, report), the
+# measured values keyed by check name
 
 def run_spectrum(lab: Lab, outdir: Path):
     cfg = lab.cfg
@@ -440,9 +396,8 @@ def run_spectrum(lab: Lab, outdir: Path):
     table = spc.bessel_oracle_table(basis)   # the measurement: (k, mu_k, oracle, rel_err) rows
     write_csv(outdir / "spectrum.csv", ["k", "mu_k", "bessel_oracle", "rel_err"], table.T)
     worst = float(table[:, 3].max())
-    return (_judge_stage("spectrum", {"spectrum_oracle_rel_err": worst}),
-            {"worst_rel_err": worst, "bessel_order": basis.bessel_order,
-             "sizes": _basis_sizes(basis)})
+    return {"spectrum_oracle_rel_err": worst}, {
+        "worst_rel_err": worst, "bessel_order": basis.bessel_order, "sizes": _basis_sizes(basis)}
 
 
 def measure_hardy(n_interior: int, rng: np.random.Generator) -> dict:
@@ -464,7 +419,7 @@ def run_hardy(lab: Lab, outdir: Path):
     write_csv(outdir / "hardy_pencil.csv", ["n_interior", "infimum"], zip(*m["pencil"]))
     write_csv(outdir / "hardy_sweep.csv", ["stat", "value"],
               [["min_ratio", "mean_ratio"], [m["ratios"].min(), m["ratios"].mean()]])
-    return _judge_stage("hardy", m), {
+    return m, {
         "min_ratio": m["hardy_sweep_bound"], "pencil": m["pencil"],
         "sizes": {"radial_nodes": lab.cfg.n_interior, "rayleigh_vectors": len(m["ratios"])}}
 
@@ -490,10 +445,9 @@ def run_evolve(lab: Lab, outdir: Path):
     columns = _sampled(tg.times, basis.grid.nodes[mask.node_indices], samples,
                        max(1, tg.steps // 100), max(1, mask.n_nodes // 40))
     write_csv(outdir / "trajectory.csv", ["t", "node", "re_u", "im_u"], columns)
-    return _judge_stage("evolve", m), {"norm_drift": m["evolution_norm_drift"],
-                                       "reversal_error": m["evolution_time_reversal"],
-                                       "sizes": {**_basis_sizes(basis, mask),
-                                                 "time_steps": tg.steps}}
+    return m, {"norm_drift": m["evolution_norm_drift"],
+               "reversal_error": m["evolution_time_reversal"],
+               "sizes": {**_basis_sizes(basis, mask), "time_steps": tg.steps}}
 
 
 def measure_kernel(kernel: fla.FlatnessKernel) -> dict:
@@ -532,9 +486,8 @@ def run_kernel(lab: Lab, outdir: Path):
         "max_residual": res.max_residual, "max_kernel": res.max_kernel,
         "tail_match_error": res.tail_match_error,
         "control_trace_sup": float(np.abs(fla.control_trace(kernel)).max())})
-    return _judge_stage("kernel", m), {"ratio": m["kernel_residual_ratio"],
-                                       "boundary": m["kernel_boundary_exact"],
-                                       "sizes": _kernel_sizes(kernel)}
+    return m, {"ratio": m["kernel_residual_ratio"], "boundary": m["kernel_boundary_exact"],
+               "sizes": _kernel_sizes(kernel)}
 
 
 def measure_transform(basis: spc.SpectralBasis, kernel: fla.FlatnessKernel, tau_grid) -> dict:
@@ -557,7 +510,7 @@ def run_transform(lab: Lab, outdir: Path):
     write_csv(outdir / "elliptic_profile.csv", ["k", "t", "re_w", "im_w"], columns)
     write_json(outdir / "transform_report.json", {
         "per_mode": m["per_mode"].tolist(), "moments_abs": np.abs(m["moments"]).tolist()})
-    return _judge_stage("transform", m), {
+    return m, {
         "residual": m["transform_residual"], "moment_consistency": m["transform_moment_consistency"],
         "sizes": {**_basis_sizes(basis), **_kernel_sizes(kernel)}}
 
@@ -587,7 +540,7 @@ def run_uniqueness(lab: Lab, outdir: Path):
         "ucp_singular_values": ucp.singular_values.tolist(), "ucp_condition": ucp.condition})
     write_json(outdir / "certificate.json", {
         "eta": cert.eta, "sigma_min": cert.sigma_min, "bound": cert.bound, "c0_norm": cert.c0_norm})
-    return _judge_stage("uniqueness", m), {
+    return m, {
         "rank": obs.rank, "ucp_rank": ucp.rank,
         "sizes": {**_basis_sizes(basis, mask), "obs_time_steps": obs_grid.steps,
                   "certificate_time_steps": lab.tau_grid.steps,
@@ -620,11 +573,9 @@ def run_angular(lab: Lab, outdir: Path):
     study = m["study"]
     write_csv(outdir / "angular_spectrum.csv", ["lam", "k", "mu_k", "gamma_k"], zip(*m["rows"]))
     write_csv(outdir / "blowup.csv", ["r", "discrepancy"], [study.radii, study.discrepancies])
-    return _judge_stage("angular", m), {"gamma_defect": m["angular_gamma_identity"],
-                                        "oracle_err": m["angular_arc_oracle"],
-                                        "blowup_exponent": study.fitted_exponent,
-                                        "sizes": {"angular_nodes": lab.cfg.n_ang,
-                                                  "spectrum_rows": len(m["rows"])}}
+    return m, {"gamma_defect": m["angular_gamma_identity"], "oracle_err": m["angular_arc_oracle"],
+               "blowup_exponent": study.fitted_exponent,
+               "sizes": {"angular_nodes": lab.cfg.n_ang, "spectrum_rows": len(m["rows"])}}
 
 
 def measure_hum(basis: spc.SpectralBasis, mask: evo.ObservationMask, horizon: float,
@@ -655,11 +606,9 @@ def run_hum(lab: Lab, outdir: Path):
     columns = _sampled(m["times"], basis.grid.nodes[mask.node_indices],
                        m["control"].control_samples, 4, max(1, mask.n_nodes // 40))
     write_csv(outdir / "control.csv", ["t", "node", "re_h", "im_h"], columns)
-    return _judge_stage("hum", m), {"identity_gap": m["hum_defect_identity"],
-                                    "sigma_min": m["lambda_min"],
-                                    "sizes": {**_basis_sizes(basis, mask),
-                                              "verify_steps": cfg.hum_verify_steps,
-                                              "sample_times": len(m["times"])}}
+    return m, {"identity_gap": m["hum_defect_identity"], "sigma_min": m["lambda_min"],
+               "sizes": {**_basis_sizes(basis, mask), "verify_steps": cfg.hum_verify_steps,
+                         "sample_times": len(m["times"])}}
 
 
 def _linear_rho(grid: evo.TimeGrid, rho0: float, slope: float) -> inv.VolterraSystem:
@@ -725,7 +674,7 @@ def run_inverse(lab: Lab, outdir: Path):
         "f_true": [[c.real, c.imag] for c in f6],
         "f_recovered": [[c.real, c.imag] for c in recon.f_recovered],
         "source_identity_residual": m["source_identity_residual"]})
-    return _judge_stage("inverse-source", m), {
+    return m, {
         "roundtrip": m["inverse_roundtrip"], "rel_err": recon.relative_error,
         "id_conv": m["inverse_convolution_identity"], "id_free": m["inverse_free_evolution"],
         "agreement": m["inverse_reduction_agreement"],
@@ -766,40 +715,75 @@ def run_titchmarsh(lab: Lab, outdir: Path):
     m = measure_titchmarsh(cfg.horizon, cfg.recon_steps, np.random.default_rng(cfg.seed))
     write_csv(outdir / "titchmarsh.csv", ["start_a", "start_b", "start_conv", "gap"],
               zip(*m["rows"]))
-    return _judge_stage("titchmarsh", m), {
+    return m, {
         "worst_gap": m["worst_gap"], "dt": m["dt"],
         "sizes": {"steps": 2 * cfg.recon_steps, "pairs": len(m["rows"])}}
 
 
 class _Stage(NamedTuple):
-    runner: object      # (lab, outdir) -> (checks, report)
+    runner: object      # (lab, outdir) -> (measured, report), measured keyed by check name
     reads: frozenset    # the LabConfig fields its run reads, through the Lab or not
     coupling: object    # cfg -> the coupling it solves, None if it solves none
     rules: tuple        # its cross-field rules, each called as rule(lab, coupling)
+    checks: dict        # its checks, name: (comparator, bound), judged on what it measured
 
 
 _BASIS, _MASK = "dimension_n n_interior", "mask_kind mask_a mask_b"   # read by a basis, a mask
 # the coupling of the stages that solve at lam, and the rules of those that form exp(i mu t)
 _LAM, _PHASES = operator.attrgetter("lam"), (_bessel_order, _phase_ceiling)
-_STAGES = {name: _Stage(runner, frozenset(reads.split()), coupling, tuple(rules))
-           for name, runner, reads, coupling, *rules in (   # in the order 'all' runs them
-    ("spectrum", run_spectrum, f"{_BASIS} lam spectrum_modes", _LAM, _bessel_order),
-    ("hardy", run_hardy, "n_interior seed", None),
-    ("evolve", run_evolve, f"{_BASIS} {_MASK} horizon k_modes lam seed time_steps", _LAM,
+_STAGES = {name: _Stage(runner, frozenset(reads.split()), coupling, tuple(rules), checks)
+           for name, runner, reads, coupling, checks, *rules in (   # in the order 'all' runs them
+    ("spectrum", run_spectrum, f"{_BASIS} lam spectrum_modes", _LAM, {
+        "spectrum_oracle_rel_err": ("<=", 1e-2)},   # worst rel. error vs the Bessel oracle
+     _bessel_order),
+    ("hardy", run_hardy, "n_interior seed", None, {
+        "hardy_sweep_bound": (">=", 0.25 - 1e-10),   # least of 1000 Rayleigh quotients
+        "hardy_pencil_decreasing": (">", 0.0),       # smallest drop, n/4 to n/2 to n nodes
+        "hardy_pencil_in_range": ("open_interval", (0.25, 0.30))}),
+    ("evolve", run_evolve, f"{_BASIS} {_MASK} horizon k_modes lam seed time_steps", _LAM, {
+        "evolution_norm_drift": ("<=", 1e-12), "evolution_time_reversal": ("<=", 1e-12)},
      *_PHASES, _MASK_NODES),
-    ("kernel", run_kernel, "horizon k_trunc kernel_t_nodes tau_steps transform_k_trunc", None,
-     _BUMP_RANGE),
+    ("kernel", run_kernel, "horizon k_trunc kernel_t_nodes tau_steps transform_k_trunc", None, {
+        "kernel_boundary_exact": ("<=", 1e-12),
+        "kernel_tail_match": ("<=", 1e-8),          # over max(max residual, 1)
+        "kernel_residual_ratio": ("<=", 1e-6)}, _BUMP_RANGE),
     ("transform", run_transform, f"{_BASIS} horizon k_modes k_trunc lam tau_steps "
-     "transform_k_trunc transform_t_nodes", _LAM, *_PHASES, _BUMP_RANGE),
+     "transform_k_trunc transform_t_nodes", _LAM, {
+        "transform_residual": ("<=", 1e-5), "transform_moment_consistency": ("<=", 1e-12)},
+     *_PHASES, _BUMP_RANGE),
     ("uniqueness", run_uniqueness, f"{_BASIS} {_MASK} horizon k_modes lam obs_time_steps seed "
-     "tau_steps", _LAM, *_PHASES, _MASK_NODES, _mask_samples),
-    ("angular", run_angular, "n_ang", None),
-    ("hum", run_hum, f"{_BASIS} {_MASK} eps_list horizon hum_verify_steps k_modes lam seed", _LAM,
+     "tau_steps", _LAM, {
+        "observability_full_rank": ("==", 0),   # rank deficit, k_modes - rank
+        "ucp_full_rank": ("==", 0),             # rank deficit, 2 k_modes - rank
+        "uniqueness_reconstruction": ("<=", 1e-8)}, *_PHASES, _MASK_NODES, _mask_samples),
+    ("angular", run_angular, "n_ang", None, {
+        "angular_gamma_identity": ("<=", 1e-12),
+        "angular_arc_oracle": ("<=", 5e-3),
+        "angular_monotone_in_lam": (">", 0.0),     # smallest drop of mu_1 as lam grows
+        "angular_blowup_exponent": ("<=", 0.1)}),  # relative error; no fit fails the stage
+    ("hum", run_hum, f"{_BASIS} {_MASK} eps_list horizon hum_verify_steps k_modes lam seed", _LAM, {
+        "hum_hermitian": ("<=", 1e-14),
+        "hum_psd": (">=", -1e-14),                   # lambda_min / max(lambda_max, 1)
+        "hum_defect_identity": ("<=", 1e-6),
+        "hum_defect_decreasing": (">", 0.0),         # smallest drop along eps_list
+        "hum_cost_nondecreasing": (">=", -1e-12)},   # smallest rise along eps_list
      *_PHASES, _MASK_NODES),
     ("inverse-source", run_inverse, f"{_BASIS} horizon inverse_steps recon_steps seed",
-     lambda cfg: INVERSE_LAM, *_PHASES, _chain_ceiling),
-    ("titchmarsh", run_titchmarsh, "horizon recon_steps seed", None, _titchmarsh_step))}
+     lambda cfg: INVERSE_LAM, {
+        "inverse_roundtrip": ("<=", 1e-10),
+        "inverse_reconstruction": ("<=", 1e-3),   # a zero source fails the stage
+        "inverse_factorization_identity": ("<=", 1e-8),
+        "inverse_convolution_identity": ("<=", 1e-6),
+        "inverse_free_evolution": ("<=", 1e-4),
+        "inverse_rho0_rejected": ("==", True),
+        "inverse_reduction_agreement": ("<=", 1e-6)}, *_PHASES, _chain_ceiling),
+    ("titchmarsh", run_titchmarsh, "horizon recon_steps seed", None, {
+        "titchmarsh_additivity": ("<=", 2.0)},   # worst gap in units of dt
+     _titchmarsh_step))}
 _RUNNERS = {name: stage.runner for name, stage in _STAGES.items()}
+# name: (stage, comparator, bound) of every check, in the order the stages run
+CHECKS = {name: (stage, *check) for stage, record in _STAGES.items()
+          for name, check in record.checks.items()}
 
 
 def _run_stages(subcommand: str, lab: Lab, outdir: Path) -> dict[str, bool]:
@@ -810,10 +794,13 @@ def _run_stages(subcommand: str, lab: Lab, outdir: Path) -> dict[str, bool]:
         for name in lab.stages:
             stage_started = time.monotonic()
             try:
-                verdicts, rep = _RUNNERS[name](lab, outdir)
+                measured, rep = _RUNNERS[name](lab, outdir)
+                # each check on the stage's record reads its value (a missing one fails the
+                # stage), and the rest of what it measured is dropped before the next stage
+                measured = {key: measured[key] for key in _STAGES[name].checks}
                 # a non-finite or unserializable value fails its stage here, by name, not
                 # the manifest's write; allow_nan=False is only a backstop to the walk
-                recorded = {"check": {key: v.value for key, v in verdicts.items()}, "report": rep}
+                recorded = {"check": measured, "report": rep}
                 _refuse_non_finite(recorded)
                 json.dumps(recorded, allow_nan=False, default=_json_default)
             except Exception as exc:
@@ -822,9 +809,11 @@ def _run_stages(subcommand: str, lab: Lab, outdir: Path) -> dict[str, bool]:
             if resource is not None:   # the high-water mark in MiB; macOS counts bytes, Linux KiB
                 stage_rss[name] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / (
                     2**20 if sys.platform == "darwin" else 2**10)
-            for key, verdict in verdicts.items():
-                checks[key] = bool(verdict)
-                details[key] = {**dataclasses.asdict(verdict), "pass": checks[key]}
+            for key, value in measured.items():
+                _, comparator, bound = CHECKS[key]
+                checks[key] = judge(key, value)
+                details[key] = {"value": value, "comparator": comparator, "bound": bound,
+                                "pass": checks[key]}
             reports[name] = rep
     digests = {p.name: _digest(p) for p in sorted(outdir.iterdir())
                if p.suffix in (".csv", ".json")}

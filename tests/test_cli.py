@@ -537,14 +537,16 @@ def test_default_all_builds_each_shared_object_once(tmp_path, monkeypatch):
         monkeypatch.setattr(module, name, call)
 
     for module, name in ((spc, "solve_spectrum"), (fla, "gevrey_bump"),
-                         (evo, "interval_mask"), (fla, "derivative_table")):
+                         (evo, "interval_mask"), (fla, "derivative_table"),
+                         (spc, "assemble_hardy_operator")):
         counted(module, name)
     assert run("all", LabConfig(), tmp_path) == 0
-    # spectrum_modes and k_modes at lam, k = 6 and k = 1 at lam = 3/16; one
-    # derivative table, at order max(k_trunc, transform_k_trunc) + 1, serves
-    # the kernel and transform stages
+    # spectrum_modes and k_modes at lam, k = 6 and k = 1 at lam = 3/16, from one
+    # operator per coupling, which the phase ceiling reads too; one derivative
+    # table, at order max(k_trunc, transform_k_trunc) + 1, serves the kernel and
+    # transform stages
     assert counts == {"solve_spectrum": 4, "gevrey_bump": 1, "interval_mask": 1,
-                      "derivative_table": 1}
+                      "derivative_table": 1, "assemble_hardy_operator": 2}
 
 
 def test_kernel_and_transform_read_one_table_of_the_config_order(tmp_path, monkeypatch):
@@ -706,7 +708,7 @@ def test_promoted_runtime_warning_exits_4(tmp_path, capsys, monkeypatch):
 def test_non_finite_check_value_or_report_fails_its_stage(tmp_path, capsys, monkeypatch,
                                                           value, report):
     def non_finite(lab, outdir):
-        return {"titchmarsh_additivity": cli.judge("titchmarsh_additivity", value)}, {"gap": report}
+        return {"titchmarsh_additivity": value}, {"gap": report}
 
     monkeypatch.setitem(cli._RUNNERS, "titchmarsh", non_finite)
     out_root = tmp_path / "out"
@@ -880,7 +882,7 @@ def test_stages_run_on_one_openblas_thread(tmp_path, monkeypatch, openblas_at_tw
 
     def probe(cfg, outdir):
         seen.append(_blas_threads(openblas_at_two_threads))
-        return {}, {}
+        return {"spectrum_oracle_rel_err": 0.0}, {}
 
     monkeypatch.setitem(cli._RUNNERS, "spectrum", probe)
     assert run("spectrum", light_config(), tmp_path) == 0
@@ -932,20 +934,46 @@ def test_uniqueness_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
 
 
 def test_runner_contract_matches_manifest(all_run):
-    # what the benchmark harness reads: (checks, report) per stage, reports
-    # as saved in the manifest, and the printed checks equal to the manifest's
+    # what the benchmark harness reads: (measured, report) per stage, the
+    # checks on the stage's record judged on what it measured, reports as
+    # saved in the manifest, and the printed checks equal to the manifest's
     _, returned, summary, manifest = all_run
     assert sorted(returned) == sorted(cli._RUNNERS) and len(returned) == 10
     names = []
     for stage, result in returned.items():
         assert isinstance(result, tuple) and len(result) == 2
-        checks, report = result
+        measured, report = result
+        checks = cli._STAGES[stage].checks
         names += checks
-        assert {name: bool(ok) for name, ok in checks.items()} == {
+        assert {name: cli.judge(name, measured[name]) for name in checks} == {
             name: manifest["checks"][name] for name in checks}
+        assert {name: measured[name] for name in checks} == {
+            name: manifest["check_details"][name]["value"] for name in checks}
         assert json.loads(json.dumps(report, default=cli._json_default)) == manifest["reports"][stage]
     assert sorted(names) == sorted(manifest["checks"])
     assert summary["checks"] == manifest["checks"]
+
+
+def test_each_check_is_defined_on_one_stage_record():
+    # CHECKS is the view of the records: a name on two records would be
+    # overwritten in it without any error
+    assert sum(len(stage.checks) for stage in cli._STAGES.values()) == len(cli.CHECKS) == 31
+    for name, (stage, comparator, bound) in cli.CHECKS.items():
+        assert comparator in cli._COMPARATORS
+        assert cli._STAGES[stage].checks[name] == (comparator, bound)
+
+
+def test_a_check_the_runner_does_not_measure_fails_its_stage(tmp_path, capsys, monkeypatch):
+    def silent(lab, outdir):
+        return {}, {}
+
+    monkeypatch.setitem(cli._RUNNERS, "titchmarsh", silent)
+    out_root = tmp_path / "out"
+    assert main(["titchmarsh", "--out", str(out_root)]) == 4
+    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert payload == {"error": "stage_failure", "stage": "titchmarsh", "exception": "KeyError",
+                       "message": "'titchmarsh_additivity'"}
+    assert list(out_root.iterdir()) == []
 
 
 def test_manifest_records_the_sizes_each_stage_used(all_run):

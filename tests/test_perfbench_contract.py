@@ -60,6 +60,7 @@ def test_lab_default_reference_keys_come_from_a_default_run(tmp_path):
     values = op.values()
     assert set(expected) <= set(values)
     assert workloads.compare(values, expected) == []
+    assert op.check(None) == []
 
 
 def test_time_stepping_reference_keys_come_from_a_seed_0_run(tmp_path):
