@@ -1,12 +1,13 @@
 """Batch front end: deterministic runs, CSV/JSON artifacts.
 
-Every subcommand writes its tables and a manifest, the one home of the config and
-of each check and report value (with the library versions, each stage's seconds
-and peak RSS, sha256 digests), into a directory under --out that takes its
-stamped name only once the manifest is written.  A CSV line holds floats as
-%.17g and other values as str, unquoted, and ends in CRLF.  The stages run with
-the OpenBLAS that lapack computes with on one thread, so the artifacts are
-functions of config and seed only, and repeated runs digest identically.
+Every subcommand writes its tables and a manifest, the one home of the config, of
+the fields each stage read and of each check and report value (with the library
+versions, each stage's seconds and peak RSS, sha256 digests), into a directory
+under --out that takes its stamped name only once the manifest is written.  A CSV
+line holds floats as %.17g and other values as str, unquoted, and ends in CRLF.
+The stages run with the OpenBLAS that lapack computes with on one thread, so the
+artifacts are functions of config and seed only, and repeated runs digest
+identically.
 
 Exit codes: 0 success, 1 tolerance breach under --check, 2 invalid
 configuration (a refusal of load_config, of validate_config, which refuses a
@@ -51,7 +52,7 @@ from . import inverse as inv
 from . import lapack
 from . import spectral as spc
 
-ARTIFACT_VERSION = "0.2.0"
+ARTIFACT_VERSION = "0.3.0"
 
 
 class ConfigError(ValueError):
@@ -234,8 +235,8 @@ def validate_config(cfg: LabConfig, subcommand: str = "all") -> Lab:
 
 
 def load_config(path: str | None) -> LabConfig:
-    """Plain-text key = value file; '#' starts a comment."""
-    cfg = LabConfig()
+    """Plain-text key = value file, each key at most once; '#' starts a comment."""
+    cfg, given = LabConfig(), {}   # key: the line that gave it
     if path is None:
         return cfg
     try:
@@ -251,6 +252,9 @@ def load_config(path: str | None) -> LabConfig:
         key, value = (s.strip() for s in line.split("=", 1))
         if key not in {f.name for f in dataclasses.fields(cfg)}:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in given:
+            raise ConfigError(f"{path}:{lineno}: {key} given again, first on line {given[key]}")
+        given[key] = lineno
         try:
             if key == "eps_list":
                 parsed = tuple(float(v) for v in value.split(","))
@@ -368,12 +372,6 @@ def judge(name: str, value) -> bool:
     return bool(_COMPARATORS[comparator](value, bound))
 
 
-def _basis_sizes(basis: spc.SpectralBasis, mask: evo.ObservationMask | None = None) -> dict:
-    """The report's sizes of a basis and, if given, a mask."""
-    sizes = {"radial_nodes": basis.grid.n_interior, "modes": basis.k_modes}
-    return sizes if mask is None else {**sizes, "mask_nodes": mask.n_nodes}
-
-
 def _smallest_step(values) -> float:
     """min of values[i] - values[i+1] over two values or more: positive iff strictly decreasing."""
     return min(a - b for a, b in zip(values, values[1:]))
@@ -397,7 +395,7 @@ def run_spectrum(lab: Lab, outdir: Path):
     write_csv(outdir / "spectrum.csv", ["k", "mu_k", "bessel_oracle", "rel_err"], table.T)
     worst = float(table[:, 3].max())
     return {"spectrum_oracle_rel_err": worst}, {
-        "worst_rel_err": worst, "bessel_order": basis.bessel_order, "sizes": _basis_sizes(basis)}
+        "worst_rel_err": worst, "bessel_order": basis.bessel_order}
 
 
 def measure_hardy(n_interior: int, rng: np.random.Generator) -> dict:
@@ -421,7 +419,7 @@ def run_hardy(lab: Lab, outdir: Path):
               [["min_ratio", "mean_ratio"], [m["ratios"].min(), m["ratios"].mean()]])
     return m, {
         "min_ratio": m["hardy_sweep_bound"], "pencil": m["pencil"],
-        "sizes": {"radial_nodes": lab.cfg.n_interior, "rayleigh_vectors": len(m["ratios"])}}
+        "sizes": {"rayleigh_vectors": len(m["ratios"])}}
 
 
 def measure_evolve(basis: spc.SpectralBasis, c0: np.ndarray, times) -> dict:
@@ -447,7 +445,7 @@ def run_evolve(lab: Lab, outdir: Path):
     write_csv(outdir / "trajectory.csv", ["t", "node", "re_u", "im_u"], columns)
     return m, {"norm_drift": m["evolution_norm_drift"],
                "reversal_error": m["evolution_time_reversal"],
-               "sizes": {**_basis_sizes(basis, mask), "time_steps": tg.steps}}
+               "sizes": {"mask_nodes": mask.n_nodes}}
 
 
 def measure_kernel(kernel: fla.FlatnessKernel) -> dict:
@@ -468,8 +466,7 @@ def _kernel(lab: Lab, k_trunc: int, t_count: int) -> fla.FlatnessKernel:
 
 
 def _kernel_sizes(kernel: fla.FlatnessKernel) -> dict:
-    return {"t_nodes": len(kernel.t_nodes), "tau_nodes": len(kernel.tau_nodes),
-            "k_trunc": kernel.k_trunc, "table_order": kernel.deriv_table.shape[1] - 1}
+    return {"tau_nodes": len(kernel.tau_nodes), "table_order": kernel.deriv_table.shape[1] - 1}
 
 
 def run_kernel(lab: Lab, outdir: Path):
@@ -512,7 +509,7 @@ def run_transform(lab: Lab, outdir: Path):
         "per_mode": m["per_mode"].tolist(), "moments_abs": np.abs(m["moments"]).tolist()})
     return m, {
         "residual": m["transform_residual"], "moment_consistency": m["transform_moment_consistency"],
-        "sizes": {**_basis_sizes(basis), **_kernel_sizes(kernel)}}
+        "sizes": _kernel_sizes(kernel)}
 
 
 def measure_uniqueness(basis: spc.SpectralBasis, mask: evo.ObservationMask, obs_grid,
@@ -535,16 +532,14 @@ def run_uniqueness(lab: Lab, outdir: Path):
                            _complex_normal(np.random.default_rng(cfg.seed), cfg.k_modes))
     obs, ucp, cert = m["observability"], m["ucp"], m["certificate"]
     write_json(outdir / "observability.json", {
-        "mask": {"kind": mask.kind, "intervals": mask.intervals, "measure": mask.realized_measure()},
+        "mask": {"intervals": mask.intervals, "measure": mask.realized_measure()},
         "singular_values": obs.singular_values.tolist(),
         "ucp_singular_values": ucp.singular_values.tolist(), "ucp_condition": ucp.condition})
     write_json(outdir / "certificate.json", {
         "eta": cert.eta, "sigma_min": cert.sigma_min, "bound": cert.bound, "c0_norm": cert.c0_norm})
     return m, {
         "rank": obs.rank, "ucp_rank": ucp.rank,
-        "sizes": {**_basis_sizes(basis, mask), "obs_time_steps": obs_grid.steps,
-                  "certificate_time_steps": lab.tau_grid.steps,
-                  "ucp_window_nodes": UCP_WINDOW_NODES}}
+        "sizes": {"mask_nodes": mask.n_nodes, "ucp_window_nodes": UCP_WINDOW_NODES}}
 
 
 def measure_angular(n_ang: int) -> dict:
@@ -575,7 +570,7 @@ def run_angular(lab: Lab, outdir: Path):
     write_csv(outdir / "blowup.csv", ["r", "discrepancy"], [study.radii, study.discrepancies])
     return m, {"gamma_defect": m["angular_gamma_identity"], "oracle_err": m["angular_arc_oracle"],
                "blowup_exponent": study.fitted_exponent,
-               "sizes": {"angular_nodes": lab.cfg.n_ang, "spectrum_rows": len(m["rows"])}}
+               "sizes": {"spectrum_rows": len(m["rows"])}}
 
 
 def measure_hum(basis: spc.SpectralBasis, mask: evo.ObservationMask, horizon: float,
@@ -607,8 +602,7 @@ def run_hum(lab: Lab, outdir: Path):
                        m["control"].control_samples, 4, max(1, mask.n_nodes // 40))
     write_csv(outdir / "control.csv", ["t", "node", "re_h", "im_h"], columns)
     return m, {"identity_gap": m["hum_defect_identity"], "sigma_min": m["lambda_min"],
-               "sizes": {**_basis_sizes(basis, mask), "verify_steps": cfg.hum_verify_steps,
-                         "sample_times": len(m["times"])}}
+               "sizes": {"mask_nodes": mask.n_nodes, "sample_times": len(m["times"])}}
 
 
 def _linear_rho(grid: evo.TimeGrid, rho0: float, slope: float) -> inv.VolterraSystem:
@@ -678,8 +672,7 @@ def run_inverse(lab: Lab, outdir: Path):
         "roundtrip": m["inverse_roundtrip"], "rel_err": recon.relative_error,
         "id_conv": m["inverse_convolution_identity"], "id_free": m["inverse_free_evolution"],
         "agreement": m["inverse_reduction_agreement"],
-        "sizes": {**_basis_sizes(basis6), "recon_steps": recon_grid.steps,
-                  "identity_steps": id_grid.steps}}
+        "sizes": {"modes": basis6.k_modes}}
 
 
 def _random_bump(rng: np.random.Generator, times: np.ndarray, lo: float, hi: float,
@@ -722,7 +715,7 @@ def run_titchmarsh(lab: Lab, outdir: Path):
 
 class _Stage(NamedTuple):
     runner: object      # (lab, outdir) -> (measured, report), measured keyed by check name
-    reads: frozenset    # the LabConfig fields its run reads, through the Lab or not
+    reads: frozenset    # the LabConfig fields its run reads, through the Lab or not; in manifests
     coupling: object    # cfg -> the coupling it solves, None if it solves none
     rules: tuple        # its cross-field rules, each called as rule(lab, coupling)
     checks: dict        # its checks, name: (comparator, bound), judged on what it measured
@@ -812,14 +805,14 @@ def _run_stages(subcommand: str, lab: Lab, outdir: Path) -> dict[str, bool]:
             for key, value in measured.items():
                 _, comparator, bound = CHECKS[key]
                 checks[key] = judge(key, value)
-                details[key] = {"value": value, "comparator": comparator, "bound": bound,
-                                "pass": checks[key]}
+                details[key] = {"value": value, "comparator": comparator, "bound": bound}
             reports[name] = rep
     digests = {p.name: _digest(p) for p in sorted(outdir.iterdir())
                if p.suffix in (".csv", ".json")}
     write_json(outdir / "manifest.json", {
         "artifact_version": ARTIFACT_VERSION, "subcommand": subcommand,
         "config": dataclasses.asdict(lab.cfg),
+        "reads": {name: sorted(_STAGES[name].reads) for name in lab.stages},
         "versions": {"python": platform.python_version(), "numpy": np.__version__,
                      "lapack": lapack.LIBRARY, "blas": blas},
         "wall_clock_utc": datetime.now(timezone.utc).isoformat(),

@@ -133,7 +133,6 @@ def free_trajectory(c0: np.ndarray, basis: SpectralBasis, grid: TimeGrid) -> Mod
 class ObservationMask:
     """Observation subset of (0, 1): interval or fat-Cantor node selection."""
 
-    kind: str
     node_indices: np.ndarray
     weights: np.ndarray
     intervals: list[tuple[float, float]]
@@ -156,7 +155,6 @@ def interval_mask(grid: RadialGrid, a: float, b: float) -> ObservationMask:
     if len(idx) == 0:
         raise ValueError("interval contains no grid nodes")
     return ObservationMask(
-        kind="interval",
         node_indices=idx,
         weights=grid.weights[idx],
         intervals=[(a, b)],
@@ -196,7 +194,6 @@ def fat_cantor_mask(grid: RadialGrid, base_interval: tuple[float, float]) -> Obs
         raise ValueError("fat-Cantor mask contains no grid nodes")
     analytic = length * (0.5 + 2.0 ** (-(depth + 1)))
     return ObservationMask(
-        kind="cantor",
         node_indices=idx,
         weights=grid.weights[idx],
         intervals=list(zip(lo.tolist(), hi.tolist())),

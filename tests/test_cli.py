@@ -154,6 +154,10 @@ PROBES = [
     *(Probe(f"test_removed_tolerance_keys_are_unknown[{key}]", "spectrum", f"{key} = 1e-3\n", 2,
             f"unknown key {key!r}") for key in ("tol_eigen_residual", "tol_oracle_rel")),
     Probe("test_missing_config_file_exit_code", "spectrum", None, 2, "cannot read"),
+    # a key given twice is refused, not settled by its last line
+    Probe("test_config_key_given_twice_exit_code", "titchmarsh",
+          "horizon = 2\n# comment line\nhorizon = 3\n", 2,
+          ":3: horizon given again, first on line 1"),
     *(Probe(f"test_malformed_config_line_exit_code[{line}-{says}]", "spectrum",
             f"# comment line\n{line}\n", 2, f":2: {says}")
       for line, says in (("n_interior 300", "expected 'key = value'"),
@@ -805,9 +809,10 @@ def test_stage_json_holds_only_what_the_manifest_does_not(tmp_path, all_run):
         assert set(stage_json) == names
         for name, data in stage_json.items():
             assert "config" not in data and set(data) == _STAGE_JSON_KEYS[name]
-        assert set(stage_json["observability.json"]["mask"]) == {"kind", "intervals", "measure"}
+        # the mask's kind is the config's mask_kind
+        assert set(stage_json["observability.json"]["mask"]) == {"intervals", "measure"}
     for run_manifest in (manifest, json.loads((alone / "manifest.json").read_text())):
-        assert run_manifest["artifact_version"] == cli.ARTIFACT_VERSION == "0.2.0"
+        assert run_manifest["artifact_version"] == cli.ARTIFACT_VERSION == "0.3.0"
 
 
 def test_manifest_keeps_stage_reports_and_times(all_run):
@@ -977,28 +982,36 @@ def test_a_check_the_runner_does_not_measure_fails_its_stage(tmp_path, capsys, m
 
 
 def test_manifest_records_the_sizes_each_stage_used(all_run):
+    # only counts no config field holds: the fields themselves are under config
     _, _, _, manifest = all_run
     cfg = light_config()
-    basis = {"radial_nodes": cfg.n_interior, "modes": cfg.k_modes}
-    observed = {**basis, "mask_nodes": cli.Lab(cfg, []).mask.n_nodes}
-    table_order = max(cfg.k_trunc, cfg.transform_k_trunc) + 1
-    kernel = {"tau_nodes": cfg.tau_steps + 1, "table_order": table_order}
-    assert {stage: report["sizes"] for stage, report in manifest["reports"].items()} == {
-        "spectrum": {**basis, "modes": cfg.spectrum_modes},
-        "hardy": {"radial_nodes": cfg.n_interior, "rayleigh_vectors": 1000},
-        "evolve": {**observed, "time_steps": cfg.time_steps},
-        "kernel": {**kernel, "t_nodes": cfg.kernel_t_nodes, "k_trunc": cfg.k_trunc},
-        "transform": {**basis, **kernel, "t_nodes": cfg.transform_t_nodes,
-                      "k_trunc": cfg.transform_k_trunc},
-        "uniqueness": {**observed, "obs_time_steps": cfg.obs_time_steps,
-                       "certificate_time_steps": cfg.tau_steps,
-                       "ucp_window_nodes": cli.UCP_WINDOW_NODES},
-        "angular": {"angular_nodes": cfg.n_ang, "spectrum_rows": 32},
-        "hum": {**observed, "verify_steps": cfg.hum_verify_steps, "sample_times": 201},
-        "inverse-source": {"radial_nodes": cfg.n_interior, "modes": 6,
-                           "recon_steps": cfg.recon_steps, "identity_steps": cfg.inverse_steps},
+    mask_nodes = cli.Lab(cfg, []).mask.n_nodes
+    kernel = {"tau_nodes": cfg.tau_steps + 1,
+              "table_order": max(cfg.k_trunc, cfg.transform_k_trunc) + 1}
+    assert {stage: report["sizes"] for stage, report in manifest["reports"].items()
+            if "sizes" in report} == {
+        "hardy": {"rayleigh_vectors": 1000},
+        "evolve": {"mask_nodes": mask_nodes},
+        "kernel": kernel,
+        "transform": kernel,
+        "uniqueness": {"mask_nodes": mask_nodes, "ucp_window_nodes": cli.UCP_WINDOW_NODES},
+        "angular": {"spectrum_rows": 32},
+        "hum": {"mask_nodes": mask_nodes, "sample_times": 201},
+        "inverse-source": {"modes": 6},
         "titchmarsh": {"steps": 2 * cfg.recon_steps, "pairs": 20},
     }
+    assert "sizes" not in manifest["reports"]["spectrum"]
+
+
+def test_manifest_names_the_fields_each_stage_read(tmp_path, all_run):
+    # the records' reads, for the stages the run ran and no others
+    _, _, _, manifest = all_run
+    assert manifest["reads"] == {name: sorted(stage.reads) for name, stage in cli._STAGES.items()}
+    assert run("kernel", light_config(), tmp_path) == 0
+    alone = json.loads((find_run_dir(tmp_path, "kernel") / "manifest.json").read_text())
+    assert alone["reads"] == {"kernel": sorted(cli._STAGES["kernel"].reads)}
+    # kernel.csv's last bits depend on the table order both truncations set
+    assert "transform_k_trunc" in alone["reads"]["kernel"]
 
 
 def _artifact_digests(outdir: Path) -> dict[str, str]:
@@ -1027,10 +1040,10 @@ def test_check_details_record_value_comparator_bound(all_run):
     details = manifest["check_details"]
     assert sorted(details) == sorted(manifest["checks"]) == sorted(cli.CHECKS)
     for name, detail in details.items():
-        assert set(detail) == {"value", "comparator", "bound", "pass"}
-        assert detail["pass"] is manifest["checks"][name]
+        # the verdict is stated once, under checks
+        assert set(detail) == {"value", "comparator", "bound"}
         compare = _COMPARATORS[detail["comparator"]]
-        assert detail["pass"] == compare(detail["value"], detail["bound"])
+        assert manifest["checks"][name] is compare(detail["value"], detail["bound"])
         _, comparator, bound = cli.CHECKS[name]
         assert detail["comparator"] == comparator
         assert detail["bound"] == (list(bound) if isinstance(bound, tuple) else bound)
