@@ -52,7 +52,7 @@ from . import inverse as inv
 from . import lapack
 from . import spectral as spc
 
-ARTIFACT_VERSION = "0.3.0"
+ARTIFACT_VERSION = "0.4.0"
 
 
 class ConfigError(ValueError):
@@ -112,10 +112,9 @@ INVERSE_LAM = 3.0 / 16.0
 class Lab:
     """What the stages of one run share, each built once on first use, so a stage reads only
     the fields of what it uses: the config, the stages, the radial and tau grids, the mask,
-    the flatness bump, its Cauchy derivative table on the tau grid (at the order both
-    truncations ask, whichever stages run: its bits depend on the order), the operator of
-    each coupling and the basis of each exact (lam, k), never sliced from a larger k's,
-    whose last bits differ."""
+    the flatness bump, its Cauchy derivative table of every order on the tau grid, of which
+    each truncation reads a prefix, the operator of each coupling and the basis of each exact
+    (lam, k), never sliced from a larger k's, whose last bits differ."""
 
     grid = functools.cached_property(lambda self: spc.RadialGrid(self.cfg.n_interior))
     tau_grid = functools.cached_property(
@@ -127,8 +126,7 @@ class Lab:
     def __init__(self, cfg: LabConfig, stages: list[str]):
         self.cfg, self.stages = cfg, stages
         self.bump = functools.cache(lambda: fla.gevrey_bump(cfg.horizon))
-        self.table = functools.cache(lambda: fla.derivative_table(
-            self.bump(), self.tau_grid.times, max(cfg.k_trunc, cfg.transform_k_trunc) + 1))
+        self.table = functools.cache(lambda: fla.derivative_table(self.bump(), self.tau_grid.times))
         self.operator = functools.cache(
             lambda lam: spc.assemble_hardy_operator(self.grid, lam, cfg.dimension_n))
         self.basis = functools.cache(lambda lam, k: spc.solve_spectrum(self.operator(lam), k))
@@ -465,10 +463,6 @@ def _kernel(lab: Lab, k_trunc: int, t_count: int) -> fla.FlatnessKernel:
                               lab.tau_grid.times, lab.table())
 
 
-def _kernel_sizes(kernel: fla.FlatnessKernel) -> dict:
-    return {"tau_nodes": len(kernel.tau_nodes), "table_order": kernel.deriv_table.shape[1] - 1}
-
-
 def run_kernel(lab: Lab, outdir: Path):
     cfg = lab.cfg
     kernel = _kernel(lab, cfg.k_trunc, cfg.kernel_t_nodes)
@@ -484,7 +478,7 @@ def run_kernel(lab: Lab, outdir: Path):
         "tail_match_error": res.tail_match_error,
         "control_trace_sup": float(np.abs(fla.control_trace(kernel)).max())})
     return m, {"ratio": m["kernel_residual_ratio"], "boundary": m["kernel_boundary_exact"],
-               "sizes": _kernel_sizes(kernel)}
+               "sizes": {"tau_nodes": len(kernel.tau_nodes)}}
 
 
 def measure_transform(basis: spc.SpectralBasis, kernel: fla.FlatnessKernel, tau_grid) -> dict:
@@ -509,7 +503,7 @@ def run_transform(lab: Lab, outdir: Path):
         "per_mode": m["per_mode"].tolist(), "moments_abs": np.abs(m["moments"]).tolist()})
     return m, {
         "residual": m["transform_residual"], "moment_consistency": m["transform_moment_consistency"],
-        "sizes": _kernel_sizes(kernel)}
+        "sizes": {"tau_nodes": len(kernel.tau_nodes)}}
 
 
 def measure_uniqueness(basis: spc.SpectralBasis, mask: evo.ObservationMask, obs_grid,
@@ -596,7 +590,7 @@ def run_hum(lab: Lab, outdir: Path):
     cfg, basis, mask = lab.cfg, lab.basis(lab.cfg.lam, lab.cfg.k_modes), lab.mask
     m = measure_hum(basis, mask, cfg.horizon, np.random.default_rng(cfg.seed), cfg.eps_list,
                     cfg.hum_verify_steps)
-    header = ["eps", "defect", "cost", "sigma_min"]
+    header = ["eps", "defect", "cost"]   # lambda_min(G) is reports.hum.sigma_min
     write_csv(outdir / "defect_curve.csv", header, [[r[key] for r in m["curve"]] for key in header])
     columns = _sampled(m["times"], basis.grid.nodes[mask.node_indices],
                        m["control"].control_samples, 4, max(1, mask.n_nodes // 40))
@@ -664,8 +658,7 @@ def run_inverse(lab: Lab, outdir: Path):
     m = measure_inverse(basis6, lab.basis(lam, 1), f6, zr, recon_grid, id_grid)
     recon = m["reconstruction"]
     write_json(outdir / "reconstruction.json", {
-        "lambda": lam, "recon_dt": recon_grid.dt, "identity_dt": id_grid.dt,
-        "f_true": [[c.real, c.imag] for c in f6],
+        "lambda": lam, "f_true": [[c.real, c.imag] for c in f6],
         "f_recovered": [[c.real, c.imag] for c in recon.f_recovered],
         "source_identity_residual": m["source_identity_residual"]})
     return m, {
@@ -736,12 +729,12 @@ _STAGES = {name: _Stage(runner, frozenset(reads.split()), coupling, tuple(rules)
     ("evolve", run_evolve, f"{_BASIS} {_MASK} horizon k_modes lam seed time_steps", _LAM, {
         "evolution_norm_drift": ("<=", 1e-12), "evolution_time_reversal": ("<=", 1e-12)},
      *_PHASES, _MASK_NODES),
-    ("kernel", run_kernel, "horizon k_trunc kernel_t_nodes tau_steps transform_k_trunc", None, {
+    ("kernel", run_kernel, "horizon k_trunc kernel_t_nodes tau_steps", None, {
         "kernel_boundary_exact": ("<=", 1e-12),
         "kernel_tail_match": ("<=", 1e-8),          # over max(max residual, 1)
         "kernel_residual_ratio": ("<=", 1e-6)}, _BUMP_RANGE),
-    ("transform", run_transform, f"{_BASIS} horizon k_modes k_trunc lam tau_steps "
-     "transform_k_trunc transform_t_nodes", _LAM, {
+    ("transform", run_transform, f"{_BASIS} horizon k_modes lam tau_steps transform_k_trunc "
+     "transform_t_nodes", _LAM, {
         "transform_residual": ("<=", 1e-5), "transform_moment_consistency": ("<=", 1e-12)},
      *_PHASES, _BUMP_RANGE),
     ("uniqueness", run_uniqueness, f"{_BASIS} {_MASK} horizon k_modes lam obs_time_steps seed "

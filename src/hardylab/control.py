@@ -142,7 +142,8 @@ def defect_curve(gram: Gramian, u0: ModeState, ud: ModeState, eps_list) -> list[
     Every row's sigma_min is lambda_min(G), not a singular value: G = O^H O up
     to conjugation for the observation map O of initial coefficients onto
     L^2((0, T) x mask), so it is the square of O's smallest singular value.
-    The key is kept because artifacts and reports use it."""
+    The key is kept because the benchmark's coupling sweep
+    (perfbench/workloads.py::sweep_values) reads it."""
     eps_list = list(eps_list)
     if any(e <= 0 for e in eps_list):
         raise ValueError("penalties must be positive")

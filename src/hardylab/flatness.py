@@ -35,6 +35,11 @@ C_NORM = 16.0               # 4^sigma = (s (1 - s))^-sigma at s = 1/2, where psi
 # sums over a grid run this many rows at a time: contour samples and dense
 # kernel values (about 1 MB of complex values at 1025 tau nodes)
 ROW_BLOCK = 64
+CONTOUR_NODES = 256         # derivative_table's: 4 per order or more keep out aliasing
+# derivative_table's orders, one product with the contour samples per range: a column's
+# bits depend on its product's width (the BLAS column blocking), so fixed ranges give each
+# entry one value whatever truncation reads it.  Width 34 keeps the default run's pinned bits
+ORDER_SPLITS = (slice(0, 34), slice(34, MAX_TRUNCATION + 2))
 # horizons with finite derivative tables.  In units of T every contour is the one
 # at T = 1, and T enters only through r^k.  Below the floor the least radius drawn,
 # MIN_CONTOUR_RADIUS * T, to the top order MAX_TRUNCATION + 1 underflows and its row
@@ -98,50 +103,45 @@ def contour_radii(bump: GevreyBump, taus: np.ndarray) -> np.ndarray:
     return 0.5 * np.minimum(taus, bump.horizon - taus)
 
 
-def derivative_table(bump: GevreyBump, taus: np.ndarray, k_max: int) -> np.ndarray:
-    """Derivative rows psi^(k)(tau_j), zero where contour_radii draws no contour.
+def derivative_table(bump: GevreyBump, taus: np.ndarray) -> np.ndarray:
+    """Derivative rows psi^(k)(tau_j) of the orders 0..MAX_TRUNCATION + 1, zero
+    where contour_radii draws no contour; a kernel reads the prefix it needs.
 
-    The contour has max(256, 4*(k_max+1)) nodes, which keeps aliasing out of
-    the top orders.  Accuracy, measured at T = 1 (every horizon has the same
-    contours in units of T): at k_max <= 25 the rows reach the rounding
-    floor of the contour sum, 1e-8 |exact| + 1e-13 peak k!/r^k, only for
-    tau/T in [0.066, 0.934].  Within about 0.065 T of either support end the
-    256-node sum is not converged (absolute errors up to 2e-3 at tau = 0.064,
-    against values below 1e-17) until both sides underflow to exact zeros;
-    the kernel multiplies those rows by factors <= 4^k/(2k)!.
+    Accuracy, measured at T = 1 (every horizon has the same contours in units
+    of T): the orders up to 25 reach the rounding floor of the contour sum,
+    1e-8 |exact| + 1e-13 peak k!/r^k, only for tau/T in [0.066, 0.934].
+    Within about 0.065 T of either support end the CONTOUR_NODES-node sum is
+    not converged (absolute errors up to 2e-3 at tau = 0.064, against values
+    below 1e-17) until both sides underflow to exact zeros; the kernel
+    multiplies those rows by factors <= 4^k/(2k)!.
 
     The contour is taken one row_blocks block of interior rows at a time:
     each block is sampled, averaged against the Fourier basis in one product
-    and written into its table rows before the next, so besides the table
-    the call holds the radii, the interior row index and one block's arrays.
-    The table has the bits of one product over all interior rows: the tests
-    pin this at horizons 0.7 to 1000, k_max 5 to 41 and last blocks of 2 to
-    65 rows, on one BLAS thread and on the default count.  A column's bits
-    do depend on how many orders are requested, through the product's
-    column blocking.  On 1025 tau nodes at
-    T = 1 and one BLAS thread, the columns a k_max table shares with the
-    k_max = 33 one are equal to them at k_max = 23, 27 and 31-34, and differ
-    in their last bits at 20-22, 24-26, 28-30 and 35-41.  So a table shared
-    by several truncations is built at an order fixed by the configuration
-    alone.
+    per range of ORDER_SPLITS and written into its table rows before the
+    next, so besides the table the call holds the radii, the interior row
+    index and one block's arrays.  The table has the bits of those products
+    over all interior rows: the tests pin this at horizons 0.7 to 1000 and
+    last blocks of 2 to 65 rows, on one BLAS thread and on the default count.
     """
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     r = contour_radii(bump, taus)
     rows = np.flatnonzero(r >= MIN_CONTOUR_RADIUS * bump.horizon)
-    m = max(256, 4 * (k_max + 1))
-    theta = 2.0 * np.pi * np.arange(m) / m
-    ks = np.arange(k_max + 1)
+    theta = 2.0 * np.pi * np.arange(CONTOUR_NODES) / CONTOUR_NODES
+    ks = np.arange(MAX_TRUNCATION + 2)
     circle = np.exp(1j * theta)
-    basis = np.exp(-1j * np.outer(theta, ks))         # (m, k_max+1)
-    fact = np.cumprod(np.concatenate(([1.0], np.arange(1.0, k_max + 1))))
-    table = np.zeros((len(taus), k_max + 1))
+    bases = [np.exp(-1j * np.outer(theta, ks[orders])) for orders in ORDER_SPLITS]
+    fact = np.cumprod(np.maximum(ks, 1.0))   # k!
+    table = np.zeros((len(taus), len(ks)))
     for start, stop in row_blocks(len(rows)):
         block = rows[start:stop]
         radii = r[block, None]
-        avg = (bump.eval_complex(taus[block, None] + radii * circle) @ basis) / m
-        # r^k overflows from r = DBL_MAX^(1/k) on, and its entries divide to exact zeros
-        with np.errstate(over="ignore"):
-            table[block] = avg.real * fact[None, :] / radii ** ks[None, :]
+        samples = bump.eval_complex(taus[block, None] + radii * circle)
+        for orders, basis in zip(ORDER_SPLITS, bases):
+            avg = (samples @ basis) / CONTOUR_NODES
+            # r^k overflows from r = DBL_MAX^(1/k) on, and its entries divide to exact zeros
+            with np.errstate(over="ignore"):
+                table[block, orders] = avg.real * fact[orders] / radii ** ks[orders]
+        del samples   # before the next block's are drawn
     return table
 
 
@@ -221,15 +221,15 @@ def build_kernel(bump: GevreyBump, t_nodes: np.ndarray, tau_nodes: np.ndarray,
                  k_trunc: int) -> FlatnessKernel:
     """Separable kernel on a (t, tau) grid; only the derivative table is computed.
 
-    The table is computed one order past the truncation so the residual and
-    the tau-derivative of the series are available exactly.
+    The kernel reads orders 0..k_trunc + 1 of the table: one past the
+    truncation, so the residual and the tau-derivative of the series are
+    available exactly.
     """
     if k_trunc > MAX_TRUNCATION:
         raise ValueError(f"k_trunc {k_trunc} exceeds cap {MAX_TRUNCATION}")
     t_nodes = np.asarray(t_nodes, dtype=float)
     tau_nodes = np.asarray(tau_nodes, dtype=float)
-    table = derivative_table(bump, tau_nodes, k_trunc + 1)
-    return FlatnessKernel(bump, k_trunc, t_nodes, tau_nodes, table)
+    return FlatnessKernel(bump, k_trunc, t_nodes, tau_nodes, derivative_table(bump, tau_nodes))
 
 
 @dataclass

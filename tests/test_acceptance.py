@@ -111,7 +111,7 @@ def test_criterion_05_kernel():
     # Cauchy vs exact-recurrence cross-validation, k <= 25
     cross_ok = True
     for tau in (Fraction(1, 5), Fraction(3, 10), Fraction(1, 2), Fraction(7, 10)):
-        cau = fla.derivative_table(bump, np.array([float(tau)]), 25)[0]
+        cau = fla.derivative_table(bump, np.array([float(tau)]))[0, :26]
         exact = bump_derivatives_exact(bump, tau, 25)
         r = 0.5 * min(float(tau), 1 - float(tau))
         theta = 2 * np.pi * np.arange(512) / 512

@@ -226,14 +226,16 @@ PROBES = [
         ("horizon = 0.0\n", "horizon must be positive"),
         ("mask_kind = annulus\n", "mask_kind must be 'interval' or 'cantor'"))),
     # a stage is refused only on the fields it reads: hardy, angular, titchmarsh and kernel
-    # read neither lam, k_modes nor the mask, and run as at the default config
+    # read neither lam, k_modes nor the mask, and neither kernel nor transform reads the
+    # other's truncation; each runs as at the default config
     *(Probe(f"test_stages_run_on_fields_they_do_not_read[{stage}-{text}]", stage, text, code,
             failing) for text, stages in (
                 ("lam = 1.0\n", ("hardy", "angular", "titchmarsh", "kernel")),
-                ("k_modes = 5000\n", ("hardy",)), (_NODELESS_MASK, ("kernel",)))
+                ("k_modes = 5000\n", ("hardy",)), (_NODELESS_MASK, ("kernel",)),
+                ("transform_k_trunc = 0\n", ("kernel",)), ("k_trunc = 50\n", ("transform",)))
       for stage, code, failing in (
           ("hardy", 1, {"hardy_pencil_in_range"}), ("angular", 0, set()), ("titchmarsh", 0, set()),
-          ("kernel", 1, {"kernel_residual_ratio"})) if stage in stages),
+          ("kernel", 1, {"kernel_residual_ratio"}), ("transform", 0, set())) if stage in stages),
     *(Probe(f"test_stages_reading_a_field_refuse_it[{stage}-{text}]", stage, text, code, says)
       for stage, text, code, says in (
           ("spectrum", "lam = 1.0\n", 3, "lambda_star(3) = 0.25"),
@@ -493,8 +495,8 @@ def test_long_horizon_with_the_default_tau_grid_runs(tmp_path, subcommand):
 # the horizon: there its contour's (T - z) z squared overflowed
 @pytest.mark.parametrize("horizon", [1e10, 2.0713518623308863e+77])
 def test_long_horizon_runs_without_numpy_warnings(tmp_path, subcommand, horizon):
-    # r^k in derivative_table overflows from T = 4 DBL_MAX^(1/33) = 8.8e9 on
-    # at the default table order 33, and the entries divide to exact zeros
+    # r^k in derivative_table overflows from T = 4 DBL_MAX^(1/41) = 1.3e8 on
+    # at the table's top order 41, and the entries divide to exact zeros
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert run(subcommand, light_config(horizon=horizon), tmp_path) == 0
@@ -512,7 +514,7 @@ def test_validated_horizon_gives_a_finite_table(log_horizon, tau_steps):
         lab = validate_config(cfg, "kernel")
     except cli.ConfigError:
         return
-    table = fla.derivative_table(lab.bump(), lab.tau_grid.times, fla.MAX_TRUNCATION + 1)
+    table = fla.derivative_table(lab.bump(), lab.tau_grid.times)
     assert np.all(np.isfinite(table))
 
 
@@ -547,13 +549,12 @@ def test_default_all_builds_each_shared_object_once(tmp_path, monkeypatch):
     assert run("all", LabConfig(), tmp_path) == 0
     # spectrum_modes and k_modes at lam, k = 6 and k = 1 at lam = 3/16, from one
     # operator per coupling, which the phase ceiling reads too; one derivative
-    # table, at order max(k_trunc, transform_k_trunc) + 1, serves the kernel and
-    # transform stages
+    # table of every order serves the kernel and transform stages
     assert counts == {"solve_spectrum": 4, "gevrey_bump": 1, "interval_mask": 1,
                       "derivative_table": 1, "assemble_hardy_operator": 2}
 
 
-def test_kernel_and_transform_read_one_table_of_the_config_order(tmp_path, monkeypatch):
+def test_kernel_and_transform_read_one_table_of_every_order(tmp_path, monkeypatch):
     kernels = {}
     for stage in ("kernel", "transform"):
         measure = getattr(cli, f"measure_{stage}")
@@ -566,14 +567,37 @@ def test_kernel_and_transform_read_one_table_of_the_config_order(tmp_path, monke
     cfg = LabConfig()
     bump = fla.gevrey_bump(cfg.horizon)
     taus = evo.TimeGrid(cfg.horizon, cfg.tau_steps).times
-    # the transform residual is rounding-dominated: it keeps the bits of the
-    # table built at its own order, which the shared order equals by default
-    own = fla.derivative_table(bump, taus, cfg.transform_k_trunc + 1)
-    assert np.array_equal(kernels["transform"].deriv_table, own)
-    # the kernel's own order-(k_trunc + 1) table differs in its last bits only
-    kernel = kernels["kernel"]
-    alone = fla.build_kernel(bump, kernel.t_nodes, taus, cfg.k_trunc).values
-    assert np.abs(kernel.values - alone).max() <= 1e-14 * np.abs(alone).max()
+    table = fla.derivative_table(bump, taus)
+    for stage, k_trunc in (("kernel", cfg.k_trunc), ("transform", cfg.transform_k_trunc)):
+        kernel = kernels[stage]
+        assert np.array_equal(kernel.deriv_table, table)
+        alone = fla.build_kernel(bump, kernel.t_nodes, taus, k_trunc)
+        assert np.array_equal(kernel.values, alone.values)
+
+
+@pytest.mark.parametrize("k_trunc", [1, 24, 32, 40])
+def test_build_kernel_is_the_stages_kernel(k_trunc):
+    # one kernel per truncation, whichever truncation the run's other stage reads
+    lab = validate_config(light_config(), "kernel")
+    kernel = cli._kernel(lab, k_trunc, lab.cfg.kernel_t_nodes)
+    alone = fla.build_kernel(lab.bump(), kernel.t_nodes, lab.tau_grid.times, k_trunc)
+    assert np.array_equal(alone.deriv_table, kernel.deriv_table)
+    assert np.array_equal(alone.values, kernel.values)
+
+
+@pytest.mark.parametrize("stage, other, values", [
+    ("kernel", "transform_k_trunc", (20, 32, 40)),
+    ("transform", "k_trunc", (1, 24, 40)),
+])
+def test_a_stage_writes_the_same_bytes_at_any_other_truncation(tmp_path, stage, other, values):
+    # at the default config: a table summed in one contour product as wide as the
+    # orders requested would change its columns' last bits with that width here
+    digests = []
+    for value in values:
+        out_root = tmp_path / str(value)
+        assert run(stage, LabConfig(**{other: value}), out_root) == 0
+        digests.append(_artifact_digests(find_run_dir(out_root, stage)))
+    assert digests[0] and all(d == digests[0] for d in digests)
 
 
 def test_write_json_numpy_scalars(tmp_path):
@@ -792,8 +816,8 @@ _STAGE_JSON_KEYS = {
     "transform_report.json": {"per_mode", "moments_abs"},
     "observability.json": {"mask", "singular_values", "ucp_singular_values", "ucp_condition"},
     "certificate.json": {"eta", "sigma_min", "bound", "c0_norm"},
-    "reconstruction.json": {"lambda", "recon_dt", "identity_dt", "f_true", "f_recovered",
-                            "source_identity_residual"},
+    # the steps are horizon / recon_steps and horizon / inverse_steps, from the config
+    "reconstruction.json": {"lambda", "f_true", "f_recovered", "source_identity_residual"},
 }
 
 
@@ -812,7 +836,16 @@ def test_stage_json_holds_only_what_the_manifest_does_not(tmp_path, all_run):
         # the mask's kind is the config's mask_kind
         assert set(stage_json["observability.json"]["mask"]) == {"intervals", "measure"}
     for run_manifest in (manifest, json.loads((alone / "manifest.json").read_text())):
-        assert run_manifest["artifact_version"] == cli.ARTIFACT_VERSION == "0.3.0"
+        assert run_manifest["artifact_version"] == cli.ARTIFACT_VERSION == "0.4.0"
+
+
+def test_defect_curve_csv_leaves_lambda_min_to_the_report(all_run):
+    # lambda_min(G) is reports.hum.sigma_min once, not a column repeated on every row
+    _, returned, summary, manifest = all_run
+    rows = read_rows(Path(summary["outdir"]) / "defect_curve.csv")
+    assert rows[0] == ["eps", "defect", "cost"] and len(rows) == 1 + len(LabConfig().eps_list)
+    curve = returned["hum"][0]["curve"]
+    assert {row["sigma_min"] for row in curve} == {manifest["reports"]["hum"]["sigma_min"]}
 
 
 def test_manifest_keeps_stage_reports_and_times(all_run):
@@ -986,8 +1019,7 @@ def test_manifest_records_the_sizes_each_stage_used(all_run):
     _, _, _, manifest = all_run
     cfg = light_config()
     mask_nodes = cli.Lab(cfg, []).mask.n_nodes
-    kernel = {"tau_nodes": cfg.tau_steps + 1,
-              "table_order": max(cfg.k_trunc, cfg.transform_k_trunc) + 1}
+    kernel = {"tau_nodes": cfg.tau_steps + 1}
     assert {stage: report["sizes"] for stage, report in manifest["reports"].items()
             if "sizes" in report} == {
         "hardy": {"rayleigh_vectors": 1000},
@@ -1010,8 +1042,9 @@ def test_manifest_names_the_fields_each_stage_read(tmp_path, all_run):
     assert run("kernel", light_config(), tmp_path) == 0
     alone = json.loads((find_run_dir(tmp_path, "kernel") / "manifest.json").read_text())
     assert alone["reads"] == {"kernel": sorted(cli._STAGES["kernel"].reads)}
-    # kernel.csv's last bits depend on the table order both truncations set
-    assert "transform_k_trunc" in alone["reads"]["kernel"]
+    # each stage reads its own truncation and not the other's
+    assert "transform_k_trunc" not in alone["reads"]["kernel"]
+    assert "k_trunc" not in cli._STAGES["transform"].reads
 
 
 def _artifact_digests(outdir: Path) -> dict[str, str]:

@@ -42,14 +42,14 @@ def test_bump_validation():
 def test_cauchy_zeroth_derivative_matches_direct():
     bump = gevrey_bump(1.0)
     for tau in (0.2, 0.5, 0.77):
-        table = derivative_table(bump, np.array([tau]), 4)[0]
+        table = derivative_table(bump, np.array([tau]))[0]
         assert table[0] == pytest.approx(bump(tau), abs=1e-12)
 
 
 def test_cauchy_first_derivative_vanishes_at_center():
     bump = gevrey_bump(1.0)
-    table = derivative_table(bump, np.array([0.5]), 6)[0]
-    scale = abs(derivative_table(bump, np.array([0.4]), 1)[0, 1])
+    table = derivative_table(bump, np.array([0.5]))[0]
+    scale = abs(derivative_table(bump, np.array([0.4]))[0, 1])
     assert abs(table[1]) <= 1e-12 * max(scale, 1.0)
 
 
@@ -64,7 +64,7 @@ def test_guard_band_marks_the_rows_derivative_table_zeroes():
         assert drawn.tolist() == [False, False, False, False, True, True, False, False, False]
         band = (r > 0.0) & ~drawn
         assert band.tolist() == [False, False, True, True, False, False, True, False, False]
-        assert np.all(derivative_table(bump, taus, MAX_TRUNCATION + 1)[~drawn] == 0.0)
+        assert np.all(derivative_table(bump, taus)[~drawn] == 0.0)
         # the band's rows are zeros, not lost values: there every |psi^(k)| = |R_k| psi
         # lies below the least subnormal, compared in exact logs
         for tau in (Fraction(horizon) * Fraction(x) for x, inside in zip(s, band) if inside):
@@ -77,7 +77,7 @@ def test_cauchy_underflowed_edge_band_is_zero():
     # at T = 1 the bump underflows to exact zero well inside the guard band,
     # so fine kernel grids get zero rows there instead of a rejection
     bump = gevrey_bump(1.0)
-    table = derivative_table(bump, np.array([1e-3]), 5)[0]
+    table = derivative_table(bump, np.array([1e-3]))[0]
     assert np.all(table == 0.0)
     assert bump(1e-3) == 0.0
 
@@ -88,11 +88,10 @@ def test_derivative_table_scales_with_the_horizon(horizon):
     # their samples and their sums are those at T = 1 scaled exactly, so the
     # table is the horizon-1 table times T^-k wherever neither is subnormal
     s = np.linspace(0.0, 1.0, 1025)
-    k_max = 33
     with one_blas_thread():
-        table1 = derivative_table(gevrey_bump(1.0), s, k_max)
-        table = derivative_table(gevrey_bump(horizon), horizon * s, k_max)
-    expected = table1 * horizon ** -np.arange(k_max + 1.0)
+        table1 = derivative_table(gevrey_bump(1.0), s)
+        table = derivative_table(gevrey_bump(horizon), horizon * s)
+    expected = table1 * horizon ** -np.arange(MAX_TRUNCATION + 2.0)
     differ = table != expected
     if horizon in (2.0, 1024.0):
         assert not differ.any()
@@ -102,7 +101,7 @@ def test_derivative_table_scales_with_the_horizon(horizon):
 
 def test_cauchy_matches_exact_recurrence_low_order():
     bump = gevrey_bump(1.0)
-    cau = derivative_table(bump, np.array([0.3]), 3)[0]
+    cau = derivative_table(bump, np.array([0.3]))[0]
     exact = bump_derivatives_exact(bump, Fraction(3, 10), 3)
     assert abs(cau[3] - exact[3]) <= 1e-8 * abs(exact[3])
 
@@ -125,7 +124,7 @@ def test_cauchy_matches_exact_recurrence_high_order(tau):
     # noise (psi(0.1) ~ 1e-47) are compared against that floor instead
     bump = gevrey_bump(1.0)
     k_max = 25
-    cau = derivative_table(bump, np.array([float(tau)]), k_max)[0]
+    cau = derivative_table(bump, np.array([float(tau)]))[0]
     exact = bump_derivatives_exact(bump, tau, k_max)
     floor = cauchy_noise_floor(bump, float(tau), k_max)
     for k in range(k_max + 1):
@@ -214,7 +213,8 @@ def test_derivative_table_matches_exact_recurrence(milli_tau, k_max, horizon):
     # (its values there are below 1e-17 and never reach the kernel's scale)
     bump = gevrey_bump(horizon)
     tau = Fraction(horizon) * Fraction(milli_tau, 1000)
-    table = derivative_table(bump, np.array([float(tau)]), k_max)[0]
+    # the orders 0..k_max a truncation reads
+    table = derivative_table(bump, np.array([float(tau)]))[0, : k_max + 1]
     exact = bump_derivatives_exact(bump, tau, k_max)
     floor = cauchy_noise_floor(bump, float(tau), k_max)
     assert np.all(np.abs(table - exact) <= 1e-8 * np.abs(exact) + floor)
@@ -223,11 +223,10 @@ def test_derivative_table_matches_exact_recurrence(milli_tau, k_max, horizon):
 @pytest.mark.parametrize("tau", [Fraction(1, 10), Fraction(3, 10), Fraction(1, 2),
                                  Fraction(9, 10)])
 def test_cauchy_matches_exact_recurrence_at_the_shared_order(tau):
-    # order 33 = max(k_trunc, transform_k_trunc) + 1 at the default config,
-    # the order of the one table the kernel and transform stages read
+    # every order of the one table the kernel and transform stages read
     bump = gevrey_bump(1.0)
-    k_max = 33
-    table = derivative_table(bump, np.array([float(tau)]), k_max)[0]
+    k_max = MAX_TRUNCATION + 1
+    table = derivative_table(bump, np.array([float(tau)]))[0]
     exact = bump_derivatives_exact(bump, tau, k_max)
     floor = cauchy_noise_floor(bump, float(tau), k_max)
     assert np.all(np.abs(table - exact) <= 1e-8 * np.abs(exact) + floor)
@@ -326,8 +325,7 @@ def test_evaluate_bit_identical_to_broadcast_loop():
     # could choose the order axis as its inner loop; t = 1.0 is the
     # control_trace row, and the truncations cover every residue of k_trunc
     # mod 4 up to the cap
-    table = derivative_table(gevrey_bump(1.0), np.linspace(0.0, 1.0, 257),
-                             MAX_TRUNCATION + 1)
+    table = derivative_table(gevrey_bump(1.0), np.linspace(0.0, 1.0, 257))
     assert np.any(table == 0.0)
     t_grids = [1.0, *(np.linspace(-1, 1, nt) for nt in (1, ROW_BLOCK - 1, ROW_BLOCK,
                                                         ROW_BLOCK + 1, 201))]
@@ -393,15 +391,15 @@ def test_control_trace_off_grid_matches_on_grid():
 # temporary) and as z (T - z) below, and the two complex products differ in
 # last bits, so eval_complex fixes the order and these tests pin it against
 # the whole-array formula.  Each block is then contracted with the Fourier
-# basis in a product of its own; the table is pinned against the one product
-# over all interior rows, on one BLAS thread and on the process's default
-# count, so a BLAS whose bits for a row depend on the product's row count
-# fails here.
+# basis in one product per range of orders; the table is pinned against the
+# products over all interior rows, on one BLAS thread and on the process's
+# default count, so a BLAS whose bits for a row depend on the product's row
+# count fails here.
 
-def contour(bump, taus, k_max):
+def contour(bump, taus):
     """The interior rows, radii, angles and contour nodes that derivative_table
-    samples for the orders 0..k_max on taus."""
-    m = max(256, 4 * (k_max + 1))
+    samples on taus."""
+    m = 256
     r = 0.5 * np.minimum(taus, bump.horizon - taus)
     interior = r >= MIN_CONTOUR_RADIUS * bump.horizon
     theta = 2.0 * np.pi * np.arange(m) / m
@@ -417,7 +415,7 @@ def whole_array_samples(bump, z):
 @pytest.mark.parametrize("block", [1, 59, ROW_BLOCK, ROW_BLOCK + 1])
 def test_blocked_contour_samples_equal_the_whole_array_formula(block):
     lab = validate_config(LabConfig(), "kernel")
-    z = contour(lab.bump(), lab.tau_grid.times, lab.table().shape[1] - 1)[-1]
+    z = contour(lab.bump(), lab.tau_grid.times)[-1]
     assert z.nbytes >= 256 * 1024 > z[:59].nbytes
     blocked = np.concatenate([lab.bump().eval_complex(z[start:start + block])
                               for start in range(0, len(z), block)])
@@ -433,13 +431,19 @@ def test_blocked_contour_samples_equal_the_whole_array_formula(block):
 @pytest.mark.parametrize("tau_steps", [67, 68, 69, 70, 130, 131, 132, 1024, 4097])
 @pytest.mark.parametrize("horizon", [0.7, 1.0, 3.0, 1000.0])
 def test_default_table_equals_the_whole_array_formula(horizon, tau_steps, k_max, blas):
+    # the orders 0..k_max a truncation reads have the bits of the products over all
+    # interior rows that hold them, whatever order it reads up to: orders 0..33 come
+    # from one product of width 34 and orders 34..41 from one of width 8
     bump, taus = gevrey_bump(horizon), TimeGrid(horizon, tau_steps).times
-    interior, r, theta, z = contour(bump, taus, k_max)
-    ks = np.arange(k_max + 1)
-    fact = np.cumprod(np.concatenate(([1.0], np.arange(1.0, k_max + 1))))
-    expected = np.zeros((len(taus), k_max + 1))
+    interior, r, theta, z = contour(bump, taus)
+    ranges = [ks for ks in (np.arange(34), np.arange(34, MAX_TRUNCATION + 2)) if ks[0] <= k_max]
+    ks = np.concatenate(ranges)
+    fact = np.cumprod(np.concatenate(([1.0], np.arange(1.0, len(ks)))))
+    expected = np.zeros((len(taus), len(ks)))
     with blas():
-        avg = (whole_array_samples(bump, z) @ np.exp(-1j * np.outer(theta, ks))) / len(theta)
-        table = derivative_table(bump, taus, k_max)
+        avg = np.hstack([whole_array_samples(bump, z) @ np.exp(-1j * np.outer(theta, orders))
+                         for orders in ranges]) / len(theta)
+        table = derivative_table(bump, taus)
     expected[interior] = avg.real * fact[None, :] / r[interior, None] ** ks[None, :]
-    assert np.array_equal(table, expected)
+    assert table.shape == (len(taus), MAX_TRUNCATION + 2)
+    assert np.array_equal(table[:, : k_max + 1], expected[:, : k_max + 1])

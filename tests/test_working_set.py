@@ -2,16 +2,18 @@
 
 tracemalloc sees numpy's data buffers, so each peak is the most memory the
 call held at once above what existed before it.  Measured at the default
-config on numpy 2.x (MiB): derivative_table 1.71, kernel_residual 4.87 and
+config on numpy 2.x (MiB): derivative_table 1.78, kernel_residual 4.87 and
 run_uniqueness 4.19, each with its basis and table built beforehand.  Each
-bound is that measurement plus about 15 %, and sits far below the peak of the
+bound is that measurement plus 12 to 15 %, and sits far below the peak of the
 same call computing its contour samples, residual series or weighted samples
 as whole (tau, m) or (t, tau) arrays: 16.2, 9.0 and 9.5 MiB (derivative_table
 sampling in row blocks but contracting the whole (tau, m) samples at once:
 5.59 MiB).
 
-derivative_table is also bounded at 8,192 tau steps: 3.68 MiB measured, of
-which the (8193, 34) table is 2.1, against 42.9 MiB with the whole contour.
+derivative_table is also bounded at 8,192 tau steps: 4.19 MiB measured, of
+which the (8193, 42) table is 2.6, against 42.9 MiB with the whole contour.
+Both bounds hold only if each row block's contour samples are freed before
+the next block's are drawn.
 
 measure_inverse is bounded at the benchmark's time-stepping sizes (4,000
 reconstruction steps, 40,000 identity steps): 6.7 MiB measured, against 8.9
@@ -50,14 +52,13 @@ def lab():
 
 
 def test_derivative_table_working_set(lab):
-    peak = traced_peak(lambda: fla.derivative_table(lab.bump(), lab.tau_grid.times,
-                                                    lab.table().shape[1] - 1))
+    peak = traced_peak(lambda: fla.derivative_table(lab.bump(), lab.tau_grid.times))
     assert peak <= 2.0
 
 
 def test_derivative_table_working_set_on_a_long_tau_grid(lab):
     taus = evo.TimeGrid(lab.cfg.horizon, 8192).times
-    peak = traced_peak(lambda: fla.derivative_table(lab.bump(), taus, lab.table().shape[1] - 1))
+    peak = traced_peak(lambda: fla.derivative_table(lab.bump(), taus))
     assert peak <= 4.3
 
 
